@@ -71,6 +71,14 @@ class Corpus:
         raise KeyError(doc_id)
 
 
+def to_utc(dt: datetime) -> datetime:
+    """The same moment in UTC; a naive datetime is taken as UTC, never as
+    host-local time."""
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=UTC)
+    return dt.astimezone(UTC)
+
+
 def parse_rfc3339(value: str) -> datetime:
     """Parse an RFC 3339 date-time, normalized to UTC at minute precision.
 
@@ -85,13 +93,11 @@ def parse_rfc3339(value: str) -> datetime:
         dt = datetime.fromisoformat(text)
     except ValueError:
         raise UnparsableTimestamp(value) from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=UTC)
-    return dt.astimezone(UTC).replace(second=0, microsecond=0)
+    return to_utc(dt).replace(second=0, microsecond=0)
 
 
 def format_rfc3339(dt: datetime) -> str:
-    return dt.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return to_utc(dt).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def load_lexicon(path: str | Path) -> dict[str, str]:
@@ -288,16 +294,24 @@ def read_corpus_artifact(path: str | Path) -> Corpus:
                 rec = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(f"invalid JSON ({exc.msg})", str(path), ln) from None
+            if not isinstance(rec, dict):
+                raise MalformedRecord("expected a JSON object", str(path), ln)
             if "event_id" in rec and "doc_id" not in rec:
                 event_id = rec["event_id"]
                 continue
-            sentences = tuple(
-                Sentence(
-                    index=s["index"], text=s["text"],
-                    tokens=tuple(Token(*row) for row in s["tokens"]))
-                for s in rec["sentences"])
-            documents.append(Document(
-                doc_id=rec["doc_id"], source=rec["source"],
-                publish_time=parse_rfc3339(rec["publish_time"]),
-                sentences=sentences, report_index=rec["report_index"]))
+            try:
+                sentences = tuple(
+                    Sentence(
+                        index=s["index"], text=s["text"],
+                        tokens=tuple(Token(*row) for row in s["tokens"]))
+                    for s in rec["sentences"])
+                documents.append(Document(
+                    doc_id=rec["doc_id"], source=rec["source"],
+                    publish_time=parse_rfc3339(rec["publish_time"]),
+                    sentences=sentences, report_index=rec["report_index"]))
+            except KeyError as exc:
+                raise MalformedRecord(f"missing {exc.args[0]}", str(path), ln) from None
+            except TypeError:
+                raise MalformedRecord("record does not have the corpus-artifact shape",
+                                      str(path), ln) from None
     return Corpus(event_id=event_id, documents=tuple(documents))

@@ -214,6 +214,12 @@ class StreamParams:
     intra_burst_gap: timedelta = timedelta(hours=6)
     inter_burst_gap: timedelta = timedelta(days=4)
 
+    def __post_init__(self):
+        low, high = self.burst_size
+        if not 1 <= low <= high:
+            # a burst of zero reports never advances a non-linear stream
+            raise ValueError(f"burst size needs 1 <= min <= max, got {low}..{high}")
+
 
 def generate_stream(kind: str, sources: int, params: StreamParams,
                     horizon: int) -> Corpus:

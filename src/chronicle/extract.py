@@ -370,7 +370,8 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
                 raise MalformedRecord(f"unknown doc_id {rec['doc_id']!r}",
                                       str(path), ln)
             sidx = rec["sentence_index"]
-            if not isinstance(sidx, int) or not 0 <= sidx < len(doc.sentences):
+            if (isinstance(sidx, bool) or not isinstance(sidx, int)
+                    or not 0 <= sidx < len(doc.sentences)):
                 raise MalformedRecord(f"sentence_index {sidx!r} out of range",
                                       str(path), ln)
             if (doc.doc_id, sidx) in seen:
@@ -384,6 +385,9 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
                 raise UnknownMessageType(f"unknown message type {msg_type!r}",
                                          str(path), ln)
             raw_args = rec.get("args", {})
+            if not isinstance(raw_args, dict):
+                raise MalformedRecord("args must be an object of slot values",
+                                      str(path), ln)
             for slot in raw_args:
                 if slot not in spec.slot_names():
                     raise UnknownSlot(
@@ -393,6 +397,10 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
             for slot, concept in spec.slots:
                 value = raw_args.get(slot)
                 if value is not None:
+                    if not isinstance(value, str):
+                        raise MalformedRecord(
+                            f"slot {slot!r} must be an instance name or null",
+                            str(path), ln)
                     got = ontology.concept_of(value)
                     if got is None or not is_subtype(ontology, got, concept):
                         raise SlotTypeViolation(msg_type, slot, value, concept)

@@ -8,6 +8,14 @@ degenerates to exact time equality. Diachronic candidates are same-source
 pairs at strictly increasing anchors, their distance counted in per-source
 report steps.
 
+Candidates are found without testing every pair. Synchronic ones come from
+a sweep over dilated extents sorted by start: a message can only overlap
+extents that start between its own start minus the longest extent among
+the candidates and its own end, a range two bisections find. Diachronic
+ones come from per-source lists sorted by anchor start, where the later
+anchors of a message's source are one bisection away. Ellipsis runs the
+same sweep on per-(type, source) lists.
+
 ``brute_force_oracle`` re-implements the whole contract literally and
 independently (no shared condition or window helpers) so tests can check
 the engine against it on randomized inputs.
@@ -17,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -97,31 +106,81 @@ def sort_instances(instances) -> list[RelationInstance]:
         r.axis, r.name, _message_sort_key(r.left), _message_sort_key(r.right)))
 
 
+def _by_extent(messages: list[Message], window: WindowPolicy):
+    """(message, dilated extent) pairs in ``_message_sort_key`` order, which
+    is also the order of dilated starts."""
+    return [(m, _dilated(m.time, window))
+            for m in sorted(messages, key=_message_sort_key)]
+
+
+class _Sweep:
+    """Start-sorted dilated extents, for finding the ones that overlap a
+    given extent."""
+
+    def __init__(self, items):
+        self.items = items              # from _by_extent
+        self.starts = [ext[0] for _, ext in items]
+        # an extent that starts before s - lookback ends before s
+        self.lookback = max((ext[1] - ext[0] for _, ext in items),
+                            default=timedelta(0))
+
+    def overlapping(self, extent):
+        """The messages whose extents overlap ``extent``, in sort order."""
+        lo = bisect_left(self.starts, extent[0] - self.lookback)
+        hi = bisect_right(self.starts, extent[1])
+        for j in range(lo, hi):
+            m, ext = self.items[j]
+            if _extents_overlap(extent, ext):
+                yield m
+
+
+def _synchronic_candidates(lefts, rights: _Sweep):
+    """Cross-source (left, right) pairs with overlapping dilated extents;
+    ``lefts`` are _by_extent items."""
+    for m1, ext in lefts:
+        for m2 in rights.overlapping(ext):
+            if m2.source != m1.source and m2.key() != m1.key():
+                yield m1, m2
+
+
+class _SourceLists:
+    """Messages per source, each list sorted by anchor start."""
+
+    def __init__(self, messages: list[Message]):
+        self.lists: dict[str, list[Message]] = {}
+        for m in sorted(messages, key=_message_sort_key):
+            self.lists.setdefault(m.source, []).append(m)
+        self.starts = {source: [m.time.start for m in ms]
+                       for source, ms in self.lists.items()}
+
+    def later(self, m: Message) -> list[Message]:
+        """Same-source messages with a strictly later anchor start."""
+        if m.source not in self.lists:
+            return []
+        cut = bisect_right(self.starts[m.source], m.time.start)
+        return self.lists[m.source][cut:]
+
+
+def _diachronic_candidates(lefts, rights: _SourceLists):
+    """(left, right, report distance) for same-source pairs at strictly
+    increasing anchor starts."""
+    for m1 in lefts:
+        for m2 in rights.later(m1):
+            yield m1, m2, m2.report_index - m1.report_index
+
+
 def synchronic_pairs(messages: list[Message],
                      window: WindowPolicy) -> list[tuple[Message, Message]]:
     """All ordered cross-source pairs with window-compatible anchors."""
-    ordered = sorted(messages, key=_message_sort_key)
-    pairs = []
-    for m1 in ordered:
-        for m2 in ordered:
-            if m1.key() == m2.key() or m1.source == m2.source:
-                continue
-            if anchors_compatible(m1.time, m2.time, window):
-                pairs.append((m1, m2))
-    return pairs
+    items = _by_extent(messages, window)
+    return list(_synchronic_candidates(items, _Sweep(items)))
 
 
 def diachronic_pairs(messages: list[Message]) -> list[tuple[Message, Message, int]]:
     """All same-source ordered pairs with strictly increasing anchor start,
     with their report distance (later report_index minus earlier)."""
-    ordered = sorted(messages, key=_message_sort_key)
-    pairs = []
-    for m1 in ordered:
-        for m2 in ordered:
-            if m1.source != m2.source or not m1.time.start < m2.time.start:
-                continue
-            pairs.append((m1, m2, m2.report_index - m1.report_index))
-    return pairs
+    return list(_diachronic_candidates(sorted(messages, key=_message_sort_key),
+                                       _SourceLists(messages)))
 
 
 def _distance_ok(constraint: tuple[str, int] | None, distance: int) -> bool:
@@ -138,9 +197,12 @@ def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpe
     Symmetric synchronic specs emit both directions. Output is deduplicated
     and deterministically sorted by (axis, name, left anchor, doc, sentence).
     """
-    by_type: dict[str, list[Message]] = {}
-    for m in sorted(messages, key=_message_sort_key):
-        by_type.setdefault(m.msg_type, []).append(m)
+    by_type: dict[str, list] = {}
+    for item in _by_extent(messages, window):
+        by_type.setdefault(item[0].msg_type, []).append(item)
+    sweeps = {t: _Sweep(items) for t, items in by_type.items()}
+    source_lists = {t: _SourceLists([m for m, _ in items])
+                    for t, items in by_type.items()}
     found: dict[tuple, RelationInstance] = {}
 
     def emit(inst: RelationInstance):
@@ -148,31 +210,24 @@ def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpe
 
     for spec in relation_specs:
         lefts = by_type.get(spec.left_type, [])
-        rights = by_type.get(spec.right_type, [])
+        if spec.right_type not in by_type:
+            continue
         if spec.axis == SYNCHRONIC:
-            for m1 in lefts:
-                for m2 in rights:
-                    if m1.key() == m2.key() or m1.source == m2.source:
-                        continue
-                    if not anchors_compatible(m1.time, m2.time, window):
-                        continue
-                    if all(evaluate_atom(a, m1.args, m2.args)
-                           for a in spec.conditions):
-                        emit(RelationInstance(spec.name, SYNCHRONIC, m1, m2))
-                        if spec.symmetric:
-                            emit(RelationInstance(spec.name, SYNCHRONIC, m2, m1))
+            for m1, m2 in _synchronic_candidates(lefts, sweeps[spec.right_type]):
+                if all(evaluate_atom(a, m1.args, m2.args)
+                       for a in spec.conditions):
+                    emit(RelationInstance(spec.name, SYNCHRONIC, m1, m2))
+                    if spec.symmetric:
+                        emit(RelationInstance(spec.name, SYNCHRONIC, m2, m1))
         else:
-            for m1 in lefts:
-                for m2 in rights:
-                    if m1.source != m2.source or not m1.time.start < m2.time.start:
-                        continue
-                    distance = m2.report_index - m1.report_index
-                    if not _distance_ok(spec.distance, distance):
-                        continue
-                    if all(evaluate_atom(a, m1.args, m2.args)
-                           for a in spec.conditions):
-                        emit(RelationInstance(spec.name, DIACHRONIC, m1, m2,
-                                              distance=distance))
+            for m1, m2, distance in _diachronic_candidates(
+                    (m for m, _ in lefts), source_lists[spec.right_type]):
+                if not _distance_ok(spec.distance, distance):
+                    continue
+                if all(evaluate_atom(a, m1.args, m2.args)
+                       for a in spec.conditions):
+                    emit(RelationInstance(spec.name, DIACHRONIC, m1, m2,
+                                          distance=distance))
     return sort_instances(found.values())
 
 
@@ -303,11 +358,18 @@ def bucket_messages(messages: list[Message], window: WindowPolicy) -> list[Bucke
 
 
 def bucket_index_of(message: Message, buckets: list[Bucket]) -> int:
+    """Index of the bucket holding ``message``, by a scan of ``buckets``."""
     for b in buckets:
         for m in b.messages:
             if m.key() == message.key():
                 return b.index
     raise KeyError(message.key())
+
+
+def bucket_indices(buckets: list[Bucket]) -> dict[tuple[str, int], int]:
+    """Message key to bucket index, for lookups that ``bucket_index_of``
+    would answer one scan at a time."""
+    return {m.key(): b.index for b in buckets for m in b.messages}
 
 
 # ---------------------------------------------------------------------------
@@ -327,22 +389,25 @@ def detect_ellipsis(messages: list[Message], sources: set[str],
     same type."""
     if len(sources) < 2:
         raise ValueError("ellipsis detection needs at least two sources")
-    buckets = bucket_messages(messages, window)
+    bucket_of = bucket_indices(bucket_messages(messages, window))
+    items = _by_extent(messages, window)
+    partitions: dict[tuple[str, str], list] = {}
+    for item in items:
+        partitions.setdefault((item[0].msg_type, item[0].source), []).append(item)
+    sweeps = {part: _Sweep(part_items) for part, part_items in partitions.items()}
+    ordered_sources = sorted(sources)
     reports = []
-    for m in sorted(messages, key=_message_sort_key):
+    for m, ext in items:
         silent = []
-        for source in sorted(sources):
+        for source in ordered_sources:
             if source == m.source:
                 continue
-            echoed = any(
-                m2.source == source and m2.msg_type == m.msg_type
-                and anchors_compatible(m.time, m2.time, window)
-                for m2 in messages)
-            if not echoed:
+            sweep = sweeps.get((m.msg_type, source))
+            if sweep is None or next(sweep.overlapping(ext), None) is None:
                 silent.append(source)
         if silent:
             reports.append(EllipsisReport(
-                message=m, bucket=bucket_index_of(m, buckets),
+                message=m, bucket=bucket_of[m.key()],
                 silent_sources=tuple(silent)))
     return reports
 

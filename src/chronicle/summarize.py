@@ -10,12 +10,19 @@ the bucket where they land, ellipsis reports call out the lone source, and
 messages no relation touches fall back to per-type templates. Every
 relation instance is consumed by exactly one sentence and the consumption
 is reported as a coverage trace next to the text.
+
+Rendering stays near-linear in messages plus relation instances: a chain
+walk finds its next edge through an adjacency map from left message to
+the unconsumed edges leaving it, bucket lookups go through one
+message-to-bucket map, and each bucket's relation sentences are counted
+once before the budget trims lone sentences.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,8 +30,9 @@ from .errors import ChronicleError, DslSyntaxError, MissingTemplate
 from .extract import Message
 from .ontology import DIACHRONIC, SYNCHRONIC
 from .relations import (Bucket, EllipsisReport, RelationInstance, WindowPolicy,
-                        bucket_index_of, bucket_messages, sort_instances,
+                        bucket_indices, bucket_messages, sort_instances,
                         _message_sort_key)
+from .relations import bucket_index_of  # noqa: F401  (re-exported)
 
 _TEMPLATE_RE = re.compile(r'^template\s+([A-Za-z_][A-Za-z0-9_-]*)\s*:\s*"(.*)"\s*$')
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z0-9_.]+)\}")
@@ -92,7 +100,7 @@ def _pretty(value: str | None) -> str:
 
 
 def _date_of(m: Message) -> str:
-    return m.time.start.strftime("%Y-%m-%d")
+    return m.time.start.date().isoformat()
 
 
 def _join_sources(sources) -> str:
@@ -149,38 +157,44 @@ class _UnionFind:
 
 
 def _diachronic_chains(edges: list[RelationInstance]) -> list[list[RelationInstance]]:
-    """Maximal same-name paths; each edge lands in exactly one chain."""
+    """Maximal same-name paths; each edge lands in exactly one chain.
+
+    Chains start at edges whose left message no edge enters, in pool order;
+    edges left over start further chains, again in pool order. A walk always
+    continues with the first unconsumed edge (in pool order) leaving the
+    message it reached, found through an adjacency map from left message to
+    pool positions.
+    """
     chains: list[list[RelationInstance]] = []
     by_name: dict[str, list[RelationInstance]] = {}
     for e in edges:
         by_name.setdefault(e.name, []).append(e)
     for name in sorted(by_name):
         pool = sort_instances(by_name[name])
-        unconsumed = {instance_key(e): e for e in pool}
+        consumed = [False] * len(pool)
+        # left message key -> pool positions of its edges, last = first in pool
+        leaving: dict[tuple, list[int]] = {}
+        for i in reversed(range(len(pool))):
+            leaving.setdefault(pool[i].left.key(), []).append(i)
         incoming = {e.right.key() for e in pool}
 
-        def take_chain(start: RelationInstance) -> list[RelationInstance]:
-            chain = [start]
-            del unconsumed[instance_key(start)]
-            cursor = start.right
-            while True:
-                nxt = None
-                for e in pool:
-                    if instance_key(e) in unconsumed and e.left.key() == cursor.key():
-                        nxt = e
-                        break
-                if nxt is None:
-                    return chain
-                chain.append(nxt)
-                del unconsumed[instance_key(nxt)]
-                cursor = nxt.right
+        def take_chain(i: int | None) -> list[RelationInstance]:
+            chain = []
+            while i is not None:
+                consumed[i] = True
+                chain.append(pool[i])
+                out = leaving.get(pool[i].right.key(), [])
+                while out and consumed[out[-1]]:
+                    out.pop()
+                i = out[-1] if out else None
+            return chain
 
-        for e in pool:
-            if instance_key(e) in unconsumed and e.left.key() not in incoming:
-                chains.append(take_chain(e))
-        while unconsumed:
-            first = next(e for e in pool if instance_key(e) in unconsumed)
-            chains.append(take_chain(first))
+        for i, e in enumerate(pool):
+            if not consumed[i] and e.left.key() not in incoming:
+                chains.append(take_chain(i))
+        for i in range(len(pool)):
+            if not consumed[i]:
+                chains.append(take_chain(i))
     return chains
 
 
@@ -206,7 +220,7 @@ def render_summary(graph: RelationGraph,
 
     sync_edges = [e for e in graph.edges if e.axis == SYNCHRONIC]
     dia_edges = [e for e in graph.edges if e.axis == DIACHRONIC]
-    buckets = list(graph.buckets)
+    bucket_of = bucket_indices(graph.buckets)
     by_key = {m.key(): m for m in graph.nodes}
 
     # --- synchronic: collapse equal-argument groups, attribute variants
@@ -215,9 +229,10 @@ def render_summary(graph: RelationGraph,
         by_name.setdefault(e.name, []).append(e)
     for name in sorted(by_name):
         pool = sort_instances(by_name[name])
-        equal = [e for e in pool
-                 if e.left.msg_type == e.right.msg_type and e.left.args == e.right.args]
-        rest = [e for e in pool if e not in equal]
+        equal, rest = [], []
+        for e in pool:
+            same = e.left.msg_type == e.right.msg_type and e.left.args == e.right.args
+            (equal if same else rest).append(e)
 
         uf = _UnionFind()
         for e in equal:
@@ -232,7 +247,7 @@ def render_summary(graph: RelationGraph,
             rep = msgs[0]
             ctx = _pair_context(rep, rep, [m.source for m in msgs])
             text = _render(templates[name].pattern, ctx, name)
-            order = (bucket_index_of(rep, buckets), 0, name,
+            order = (bucket_of[rep.key()], 0, name,
                      _message_sort_key(rep))
             planned.append((order, text, [instance_key(e) for e in edges_c]))
 
@@ -247,7 +262,7 @@ def render_summary(graph: RelationGraph,
             ctx = _pair_context(canon.left, canon.right,
                                 [canon.left.source, canon.right.source])
             text = _render(templates[name].pattern, ctx, name)
-            order = (bucket_index_of(canon.left, buckets), 0, name,
+            order = (bucket_of[canon.left.key()], 0, name,
                      _message_sort_key(canon.left))
             planned.append((order, text, [instance_key(e) for e in edges_p]))
 
@@ -258,7 +273,7 @@ def render_summary(graph: RelationGraph,
         ctx = _pair_context(head, tail, [head.source])
         ctx["date"] = _date_of(tail)
         text = _render(templates[name].pattern, ctx, name)
-        order = (bucket_index_of(tail, buckets), 1, name, _message_sort_key(tail))
+        order = (bucket_of[tail.key()], 1, name, _message_sort_key(tail))
         planned.append((order, text, [instance_key(e) for e in chain]))
 
     # --- ellipsis reports
@@ -282,20 +297,20 @@ def render_summary(graph: RelationGraph,
         if tname not in templates:
             raise MissingTemplate(tname)
         text = _render(templates[tname].pattern, _single_context(m), tname)
-        order = (bucket_index_of(m, buckets), 3, tname, _message_sort_key(m))
+        order = (bucket_of[m.key()], 3, tname, _message_sort_key(m))
         lone_sentences.append((order, text))
 
     planned.sort(key=lambda p: p[0])
     lone_sentences.sort(key=lambda p: p[0])
 
     # merge, applying the per-bucket budget to lone sentences only
+    mandatory = Counter(order[0] for order, _, _ in planned)
     per_bucket: dict[int, int] = {}
     merged: list[tuple[tuple, str, list[str]]] = list(planned)
     for order, text in lone_sentences:
         bucket = order[0]
-        mandatory = sum(1 for o, _, _ in planned if o[0] == bucket)
         used = per_bucket.get(bucket, 0)
-        if bucket_budget is None or mandatory + used < bucket_budget:
+        if bucket_budget is None or mandatory[bucket] + used < bucket_budget:
             merged.append((order, text, []))
             per_bucket[bucket] = used + 1
     merged.sort(key=lambda p: p[0])

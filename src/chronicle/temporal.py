@@ -13,7 +13,7 @@ from datetime import date, datetime, timedelta, timezone
 from importlib import resources
 from pathlib import Path
 
-from .corpus import Sentence, format_rfc3339, parse_rfc3339
+from .corpus import Sentence, format_rfc3339, parse_rfc3339, to_utc
 from .errors import DslSyntaxError, UnparsableAnchor, UnresolvableExpression
 
 UTC = timezone.utc
@@ -42,7 +42,8 @@ class TimeAnchor:
     """A resolved point or span on the timeline.
 
     ``day`` anchors keep start == end (midnight UTC); the day they denote
-    covers [00:00, 24:00), which is what :meth:`extent` reports.
+    covers [00:00, 24:00), which is what :meth:`extent` reports. The
+    constructors store UTC-aware times and read naive ones as UTC.
     """
 
     kind: str            # "instant" | "day" | "interval"
@@ -57,21 +58,21 @@ class TimeAnchor:
 
     @classmethod
     def instant(cls, t: datetime) -> "TimeAnchor":
-        t = t.astimezone(UTC).replace(second=0, microsecond=0)
+        t = to_utc(t).replace(second=0, microsecond=0)
         return cls("instant", t, t)
 
     @classmethod
     def day(cls, d) -> "TimeAnchor":
         if isinstance(d, datetime):
-            d = d.astimezone(UTC).date()
+            d = to_utc(d).date()
         midnight = datetime(d.year, d.month, d.day, tzinfo=UTC)
         return cls("day", midnight, midnight)
 
     @classmethod
     def interval(cls, start: datetime, end: datetime) -> "TimeAnchor":
         return cls("interval",
-                   start.astimezone(UTC).replace(second=0, microsecond=0),
-                   end.astimezone(UTC).replace(second=0, microsecond=0))
+                   to_utc(start).replace(second=0, microsecond=0),
+                   to_utc(end).replace(second=0, microsecond=0))
 
     def extent(self) -> tuple[datetime, datetime, bool]:
         """Occupied interval as (start, end, end_is_exclusive)."""
@@ -240,7 +241,7 @@ def resolve(expr: TemporalExpression, publish_time: datetime) -> TimeAnchor:
     "next <weekday>" the earliest strictly after; "on <weekday>" the nearest
     occurrence not after publication.
     """
-    pub = publish_time.astimezone(UTC).date()
+    pub = to_utc(publish_time).date()
     rule = expr.rule
     if rule.startswith("day-offset:"):
         return TimeAnchor.day(pub + timedelta(days=int(rule.split(":", 1)[1])))

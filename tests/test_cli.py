@@ -184,3 +184,67 @@ def test_help_documents_flags(command, capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "--" in out
+
+
+def one_json_error(capsys, stage):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["stage"] == stage
+    return err
+
+
+def gold_with(tmp_path, **changes):
+    """The hostage gold file with its first record changed."""
+    lines = (FIXTURES / "hostage" / "gold_messages.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])
+    first.update(changes)
+    path = tmp_path / "gold.jsonl"
+    path.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("changes", [
+    {"sentence_index": True},
+    {"args": "captors"},
+    {"args": {"entity": ["captors"], "activity": "occupation"}},
+], ids=["boolean-sentence-index", "string-args", "list-slot-value"])
+def test_malformed_gold_record_exits_2(tmp_path, capsys, changes):
+    root = FIXTURES / "hostage"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--out-dir", tmp_path]) == 0
+    code = run(["extract", "--ontology", root / "domain.spec", "--mode", "gold",
+                "--gold", gold_with(tmp_path, **changes), "--out-dir", tmp_path])
+    assert code == 2
+    err = one_json_error(capsys, "extract")
+    assert err["error"] == "MalformedRecord"
+    assert "gold.jsonl:1:" in err["detail"]
+
+
+@pytest.mark.parametrize("key", ["sentences", "source", "publish_time",
+                                 "report_index"])
+def test_truncated_corpus_artifact_exits_2(tmp_path, capsys, key):
+    root = FIXTURES / "hostage"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--out-dir", tmp_path]) == 0
+    artifact = tmp_path / "corpus.jsonl"
+    lines = artifact.read_text().splitlines()
+    ln = next(i for i, line in enumerate(lines, start=1)
+              if "doc_id" in json.loads(line))
+    record = json.loads(lines[ln - 1])
+    del record[key]
+    lines[ln - 1] = json.dumps(record)
+    artifact.write_text("\n".join(lines) + "\n")
+    assert run(["analyze", "--out-dir", tmp_path]) == 2
+    err = one_json_error(capsys, "analyze")
+    assert err["error"] == "MalformedRecord"
+    assert f"corpus.jsonl:{ln}: missing {key}" in err["detail"]
+
+
+def test_simulate_rejects_empty_bursts(tmp_path, capsys):
+    code = run(["simulate", "--kind", "non-linear", "--burst-min", "0",
+                "--burst-max", "0", "--out-dir", tmp_path])
+    assert code == 2
+    err = one_json_error(capsys, "simulate")
+    assert err["error"] == "ValueError"
+    assert not (tmp_path / "simulated.jsonl").exists()

@@ -107,6 +107,16 @@ def test_generated_bursty_round_trip():
     assert report.linearity == "non-linear"
 
 
+@pytest.mark.parametrize("burst_size", [(0, 0), (0, 3), (3, 2), (-1, 1)])
+def test_degenerate_burst_size_rejected(burst_size):
+    with pytest.raises(ValueError, match="burst size"):
+        StreamParams(burst_size=burst_size)
+
+
+def test_single_report_bursts_allowed():
+    assert StreamParams(burst_size=(1, 1)).burst_size == (1, 1)
+
+
 def test_same_seed_identical_streams():
     params = StreamParams(seed=7, jitter=0.01)
     a = generate_stream("linear", 3, params, horizon=10)

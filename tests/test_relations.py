@@ -13,6 +13,7 @@ from chronicle.relations import (WindowPolicy, anchors_compatible,
                                  evaluate_relations, parse_window,
                                  synchronic_pairs)
 from chronicle.temporal import TimeAnchor
+from tests.oracles import bucket_oracle, ellipsis_oracle
 
 UTC = timezone.utc
 
@@ -194,7 +195,7 @@ def test_buckets_merge_under_wide_window():
 
 
 # ---------------------------------------------------------------------------
-# randomized equivalence with the literal oracle
+# randomized equivalence with the literal oracles
 
 def random_trial(seed: int, max_messages=60):
     rng = random.Random(seed)
@@ -242,12 +243,19 @@ def random_trial(seed: int, max_messages=60):
         counters[source] = ridx + 1
         t = rng.choice(types)
         offset = rng.randint(0, 18)
-        if rng.random() < 0.5:
+        kind = rng.random()
+        if kind < 1 / 3:
             anchor = TimeAnchor.day(base + timedelta(days=offset))
-        else:
+        elif kind < 2 / 3:
             anchor = TimeAnchor.instant(
                 base + timedelta(days=offset, hours=rng.randint(0, 23),
                                  minutes=rng.randint(0, 59)))
+        else:
+            # a few long extents among short ones: an overlap sweep that
+            # looks back too little loses exactly these pairs
+            start = base + timedelta(days=offset, hours=rng.randint(0, 23))
+            anchor = TimeAnchor.interval(
+                start, start + timedelta(hours=rng.randint(1, 240)))
         args = {s: (rng.choice(instances) if rng.random() < 0.85 else None)
                 for s in slots[t]}
         messages.append(Message(
@@ -264,6 +272,26 @@ def test_engine_matches_oracle(seed):
     engine = evaluate_relations(messages, specs, window)
     oracle = brute_force_oracle(messages, specs, window)
     assert keys(engine) == keys(oracle)
+
+
+@pytest.mark.parametrize("seed", range(0, 60))
+def test_buckets_match_oracle(seed):
+    messages, _, window = random_trial(seed)
+    buckets = bucket_messages(messages, window)
+    assert [(b.label, [m.key() for m in b.messages]) for b in buckets] == \
+        bucket_oracle(messages, window)
+    assert [b.index for b in buckets] == list(range(len(buckets)))
+
+
+@pytest.mark.parametrize("seed", range(0, 60))
+def test_ellipsis_matches_oracle(seed):
+    messages, _, window = random_trial(seed)
+    sources = {m.source for m in messages}
+    if len(sources) < 2 or seed % 2:
+        sources.add("silent_wire")
+    reports = detect_ellipsis(messages, sources, window)
+    assert [(r.message.key(), r.bucket, r.silent_sources) for r in reports] == \
+        ellipsis_oracle(messages, sources, window)
 
 
 @pytest.mark.parametrize("seed", range(0, 40))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from datetime import datetime, timedelta, timezone
 
@@ -11,9 +12,12 @@ from chronicle.extract import Message
 from chronicle.ontology import ConditionAtom, RelationSpec
 from chronicle.relations import (WindowPolicy, detect_ellipsis,
                                  evaluate_relations)
-from chronicle.summarize import (SummaryTemplate, build_graph, export_graph,
-                                 load_templates, render_summary)
+from chronicle.summarize import (SummaryTemplate, _diachronic_chains,
+                                 build_graph, export_graph, load_templates,
+                                 render_summary)
 from chronicle.temporal import TimeAnchor
+from tests.oracles import chains_oracle
+from tests.test_relations import random_trial
 
 UTC = timezone.utc
 W0 = WindowPolicy(timedelta(0))
@@ -219,3 +223,16 @@ def test_export_graph_json_and_dot_round_trip_counts(hostage):
     assert len(node_lines) == len(graph.nodes)
     assert len(edge_lines) == len(graph.edges)
     assert export_graph(graph, "json") == export_graph(graph, "json")
+
+
+@pytest.mark.parametrize("seed", range(0, 80))
+def test_chains_match_oracle(seed):
+    messages, specs, window = random_trial(seed, max_messages=80)
+    edges = [r for r in evaluate_relations(messages, specs, window)
+             if r.axis == "diachronic"]
+    rng = random.Random(seed)
+    subset = [e for e in edges if rng.random() < 0.5]
+    rng.shuffle(subset)
+    for pool in (edges, subset):
+        assert [[e.key() for e in c] for c in _diachronic_chains(pool)] == \
+            [[e.key() for e in c] for c in chains_oracle(pool)]
