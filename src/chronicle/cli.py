@@ -21,8 +21,9 @@ from . import evolution as evolution_mod
 from . import extract as extract_mod
 from . import relations as relations_mod
 from . import summarize as summarize_mod
-from .errors import ChronicleError
-from .ontology import load_message_specs, load_ontology, load_relation_specs
+from .errors import ChronicleError, MalformedRecord
+from .ontology import (ParsedSpec, load_message_specs, load_ontology,
+                       load_relation_specs)
 from .relations import parse_duration, parse_window
 
 log = logging.getLogger("chronicle.cli")
@@ -45,14 +46,18 @@ def _out_dir(args) -> Path:
 
 
 def _load_domain(args):
+    """Ontology, message specs, relation specs and the parsed specs file,
+    from one parse of each spec file named."""
     ontology_path = args.ontology
     specs_path = args.specs or args.ontology
     if ontology_path is None:
         ontology_path = specs_path
-    ontology = load_ontology(ontology_path)
-    message_specs = load_message_specs(specs_path, ontology)
-    relation_specs = load_relation_specs(specs_path, message_specs, ontology)
-    return ontology, message_specs, relation_specs, specs_path
+    ontology_spec = ParsedSpec(ontology_path)
+    ontology = load_ontology(ontology_spec)
+    specs = ontology_spec if specs_path == ontology_path else ParsedSpec(specs_path)
+    message_specs = load_message_specs(specs, ontology)
+    relation_specs = load_relation_specs(specs, message_specs, ontology)
+    return ontology, message_specs, relation_specs, specs
 
 
 def cmd_ingest(args) -> int:
@@ -68,21 +73,23 @@ def cmd_ingest(args) -> int:
 
 
 def _read_training(path: str, lexicon, gazetteer):
+    phrases = corpus_mod.PhraseIndex(gazetteer.items()) if gazetteer else None
     labeled = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            rec = json.loads(raw)
-            tokens = corpus_mod.tokenize(rec["text"], lexicon, gazetteer)
-            sentence = corpus_mod.Sentence(index=0, text=rec["text"], tokens=tokens)
-            labeled.append((sentence, rec.get("type")))
+    for ln, rec in corpus_mod.read_records(path):
+        text, label = rec.get("text"), rec.get("type")
+        if not isinstance(text, str):
+            raise MalformedRecord("text must be a string", path, ln)
+        if label is not None and not isinstance(label, str):
+            raise MalformedRecord("type must be a string or null", path, ln)
+        tokens = corpus_mod.tokenize(text, lexicon, phrases)
+        sentence = corpus_mod.Sentence(index=0, text=text, tokens=tokens)
+        labeled.append((sentence, label))
     return labeled
 
 
 def cmd_extract(args) -> int:
     out = _out_dir(args)
-    ontology, message_specs, _, _ = _load_domain(args)
+    ontology, message_specs, _, specs = _load_domain(args)
     corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT)
     if args.mode == "gold":
         if not args.gold:
@@ -90,8 +97,7 @@ def cmd_extract(args) -> int:
         messages = extract_mod.load_gold_messages(
             args.gold, message_specs, ontology, corpus)
     else:
-        rules = extract_mod.load_trigger_rules(args.specs or args.ontology,
-                                               message_specs)
+        rules = extract_mod.load_trigger_rules(specs, message_specs)
         config = extract_mod.ExtractorConfig(mode=args.mode, rules=rules)
         if args.mode == "statistical":
             if not args.train:
@@ -194,8 +200,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    ontology, message_specs, relation_specs, specs_path = _load_domain(args)
-    triggers = extract_mod.load_trigger_rules(specs_path, message_specs)
+    ontology, message_specs, relation_specs, specs = _load_domain(args)
+    triggers = extract_mod.load_trigger_rules(specs, message_specs)
     diagnostics = {
         "ok": True,
         "concepts": len(ontology.concepts),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 import re
+from typing import Iterable, Iterator
 
 from .errors import DuplicateDocId, MalformedRecord, UnparsableTimestamp
 
@@ -100,6 +101,50 @@ def format_rfc3339(dt: datetime) -> str:
     return to_utc(dt).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+class PhraseIndex:
+    """Phrases segmented by the corpus tokenizer, filed under their first
+    folded token.
+
+    A scan asks, at each token, only for the phrases that can start there.
+    Each list holds (folded tokens, value) longest first; phrases of equal
+    length are ordered by their tokens, then by input order. Build it once
+    per gazetteer or ontology, not once per sentence.
+    """
+
+    def __init__(self, phrases: Iterable[tuple[str, str]]):
+        entries: list[tuple[tuple[str, ...], str]] = []
+        for surface, value in phrases:
+            key = tuple(m.group(0).lower() for m in _TOKEN_RE.finditer(surface))
+            if key:
+                entries.append((key, value))
+        entries.sort(key=lambda e: (-len(e[0]), e[0]))
+        self._by_first: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+        for entry in entries:
+            self._by_first.setdefault(entry[0][0], []).append(entry)
+
+    def starting_with(self, token: str) -> list[tuple[tuple[str, ...], str]]:
+        return self._by_first.get(token, [])
+
+
+def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSON-lines file.
+
+    A line that is not valid JSON, or not a JSON object, raises
+    MalformedRecord naming the file and line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for ln, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                rec = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(f"invalid JSON ({exc.msg})", str(path), ln) from None
+            if not isinstance(rec, dict):
+                raise MalformedRecord("record is not an object", str(path), ln)
+            yield ln, rec
+
+
 def load_lexicon(path: str | Path) -> dict[str, str]:
     """Load a surface<TAB>lemma table; surfaces are matched case-insensitively."""
     return _load_tsv(path)
@@ -126,31 +171,28 @@ def _load_tsv(path: str | Path) -> dict[str, str]:
 
 def tokenize(text: str,
              lexicon: dict[str, str] | None = None,
-             ne_gazetteer: dict[str, str] | None = None) -> tuple[Token, ...]:
+             ne_gazetteer: dict[str, str] | PhraseIndex | None = None
+             ) -> tuple[Token, ...]:
     """Segment a sentence into tokens with lemmas and NE labels.
 
     Deterministic: whitespace/punctuation segmentation, lemma = lexicon entry
     for the lowercased surface (default: the lowercased surface itself),
-    gazetteer entries matched greedily longest-first with no overlaps.
+    gazetteer entries matched greedily longest-first with no overlaps; among
+    surfaces that differ only in case, the first in file order wins. Pass
+    the gazetteer as a ``PhraseIndex`` when tokenizing many sentences.
     """
     lexicon = lexicon or {}
     spans = [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
-    lemmas = [lexicon.get(s.lower(), s.lower()) for s, _, _ in spans]
+    folded = [s.lower() for s, _, _ in spans]
+    lemmas = [lexicon.get(f, f) for f in folded]
     labels: list[str | None] = [None] * len(spans)
 
     if ne_gazetteer:
-        # Pre-segment each gazetteer surface with the same tokenizer so that
-        # multi-word entries align with token boundaries.
-        entries: list[tuple[tuple[str, ...], str]] = []
-        for surface, label in ne_gazetteer.items():
-            key = tuple(m.group(0).lower() for m in _TOKEN_RE.finditer(surface))
-            if key:
-                entries.append((key, label))
-        entries.sort(key=lambda e: (-len(e[0]), e[0]))
-        folded = [s.lower() for s, _, _ in spans]
+        if not isinstance(ne_gazetteer, PhraseIndex):
+            ne_gazetteer = PhraseIndex(ne_gazetteer.items())
         i = 0
         while i < len(folded):
-            for key, label in entries:
+            for key, label in ne_gazetteer.starting_with(folded[i]):
                 if tuple(folded[i:i + len(key)]) == key:
                     for j in range(i, i + len(key)):
                         labels[j] = label
@@ -190,35 +232,26 @@ def load_corpus(path: str | Path, format: str = "jsonl-v1",
     path = Path(path)
     raw_docs: list[tuple[str, str, datetime, list[str]]] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"invalid JSON ({exc.msg})", str(path), ln) from None
-            if not isinstance(rec, dict):
-                raise MalformedRecord("record is not an object", str(path), ln)
-            doc_id = rec.get("doc_id")
-            if not doc_id or not isinstance(doc_id, str):
-                raise MalformedRecord("missing doc_id", str(path), ln)
-            if doc_id in seen_ids:
-                raise DuplicateDocId(doc_id)
-            seen_ids.add(doc_id)
-            source = rec.get("source")
-            if not source or not isinstance(source, str):
-                raise MalformedRecord(f"document {doc_id!r} has no source", str(path), ln)
-            if "publish_time" not in rec or rec["publish_time"] in (None, ""):
-                raise MalformedRecord(f"document {doc_id!r} has no publish_time", str(path), ln)
-            publish_time = parse_rfc3339(rec["publish_time"])
-            try:
-                sentences = _split_sentences(rec.get("text"))
-            except TypeError as exc:
-                raise MalformedRecord(str(exc), str(path), ln) from None
-            if not sentences:
-                raise MalformedRecord(f"document {doc_id!r} has no sentences", str(path), ln)
-            raw_docs.append((doc_id, source, publish_time, sentences))
+    for ln, rec in read_records(path):
+        doc_id = rec.get("doc_id")
+        if not doc_id or not isinstance(doc_id, str):
+            raise MalformedRecord("missing doc_id", str(path), ln)
+        if doc_id in seen_ids:
+            raise DuplicateDocId(doc_id)
+        seen_ids.add(doc_id)
+        source = rec.get("source")
+        if not source or not isinstance(source, str):
+            raise MalformedRecord(f"document {doc_id!r} has no source", str(path), ln)
+        if "publish_time" not in rec or rec["publish_time"] in (None, ""):
+            raise MalformedRecord(f"document {doc_id!r} has no publish_time", str(path), ln)
+        publish_time = parse_rfc3339(rec["publish_time"])
+        try:
+            sentences = _split_sentences(rec.get("text"))
+        except TypeError as exc:
+            raise MalformedRecord(str(exc), str(path), ln) from None
+        if not sentences:
+            raise MalformedRecord(f"document {doc_id!r} has no sentences", str(path), ln)
+        raw_docs.append((doc_id, source, publish_time, sentences))
 
     return build_corpus(
         event_id if event_id is not None else path.stem,
@@ -234,6 +267,7 @@ def build_corpus(event_id: str,
     Computes per-source report_index (chronological, ties broken by doc_id)
     and sorts documents by (source, publish_time, doc_id).
     """
+    phrases = PhraseIndex(gazetteer.items()) if gazetteer else None
     documents = []
     by_source: dict[str, list[tuple[datetime, str]]] = {}
     for doc_id, source, publish_time, _ in raw_docs:
@@ -244,17 +278,13 @@ def build_corpus(event_id: str,
             rank[doc_id] = i
     for doc_id, source, publish_time, sentence_texts in raw_docs:
         sentences = tuple(
-            Sentence(index=i, text=t, tokens=tokenize(t, lexicon, gazetteer))
+            Sentence(index=i, text=t, tokens=tokenize(t, lexicon, phrases))
             for i, t in enumerate(sentence_texts))
         documents.append(Document(
             doc_id=doc_id, source=source, publish_time=publish_time,
             sentences=sentences, report_index=rank[doc_id]))
     documents.sort(key=lambda d: (d.source, d.publish_time, d.doc_id))
     return Corpus(event_id=event_id, documents=tuple(documents))
-
-
-def report_index_map(corpus: Corpus) -> dict[str, int]:
-    return {d.doc_id: d.report_index for d in corpus.documents}
 
 
 # ---------------------------------------------------------------------------
@@ -286,32 +316,23 @@ def write_corpus_artifact(corpus: Corpus, path: str | Path) -> None:
 def read_corpus_artifact(path: str | Path) -> Corpus:
     documents = []
     event_id = Path(path).stem
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"invalid JSON ({exc.msg})", str(path), ln) from None
-            if not isinstance(rec, dict):
-                raise MalformedRecord("expected a JSON object", str(path), ln)
-            if "event_id" in rec and "doc_id" not in rec:
-                event_id = rec["event_id"]
-                continue
-            try:
-                sentences = tuple(
-                    Sentence(
-                        index=s["index"], text=s["text"],
-                        tokens=tuple(Token(*row) for row in s["tokens"]))
-                    for s in rec["sentences"])
-                documents.append(Document(
-                    doc_id=rec["doc_id"], source=rec["source"],
-                    publish_time=parse_rfc3339(rec["publish_time"]),
-                    sentences=sentences, report_index=rec["report_index"]))
-            except KeyError as exc:
-                raise MalformedRecord(f"missing {exc.args[0]}", str(path), ln) from None
-            except TypeError:
-                raise MalformedRecord("record does not have the corpus-artifact shape",
-                                      str(path), ln) from None
+    for ln, rec in read_records(path):
+        if "event_id" in rec and "doc_id" not in rec:
+            event_id = rec["event_id"]
+            continue
+        try:
+            sentences = tuple(
+                Sentence(
+                    index=s["index"], text=s["text"],
+                    tokens=tuple(Token(*row) for row in s["tokens"]))
+                for s in rec["sentences"])
+            documents.append(Document(
+                doc_id=rec["doc_id"], source=rec["source"],
+                publish_time=parse_rfc3339(rec["publish_time"]),
+                sentences=sentences, report_index=rec["report_index"]))
+        except KeyError as exc:
+            raise MalformedRecord(f"missing {exc.args[0]}", str(path), ln) from None
+        except TypeError:
+            raise MalformedRecord("record does not have the corpus-artifact shape",
+                                  str(path), ln) from None
     return Corpus(event_id=event_id, documents=tuple(documents))

@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Corpus, Document, Sentence, _TOKEN_RE
+from .corpus import Corpus, Document, Sentence, read_records
 from .errors import (EmptyTrainingSet, MalformedRecord, SlotTypeViolation,
                      UnknownMessageType, UnknownSlot)
-from .ontology import (MessageTypeSpec, Ontology, TriggerStatement,
+from .ontology import (MessageTypeSpec, Ontology, ParsedSpec, TriggerStatement,
                        constraint_satisfied, is_subtype, load_trigger_statements)
-from .temporal import GrammarPattern, TimeAnchor, message_time
+from .temporal import GrammarPattern, TimeAnchor, _span_distance, message_time
 
 log = logging.getLogger("chronicle.extract")
 
@@ -52,15 +52,16 @@ class TriggerRule:
     requires: tuple[str, ...] = ()
 
 
-def load_trigger_rules(path: str | Path,
+def load_trigger_rules(spec: str | Path | ParsedSpec,
                        message_specs: list[MessageTypeSpec]) -> list[TriggerRule]:
     known = {m.name for m in message_specs}
+    spec = ParsedSpec.of(spec)
     rules = []
-    for st in load_trigger_statements(path):
+    for st in load_trigger_statements(spec):
         if st.msg_type not in known:
             raise UnknownMessageType(
                 f"trigger references unknown message type {st.msg_type!r}",
-                str(path), st.line)
+                spec.path, st.line)
         rules.append(TriggerRule(st.msg_type, st.lemmas, st.requires))
     return rules
 
@@ -184,30 +185,20 @@ def classify_sentence(sentence: Sentence,
 # Stage two: argument filling
 
 def _instance_spans(sentence: Sentence, ontology: Ontology) -> list[tuple[str, tuple[int, int]]]:
-    """All (instance, token_span) occurrences in the sentence.
+    """All (instance, token_span) occurrences in the sentence, sorted.
 
     An instance's surface form is its name with underscores as spaces,
     segmented by the corpus tokenizer and matched case-insensitively.
     """
     folded = [t.surface.lower() for t in sentence.tokens]
+    index = ontology.instance_phrases
     out = []
-    for instance, _ in ontology.instances:
-        surface = instance.replace("_", " ")
-        key = tuple(m.group(0).lower() for m in _TOKEN_RE.finditer(surface))
-        if not key:
-            continue
-        for i in range(0, len(folded) - len(key) + 1):
+    for i, token in enumerate(folded):
+        for key, instance in index.starting_with(token):
             if tuple(folded[i:i + len(key)]) == key:
                 out.append((instance, (i, i + len(key))))
+    out.sort()
     return out
-
-
-def _span_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
-    if a[1] <= b[0]:
-        return b[0] - a[1]
-    if b[1] <= a[0]:
-        return a[0] - b[1]
-    return 0
 
 
 def fill_arguments(sentence: Sentence, msg_type: str, ontology: Ontology,
@@ -270,8 +261,7 @@ def trigger_span_for(sentence: Sentence, msg_type: str,
 def validate_message(msg: Message, specs: list[MessageTypeSpec],
                      ontology: Ontology) -> str | None:
     """Check a message against its type spec; returns a reason or None."""
-    by_name = {m.name: m for m in specs}
-    spec = by_name.get(msg.msg_type)
+    spec = next((m for m in specs if m.name == msg.msg_type), None)
     if spec is None:
         return f"unknown message type {msg.msg_type!r}"
     for slot in msg.args:
@@ -354,69 +344,65 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
     docs = {d.doc_id: d for d in corpus.documents}
     seen: set[tuple[str, int]] = set()
     messages = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"invalid JSON ({exc.msg})", str(path), ln) from None
-            for key in ("doc_id", "sentence_index", "type"):
-                if key not in rec:
-                    raise MalformedRecord(f"missing {key}", str(path), ln)
-            doc = docs.get(rec["doc_id"])
-            if doc is None:
-                raise MalformedRecord(f"unknown doc_id {rec['doc_id']!r}",
-                                      str(path), ln)
-            sidx = rec["sentence_index"]
-            if (isinstance(sidx, bool) or not isinstance(sidx, int)
-                    or not 0 <= sidx < len(doc.sentences)):
-                raise MalformedRecord(f"sentence_index {sidx!r} out of range",
-                                      str(path), ln)
-            if (doc.doc_id, sidx) in seen:
-                raise MalformedRecord(
-                    f"second message for sentence {doc.doc_id}#{sidx}",
+    for ln, rec in read_records(path):
+        for key in ("doc_id", "sentence_index", "type"):
+            if key not in rec:
+                raise MalformedRecord(f"missing {key}", str(path), ln)
+        for key in ("doc_id", "type"):
+            if not isinstance(rec[key], str):
+                raise MalformedRecord(f"{key} must be a string", str(path), ln)
+        doc = docs.get(rec["doc_id"])
+        if doc is None:
+            raise MalformedRecord(f"unknown doc_id {rec['doc_id']!r}",
+                                  str(path), ln)
+        sidx = rec["sentence_index"]
+        if (isinstance(sidx, bool) or not isinstance(sidx, int)
+                or not 0 <= sidx < len(doc.sentences)):
+            raise MalformedRecord(f"sentence_index {sidx!r} out of range",
+                                  str(path), ln)
+        if (doc.doc_id, sidx) in seen:
+            raise MalformedRecord(
+                f"second message for sentence {doc.doc_id}#{sidx}",
+                str(path), ln)
+        seen.add((doc.doc_id, sidx))
+        msg_type = rec["type"]
+        spec = by_name.get(msg_type)
+        if spec is None:
+            raise UnknownMessageType(f"unknown message type {msg_type!r}",
+                                     str(path), ln)
+        raw_args = rec.get("args", {})
+        if not isinstance(raw_args, dict):
+            raise MalformedRecord("args must be an object of slot values",
+                                  str(path), ln)
+        for slot in raw_args:
+            if slot not in spec.slot_names():
+                raise UnknownSlot(
+                    f"message type {msg_type!r} has no slot {slot!r}",
                     str(path), ln)
-            seen.add((doc.doc_id, sidx))
-            msg_type = rec["type"]
-            spec = by_name.get(msg_type)
-            if spec is None:
-                raise UnknownMessageType(f"unknown message type {msg_type!r}",
-                                         str(path), ln)
-            raw_args = rec.get("args", {})
-            if not isinstance(raw_args, dict):
-                raise MalformedRecord("args must be an object of slot values",
-                                      str(path), ln)
-            for slot in raw_args:
-                if slot not in spec.slot_names():
-                    raise UnknownSlot(
-                        f"message type {msg_type!r} has no slot {slot!r}",
+        args: dict[str, str | None] = {}
+        for slot, concept in spec.slots:
+            value = raw_args.get(slot)
+            if value is not None:
+                if not isinstance(value, str):
+                    raise MalformedRecord(
+                        f"slot {slot!r} must be an instance name or null",
                         str(path), ln)
-            args: dict[str, str | None] = {}
-            for slot, concept in spec.slots:
-                value = raw_args.get(slot)
-                if value is not None:
-                    if not isinstance(value, str):
-                        raise MalformedRecord(
-                            f"slot {slot!r} must be an instance name or null",
-                            str(path), ln)
-                    got = ontology.concept_of(value)
-                    if got is None or not is_subtype(ontology, got, concept):
-                        raise SlotTypeViolation(msg_type, slot, value, concept)
-                args[slot] = value
-            if "time" in rec and rec["time"] is not None:
-                anchor = TimeAnchor.from_string(rec["time"])
-            else:
-                anchor = TimeAnchor.day(doc.publish_time)
-            msg = Message(msg_type=msg_type, args=args, time=anchor,
-                          source=doc.source, doc_id=doc.doc_id,
-                          sentence_index=sidx, trigger_span=None,
-                          report_index=doc.report_index)
-            reason = validate_message(msg, specs, ontology)
-            if reason is not None:
-                raise MalformedRecord(reason, str(path), ln)
-            messages.append(msg)
+                got = ontology.concept_of(value)
+                if got is None or not is_subtype(ontology, got, concept):
+                    raise SlotTypeViolation(msg_type, slot, value, concept)
+            args[slot] = value
+        if "time" in rec and rec["time"] is not None:
+            anchor = TimeAnchor.from_string(rec["time"])
+        else:
+            anchor = TimeAnchor.day(doc.publish_time)
+        msg = Message(msg_type=msg_type, args=args, time=anchor,
+                      source=doc.source, doc_id=doc.doc_id,
+                      sentence_index=sidx, trigger_span=None,
+                      report_index=doc.report_index)
+        reason = validate_message(msg, specs, ontology)
+        if reason is not None:
+            raise MalformedRecord(reason, str(path), ln)
+        messages.append(msg)
     return messages
 
 

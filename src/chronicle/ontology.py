@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
+from .corpus import PhraseIndex
 from .errors import (CycleInTaxonomy, DslSyntaxError, DuplicateInstance,
                      DuplicateMessageType, ScaleRequired, UnknownConcept,
                      UnknownInstance, UnknownMessageType, UnknownSlot)
@@ -37,9 +39,11 @@ class Ontology:
         object.__setattr__(self, "_instance_map", dict(self.instances))
         object.__setattr__(self, "_scale_map", dict(self.ordered_scales))
 
-    @property
-    def subtype_edges(self) -> tuple[tuple[str, str], ...]:
-        return self.parent
+    @cached_property
+    def instance_phrases(self) -> PhraseIndex:
+        """Instance surface forms (the name with underscores as spaces),
+        indexed for spotting in token sequences; built on first use."""
+        return PhraseIndex((i.replace("_", " "), i) for i, _ in self.instances)
 
     def concept_of(self, instance: str) -> str | None:
         return self._instance_map.get(instance)
@@ -55,10 +59,6 @@ class Ontology:
                 return self._scale_map[node]
             node = self._parent_map.get(node)
         return None
-
-    def instances_of(self, concept: str) -> list[str]:
-        """All instances whose concept is a subtype of ``concept``, sorted."""
-        return sorted(i for i, c in self.instances if is_subtype(self, c, concept))
 
 
 def is_subtype(ontology: Ontology, a: str, b: str) -> bool:
@@ -412,17 +412,36 @@ def parse_spec_file(path: str | Path) -> list[Statement]:
     return statements
 
 
+class ParsedSpec:
+    """A spec file's statements and the path its errors name.
+
+    Every loader accepts one in place of a path, so one parse can serve
+    them all. A plain class: a dataclass would add to every import.
+    """
+
+    __slots__ = ("path", "statements")
+
+    def __init__(self, path: str | Path):
+        self.path = str(path)
+        self.statements = tuple(parse_spec_file(path))
+
+    @classmethod
+    def of(cls, spec: str | Path | ParsedSpec) -> ParsedSpec:
+        """``spec`` itself, or the parse of the file it names."""
+        return spec if isinstance(spec, ParsedSpec) else cls(spec)
+
+
 # ---------------------------------------------------------------------------
 # Loaders
 
-def load_ontology(path: str | Path) -> Ontology:
+def load_ontology(spec: str | Path | ParsedSpec) -> Ontology:
     """Build the taxonomy/instances/scales from a spec file.
 
     Statements other than concept/instance/scale are ignored, so a single
     combined domain file can serve every loader.
     """
-    statements = parse_spec_file(path)
-    path = str(path)
+    spec = ParsedSpec.of(spec)
+    statements, path = spec.statements, spec.path
     concepts: dict[str, int] = {}
     parent: dict[str, tuple[str, int]] = {}
     for st in (s for s in statements if s.kind == "concept"):
@@ -472,7 +491,7 @@ def load_ontology(path: str | Path) -> Ontology:
         if len(set(values)) != len(values):
             raise DslSyntaxError("scale values must be distinct", path, st.line)
         for v in values:
-            got = dict(instances).get(v)
+            got = instances.get(v)
             if got is None:
                 raise UnknownInstance(f"scale value {v!r} is not an instance",
                                       path, st.line)
@@ -555,9 +574,10 @@ def _resolve_atom(raw: dict, left_spec: MessageTypeSpec, right_spec: MessageType
     return ConditionAtom(op=op, left_slot=lslot, right_slot=rslot, scale=scale)
 
 
-def load_message_specs(path: str | Path, ontology: Ontology) -> list[MessageTypeSpec]:
-    statements = parse_spec_file(path)
-    path = str(path)
+def load_message_specs(spec: str | Path | ParsedSpec,
+                       ontology: Ontology) -> list[MessageTypeSpec]:
+    spec = ParsedSpec.of(spec)
+    statements, path = spec.statements, spec.path
     specs: dict[str, MessageTypeSpec] = {}
     for st in (s for s in statements if s.kind == "message"):
         name = st.data["name"]
@@ -584,10 +604,11 @@ def load_message_specs(path: str | Path, ontology: Ontology) -> list[MessageType
     return list(specs.values())
 
 
-def load_relation_specs(path: str | Path, message_specs: list[MessageTypeSpec],
+def load_relation_specs(spec: str | Path | ParsedSpec,
+                        message_specs: list[MessageTypeSpec],
                         ontology: Ontology) -> list[RelationSpec]:
-    statements = parse_spec_file(path)
-    path = str(path)
+    spec = ParsedSpec.of(spec)
+    statements, path = spec.statements, spec.path
     by_name = {m.name: m for m in message_specs}
     specs: list[RelationSpec] = []
     for st in (s for s in statements if s.kind == "relation"):
@@ -614,11 +635,11 @@ def load_relation_specs(path: str | Path, message_specs: list[MessageTypeSpec],
     return specs
 
 
-def load_trigger_statements(path: str | Path) -> list[TriggerStatement]:
+def load_trigger_statements(spec: str | Path | ParsedSpec) -> list[TriggerStatement]:
     return [TriggerStatement(msg_type=s.data["msg_type"],
                              lemmas=tuple(s.data["lemmas"]),
                              requires=tuple(s.data["requires"]), line=s.line)
-            for s in parse_spec_file(path) if s.kind == "trigger"]
+            for s in ParsedSpec.of(spec).statements if s.kind == "trigger"]
 
 
 # ---------------------------------------------------------------------------

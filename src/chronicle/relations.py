@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
+from .corpus import read_records
 from .errors import MalformedRecord
 from .extract import Message
 from .ontology import RelationSpec, SYNCHRONIC, DIACHRONIC, evaluate_atom
@@ -431,24 +432,38 @@ def write_relations(instances: list[RelationInstance], path: str | Path) -> None
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _lookup_failure(exc: KeyError) -> str:
+    """The reason for a failed field or message lookup in an artifact record."""
+    key = exc.args[0]
+    return f"missing {key}" if isinstance(key, str) else f"unknown message {key!r}"
+
+
 def read_relations(path: str | Path,
                    messages: list[Message]) -> list[RelationInstance]:
+    """Load a relations artifact; each relation instance may occur once."""
     by_key = {m.key(): m for m in messages}
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            rec = json.loads(raw)
-            try:
-                left = by_key[(rec["left"]["doc_id"], rec["left"]["sentence_index"])]
-                right = by_key[(rec["right"]["doc_id"], rec["right"]["sentence_index"])]
-            except KeyError as exc:
-                raise MalformedRecord(f"relation references unknown message {exc}",
-                                      str(path), ln) from None
-            out.append(RelationInstance(
-                name=rec["name"], axis=rec["axis"], left=left, right=right,
-                distance=rec.get("distance")))
+    seen = set()
+    for ln, rec in read_records(path):
+        try:
+            instance = RelationInstance(
+                name=rec["name"], axis=rec["axis"],
+                left=by_key[(rec["left"]["doc_id"], rec["left"]["sentence_index"])],
+                right=by_key[(rec["right"]["doc_id"], rec["right"]["sentence_index"])],
+                distance=rec.get("distance"))
+        except KeyError as exc:
+            raise MalformedRecord(_lookup_failure(exc), str(path), ln) from None
+        except TypeError:
+            raise MalformedRecord("record does not have the relations-artifact shape",
+                                  str(path), ln) from None
+        if not isinstance(instance.name, str) or instance.axis not in (SYNCHRONIC, DIACHRONIC):
+            raise MalformedRecord("relation needs a string name and a known axis",
+                                  str(path), ln)
+        key = instance.key()
+        if key in seen:
+            raise MalformedRecord(f"duplicate relation {key!r}", str(path), ln)
+        seen.add(key)
+        out.append(instance)
     return out
 
 
@@ -465,16 +480,20 @@ def write_ellipsis(reports: list[EllipsisReport], path: str | Path) -> None:
 def read_ellipsis(path: str | Path, messages: list[Message]) -> list[EllipsisReport]:
     by_key = {m.key(): m for m in messages}
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            rec = json.loads(raw)
-            key = (rec["doc_id"], rec["sentence_index"])
-            if key not in by_key:
-                raise MalformedRecord(f"ellipsis references unknown message {key}",
-                                      str(path), ln)
-            out.append(EllipsisReport(
-                message=by_key[key], bucket=rec["bucket"],
-                silent_sources=tuple(rec["silent_sources"])))
+    for ln, rec in read_records(path):
+        try:
+            message = by_key[(rec["doc_id"], rec["sentence_index"])]
+            bucket, silent = rec["bucket"], rec["silent_sources"]
+        except KeyError as exc:
+            raise MalformedRecord(_lookup_failure(exc), str(path), ln) from None
+        except TypeError:
+            raise MalformedRecord("record does not have the ellipsis-artifact shape",
+                                  str(path), ln) from None
+        if (not isinstance(bucket, int) or not isinstance(silent, list) or not silent
+                or not all(isinstance(s, str) for s in silent)):
+            raise MalformedRecord(
+                "ellipsis needs an integer bucket and a non-empty list of silent sources",
+                str(path), ln)
+        out.append(EllipsisReport(message=message, bucket=bucket,
+                                  silent_sources=tuple(silent)))
     return out

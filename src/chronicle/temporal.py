@@ -156,19 +156,44 @@ def load_grammar(path: str | Path | None = None) -> tuple[GrammarPattern, ...]:
     return tuple(patterns)
 
 
+_GrammarIndex = tuple[dict[str, list[GrammarPattern]], list[GrammarPattern]]
+
+
+def _index_grammar(grammar: tuple[GrammarPattern, ...]) -> _GrammarIndex:
+    """Patterns by first element, each list in match priority: longest
+    first, then grammar file order.
+
+    The dict maps a folded literal first element to the patterns that can
+    start at a token equal to it: those that open with the literal plus
+    those that open with an element class. The list holds the class-opened
+    patterns alone, the candidates at any other token.
+    """
+    ordered = sorted(grammar, key=lambda p: -len(p.elements))
+
+    def opener(p: GrammarPattern) -> str | None:
+        first = p.elements[0]
+        return None if first in _ELEMENT_CLASSES else first.lower()
+
+    by_literal = {opener(p): [q for q in ordered if opener(q) in (None, opener(p))]
+                  for p in ordered if opener(p) is not None}
+    return by_literal, [p for p in ordered if opener(p) is None]
+
+
 _DEFAULT_GRAMMAR: tuple[GrammarPattern, ...] | None = None
+_DEFAULT_INDEX: _GrammarIndex | None = None
 
 
 def default_grammar() -> tuple[GrammarPattern, ...]:
-    global _DEFAULT_GRAMMAR
+    global _DEFAULT_GRAMMAR, _DEFAULT_INDEX
     if _DEFAULT_GRAMMAR is None:
         _DEFAULT_GRAMMAR = load_grammar()
+        _DEFAULT_INDEX = _index_grammar(_DEFAULT_GRAMMAR)
     return _DEFAULT_GRAMMAR
 
 
-def _match_element(element: str, surface: str) -> tuple[str, int | str] | None | bool:
-    """Return False (no match), True (literal match) or a (name, value) capture."""
-    folded = surface.lower()
+def _match_element(element: str, folded: str) -> tuple[str, int | str] | None | bool:
+    """Return False (no match), True (literal match) or a (name, value)
+    capture, for a lowercased token surface."""
     if element == "<num>":
         return ("num", int(folded)) if folded.isdigit() else False
     if element == "<day>":
@@ -198,22 +223,24 @@ def find_temporal_expressions(
     Matches are non-overlapping; at each position the longest matching
     pattern wins (grammar file order breaks length ties).
     """
-    grammar = grammar if grammar is not None else default_grammar()
-    ordered = sorted(range(len(grammar)), key=lambda i: (-len(grammar[i].elements), i))
+    if grammar is None:
+        grammar = default_grammar()
+    by_literal, by_class = (_DEFAULT_INDEX if grammar is _DEFAULT_GRAMMAR
+                            else _index_grammar(grammar))
     tokens = sentence.tokens
+    folded = [t.surface.lower() for t in tokens]
     found: list[TemporalExpression] = []
     i = 0
     while i < len(tokens):
         hit = None
-        for gi in ordered:
-            pat = grammar[gi]
+        for pat in by_literal.get(folded[i], by_class):
             n = len(pat.elements)
             if i + n > len(tokens):
                 continue
             captures = []
             ok = True
             for k, el in enumerate(pat.elements):
-                res = _match_element(el, tokens[i + k].surface)
+                res = _match_element(el, folded[i + k])
                 if res is False:
                     ok = False
                     break

@@ -3,12 +3,19 @@
 Each oracle follows the definition in the simplest way, pair by pair, so
 randomized tests can check the library against it. ``brute_force_oracle``
 in ``chronicle.relations`` plays the same part for relation evaluation.
+The three phrase scans at the end are the library's scans from before its
+phrase indexes, kept as they were: they try every gazetteer entry,
+instance or grammar pattern at every token.
 """
 
 from __future__ import annotations
 
+from chronicle.corpus import _TOKEN_RE, Sentence, Token
+from chronicle.ontology import Ontology
 from chronicle.relations import anchors_compatible, sort_instances
 from chronicle.summarize import instance_key
+from chronicle.temporal import (_MONTHS, _WEEKDAYS, GrammarPattern,
+                                TemporalExpression, default_grammar)
 
 
 def _sort_key(m):
@@ -95,3 +102,130 @@ def chains_oracle(edges):
             first = next(e for e in pool if instance_key(e) in unconsumed)
             chains.append(take_chain(first))
     return chains
+
+
+def tokenize_oracle(text: str,
+                    lexicon: dict[str, str] | None = None,
+                    ne_gazetteer: dict[str, str] | None = None) -> tuple[Token, ...]:
+    """Segment a sentence into tokens with lemmas and NE labels.
+
+    Deterministic: whitespace/punctuation segmentation, lemma = lexicon entry
+    for the lowercased surface (default: the lowercased surface itself),
+    gazetteer entries matched greedily longest-first with no overlaps.
+    """
+    lexicon = lexicon or {}
+    spans = [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+    lemmas = [lexicon.get(s.lower(), s.lower()) for s, _, _ in spans]
+    labels: list[str | None] = [None] * len(spans)
+
+    if ne_gazetteer:
+        # Pre-segment each gazetteer surface with the same tokenizer so that
+        # multi-word entries align with token boundaries.
+        entries: list[tuple[tuple[str, ...], str]] = []
+        for surface, label in ne_gazetteer.items():
+            key = tuple(m.group(0).lower() for m in _TOKEN_RE.finditer(surface))
+            if key:
+                entries.append((key, label))
+        entries.sort(key=lambda e: (-len(e[0]), e[0]))
+        folded = [s.lower() for s, _, _ in spans]
+        i = 0
+        while i < len(folded):
+            for key, label in entries:
+                if tuple(folded[i:i + len(key)]) == key:
+                    for j in range(i, i + len(key)):
+                        labels[j] = label
+                    i += len(key) - 1
+                    break
+            i += 1
+
+    return tuple(
+        Token(surface=s, lemma=lemmas[k], ne=labels[k], start=a, end=b)
+        for k, (s, a, b) in enumerate(spans)
+    )
+
+
+def instance_spans_oracle(sentence: Sentence, ontology: Ontology) -> list[tuple[str, tuple[int, int]]]:
+    """All (instance, token_span) occurrences in the sentence.
+
+    An instance's surface form is its name with underscores as spaces,
+    segmented by the corpus tokenizer and matched case-insensitively.
+    """
+    folded = [t.surface.lower() for t in sentence.tokens]
+    out = []
+    for instance, _ in ontology.instances:
+        surface = instance.replace("_", " ")
+        key = tuple(m.group(0).lower() for m in _TOKEN_RE.finditer(surface))
+        if not key:
+            continue
+        for i in range(0, len(folded) - len(key) + 1):
+            if tuple(folded[i:i + len(key)]) == key:
+                out.append((instance, (i, i + len(key))))
+    return out
+
+
+def _match_element_oracle(element: str, surface: str) -> tuple[str, int | str] | None | bool:
+    """Return False (no match), True (literal match) or a (name, value) capture."""
+    folded = surface.lower()
+    if element == "<num>":
+        return ("num", int(folded)) if folded.isdigit() else False
+    if element == "<day>":
+        if folded.isdigit() and len(folded) <= 2 and 1 <= int(folded) <= 31:
+            return ("day", int(folded))
+        return False
+    if element == "<year>":
+        return ("year", int(folded)) if folded.isdigit() and len(folded) == 4 else False
+    if element == "<month>":
+        return ("month", _MONTHS[folded]) if folded in _MONTHS else False
+    if element == "<weekday>":
+        return ("weekday", _WEEKDAYS[folded]) if folded in _WEEKDAYS else False
+    if element == "<isodate>":
+        parts = folded.split("-")
+        if len(parts) == 3 and [len(p) for p in parts] == [4, 2, 2] \
+                and all(p.isdigit() for p in parts):
+            return ("isodate", folded)
+        return False
+    return folded == element.lower()
+
+
+def find_temporal_expressions_oracle(
+        sentence: Sentence,
+        grammar: tuple[GrammarPattern, ...] | None = None) -> list[TemporalExpression]:
+    """Scan a tokenized sentence for grammar matches.
+
+    Matches are non-overlapping; at each position the longest matching
+    pattern wins (grammar file order breaks length ties).
+    """
+    grammar = grammar if grammar is not None else default_grammar()
+    ordered = sorted(range(len(grammar)), key=lambda i: (-len(grammar[i].elements), i))
+    tokens = sentence.tokens
+    found: list[TemporalExpression] = []
+    i = 0
+    while i < len(tokens):
+        hit = None
+        for gi in ordered:
+            pat = grammar[gi]
+            n = len(pat.elements)
+            if i + n > len(tokens):
+                continue
+            captures = []
+            ok = True
+            for k, el in enumerate(pat.elements):
+                res = _match_element_oracle(el, tokens[i + k].surface)
+                if res is False:
+                    ok = False
+                    break
+                if res is not True:
+                    captures.append(res)
+            if ok:
+                raw = sentence.text[tokens[i].start:tokens[i + n - 1].end]
+                hit = TemporalExpression(
+                    sentence_index=sentence.index, token_span=(i, i + n),
+                    pattern_id=pat.pattern_id, raw=raw, rule=pat.rule,
+                    captures=tuple(captures))
+                break
+        if hit is not None:
+            found.append(hit)
+            i = hit.token_span[1]
+        else:
+            i += 1
+    return found

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from chronicle import cli
+from chronicle import ontology as ontology_mod
 from chronicle.corpus import read_corpus_artifact
 from chronicle.extract import load_gold_messages
 from chronicle.relations import (WindowPolicy, brute_force_oracle,
@@ -208,7 +209,10 @@ def gold_with(tmp_path, **changes):
     {"sentence_index": True},
     {"args": "captors"},
     {"args": {"entity": ["captors"], "activity": "occupation"}},
-], ids=["boolean-sentence-index", "string-args", "list-slot-value"])
+    {"type": ["start"]},
+    {"doc_id": ["courier-01"]},
+], ids=["boolean-sentence-index", "string-args", "list-slot-value",
+        "list-type", "list-doc-id"])
 def test_malformed_gold_record_exits_2(tmp_path, capsys, changes):
     root = FIXTURES / "hostage"
     assert run(["ingest", "--corpus", root / "corpus.jsonl",
@@ -219,6 +223,132 @@ def test_malformed_gold_record_exits_2(tmp_path, capsys, changes):
     err = one_json_error(capsys, "extract")
     assert err["error"] == "MalformedRecord"
     assert "gold.jsonl:1:" in err["detail"]
+
+
+def replace_first_line(path, line):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([line] + lines[1:]) + "\n")
+
+
+def test_non_object_gold_record_exits_2(tmp_path, capsys):
+    root = FIXTURES / "hostage"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--out-dir", tmp_path]) == 0
+    gold = gold_with(tmp_path)
+    replace_first_line(gold, '"start"')
+    code = run(["extract", "--ontology", root / "domain.spec", "--mode", "gold",
+                "--gold", gold, "--out-dir", tmp_path])
+    assert code == 2
+    err = one_json_error(capsys, "extract")
+    assert err["error"] == "MalformedRecord"
+    assert "gold.jsonl:1: record is not an object" in err["detail"]
+
+
+def broken_record(path, kind):
+    """Rewrite the first record of a JSON-lines artifact; return the number
+    of the line that is now malformed."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    if kind == "duplicate":
+        lines.append(lines[0])
+        path.write_text("\n".join(lines) + "\n")
+        return len(lines)
+    if kind == "not-object":
+        lines[0] = json.dumps([record])
+    elif kind.startswith("missing-"):
+        del record[kind[len("missing-"):]]
+        lines[0] = json.dumps(record)
+    elif kind.startswith("empty-"):
+        record[kind[len("empty-"):]] = []
+        lines[0] = json.dumps(record)
+    else:
+        side = kind[len("string-"):]
+        record[side] = record[side]["doc_id"]
+        lines[0] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return 1
+
+
+@pytest.mark.parametrize("artifact,kind", [
+    ("relations.jsonl", "missing-name"),
+    ("relations.jsonl", "missing-left"),
+    ("relations.jsonl", "not-object"),
+    ("relations.jsonl", "string-left"),
+    ("relations.jsonl", "string-right"),
+    ("relations.jsonl", "duplicate"),
+    ("ellipsis.jsonl", "missing-silent_sources"),
+    ("ellipsis.jsonl", "missing-doc_id"),
+    ("ellipsis.jsonl", "empty-silent_sources"),
+    ("ellipsis.jsonl", "not-object"),
+])
+def test_malformed_relate_artifact_exits_2(tmp_path, capsys, artifact, kind):
+    run_pipeline("hostage", tmp_path)
+    capsys.readouterr()
+    ln = broken_record(tmp_path / artifact, kind)
+    root = FIXTURES / "hostage"
+    code = run(["summarize", "--ontology", root / "domain.spec",
+                "--templates", root / "templates.txt", "--window", "0",
+                "--out", tmp_path / "s.txt", "--out-dir", tmp_path])
+    assert code == 2
+    err = one_json_error(capsys, "summarize")
+    assert err["error"] == "MalformedRecord"
+    assert f"{artifact}:{ln}:" in err["detail"]
+
+
+@pytest.mark.parametrize("line", [
+    '{"type": "start"}',
+    '{"text": ["The captors seized the compound."], "type": "start"}',
+    '{"text": "The captors seized the compound.", "type": ["start"]}',
+    '"The captors seized the compound."',
+], ids=["missing-text", "list-text", "list-type", "not-object"])
+def test_malformed_training_record_exits_2(tmp_path, capsys, line):
+    root = FIXTURES / "hostage"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--out-dir", tmp_path]) == 0
+    train = tmp_path / "train.jsonl"
+    train.write_text((root / "train.jsonl").read_text())
+    replace_first_line(train, line)
+    code = run(["extract", "--ontology", root / "domain.spec",
+                "--mode", "statistical", "--train", train,
+                "--out-dir", tmp_path])
+    assert code == 2
+    err = one_json_error(capsys, "extract")
+    assert err["error"] == "MalformedRecord"
+    assert "train.jsonl:1:" in err["detail"]
+
+
+def test_each_stage_parses_the_spec_once(tmp_path, monkeypatch, capsys):
+    """One parse of the spec file per stage serves every domain loader."""
+    parses = []
+    parse = ontology_mod.parse_spec_file
+
+    def counted(path):
+        parses.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(ontology_mod, "parse_spec_file", counted)
+    root = FIXTURES / "hostage"
+    spec = root / "domain.spec"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--lexicon", root / "lexicon.tsv",
+                "--gazetteer", root / "gazetteer.tsv",
+                "--out-dir", tmp_path]) == 0
+    stages = [
+        ["extract", "--ontology", spec, "--mode", "rules"],
+        ["extract", "--ontology", spec, "--mode", "gold",
+         "--gold", root / "gold_messages.jsonl"],
+        ["relate", "--ontology", spec, "--window", "0"],
+        ["summarize", "--ontology", spec, "--templates", root / "templates.txt",
+         "--window", "0", "--out", tmp_path / "s.txt"],
+        ["validate", "--ontology", spec],
+    ]
+    for argv in stages:
+        parses.clear()
+        if argv[0] != "validate":
+            argv = argv + ["--out-dir", tmp_path]
+        assert run(argv) == 0, argv
+        assert parses == [str(spec)], argv
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("key", ["sentences", "source", "publish_time",
