@@ -46,26 +46,21 @@ def _out_dir(args) -> Path:
 
 
 def _load_domain(args):
-    """Ontology, message specs, relation specs and the parsed specs file,
-    from one parse of each spec file named."""
-    ontology_path = args.ontology
-    specs_path = args.specs or args.ontology
-    if ontology_path is None:
-        ontology_path = specs_path
-    ontology_spec = ParsedSpec(ontology_path)
-    ontology = load_ontology(ontology_spec)
-    specs = ontology_spec if specs_path == ontology_path else ParsedSpec(specs_path)
-    message_specs = load_message_specs(specs, ontology)
-    relation_specs = load_relation_specs(specs, message_specs, ontology)
-    return ontology, message_specs, relation_specs, specs
+    """Ontology, message specs, relation specs and the parsed domain file,
+    from one parse of that file."""
+    spec = ParsedSpec(args.ontology)
+    ontology = load_ontology(spec)
+    message_specs = load_message_specs(spec, ontology)
+    relation_specs = load_relation_specs(spec, message_specs, ontology)
+    return ontology, message_specs, relation_specs, spec
 
 
 def cmd_ingest(args) -> int:
     out = _out_dir(args)
     lexicon = corpus_mod.load_lexicon(args.lexicon) if args.lexicon else None
     gazetteer = corpus_mod.load_gazetteer(args.gazetteer) if args.gazetteer else None
-    corpus = corpus_mod.load_corpus(args.corpus, "jsonl-v1",
-                                    lexicon=lexicon, gazetteer=gazetteer)
+    corpus = corpus_mod.load_corpus(args.corpus, lexicon=lexicon,
+                                    gazetteer=gazetteer)
     corpus_mod.write_corpus_artifact(corpus, out / CORPUS_ARTIFACT)
     log.info("ingested %d documents from %d sources",
              len(corpus.documents), len(corpus.sources))
@@ -119,9 +114,8 @@ def cmd_relate(args) -> int:
     out = _out_dir(args)
     ontology, message_specs, relation_specs, _ = _load_domain(args)
     corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT)
-    source = args.from_gold if args.from_gold else out / MESSAGES_ARTIFACT
-    messages = extract_mod.load_gold_messages(source, message_specs, ontology,
-                                              corpus)
+    messages = extract_mod.load_gold_messages(
+        out / MESSAGES_ARTIFACT, message_specs, ontology, corpus)
     window = parse_window(args.window)
     instances = relations_mod.evaluate_relations(messages, relation_specs, window)
     relations_mod.write_relations(instances, out / RELATIONS_ARTIFACT)
@@ -224,11 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Summarize events evolving across multiple news sources.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_domain_flags(p, specs_required=True):
-        p.add_argument("--specs", help="message/relation/trigger spec file")
-        p.add_argument("--ontology",
-                       required=specs_required,
-                       help="ontology spec file (may be the same combined file)")
+    def add_domain_flags(p):
+        p.add_argument("--ontology", required=True,
+                       help="domain spec file: ontology, messages, relations, triggers")
 
     p = sub.add_parser("ingest", help="load a raw corpus into the canonical model")
     p.add_argument("--corpus", required=True, help="raw jsonl-v1 corpus file")
@@ -252,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_domain_flags(p)
     p.add_argument("--window", required=True,
                    help="synchronic window width (0, 12h, 2d, 90m)")
-    p.add_argument("--from-gold", metavar="FILE",
-                   help="read messages from a gold file instead of the artifact")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_relate)
 
@@ -305,12 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChronicleError as exc:
-        json.dump({"stage": args.command, "error": type(exc).__name__,
-                   "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ChronicleError, OSError, ValueError, OverflowError) as exc:
         json.dump({"stage": args.command, "error": type(exc).__name__,
                    "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

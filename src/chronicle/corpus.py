@@ -171,15 +171,14 @@ def _load_tsv(path: str | Path) -> dict[str, str]:
 
 def tokenize(text: str,
              lexicon: dict[str, str] | None = None,
-             ne_gazetteer: dict[str, str] | PhraseIndex | None = None
-             ) -> tuple[Token, ...]:
+             ne_gazetteer: PhraseIndex | None = None) -> tuple[Token, ...]:
     """Segment a sentence into tokens with lemmas and NE labels.
 
     Deterministic: whitespace/punctuation segmentation, lemma = lexicon entry
     for the lowercased surface (default: the lowercased surface itself),
     gazetteer entries matched greedily longest-first with no overlaps; among
-    surfaces that differ only in case, the first in file order wins. Pass
-    the gazetteer as a ``PhraseIndex`` when tokenizing many sentences.
+    surfaces that differ only in case, the first in file order wins. Build
+    the gazetteer's ``PhraseIndex`` once and pass it for every sentence.
     """
     lexicon = lexicon or {}
     spans = [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
@@ -187,9 +186,7 @@ def tokenize(text: str,
     lemmas = [lexicon.get(f, f) for f in folded]
     labels: list[str | None] = [None] * len(spans)
 
-    if ne_gazetteer:
-        if not isinstance(ne_gazetteer, PhraseIndex):
-            ne_gazetteer = PhraseIndex(ne_gazetteer.items())
+    if ne_gazetteer is not None:
         i = 0
         while i < len(folded):
             for key, label in ne_gazetteer.starting_with(folded[i]):
@@ -216,19 +213,16 @@ def _split_sentences(text) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def load_corpus(path: str | Path, format: str = "jsonl-v1",
+def load_corpus(path: str | Path,
                 lexicon: dict[str, str] | None = None,
-                gazetteer: dict[str, str] | None = None,
-                event_id: str | None = None) -> Corpus:
-    """Load a raw corpus file into the canonical model.
+                gazetteer: dict[str, str] | None = None) -> Corpus:
+    """Load a raw jsonl-v1 corpus file into the canonical model.
 
-    Only the "jsonl-v1" format is supported: one JSON record per line with
-    fields ``doc_id``, ``source``, ``publish_time`` (RFC 3339) and ``text``
-    (a sentence list, or raw text split one sentence per line). Records with
-    missing ids, sources or timestamps are rejected, not skipped.
+    One JSON record per line with fields ``doc_id``, ``source``,
+    ``publish_time`` (RFC 3339) and ``text`` (a sentence list, or raw text
+    split one sentence per line). The event id is the file's stem. Records
+    with missing ids, sources or timestamps are rejected, not skipped.
     """
-    if format != "jsonl-v1":
-        raise MalformedRecord(f"unsupported corpus format {format!r}", str(path))
     path = Path(path)
     raw_docs: list[tuple[str, str, datetime, list[str]]] = []
     seen_ids: set[str] = set()
@@ -253,9 +247,7 @@ def load_corpus(path: str | Path, format: str = "jsonl-v1",
             raise MalformedRecord(f"document {doc_id!r} has no sentences", str(path), ln)
         raw_docs.append((doc_id, source, publish_time, sentences))
 
-    return build_corpus(
-        event_id if event_id is not None else path.stem,
-        raw_docs, lexicon=lexicon, gazetteer=gazetteer)
+    return build_corpus(path.stem, raw_docs, lexicon=lexicon, gazetteer=gazetteer)
 
 
 def build_corpus(event_id: str,

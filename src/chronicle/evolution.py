@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import statistics
 from dataclasses import dataclass
@@ -134,8 +135,12 @@ def analyze_corpus(corpus: Corpus, residual_threshold: float = 0.1,
     The event is linear when every source with >= 3 reports publishes on a
     fixed-period grid; the aggregate model takes the earliest first report,
     the median per-source period and the worst per-source residual. A
-    single-source corpus is vacuously synchronous.
+    single-source corpus is vacuously synchronous. The residual threshold
+    must be finite and not negative.
     """
+    if not 0 <= residual_threshold < math.inf:
+        raise ValueError(f"residual threshold must be finite and >= 0, "
+                         f"got {residual_threshold!r}")
     profile = EmissionProfile.from_corpus(corpus)
     fits = []
     for _, times in profile.reports:

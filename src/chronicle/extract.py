@@ -19,9 +19,9 @@ from pathlib import Path
 from .corpus import Corpus, Document, Sentence, read_records
 from .errors import (EmptyTrainingSet, MalformedRecord, SlotTypeViolation,
                      UnknownMessageType, UnknownSlot)
-from .ontology import (MessageTypeSpec, Ontology, ParsedSpec, TriggerStatement,
-                       constraint_satisfied, is_subtype, load_trigger_statements)
-from .temporal import GrammarPattern, TimeAnchor, _span_distance, message_time
+from .ontology import (MessageTypeSpec, Ontology, ParsedSpec,
+                       constraint_satisfied, is_subtype)
+from .temporal import TimeAnchor, _span_distance, message_time
 
 log = logging.getLogger("chronicle.extract")
 
@@ -54,15 +54,18 @@ class TriggerRule:
 
 def load_trigger_rules(spec: str | Path | ParsedSpec,
                        message_specs: list[MessageTypeSpec]) -> list[TriggerRule]:
+    """The spec's ``trigger`` lines, in file order."""
     known = {m.name for m in message_specs}
     spec = ParsedSpec.of(spec)
     rules = []
-    for st in load_trigger_statements(spec):
-        if st.msg_type not in known:
+    for st in (s for s in spec.statements if s.kind == "trigger"):
+        msg_type = st.data["msg_type"]
+        if msg_type not in known:
             raise UnknownMessageType(
-                f"trigger references unknown message type {st.msg_type!r}",
+                f"trigger references unknown message type {msg_type!r}",
                 spec.path, st.line)
-        rules.append(TriggerRule(st.msg_type, st.lemmas, st.requires))
+        rules.append(TriggerRule(msg_type, tuple(st.data["lemmas"]),
+                                 tuple(st.data["requires"])))
     return rules
 
 
@@ -170,10 +173,7 @@ def classify_sentence(sentence: Sentence,
         model: ClassifierModel = model_or_rules
         features = sentence_features(sentence)
         best_cls, best_score = None, None
-        ordered = [c for c in model.classes if c != NONE_LABEL]
-        if NONE_LABEL in model.classes:
-            ordered.append(NONE_LABEL)
-        for cls in ordered:
+        for cls in model.classes:
             score = model.log_score(cls, features)
             if best_score is None or score > best_score:
                 best_cls, best_score = cls, score
@@ -242,7 +242,6 @@ class ExtractorConfig:
     mode: str = "rules"                       # rules | statistical
     rules: list[TriggerRule] = field(default_factory=list)
     model: ClassifierModel | None = None
-    grammar: tuple[GrammarPattern, ...] | None = None
 
 
 def trigger_span_for(sentence: Sentence, msg_type: str,
@@ -306,8 +305,7 @@ def extract_messages(document: Document, specs: list[MessageTypeSpec],
         spec = by_name[msg_type]
         trigger = trigger_span_for(sentence, msg_type, config.rules)
         args = fill_arguments(sentence, msg_type, ontology, spec, trigger)
-        anchor = message_time(sentence, document.publish_time, trigger,
-                              config.grammar)
+        anchor = message_time(sentence, document.publish_time, trigger)
         msg = Message(msg_type=msg_type, args=args, time=anchor,
                       source=document.source, doc_id=document.doc_id,
                       sentence_index=sentence.index, trigger_span=trigger,

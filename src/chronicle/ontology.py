@@ -156,15 +156,6 @@ class RelationSpec:
 
 
 @dataclass(frozen=True)
-class TriggerStatement:
-    """Raw trigger line; validated into a rule by the extraction stage."""
-    msg_type: str
-    lemmas: tuple[str, ...]
-    requires: tuple[str, ...]
-    line: int
-
-
-@dataclass(frozen=True)
 class Statement:
     kind: str     # concept | instance | scale | message | relation | trigger
     line: int
@@ -635,13 +626,6 @@ def load_relation_specs(spec: str | Path | ParsedSpec,
     return specs
 
 
-def load_trigger_statements(spec: str | Path | ParsedSpec) -> list[TriggerStatement]:
-    return [TriggerStatement(msg_type=s.data["msg_type"],
-                             lemmas=tuple(s.data["lemmas"]),
-                             requires=tuple(s.data["requires"]), line=s.line)
-            for s in ParsedSpec.of(spec).statements if s.kind == "trigger"]
-
-
 # ---------------------------------------------------------------------------
 # Serialization (canonical spec text; reloading yields equal objects)
 
@@ -659,8 +643,11 @@ def _atom_text(atom: ConditionAtom, bare: bool = False) -> str:
 def dump_domain(ontology: Ontology,
                 message_specs: list[MessageTypeSpec] = (),
                 relation_specs: list[RelationSpec] = (),
-                triggers: list[TriggerStatement] = ()) -> str:
-    """Serialize a loaded domain back to canonical spec-file text."""
+                triggers=()) -> str:
+    """Serialize a loaded domain back to canonical spec-file text.
+
+    ``triggers`` are the rules ``extract.load_trigger_rules`` returns.
+    """
     lines: list[str] = []
     parent = dict(ontology.parent)
     emitted: set[str] = set()

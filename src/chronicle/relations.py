@@ -438,6 +438,15 @@ def _lookup_failure(exc: KeyError) -> str:
     return f"missing {key}" if isinstance(key, str) else f"unknown message {key!r}"
 
 
+def _message_at(by_key: dict, ref: dict, path: str | Path, ln: int) -> Message:
+    """The message that a record's ``doc_id`` and ``sentence_index`` name."""
+    sidx = ref["sentence_index"]
+    if isinstance(sidx, bool) or not isinstance(sidx, int):
+        raise MalformedRecord(f"sentence_index {sidx!r} is not an integer",
+                              str(path), ln)
+    return by_key[(ref["doc_id"], sidx)]
+
+
 def read_relations(path: str | Path,
                    messages: list[Message]) -> list[RelationInstance]:
     """Load a relations artifact; each relation instance may occur once."""
@@ -448,8 +457,8 @@ def read_relations(path: str | Path,
         try:
             instance = RelationInstance(
                 name=rec["name"], axis=rec["axis"],
-                left=by_key[(rec["left"]["doc_id"], rec["left"]["sentence_index"])],
-                right=by_key[(rec["right"]["doc_id"], rec["right"]["sentence_index"])],
+                left=_message_at(by_key, rec["left"], path, ln),
+                right=_message_at(by_key, rec["right"], path, ln),
                 distance=rec.get("distance"))
         except KeyError as exc:
             raise MalformedRecord(_lookup_failure(exc), str(path), ln) from None
@@ -482,14 +491,15 @@ def read_ellipsis(path: str | Path, messages: list[Message]) -> list[EllipsisRep
     out = []
     for ln, rec in read_records(path):
         try:
-            message = by_key[(rec["doc_id"], rec["sentence_index"])]
+            message = _message_at(by_key, rec, path, ln)
             bucket, silent = rec["bucket"], rec["silent_sources"]
         except KeyError as exc:
             raise MalformedRecord(_lookup_failure(exc), str(path), ln) from None
         except TypeError:
             raise MalformedRecord("record does not have the ellipsis-artifact shape",
                                   str(path), ln) from None
-        if (not isinstance(bucket, int) or not isinstance(silent, list) or not silent
+        if (isinstance(bucket, bool) or not isinstance(bucket, int)
+                or not isinstance(silent, list) or not silent
                 or not all(isinstance(s, str) for s in silent)):
             raise MalformedRecord(
                 "ellipsis needs an integer bucket and a non-empty list of silent sources",

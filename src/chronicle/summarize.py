@@ -207,7 +207,9 @@ def render_summary(graph: RelationGraph,
     Raises MissingTemplate (never skips silently) when a relation name, the
     "ellipsis" template, or a needed "lone-<type>" template is absent. The
     per-bucket budget only trims lone-message sentences; relation-driven
-    and ellipsis sentences always render so coverage stays exact.
+    and ellipsis sentences always render so coverage stays exact. Raises
+    ChronicleError when an ellipsis report's bucket is not the one the
+    graph's window puts its message in (the relate window differed).
     """
     for name in sorted({e.name for e in graph.edges}):
         if name not in templates:
@@ -279,6 +281,11 @@ def render_summary(graph: RelationGraph,
     # --- ellipsis reports
     reported: set[tuple[str, int]] = set()
     for rep in ellipsis:
+        if bucket_of.get(rep.message.key()) != rep.bucket:
+            raise ChronicleError(
+                f"ellipsis report for {rep.message.doc_id}#"
+                f"{rep.message.sentence_index} names bucket {rep.bucket}, "
+                f"which is not its bucket under this window")
         reported.add(rep.message.key())
         ctx = _single_context(rep.message)
         ctx["silent"] = _join_sources(rep.silent_sources)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from importlib import resources
-from pathlib import Path
 
 from .corpus import Sentence, format_rfc3339, parse_rfc3339, to_utc
 from .errors import DslSyntaxError, UnparsableAnchor, UnresolvableExpression
@@ -126,15 +125,11 @@ class GrammarPattern:
     rule: str
 
 
-def load_grammar(path: str | Path | None = None) -> tuple[GrammarPattern, ...]:
-    """Load the pattern grammar; defaults to the grammar shipped as package data."""
-    if path is None:
-        text = resources.files("chronicle").joinpath(
-            "data/temporal_patterns.txt").read_text(encoding="utf-8")
-        name = "temporal_patterns.txt"
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-        name = str(path)
+def load_grammar() -> tuple[GrammarPattern, ...]:
+    """Load the pattern grammar shipped as package data."""
+    name = "temporal_patterns.txt"
+    text = resources.files("chronicle").joinpath(f"data/{name}").read_text(
+        encoding="utf-8")
     patterns = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -309,8 +304,7 @@ def _span_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 
 def message_time(msg_sentence: Sentence, publish_time: datetime,
-                 trigger_span: tuple[int, int] | None = None,
-                 grammar: tuple[GrammarPattern, ...] | None = None) -> TimeAnchor:
+                 trigger_span: tuple[int, int] | None = None) -> TimeAnchor:
     """Anchor for a message found in ``msg_sentence``. Never fails.
 
     If the sentence carries at least one resolvable temporal expression the
@@ -319,7 +313,7 @@ def message_time(msg_sentence: Sentence, publish_time: datetime,
     publication day.
     """
     candidates: list[tuple[int, int, TimeAnchor]] = []
-    for expr in find_temporal_expressions(msg_sentence, grammar):
+    for expr in find_temporal_expressions(msg_sentence):
         try:
             anchor = resolve(expr, publish_time)
         except UnresolvableExpression:

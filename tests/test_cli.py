@@ -68,12 +68,14 @@ def test_hostage_pipeline_reports_non_linear_asynchronous(tmp_path):
     assert report["sources"]["late_wire"]["first_report_lag_minutes"] == 12 * 24 * 60
 
 
-def test_relate_from_gold_matches_oracle(tmp_path, hostage):
+def test_relate_on_gold_messages_matches_oracle(tmp_path, hostage):
     root = FIXTURES / "hostage"
     assert run(["ingest", "--corpus", root / "corpus.jsonl",
                 "--out-dir", tmp_path]) == 0
+    assert run(["extract", "--ontology", root / "domain.spec",
+                "--mode", "gold", "--gold", root / "gold_messages.jsonl",
+                "--out-dir", tmp_path]) == 0
     assert run(["relate", "--ontology", root / "domain.spec", "--window", "0",
-                "--from-gold", root / "gold_messages.jsonl",
                 "--out-dir", tmp_path]) == 0
     corpus = read_corpus_artifact(tmp_path / "corpus.jsonl")
     messages = load_gold_messages(root / "gold_messages.jsonl",
@@ -261,6 +263,12 @@ def broken_record(path, kind):
     elif kind.startswith("empty-"):
         record[kind[len("empty-"):]] = []
         lines[0] = json.dumps(record)
+    elif kind.startswith(("false-", "true-")):
+        # "false-left.sentence_index" sets record["left"]["sentence_index"]
+        value, _, field = kind.partition("-")
+        *outer, key = field.split(".")
+        (record[outer[0]] if outer else record)[key] = value == "true"
+        lines[0] = json.dumps(record)
     else:
         side = kind[len("string-"):]
         record[side] = record[side]["doc_id"]
@@ -276,10 +284,14 @@ def broken_record(path, kind):
     ("relations.jsonl", "string-left"),
     ("relations.jsonl", "string-right"),
     ("relations.jsonl", "duplicate"),
+    ("relations.jsonl", "false-left.sentence_index"),
+    ("relations.jsonl", "false-right.sentence_index"),
     ("ellipsis.jsonl", "missing-silent_sources"),
     ("ellipsis.jsonl", "missing-doc_id"),
     ("ellipsis.jsonl", "empty-silent_sources"),
     ("ellipsis.jsonl", "not-object"),
+    ("ellipsis.jsonl", "false-sentence_index"),
+    ("ellipsis.jsonl", "true-bucket"),
 ])
 def test_malformed_relate_artifact_exits_2(tmp_path, capsys, artifact, kind):
     run_pipeline("hostage", tmp_path)
@@ -378,3 +390,62 @@ def test_simulate_rejects_empty_bursts(tmp_path, capsys):
     err = one_json_error(capsys, "simulate")
     assert err["error"] == "ValueError"
     assert not (tmp_path / "simulated.jsonl").exists()
+
+
+def summarize_hostage(out_dir, window="0"):
+    root = FIXTURES / "hostage"
+    return run(["summarize", "--ontology", root / "domain.spec",
+                "--templates", root / "templates.txt", "--window", window,
+                "--out", out_dir / "s.txt", "--out-dir", out_dir])
+
+
+def test_summarize_rejects_ellipsis_from_another_window(tmp_path, capsys):
+    run_pipeline("hostage", tmp_path, window="1d")
+    capsys.readouterr()
+    assert summarize_hostage(tmp_path, window="0") == 2
+    err = one_json_error(capsys, "summarize")
+    assert err["error"] == "ChronicleError"
+    assert "bucket" in err["detail"]
+
+
+def test_summarize_rejects_out_of_range_ellipsis_bucket(tmp_path, capsys):
+    run_pipeline("hostage", tmp_path)
+    capsys.readouterr()
+    ellipsis = tmp_path / "ellipsis.jsonl"
+    record = json.loads(ellipsis.read_text().splitlines()[0])
+    record["bucket"] = 999
+    replace_first_line(ellipsis, json.dumps(record))
+    assert summarize_hostage(tmp_path) == 2
+    err = one_json_error(capsys, "summarize")
+    assert err["error"] == "ChronicleError"
+    assert "bucket 999" in err["detail"]
+
+
+@pytest.mark.parametrize("stage,flags", [
+    ("relate", ["--window", "999999999d"]),
+    ("relate", ["--window", "9999999999d"]),
+    ("analyze", ["--emission-tolerance", "9999999999d"]),
+    ("simulate", ["--kind", "linear", "--period", "999999999d"]),
+], ids=["relate-dilation", "relate-window", "analyze-tolerance",
+        "simulate-period"])
+def test_overflowing_duration_exits_2(tmp_path, capsys, stage, flags):
+    run_pipeline("hostage", tmp_path)
+    capsys.readouterr()
+    domain = (["--ontology", FIXTURES / "hostage" / "domain.spec"]
+              if stage == "relate" else [])
+    assert run([stage, *domain, *flags, "--out-dir", tmp_path]) == 2
+    err = one_json_error(capsys, stage)
+    assert err["error"] == "OverflowError"
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1"])
+def test_analyze_rejects_threshold_outside_0_to_inf(tmp_path, capsys, threshold):
+    root = FIXTURES / "hostage"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--out-dir", tmp_path]) == 0
+    assert run(["analyze", "--residual-threshold", threshold,
+                "--out-dir", tmp_path]) == 2
+    err = one_json_error(capsys, "analyze")
+    assert err["error"] == "ValueError"
+    assert "residual threshold" in err["detail"]
+    assert not (tmp_path / "evolution.json").exists()

@@ -5,7 +5,7 @@ from datetime import timedelta
 
 import pytest
 
-from chronicle.corpus import (load_corpus, parse_rfc3339, tokenize)
+from chronicle.corpus import PhraseIndex, load_corpus, parse_rfc3339, tokenize
 from chronicle.errors import DuplicateDocId, MalformedRecord, UnparsableTimestamp
 
 
@@ -95,7 +95,8 @@ def test_tokenize_lexicon_lemmas():
 
 
 def test_tokenize_gazetteer_label():
-    tokens = tokenize("Al-Jazeera reported", ne_gazetteer={"Al-Jazeera": "ORG"})
+    tokens = tokenize("Al-Jazeera reported",
+                      ne_gazetteer=PhraseIndex([("Al-Jazeera", "ORG")]))
     assert tokens[0].surface == "Al-Jazeera"
     assert tokens[0].ne == "ORG"
     assert tokens[1].ne is None
@@ -103,7 +104,8 @@ def test_tokenize_gazetteer_label():
 
 def test_tokenize_multiword_gazetteer_longest_first():
     gaz = {"Italian government": "ORG", "government": "MISC"}
-    tokens = tokenize("the Italian government spoke", ne_gazetteer=gaz)
+    tokens = tokenize("the Italian government spoke",
+                      ne_gazetteer=PhraseIndex(gaz.items()))
     assert [t.ne for t in tokens] == [None, "ORG", "ORG", None]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chronicle.corpus import Sentence, tokenize
+from chronicle.corpus import PhraseIndex, Sentence, tokenize
 from chronicle.errors import (EmptyTrainingSet, MalformedRecord,
                               SlotTypeViolation, UnknownMessageType,
                               UnparsableAnchor)
@@ -40,7 +40,8 @@ def test_rules_mode_no_trigger_is_none():
 def test_rules_mode_ne_requirement():
     rules = [TriggerRule("negotiate", ("negotiate",), requires=("PER",))]
     plain = sent("they negotiate tonight")
-    tagged = sent("Simona negotiate tonight", gazetteer={"Simona": "PER"})
+    tagged = sent("Simona negotiate tonight",
+                  gazetteer=PhraseIndex([("Simona", "PER")]))
     assert classify_sentence(plain, rules, "rules") is None
     assert classify_sentence(tagged, rules, "rules") == "negotiate"
 

@@ -7,9 +7,10 @@ import pytest
 from chronicle.errors import (CycleInTaxonomy, DslSyntaxError, DuplicateInstance,
                               DuplicateMessageType, ScaleRequired,
                               UnknownConcept, UnknownMessageType, UnknownSlot)
+from chronicle.extract import load_trigger_rules
 from chronicle.ontology import (ConditionAtom, dump_domain, is_subtype,
                                 load_message_specs, load_ontology,
-                                load_relation_specs, load_trigger_statements)
+                                load_relation_specs)
 
 
 def write_spec(tmp_path, text, name="d.spec"):
@@ -189,7 +190,7 @@ def test_conditions_reference_only_declared_slots(football, hostage):
 
 def test_round_trip_serialization(tmp_path, football, hostage):
     for bundle in (football, hostage):
-        triggers = load_trigger_statements(bundle.spec_path)
+        triggers = load_trigger_rules(bundle.spec_path, bundle.message_specs)
         text = dump_domain(bundle.ontology, bundle.message_specs,
                            bundle.relation_specs, triggers)
         path = write_spec(tmp_path, text, name=f"{bundle.root.name}.spec")
@@ -199,3 +200,4 @@ def test_round_trip_serialization(tmp_path, football, hostage):
         assert onto == bundle.ontology
         assert specs == bundle.message_specs
         assert rels == bundle.relation_specs
+        assert load_trigger_rules(path, specs) == triggers
