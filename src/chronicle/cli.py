@@ -165,10 +165,7 @@ def cmd_summarize(args) -> int:
     target = Path(args.out) if args.out else out / SUMMARY_ARTIFACT
     with open(target, "w", encoding="utf-8") as fh:
         fh.write(result.text)
-    with open(out / COVERAGE_ARTIFACT, "w", encoding="utf-8") as fh:
-        json.dump(summarize_mod.coverage_to_json(result), fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    summarize_mod.write_coverage(result, out / COVERAGE_ARTIFACT)
     if not args.out:
         sys.stdout.write(result.text)
     return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DuplicateDocId, MalformedRecord, UnparsableTimestamp
 
@@ -25,8 +25,11 @@ UTC = timezone.utc
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:[-'][A-Za-z0-9]+)*|[^\sA-Za-z0-9]")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token. A named tuple, not a frozen dataclass: every stage builds
+    or reads every token of the corpus, and a tuple is built without an
+    ``object.__setattr__`` call per field."""
+
     surface: str
     lemma: str
     ne: str | None = None
@@ -296,8 +299,7 @@ def write_corpus_artifact(corpus: Corpus, path: str | Path) -> None:
                     {
                         "index": s.index,
                         "text": s.text,
-                        "tokens": [[t.surface, t.lemma, t.ne, t.start, t.end]
-                                   for t in s.tokens],
+                        "tokens": s.tokens,   # each Token a JSON list
                     }
                     for s in d.sentences
                 ],

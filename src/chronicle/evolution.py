@@ -224,6 +224,10 @@ class StreamParams:
         if not 1 <= low <= high:
             # a burst of zero reports never advances a non-linear stream
             raise ValueError(f"burst size needs 1 <= min <= max, got {low}..{high}")
+        if not 0 <= self.jitter < 1:
+            # NaN fails too; at 1 or above a displaced report can reach its
+            # neighbour, and the gaps no longer pair up around the period
+            raise ValueError(f"jitter needs 0 <= jitter < 1, got {self.jitter!r}")
 
 
 def generate_stream(kind: str, sources: int, params: StreamParams,

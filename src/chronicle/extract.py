@@ -211,7 +211,8 @@ def fill_arguments(sentence: Sentence, msg_type: str, ontology: Ontology,
     trigger wins (leftmost on ties, longer span preferred at equal start);
     a token span fills at most one slot; unfilled slots stay None.
     """
-    assert spec.name == msg_type
+    if spec.name != msg_type:
+        raise ValueError(f"spec {spec.name!r} does not describe message type {msg_type!r}")
     mentions = _instance_spans(sentence, ontology)
     anchor = trigger_span if trigger_span is not None else (0, 0)
     used: list[tuple[int, int]] = []

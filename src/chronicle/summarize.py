@@ -9,7 +9,10 @@ diachronic chains of one relation collapse into a single trend sentence in
 the bucket where they land, ellipsis reports call out the lone source, and
 messages no relation touches fall back to per-type templates. Every
 relation instance is consumed by exactly one sentence and the consumption
-is reported as a coverage trace next to the text.
+is reported as a coverage trace next to the text. ``write_coverage``
+formats that trace itself, with the bytes of ``json.dump(doc, indent=2,
+sort_keys=True)`` plus a newline; an indented ``json.dump`` always runs the
+encoder's pure-Python path.
 
 Rendering stays near-linear in messages plus relation instances: a chain
 walk finds its next edge through an adjacency map from left message to
@@ -24,7 +27,9 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterable
 
 from .errors import ChronicleError, DslSyntaxError, MissingTemplate
 from .extract import Message
@@ -328,19 +333,41 @@ def render_summary(graph: RelationGraph,
         for key in consumed:
             coverage.append((key, idx))
     seen = [k for k, _ in coverage]
-    assert len(seen) == len(set(seen)) == len(graph.edges), \
-        "every relation instance must be consumed exactly once"
+    if not len(seen) == len(set(seen)) == len(graph.edges):
+        raise ChronicleError(
+            f"every relation instance must be consumed exactly once: "
+            f"{len(graph.edges)} instances, {len(seen)} consumed, "
+            f"{len(set(seen))} distinct")
     text = "\n".join(sentences) + ("\n" if sentences else "")
     return RenderResult(text=text, sentences=sentences,
                         coverage=tuple(sorted(coverage)))
 
 
-def coverage_to_json(result: RenderResult) -> dict:
-    return {
-        "sentences": list(result.sentences),
-        "consumed": [{"relation": key, "sentence": idx}
-                     for key, idx in result.coverage],
-    }
+def _write_json_list(fh, items: Iterable[str]) -> None:
+    """Write already-encoded items as a JSON list indented like a top-level
+    value of ``json.dump(..., indent=2)``, one write per item."""
+    first = True
+    for item in items:
+        fh.write(("[\n    " if first else ",\n    ") + item)
+        first = False
+    fh.write("[]" if first else "\n  ]")
+
+
+def write_coverage(result: RenderResult, path: str | Path) -> None:
+    """Write the coverage trace with the bytes of ``json.dump(doc, indent=2,
+    sort_keys=True)`` plus a newline, where ``doc`` holds ``consumed`` (one
+    ``{"relation": key, "sentence": index}`` per consumed instance) and
+    ``sentences``. Records are formatted directly, strings escaped by the
+    encoder's own ASCII escaper, and written one at a time, as ``json.dump``
+    writes, so the document is never held in memory whole."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "consumed": ')
+        _write_json_list(fh, (f'{{\n      "relation": {encode_basestring_ascii(key)},\n'
+                              f'      "sentence": {idx:d}\n    }}'
+                              for key, idx in result.coverage))
+        fh.write(',\n  "sentences": ')
+        _write_json_list(fh, map(encode_basestring_ascii, result.sentences))
+        fh.write("\n}\n")
 
 
 # ---------------------------------------------------------------------------

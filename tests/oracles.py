@@ -3,14 +3,18 @@
 Each oracle follows the definition in the simplest way, pair by pair, so
 randomized tests can check the library against it. ``brute_force_oracle``
 in ``chronicle.relations`` plays the same part for relation evaluation.
-The three phrase scans at the end are the library's scans from before its
+The three phrase scans after them are the library's scans from before its
 phrase indexes, kept as they were: they try every gazetteer entry,
-instance or grammar pattern at every token.
+instance or grammar pattern at every token. The artifact writers at the
+end are the library's writers from before it formatted records itself:
+one ``json.dumps``/``json.dump`` call per record or document.
 """
 
 from __future__ import annotations
 
-from chronicle.corpus import _TOKEN_RE, Sentence, Token
+import json
+
+from chronicle.corpus import _TOKEN_RE, Sentence, Token, format_rfc3339
 from chronicle.ontology import Ontology
 from chronicle.relations import anchors_compatible, sort_instances
 from chronicle.summarize import instance_key
@@ -229,3 +233,52 @@ def find_temporal_expressions_oracle(
         else:
             i += 1
     return found
+
+
+def write_corpus_artifact_oracle(corpus, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"event_id": corpus.event_id}, sort_keys=True) + "\n")
+        for d in corpus.documents:
+            rec = {
+                "doc_id": d.doc_id,
+                "source": d.source,
+                "publish_time": format_rfc3339(d.publish_time),
+                "report_index": d.report_index,
+                "sentences": [
+                    {
+                        "index": s.index,
+                        "text": s.text,
+                        "tokens": [[t.surface, t.lemma, t.ne, t.start, t.end]
+                                   for t in s.tokens],
+                    }
+                    for s in d.sentences
+                ],
+            }
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def write_relations_oracle(instances, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in sort_instances(instances):
+            rec = {
+                "name": r.name,
+                "axis": r.axis,
+                "left": {"doc_id": r.left.doc_id,
+                         "sentence_index": r.left.sentence_index},
+                "right": {"doc_id": r.right.doc_id,
+                          "sentence_index": r.right.sentence_index},
+            }
+            if r.axis == "diachronic":
+                rec["distance"] = r.distance
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def write_coverage_oracle(result, path) -> None:
+    doc = {
+        "sentences": list(result.sentences),
+        "consumed": [{"relation": key, "sentence": idx}
+                     for key, idx in result.coverage],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -392,6 +392,18 @@ def test_simulate_rejects_empty_bursts(tmp_path, capsys):
     assert not (tmp_path / "simulated.jsonl").exists()
 
 
+@pytest.mark.parametrize("kind", ["linear", "non-linear"])
+@pytest.mark.parametrize("jitter", ["inf", "nan"])
+def test_simulate_rejects_non_finite_jitter(tmp_path, capsys, kind, jitter):
+    code = run(["simulate", "--kind", kind, "--jitter", jitter,
+                "--out-dir", tmp_path])
+    assert code == 2
+    err = one_json_error(capsys, "simulate")
+    assert err["error"] == "ValueError"
+    assert "jitter" in err["detail"]
+    assert not (tmp_path / "simulated.jsonl").exists()
+
+
 def summarize_hostage(out_dir, window="0"):
     root = FIXTURES / "hostage"
     return run(["summarize", "--ontology", root / "domain.spec",

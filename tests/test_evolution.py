@@ -113,6 +113,17 @@ def test_degenerate_burst_size_rejected(burst_size):
         StreamParams(burst_size=burst_size)
 
 
+@pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -float("inf"),
+                                    -0.01, 1.0, 1.5])
+def test_jitter_outside_0_to_1_rejected(jitter):
+    with pytest.raises(ValueError, match="jitter"):
+        StreamParams(jitter=jitter)
+
+
+def test_jitter_just_below_1_allowed():
+    assert StreamParams(jitter=0.99).jitter == 0.99
+
+
 def test_single_report_bursts_allowed():
     assert StreamParams(burst_size=(1, 1)).burst_size == (1, 1)
 

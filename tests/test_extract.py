@@ -115,6 +115,13 @@ def test_fill_arguments_nearest_to_trigger(hostage):
                     "about": "release"}
 
 
+def test_fill_arguments_rejects_spec_of_another_type(hostage):
+    spec = {m.name: m for m in hostage.message_specs}["negotiate"]
+    s = sent("the captors negotiated", lexicon=hostage.lexicon)
+    with pytest.raises(ValueError, match="negotiate"):
+        fill_arguments(s, "demand", hostage.ontology, spec, (2, 3))
+
+
 def test_fill_arguments_missing_candidate_is_null(hostage):
     spec = {m.name: m for m in hostage.message_specs}["negotiate"]
     s = sent("the captors negotiated", lexicon=hostage.lexicon)

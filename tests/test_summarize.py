@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from chronicle.errors import MissingTemplate
+from chronicle.errors import ChronicleError, MissingTemplate
 from chronicle.extract import Message
 from chronicle.ontology import ConditionAtom, RelationSpec
 from chronicle.relations import (WindowPolicy, detect_ellipsis,
@@ -98,6 +98,17 @@ def test_agreement_collapses_to_one_sentence_listing_sources():
     assert result.sentences == (
         "On 2004-09-01, A, B and C agreed on Alpha United: good.",)
     assert len(result.coverage) == 6
+
+
+@pytest.mark.parametrize("relation", [AGREEMENT, POSITIVE])
+def test_duplicated_edge_is_not_consumed_exactly_once(relation):
+    ms = [perf("A", "a0", day(1), "poor", 0), perf("A", "a1", day(3), "good", 1),
+          perf("B", "b0", day(1), "poor", 0)]
+    edges = evaluate_relations(ms, [relation], W0)
+    assert edges
+    graph = build_graph(ms, edges + edges[:1], W0)
+    with pytest.raises(ChronicleError, match="exactly once"):
+        render_summary(graph, TEMPLATES)
 
 
 def test_graduation_chain_renders_single_trend_sentence():
