@@ -113,7 +113,7 @@ def cmd_extract(args) -> int:
 def cmd_relate(args) -> int:
     out = _out_dir(args)
     ontology, message_specs, relation_specs, _ = _load_domain(args)
-    corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT)
+    corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT, tokens=False)
     messages = extract_mod.load_gold_messages(
         out / MESSAGES_ARTIFACT, message_specs, ontology, corpus)
     window = parse_window(args.window)
@@ -132,7 +132,7 @@ def cmd_relate(args) -> int:
 
 def cmd_analyze(args) -> int:
     out = _out_dir(args)
-    corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT)
+    corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT, tokens=False)
     report = evolution_mod.analyze_corpus(
         corpus,
         residual_threshold=args.residual_threshold,
@@ -150,7 +150,7 @@ def cmd_analyze(args) -> int:
 def cmd_summarize(args) -> int:
     out = _out_dir(args)
     ontology, message_specs, _, _ = _load_domain(args)
-    corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT)
+    corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT, tokens=False)
     messages = extract_mod.load_gold_messages(
         out / MESSAGES_ARTIFACT, message_specs, ontology, corpus)
     instances = relations_mod.read_relations(out / RELATIONS_ARTIFACT, messages)

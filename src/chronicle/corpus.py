@@ -101,7 +101,9 @@ def parse_rfc3339(value: str) -> datetime:
 
 
 def format_rfc3339(dt: datetime) -> str:
-    return to_utc(dt).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """UTC, to the second, with a four-digit year: glibc's ``strftime("%Y")``
+    writes year 999 as ``999``, which no parser here reads back."""
+    return to_utc(dt).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
 class PhraseIndex:
@@ -307,7 +309,29 @@ def write_corpus_artifact(corpus: Corpus, path: str | Path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_corpus_artifact(path: str | Path) -> Corpus:
+class _TokensNotRead:
+    """The tokens of a sentence read without them. Any use raises, so a
+    stage that needs tokens cannot mistake them for an empty sentence."""
+
+    def _fail(self, *args):
+        raise RuntimeError("the corpus artifact was read without tokens")
+
+    __iter__ = __len__ = __getitem__ = __bool__ = __contains__ = _fail
+
+
+_TOKENS_NOT_READ = _TokensNotRead()
+
+
+def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
+    """Load the ingest stage's artifact.
+
+    ``tokens=False`` is for the stages that read only document metadata and
+    sentence counts: no ``Token`` is built or checked, and any use of a
+    sentence's ``tokens`` raises RuntimeError. Either way a record that lacks
+    ``doc_id``, ``source``, ``publish_time``, ``report_index`` or
+    ``sentences``, or holds one of the wrong type, raises MalformedRecord
+    with the line.
+    """
     documents = []
     event_id = Path(path).stem
     for ln, rec in read_records(path):
@@ -315,18 +339,27 @@ def read_corpus_artifact(path: str | Path) -> Corpus:
             event_id = rec["event_id"]
             continue
         try:
+            doc_id, source = rec["doc_id"], rec["source"]
+            publish_time, report_index = rec["publish_time"], rec["report_index"]
+            if (not isinstance(doc_id, str) or not isinstance(source, str)
+                    or not isinstance(publish_time, str)
+                    or isinstance(report_index, bool)
+                    or not isinstance(report_index, int)
+                    or not isinstance(rec["sentences"], list)):
+                raise TypeError
             sentences = tuple(
                 Sentence(
                     index=s["index"], text=s["text"],
-                    tokens=tuple(Token(*row) for row in s["tokens"]))
+                    tokens=(tuple(Token(*row) for row in s["tokens"]) if tokens
+                            else _TOKENS_NOT_READ))
                 for s in rec["sentences"])
-            documents.append(Document(
-                doc_id=rec["doc_id"], source=rec["source"],
-                publish_time=parse_rfc3339(rec["publish_time"]),
-                sentences=sentences, report_index=rec["report_index"]))
         except KeyError as exc:
             raise MalformedRecord(f"missing {exc.args[0]}", str(path), ln) from None
         except TypeError:
             raise MalformedRecord("record does not have the corpus-artifact shape",
                                   str(path), ln) from None
+        documents.append(Document(
+            doc_id=doc_id, source=source,
+            publish_time=parse_rfc3339(publish_time),
+            sentences=sentences, report_index=report_index))
     return Corpus(event_id=event_id, documents=tuple(documents))

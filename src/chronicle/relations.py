@@ -16,6 +16,17 @@ ones come from per-source lists sorted by anchor start, where the later
 anchors of a message's source are one bisection away. Ellipsis runs the
 same sweep on per-(type, source) lists.
 
+``evaluate_relations`` runs each rule as a keyed join, since a rule's
+conditions are a conjunction of slot equalities plus a few other atoms.
+The rule's ``eq`` atoms, in order, give a key over the left message's
+slots and one over the right's; its ``const`` atoms filter each side. The
+right messages are grouped by key, and the sweep or the per-source lists
+run inside the left message's group only. A message with a null key slot,
+or one that fails a ``const`` atom, joins no group, since no atom matches a
+null slot. The ``neq``, ``lt`` and ``gt`` atoms are tested on each
+candidate. A ``distance==k`` rule looks up the group's messages of the same
+source at report index ``+k`` instead of scanning every later report.
+
 ``brute_force_oracle`` re-implements the whole contract literally and
 independently (no shared condition or window helpers) so tests can check
 the engine against it on randomized inputs.
@@ -191,6 +202,20 @@ def diachronic_pairs(messages: list[Message]) -> list[tuple[Message, Message, in
                                        _SourceLists(messages)))
 
 
+def _at_distance(lefts, rights: list[Message], k: int):
+    """(left, right, k) for same-source pairs exactly ``k`` reports apart at
+    strictly increasing anchor starts, found by a lookup on (source, report
+    index). Report order follows publish time, but anchors come from the
+    text, so the start test stays."""
+    at: dict[tuple[str, int], list[Message]] = {}
+    for m in rights:
+        at.setdefault((m.source, m.report_index), []).append(m)
+    for m1 in lefts:
+        for m2 in at.get((m1.source, m1.report_index + k), ()):
+            if m2.time.start > m1.time.start:
+                yield m1, m2, k
+
+
 def _distance_ok(constraint: tuple[str, int] | None, distance: int) -> bool:
     if constraint is None:
         return True
@@ -198,9 +223,46 @@ def _distance_ok(constraint: tuple[str, int] | None, distance: int) -> bool:
     return distance == k if op == "==" else distance >= k
 
 
+def _join_plan(spec: RelationSpec):
+    """A spec's conditions split for a keyed join: the left and right key
+    slots of its ``eq`` atoms in atom order, the (slot, value) pins of its
+    ``const`` atoms on each side, and the atoms left to ``evaluate_atom``."""
+    left_key, right_key, residual = [], [], []
+    pins: dict[str, list[tuple[str, str]]] = {"left": [], "right": []}
+    for atom in spec.conditions:
+        if atom.op == "eq":
+            left_key.append(atom.left_slot)
+            right_key.append(atom.right_slot)
+        elif atom.op == "const":
+            slot = atom.left_slot if atom.side == "left" else atom.right_slot
+            pins[atom.side].append((slot, atom.value))
+        else:
+            residual.append(atom)
+    return left_key, right_key, pins["left"], pins["right"], residual
+
+
+def _key_groups(items, key_slots: list[str], pins: list[tuple[str, str]]):
+    """_by_extent items grouped by their message's values in ``key_slots``,
+    each group in item order. A message with a null key slot, or one whose
+    pinned slot is null or holds another value, joins no group: no atom
+    matches a null slot."""
+    groups: dict[tuple, list] = {}
+    for item in items:
+        args = item[0].args
+        if any(args.get(slot) is None or args.get(slot) != value
+               for slot, value in pins):
+            continue
+        key = tuple(args.get(slot) for slot in key_slots)
+        if None not in key:
+            groups.setdefault(key, []).append(item)
+    return groups
+
+
 def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpec],
                        window: WindowPolicy) -> list[RelationInstance]:
-    """Match every relation spec against its axis candidates.
+    """Match every relation spec against its axis candidates, as a keyed
+    join: candidates are drawn only from the right messages that share the
+    left message's ``eq`` key and pass the ``const`` pins.
 
     Symmetric synchronic specs emit both directions. Output is deduplicated
     and deterministically sorted by (axis, name, left anchor, doc, sentence).
@@ -208,32 +270,42 @@ def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpe
     by_type: dict[str, list] = {}
     for item in _by_extent(messages, window):
         by_type.setdefault(item[0].msg_type, []).append(item)
-    sweeps = {t: _Sweep(items) for t, items in by_type.items()}
-    source_lists = {t: _SourceLists([m for m, _ in items])
-                    for t, items in by_type.items()}
     found: dict[tuple, RelationInstance] = {}
 
     def emit(inst: RelationInstance):
         found.setdefault(inst.key(), inst)
 
     for spec in relation_specs:
-        lefts = by_type.get(spec.left_type, [])
-        if spec.right_type not in by_type:
+        if spec.left_type not in by_type or spec.right_type not in by_type:
             continue
-        if spec.axis == SYNCHRONIC:
-            for m1, m2 in _synchronic_candidates(lefts, sweeps[spec.right_type]):
-                if all(evaluate_atom(a, m1.args, m2.args)
-                       for a in spec.conditions):
-                    emit(RelationInstance(spec.name, SYNCHRONIC, m1, m2))
-                    if spec.symmetric:
-                        emit(RelationInstance(spec.name, SYNCHRONIC, m2, m1))
-        else:
-            for m1, m2, distance in _diachronic_candidates(
-                    (m for m, _ in lefts), source_lists[spec.right_type]):
-                if not _distance_ok(spec.distance, distance):
-                    continue
-                if all(evaluate_atom(a, m1.args, m2.args)
-                       for a in spec.conditions):
+        left_key, right_key, left_pins, right_pins, residual = _join_plan(spec)
+        right_groups = _key_groups(by_type[spec.right_type], right_key, right_pins)
+        for key, lefts in _key_groups(by_type[spec.left_type], left_key,
+                                      left_pins).items():
+            rights = right_groups.get(key)
+            if rights is None:
+                continue
+            if spec.axis == SYNCHRONIC:
+                for m1, m2 in _synchronic_candidates(lefts, _Sweep(rights)):
+                    if not residual or all(evaluate_atom(a, m1.args, m2.args)
+                                           for a in residual):
+                        emit(RelationInstance(spec.name, SYNCHRONIC, m1, m2))
+                        if spec.symmetric:
+                            emit(RelationInstance(spec.name, SYNCHRONIC, m2, m1))
+                continue
+            left_messages = (m for m, _ in lefts)
+            right_messages = [m for m, _ in rights]
+            if spec.distance is not None and spec.distance[0] == "==":
+                pairs = _at_distance(left_messages, right_messages,
+                                     spec.distance[1])
+            else:
+                pairs = _diachronic_candidates(left_messages,
+                                               _SourceLists(right_messages))
+            for m1, m2, distance in pairs:
+                if (_distance_ok(spec.distance, distance)
+                        and (not residual
+                             or all(evaluate_atom(a, m1.args, m2.args)
+                                    for a in residual))):
                     emit(RelationInstance(spec.name, DIACHRONIC, m1, m2,
                                           distance=distance))
     return sort_instances(found.values())
@@ -341,7 +413,7 @@ def bucket_messages(messages: list[Message], window: WindowPolicy) -> list[Bucke
         if group:
             buckets.append(Bucket(
                 index=len(buckets),
-                label=group[0].time.start.strftime("%Y-%m-%d"),
+                label=group[0].time.start.date().isoformat(),
                 start=group[0].time.start,
                 messages=tuple(group)))
 

@@ -81,7 +81,7 @@ class TimeAnchor:
 
     def to_string(self) -> str:
         if self.kind == "day":
-            return self.start.strftime("%Y-%m-%d")
+            return self.start.date().isoformat()
         if self.kind == "instant":
             return format_rfc3339(self.start)
         return f"{format_rfc3339(self.start)}/{format_rfc3339(self.end)}"

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from chronicle import cli
+from chronicle import corpus as corpus_mod
 from chronicle import ontology as ontology_mod
 from chronicle.corpus import read_corpus_artifact
 from chronicle.extract import load_gold_messages
@@ -17,15 +19,21 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
-def run_pipeline(domain, out_dir, window="0"):
+def run_pipeline(domain, out_dir, window="0", corpus=None):
     root = FIXTURES / domain
-    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+    assert run(["ingest", "--corpus", corpus or root / "corpus.jsonl",
                 "--lexicon", root / "lexicon.tsv",
                 "--gazetteer", root / "gazetteer.tsv",
                 "--out-dir", out_dir]) == 0
     assert run(["extract", "--ontology", root / "domain.spec",
                 "--mode", "gold", "--gold", root / "gold_messages.jsonl",
                 "--out-dir", out_dir]) == 0
+    run_downstream(domain, out_dir, window)
+
+
+def run_downstream(domain, out_dir, window="0"):
+    """relate, analyze and summarize on the corpus and messages in out_dir."""
+    root = FIXTURES / domain
     assert run(["relate", "--ontology", root / "domain.spec",
                 "--window", window, "--out-dir", out_dir]) == 0
     assert run(["analyze", "--out-dir", out_dir]) == 0
@@ -363,24 +371,176 @@ def test_each_stage_parses_the_spec_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("key", ["sentences", "source", "publish_time",
-                                 "report_index"])
-def test_truncated_corpus_artifact_exits_2(tmp_path, capsys, key):
+def hostage_stage(stage, out_dir):
+    """The command line of one corpus-reading stage on the hostage domain."""
+    root = FIXTURES / "hostage"
+    domain = ["--ontology", root / "domain.spec"]
+    flags = {
+        "extract": domain + ["--mode", "rules"],
+        "relate": domain + ["--window", "0"],
+        "analyze": [],
+        "summarize": domain + ["--templates", root / "templates.txt",
+                               "--window", "0", "--out", out_dir / "s.txt"],
+    }[stage]
+    return [stage, *flags, "--out-dir", out_dir]
+
+
+def break_corpus_record(out_dir, change):
+    """Ingest the hostage corpus, apply ``change`` to the first document
+    record of the artifact and return that record's line number."""
     root = FIXTURES / "hostage"
     assert run(["ingest", "--corpus", root / "corpus.jsonl",
-                "--out-dir", tmp_path]) == 0
-    artifact = tmp_path / "corpus.jsonl"
+                "--out-dir", out_dir]) == 0
+    artifact = out_dir / "corpus.jsonl"
     lines = artifact.read_text().splitlines()
     ln = next(i for i, line in enumerate(lines, start=1)
               if "doc_id" in json.loads(line))
     record = json.loads(lines[ln - 1])
-    del record[key]
+    change(record)
     lines[ln - 1] = json.dumps(record)
     artifact.write_text("\n".join(lines) + "\n")
-    assert run(["analyze", "--out-dir", tmp_path]) == 2
-    err = one_json_error(capsys, "analyze")
-    assert err["error"] == "MalformedRecord"
-    assert f"corpus.jsonl:{ln}: missing {key}" in err["detail"]
+    return ln
+
+
+@pytest.mark.parametrize("key", ["sentences", "source", "publish_time",
+                                 "report_index", "doc_id"])
+def test_truncated_corpus_artifact_exits_2(tmp_path, capsys, key):
+    ln = break_corpus_record(tmp_path, lambda record: record.pop(key))
+    for stage in ["analyze", "relate", "summarize"]:
+        assert run(hostage_stage(stage, tmp_path)) == 2, stage
+        err = one_json_error(capsys, stage)
+        assert err["error"] == "MalformedRecord"
+        assert f"corpus.jsonl:{ln}: missing {key}" in err["detail"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("doc_id", 7), ("source", ["wire"]), ("publish_time", 20040918),
+    ("report_index", "0"), ("report_index", True), ("sentences", "text"),
+])
+def test_wrong_typed_corpus_field_exits_2(tmp_path, capsys, key, value):
+    ln = break_corpus_record(tmp_path, lambda record: record.update({key: value}))
+    for stage in ["extract", "analyze", "relate", "summarize"]:
+        assert run(hostage_stage(stage, tmp_path)) == 2, stage
+        err = one_json_error(capsys, stage)
+        assert err["error"] == "MalformedRecord"
+        assert (f"corpus.jsonl:{ln}: record does not have the corpus-artifact "
+                f"shape") in err["detail"]
+
+
+def test_only_extract_builds_tokens(tmp_path, monkeypatch, capsys):
+    """relate, analyze and summarize read no token; extract builds every one."""
+    root = FIXTURES / "hostage"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--lexicon", root / "lexicon.tsv",
+                "--gazetteer", root / "gazetteer.tsv",
+                "--out-dir", tmp_path]) == 0
+    records = [json.loads(line) for line in
+               (tmp_path / "corpus.jsonl").read_text().splitlines()]
+    tokens = sum(len(s["tokens"]) for r in records for s in r.get("sentences", []))
+    assert tokens > 0
+    built = []
+    token = corpus_mod.Token
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return token(*args, **kwargs)
+
+    monkeypatch.setattr(corpus_mod, "Token", counted)
+    for stage, want in [("extract", tokens), ("relate", 0), ("analyze", 0),
+                        ("summarize", 0)]:
+        built.clear()
+        assert run(hostage_stage(stage, tmp_path)) == 0, stage
+        assert len(built) == want, stage
+    capsys.readouterr()
+
+
+def test_corpus_read_without_tokens_refuses_token_use(tmp_path):
+    run_pipeline("football", tmp_path)
+    corpus = read_corpus_artifact(tmp_path / "corpus.jsonl", tokens=False)
+    full = read_corpus_artifact(tmp_path / "corpus.jsonl")
+    assert [(d.doc_id, d.source, d.publish_time, d.report_index, len(d.sentences))
+            for d in corpus.documents] == \
+        [(d.doc_id, d.source, d.publish_time, d.report_index, len(d.sentences))
+         for d in full.documents]
+    sentence = corpus.documents[0].sentences[0]
+    for use in (lambda s: list(s.tokens), lambda s: len(s.tokens),
+                lambda s: bool(s.tokens), lambda s: s.tokens[0],
+                lambda s: s.lemmas()):
+        with pytest.raises(RuntimeError, match="without tokens"):
+            use(sentence)
+
+
+def test_year_below_1000_round_trips_through_the_corpus(tmp_path, capsys):
+    root = FIXTURES / "football"
+    records = [json.loads(line) for line in
+               (root / "corpus.jsonl").read_text().splitlines()]
+    for record in records:
+        record["publish_time"] = record["publish_time"].replace("2004-", "0999-", 1)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out"
+    assert run(["ingest", "--corpus", corpus, "--lexicon", root / "lexicon.tsv",
+                "--gazetteer", root / "gazetteer.tsv", "--out-dir", out]) == 0
+    written = [json.loads(line)["publish_time"] for line in
+               (out / "corpus.jsonl").read_text().splitlines()[1:]]
+    assert written and all(t.startswith("0999-") for t in written)
+    assert run(["extract", "--ontology", root / "domain.spec",
+                "--out-dir", out]) == 0
+    assert run(["analyze", "--out-dir", out]) == 0
+    report = json.loads((out / "evolution.json").read_text())
+    assert report["model"]["t0"].startswith("0999-")
+    capsys.readouterr()
+
+
+def test_gold_time_below_year_1000_round_trips(tmp_path, capsys):
+    root = FIXTURES / "hostage"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--out-dir", tmp_path]) == 0
+    assert run(["extract", "--ontology", root / "domain.spec", "--mode", "gold",
+                "--gold", gold_with(tmp_path, time="0999-09-18"),
+                "--out-dir", tmp_path]) == 0
+    first = json.loads((tmp_path / "messages.jsonl").read_text().splitlines()[0])
+    assert first["time"] == "0999-09-18"
+    assert run(hostage_stage("relate", tmp_path)) == 0
+    assert run(hostage_stage("summarize", tmp_path)) == 0
+    summary = (tmp_path / "s.txt").read_text().splitlines()
+    assert summary[0].endswith("item on 0999-09-18; silent: courier, herald, "
+                               "late_wire and tribune.")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("domain", ["football", "hostage"])
+@pytest.mark.parametrize("window", ["0", "1d"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_input_order_leaves_artifacts_unchanged(tmp_path, domain, window, seed):
+    """Shuffling the raw corpus's documents, or the lines of a gold-mode
+    messages.jsonl, changes no artifact downstream of the shuffled file."""
+    rng = random.Random(seed)
+    run_pipeline(domain, tmp_path / "base", window)
+    base = snapshot(tmp_path / "base")
+
+    documents = (FIXTURES / domain / "corpus.jsonl").read_text().splitlines()
+    shuffled = documents[:]
+    while shuffled == documents:
+        rng.shuffle(shuffled)
+    (tmp_path / "raw").mkdir()
+    corpus = tmp_path / "raw" / "corpus.jsonl"
+    corpus.write_text("\n".join(shuffled) + "\n")
+    run_pipeline(domain, tmp_path / "documents", window, corpus=corpus)
+    assert snapshot(tmp_path / "documents") == base
+
+    messages = (tmp_path / "base" / "messages.jsonl").read_text().splitlines()
+    shuffled = messages[:]
+    while shuffled == messages:
+        rng.shuffle(shuffled)
+    out = tmp_path / "messages"
+    out.mkdir()
+    (out / "corpus.jsonl").write_bytes(base["corpus.jsonl"])
+    (out / "messages.jsonl").write_text("\n".join(shuffled) + "\n")
+    run_downstream(domain, out, window)
+    after = snapshot(out)
+    del after["messages.jsonl"], base["messages.jsonl"]
+    assert after == base
 
 
 def test_simulate_rejects_empty_bursts(tmp_path, capsys):

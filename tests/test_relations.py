@@ -274,6 +274,97 @@ def test_engine_matches_oracle(seed):
     assert keys(engine) == keys(oracle)
 
 
+def keyed_trial(seed: int, max_messages=50):
+    """Rules and messages aimed at the keyed join: few instance values, so
+    key groups are large; a slot used by two ``eq`` atoms; ``const`` and
+    ``eq`` mixed; rules with no ``eq`` atom; messages whose every slot is
+    null; several same-source messages at one report index, with anchors
+    drawn regardless of report order, for ``distance==k`` lookups."""
+    rng = random.Random(seed)
+    types = ["t0", "t1"][:rng.randint(1, 2)]
+    slot_names = ["s0", "s1", "s2"]
+    values = tuple(f"i{j}" for j in range(rng.randint(2, 3)))
+    sources = [f"src{j}" for j in range(rng.randint(1, 3))]
+
+    def eq(ls, rs):
+        return ConditionAtom(op="eq", left_slot=ls, right_slot=rs)
+
+    specs = []
+    for k in range(rng.randint(2, 8)):
+        lt, rt = rng.choice(types), rng.choice(types)
+        axis = rng.choice(["synchronic", "diachronic"])
+        shape = rng.choice(["eq", "shared", "const_eq", "no_eq"])
+        conds = []
+        if shape != "no_eq":
+            conds += [eq(rng.choice(slot_names), rng.choice(slot_names))
+                      for _ in range(rng.randint(1, 3))]
+        if shape == "shared":
+            shared = rng.choice(slot_names)
+            conds += [eq(shared, rng.choice(slot_names)),
+                      eq(shared, rng.choice(slot_names))]
+        if shape in ("const_eq", "no_eq"):
+            for _ in range(rng.randint(1, 2)):
+                side, slot = rng.choice(["left", "right"]), rng.choice(slot_names)
+                conds.append(ConditionAtom(
+                    op="const", side=side, value=rng.choice(values),
+                    left_slot=slot if side == "left" else None,
+                    right_slot=slot if side == "right" else None))
+        if rng.random() < 0.3:
+            conds.append(ConditionAtom(
+                op=rng.choice(["neq", "lt", "gt"]), left_slot=rng.choice(slot_names),
+                right_slot=rng.choice(slot_names), scale=values))
+        rng.shuffle(conds)
+        distance = None
+        if axis == "diachronic":
+            distance = rng.choice([None, ("==", rng.randint(0, 2)),
+                                   ("==", rng.randint(0, 2)),
+                                   (">=", rng.randint(0, 2))])
+        specs.append(RelationSpec(
+            name=f"k{k}", axis=axis, left_type=lt, right_type=rt,
+            conditions=tuple(conds), distance=distance,
+            symmetric=axis == "synchronic" and rng.random() < 0.5))
+    base = datetime(2004, 9, 1, tzinfo=UTC)
+    messages = []
+    report = {s: 0 for s in sources}
+    sentences: dict[str, int] = {}
+    for _ in range(rng.randint(2, max_messages)):
+        source = rng.choice(sources)
+        if rng.random() < 0.4:
+            report[source] += 1
+        doc = f"{source}-{report[source]}-{rng.choice('ab')}"
+        sentences[doc] = sentences.get(doc, -1) + 1
+        offset = timedelta(days=rng.randint(0, 6))
+        if rng.random() < 0.5:
+            anchor = TimeAnchor.day(base + offset)
+        else:
+            anchor = TimeAnchor.instant(
+                base + offset + timedelta(hours=rng.choice([0, 12])))
+        null_all = rng.random() < 0.15
+        args = {s: None if null_all or rng.random() < 0.15 else rng.choice(values)
+                for s in slot_names}
+        messages.append(Message(
+            msg_type=rng.choice(types), args=args, time=anchor, source=source,
+            doc_id=doc, sentence_index=sentences[doc],
+            report_index=report[source]))
+    width = rng.choice([timedelta(0), timedelta(hours=12), timedelta(days=2)])
+    return messages, specs, WindowPolicy(width)
+
+
+def test_bucket_label_pads_years_below_1000():
+    buckets = bucket_messages([msg(anchor=day(18, year=999))],
+                              WindowPolicy(timedelta(0)))
+    assert [b.label for b in buckets] == ["0999-09-18"]
+
+
+@pytest.mark.parametrize("seed", range(20_000, 20_200))
+def test_keyed_join_matches_oracle(seed):
+    messages, specs, window = keyed_trial(seed)
+    engine = evaluate_relations(messages, specs, window)
+    oracle = brute_force_oracle(messages, specs, window)
+    assert keys(engine) == keys(oracle)
+    assert [r.distance for r in engine] == [r.distance for r in oracle]
+
+
 @pytest.mark.parametrize("seed", range(0, 60))
 def test_buckets_match_oracle(seed):
     messages, _, window = random_trial(seed)

@@ -130,3 +130,18 @@ def test_day_anchor_extent_covers_whole_day():
     assert end - start == timedelta(days=1)
     assert end_open
     assert a.start == a.end
+
+
+@pytest.mark.parametrize("year", [1, 999, 1000, 2004, 9999])
+def test_anchor_strings_have_four_digit_years(year):
+    """glibc's strftime("%Y") writes year 999 as "999", which
+    ``from_string`` cannot read back; the anchor strings pad it."""
+    t = datetime(year, 9, 18, 10, 0, tzinfo=UTC)
+    day, instant = TimeAnchor.day(t), TimeAnchor.instant(t)
+    interval = TimeAnchor.interval(t, t + timedelta(hours=1))
+    assert day.to_string() == f"{year:04d}-09-18"
+    assert instant.to_string() == f"{year:04d}-09-18T10:00:00Z"
+    assert interval.to_string() == \
+        f"{year:04d}-09-18T10:00:00Z/{year:04d}-09-18T11:00:00Z"
+    for anchor in (day, instant, interval):
+        assert TimeAnchor.from_string(anchor.to_string()) == anchor
