@@ -6,29 +6,4 @@ classify the event's evolution pattern, and render a relation-driven
 summary.
 """
 
-from .corpus import (Corpus, Document, Sentence, Token, build_corpus,
-                     load_corpus, load_gazetteer, load_lexicon, tokenize)
-from .errors import ChronicleError
-from .evolution import (EmissionProfile, EvolutionReport, LinearModel,
-                        StreamParams, analyze_corpus, classify_emission,
-                        classify_linearity, fit_linear, generate_stream,
-                        plot_data)
-from .extract import (ClassifierModel, ExtractorConfig, Message, TriggerRule,
-                      classify_sentence, extract_corpus, extract_messages,
-                      fill_arguments, load_gold_messages, load_trigger_rules,
-                      train_classifier, validate_message)
-from .ontology import (ConditionAtom, MessageTypeSpec, Ontology, RelationSpec,
-                       dump_domain, is_subtype, load_message_specs,
-                       load_ontology, load_relation_specs)
-from .relations import (Bucket, EllipsisReport, RelationInstance, WindowPolicy,
-                        anchors_compatible, brute_force_oracle, bucket_messages,
-                        detect_ellipsis, diachronic_pairs, evaluate_relations,
-                        parse_window, synchronic_pairs)
-from .summarize import (RelationGraph, RenderResult, SummaryTemplate,
-                        build_graph, export_graph, load_templates,
-                        render_summary)
-from .temporal import (TemporalExpression, TimeAnchor,
-                       find_temporal_expressions, load_grammar, message_time,
-                       resolve)
-
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import starmap
 from pathlib import Path
 import re
 from typing import Iterable, Iterator, NamedTuple
@@ -322,6 +323,13 @@ class _TokensNotRead:
 _TOKENS_NOT_READ = _TokensNotRead()
 
 
+def _tokens(rows) -> tuple[Token, ...]:
+    """Tokens from their rows; a row that is not a 5-field array raises TypeError."""
+    if not all(type(row) is list and len(row) == 5 for row in rows):
+        raise TypeError
+    return tuple(starmap(Token, rows))
+
+
 def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
     """Load the ingest stage's artifact.
 
@@ -330,7 +338,8 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
     sentence's ``tokens`` raises RuntimeError. Either way a record that lacks
     ``doc_id``, ``source``, ``publish_time``, ``report_index`` or
     ``sentences``, or holds one of the wrong type, raises MalformedRecord
-    with the line.
+    with the line; with tokens, so does a token row that is not an array of
+    five fields.
     """
     documents = []
     event_id = Path(path).stem
@@ -350,8 +359,7 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
             sentences = tuple(
                 Sentence(
                     index=s["index"], text=s["text"],
-                    tokens=(tuple(Token(*row) for row in s["tokens"]) if tokens
-                            else _TOKENS_NOT_READ))
+                    tokens=_tokens(s["tokens"]) if tokens else _TOKENS_NOT_READ)
                 for s in rec["sentences"])
         except KeyError as exc:
             raise MalformedRecord(f"missing {exc.args[0]}", str(path), ln) from None

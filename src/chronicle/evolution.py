@@ -73,11 +73,6 @@ def fit_linear(timestamps) -> LinearModel:
     return LinearModel(t0=t0, period=period, residual=residual)
 
 
-def classify_linearity(timestamps, residual_threshold: float = 0.1) -> str:
-    model = fit_linear(timestamps)
-    return LINEAR if model.residual <= residual_threshold else NON_LINEAR
-
-
 @dataclass(frozen=True)
 class EmissionProfile:
     """Per-source report timestamps, sorted by source name."""

@@ -38,7 +38,6 @@ class Message:
     source: str
     doc_id: str
     sentence_index: int
-    trigger_span: tuple[int, int] | None = None
     report_index: int = 0
 
     def key(self) -> tuple[str, int]:
@@ -276,8 +275,14 @@ def validate_message(msg: Message, specs: list[MessageTypeSpec],
             return f"{slot}: {value!r} is not an ontology instance"
         if not is_subtype(ontology, got, concept):
             return f"{slot}: {value!r} is not an instance of {concept!r}"
+    return _violated_constraint(spec, msg.args)
+
+
+def _violated_constraint(spec: MessageTypeSpec,
+                         args: dict[str, str | None]) -> str | None:
+    """Why ``args`` break the first cross-slot constraint they break, or None."""
     for atom in spec.constraints:
-        if not constraint_satisfied(atom, msg.args):
+        if not constraint_satisfied(atom, args):
             return f"constraint violated: {atom.op} on " \
                    f"({atom.left_slot}, {atom.right_slot or atom.value})"
     return None
@@ -309,8 +314,7 @@ def extract_messages(document: Document, specs: list[MessageTypeSpec],
         anchor = message_time(sentence, document.publish_time, trigger)
         msg = Message(msg_type=msg_type, args=args, time=anchor,
                       source=document.source, doc_id=document.doc_id,
-                      sentence_index=sentence.index, trigger_span=trigger,
-                      report_index=document.report_index)
+                      sentence_index=sentence.index, report_index=document.report_index)
         reason = validate_message(msg, specs, ontology)
         if reason is not None:
             log.info("discard %s#%d (%s): %s",
@@ -394,14 +398,12 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
             anchor = TimeAnchor.from_string(rec["time"])
         else:
             anchor = TimeAnchor.day(doc.publish_time)
-        msg = Message(msg_type=msg_type, args=args, time=anchor,
-                      source=doc.source, doc_id=doc.doc_id,
-                      sentence_index=sidx, trigger_span=None,
-                      report_index=doc.report_index)
-        reason = validate_message(msg, specs, ontology)
+        reason = _violated_constraint(spec, args)
         if reason is not None:
             raise MalformedRecord(reason, str(path), ln)
-        messages.append(msg)
+        messages.append(Message(msg_type=msg_type, args=args, time=anchor,
+                                source=doc.source, doc_id=doc.doc_id,
+                                sentence_index=sidx, report_index=doc.report_index))
     return messages
 
 

@@ -625,71 +625,3 @@ def load_relation_specs(spec: str | Path | ParsedSpec,
             distance=d["distance"], symmetric=d["symmetric"]))
     return specs
 
-
-# ---------------------------------------------------------------------------
-# Serialization (canonical spec text; reloading yields equal objects)
-
-def _atom_text(atom: ConditionAtom, bare: bool = False) -> str:
-    def ref(side: str, slot: str) -> str:
-        return slot if bare else f"{side}.{slot}"
-
-    if atom.op == "const":
-        slot = atom.left_slot if atom.side == "left" else atom.right_slot
-        return f'{ref(atom.side, slot)} == "{atom.value}"'
-    op = {"eq": "==", "neq": "!=", "lt": "<", "gt": ">"}[atom.op]
-    return f"{ref('left', atom.left_slot)} {op} {ref('right', atom.right_slot)}"
-
-
-def dump_domain(ontology: Ontology,
-                message_specs: list[MessageTypeSpec] = (),
-                relation_specs: list[RelationSpec] = (),
-                triggers=()) -> str:
-    """Serialize a loaded domain back to canonical spec-file text.
-
-    ``triggers`` are the rules ``extract.load_trigger_rules`` returns.
-    """
-    lines: list[str] = []
-    parent = dict(ontology.parent)
-    emitted: set[str] = set()
-
-    def emit_concept(name: str):
-        if name in emitted:
-            return
-        if name in parent:
-            emit_concept(parent[name])
-            emitted.add(name)
-            lines.append(f"concept {name} < {parent[name]}")
-        else:
-            emitted.add(name)
-            lines.append(f"concept {name}")
-
-    for name in sorted(ontology.concepts):
-        emit_concept(name)
-    for instance, concept in ontology.instances:
-        lines.append(f"instance {instance} : {concept}")
-    for concept, values in ontology.ordered_scales:
-        lines.append(f"scale {concept} = " + " < ".join(values))
-    for m in message_specs:
-        sig = ", ".join(f"{s}: {c}" for s, c in m.slots)
-        where = ""
-        if m.constraints:
-            where = " where " + " && ".join(
-                _atom_text(a, bare=True) for a in m.constraints)
-        lines.append(f"message {m.name}({sig}){where}")
-    for r in relation_specs:
-        parts = [f"relation {r.name}", f"axis={r.axis}",
-                 f"left={r.left_type}", f"right={r.right_type}"]
-        if r.distance is not None:
-            parts.append(f"distance{r.distance[0]}{r.distance[1]}")
-        if r.symmetric:
-            parts.append("symmetric")
-        text = " ".join(parts)
-        if r.conditions:
-            text += " where " + " && ".join(_atom_text(a) for a in r.conditions)
-        lines.append(text)
-    for t in triggers:
-        text = f"trigger {t.msg_type} on [" + ", ".join(t.lemmas) + "]"
-        if t.requires:
-            text += " requires [" + ", ".join(t.requires) + "]"
-        lines.append(text)
-    return "\n".join(lines) + "\n"

@@ -100,10 +100,6 @@ def _extents_overlap(a, b) -> bool:
     return left_ok and right_ok
 
 
-def anchors_compatible(a: TimeAnchor, b: TimeAnchor, window: WindowPolicy) -> bool:
-    return _extents_overlap(_dilated(a, window), _dilated(b, window))
-
-
 @dataclass(frozen=True)
 class RelationInstance:
     name: str
@@ -569,8 +565,10 @@ def write_ellipsis(reports: list[EllipsisReport], path: str | Path) -> None:
 
 
 def read_ellipsis(path: str | Path, messages: list[Message]) -> list[EllipsisReport]:
+    """Load an ellipsis artifact; each message may have one report."""
     by_key = {m.key(): m for m in messages}
     out = []
+    seen = set()
     for ln, rec in read_records(path):
         try:
             message = _message_at(by_key, rec, path, ln)
@@ -586,6 +584,10 @@ def read_ellipsis(path: str | Path, messages: list[Message]) -> list[EllipsisRep
             raise MalformedRecord(
                 "ellipsis needs an integer bucket and a non-empty list of silent sources",
                 str(path), ln)
+        if message.key() in seen:
+            raise MalformedRecord(f"second ellipsis report for {message.key()!r}",
+                                  str(path), ln)
+        seen.add(message.key())
         out.append(EllipsisReport(message=message, bucket=bucket,
                                   silent_sources=tuple(silent)))
     return out

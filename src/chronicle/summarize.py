@@ -23,7 +23,6 @@ once before the budget trims lone sentences.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -369,43 +368,3 @@ def write_coverage(result: RenderResult, path: str | Path) -> None:
         _write_json_list(fh, map(encode_basestring_ascii, result.sentences))
         fh.write("\n}\n")
 
-
-# ---------------------------------------------------------------------------
-# Graph export
-
-def export_graph(graph: RelationGraph, format: str = "json") -> bytes:
-    """Serialize the graph with stable field order ("json" or "dot")."""
-    if format == "json":
-        doc = {
-            "nodes": [
-                {"doc_id": m.doc_id, "sentence_index": m.sentence_index,
-                 "type": m.msg_type, "source": m.source,
-                 "time": m.time.to_string(), "args": m.args}
-                for m in graph.nodes
-            ],
-            "edges": [
-                {"name": r.name, "axis": r.axis,
-                 "left": f"{r.left.doc_id}#{r.left.sentence_index}",
-                 "right": f"{r.right.doc_id}#{r.right.sentence_index}",
-                 "distance": r.distance}
-                for r in graph.edges
-            ],
-            "buckets": [
-                {"index": b.index, "label": b.label,
-                 "members": [f"{m.doc_id}#{m.sentence_index}" for m in b.messages]}
-                for b in graph.buckets
-            ],
-        }
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    if format == "dot":
-        lines = ["digraph chronicle {"]
-        for m in graph.nodes:
-            node_id = f"{m.doc_id}#{m.sentence_index}"
-            lines.append(f'  "{node_id}" [label="{m.msg_type}\\n{m.source}"];')
-        for r in graph.edges:
-            left = f"{r.left.doc_id}#{r.left.sentence_index}"
-            right = f"{r.right.doc_id}#{r.right.sentence_index}"
-            lines.append(f'  "{left}" -> "{right}" [label="{r.name}"];')
-        lines.append("}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ValueError(f"unknown export format {format!r}")

@@ -1,13 +1,20 @@
-"""Literal reference definitions of the stages that have a fast implementation.
+"""Literal reference definitions of the stages that have a fast
+implementation, and the helpers only tests use.
 
 Each oracle follows the definition in the simplest way, pair by pair, so
 randomized tests can check the library against it. ``brute_force_oracle``
 in ``chronicle.relations`` plays the same part for relation evaluation.
+``anchors_compatible`` is the synchronic window test as the
+``chronicle.relations`` docstring states it, with no helper shared with
+the sweeps it checks.
 The three phrase scans after them are the library's scans from before its
 phrase indexes, kept as they were: they try every gazetteer entry,
-instance or grammar pattern at every token. The artifact writers at the
-end are the library's writers from before it formatted records itself:
-one ``json.dumps``/``json.dump`` call per record or document.
+instance or grammar pattern at every token. The artifact writers after
+them are the library's writers from before it formatted records itself:
+one ``json.dumps``/``json.dump`` call per record or document. The
+evolution and spec-text helpers at the end have no counterpart in the
+package: the pipeline classifies linearity inside ``analyze_corpus`` and
+never writes a spec file.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from __future__ import annotations
 import json
 
 from chronicle.corpus import _TOKEN_RE, Sentence, Token, format_rfc3339
-from chronicle.ontology import Ontology
-from chronicle.relations import anchors_compatible, sort_instances
+from chronicle.evolution import LINEAR, NON_LINEAR, fit_linear
+from chronicle.ontology import ConditionAtom, MessageTypeSpec, Ontology, RelationSpec
+from chronicle.relations import sort_instances
 from chronicle.summarize import instance_key
 from chronicle.temporal import (_MONTHS, _WEEKDAYS, GrammarPattern,
                                 TemporalExpression, default_grammar)
@@ -24,6 +32,17 @@ from chronicle.temporal import (_MONTHS, _WEEKDAYS, GrammarPattern,
 
 def _sort_key(m):
     return (m.time.start, m.doc_id, m.sentence_index)
+
+
+def anchors_compatible(a, b, window) -> bool:
+    """Whether the two anchors' extents, each dilated by half the window
+    width, overlap; an open end does not reach its endpoint."""
+    half = window.width / 2
+    s1, e1, open1 = a.extent()
+    s2, e2, open2 = b.extent()
+    s1, e1, s2, e2 = s1 - half, e1 + half, s2 - half, e2 + half
+    return ((s2 < e1 or (s2 == e1 and not open1))
+            and (s1 < e2 or (s1 == e2 and not open2)))
 
 
 def bucket_oracle(messages, window) -> list[tuple[str, list[tuple[str, int]]]]:
@@ -282,3 +301,75 @@ def write_coverage_oracle(result, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def classify_linearity(timestamps, residual_threshold: float = 0.1) -> str:
+    model = fit_linear(timestamps)
+    return LINEAR if model.residual <= residual_threshold else NON_LINEAR
+
+
+def _atom_text(atom: ConditionAtom, bare: bool = False) -> str:
+    def ref(side: str, slot: str) -> str:
+        return slot if bare else f"{side}.{slot}"
+
+    if atom.op == "const":
+        slot = atom.left_slot if atom.side == "left" else atom.right_slot
+        return f'{ref(atom.side, slot)} == "{atom.value}"'
+    op = {"eq": "==", "neq": "!=", "lt": "<", "gt": ">"}[atom.op]
+    return f"{ref('left', atom.left_slot)} {op} {ref('right', atom.right_slot)}"
+
+
+def dump_domain(ontology: Ontology,
+                message_specs: list[MessageTypeSpec] = (),
+                relation_specs: list[RelationSpec] = (),
+                triggers=()) -> str:
+    """Serialize a loaded domain back to canonical spec-file text, which
+    reloads to equal objects.
+
+    ``triggers`` are the rules ``extract.load_trigger_rules`` returns.
+    """
+    lines: list[str] = []
+    parent = dict(ontology.parent)
+    emitted: set[str] = set()
+
+    def emit_concept(name: str):
+        if name in emitted:
+            return
+        if name in parent:
+            emit_concept(parent[name])
+            emitted.add(name)
+            lines.append(f"concept {name} < {parent[name]}")
+        else:
+            emitted.add(name)
+            lines.append(f"concept {name}")
+
+    for name in sorted(ontology.concepts):
+        emit_concept(name)
+    for instance, concept in ontology.instances:
+        lines.append(f"instance {instance} : {concept}")
+    for concept, values in ontology.ordered_scales:
+        lines.append(f"scale {concept} = " + " < ".join(values))
+    for m in message_specs:
+        sig = ", ".join(f"{s}: {c}" for s, c in m.slots)
+        where = ""
+        if m.constraints:
+            where = " where " + " && ".join(
+                _atom_text(a, bare=True) for a in m.constraints)
+        lines.append(f"message {m.name}({sig}){where}")
+    for r in relation_specs:
+        parts = [f"relation {r.name}", f"axis={r.axis}",
+                 f"left={r.left_type}", f"right={r.right_type}"]
+        if r.distance is not None:
+            parts.append(f"distance{r.distance[0]}{r.distance[1]}")
+        if r.symmetric:
+            parts.append("symmetric")
+        text = " ".join(parts)
+        if r.conditions:
+            text += " where " + " && ".join(_atom_text(a) for a in r.conditions)
+        lines.append(text)
+    for t in triggers:
+        text = f"trigger {t.msg_type} on [" + ", ".join(t.lemmas) + "]"
+        if t.requires:
+            text += " requires [" + ", ".join(t.requires) + "]"
+        lines.append(text)
+    return "\n".join(lines) + "\n"

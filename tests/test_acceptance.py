@@ -20,13 +20,13 @@ from chronicle.evolution import (StreamParams, analyze_corpus, generate_stream)
 from chronicle.extract import (ExtractorConfig, extract_corpus,
                                load_gold_messages, load_trigger_rules,
                                train_classifier, validate_message)
-from chronicle.relations import (WindowPolicy, anchors_compatible,
-                                 brute_force_oracle, detect_ellipsis,
-                                 evaluate_relations)
+from chronicle.relations import (WindowPolicy, brute_force_oracle,
+                                 detect_ellipsis, evaluate_relations)
 from chronicle.summarize import build_graph, load_templates, render_summary
 from chronicle.temporal import TimeAnchor, find_temporal_expressions, message_time, resolve
 
 from tests.conftest import FIXTURES, domain_bundle
+from tests.oracles import anchors_compatible
 from tests.test_relations import random_trial
 
 UTC = timezone.utc

@@ -13,7 +13,7 @@ import ast
 import importlib
 import importlib.util
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -59,6 +59,69 @@ def test_every_imported_name_exists(script):
     assert names
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), (script, module, name)
+
+
+def _in_scope(scope):
+    """The nodes of ``scope`` outside the functions defined in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bound_modules(scope):
+    """Local name to ``chronicle`` module for the imports made in ``scope``:
+    ``import chronicle.x`` binds ``chronicle``, ``from chronicle import x``
+    binds ``x`` when ``x`` is a module."""
+    bound = {}
+    for node in _in_scope(scope):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "chronicle":
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        bound["chronicle"] = "chronicle"
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "chronicle":
+            for alias in node.names:
+                value = getattr(importlib.import_module(node.module), alias.name, None)
+                if isinstance(value, ModuleType):
+                    bound[alias.asname or alias.name] = value.__name__
+    return bound
+
+
+def chronicle_attribute_uses(path):
+    """(module, attribute path) for every attribute read off a ``chronicle``
+    module that the file binds by import, as in ``relations.diachronic_pairs``
+    after ``from chronicle import relations``, within the function (or
+    module) that imports it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = [tree] + [n for n in ast.walk(tree)
+                       if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in scopes:
+        bound = _bound_modules(scope)
+        for node in ast.walk(scope):
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.append(node.attr)
+                node = node.value
+            if attrs and isinstance(node, ast.Name) and node.id in bound:
+                yield bound[node.id], tuple(reversed(attrs))
+
+
+def test_every_module_attribute_used_exists():
+    uses = [(script, module, attrs)
+            for script in ("checks.py", "worker.py", "generate.py")
+            for module, attrs in chronicle_attribute_uses(BENCHMARKS / script)]
+    assert uses
+    for script, module, attrs in uses:
+        value = importlib.import_module(module)
+        for attr in attrs:
+            assert hasattr(value, attr), (script, module, attrs)
+            value = getattr(value, attr)
 
 
 def test_every_stage_command_parses(monkeypatch, tmp_path):

@@ -300,6 +300,7 @@ def broken_record(path, kind):
     ("ellipsis.jsonl", "not-object"),
     ("ellipsis.jsonl", "false-sentence_index"),
     ("ellipsis.jsonl", "true-bucket"),
+    ("ellipsis.jsonl", "duplicate"),
 ])
 def test_malformed_relate_artifact_exits_2(tmp_path, capsys, artifact, kind):
     run_pipeline("hostage", tmp_path)
@@ -425,6 +426,21 @@ def test_wrong_typed_corpus_field_exits_2(tmp_path, capsys, key, value):
         assert err["error"] == "MalformedRecord"
         assert (f"corpus.jsonl:{ln}: record does not have the corpus-artifact "
                 f"shape") in err["detail"]
+
+
+@pytest.mark.parametrize("row", [
+    "ab", ["ab", "ab"], ["ab", "ab", None, 0, 2, 0], {"surface": "ab"},
+], ids=["string", "short-array", "long-array", "object"])
+def test_malformed_token_row_exits_2(tmp_path, capsys, row):
+    def change(record):
+        record["sentences"][0]["tokens"][0] = row
+
+    ln = break_corpus_record(tmp_path, change)
+    assert run(hostage_stage("extract", tmp_path)) == 2
+    err = one_json_error(capsys, "extract")
+    assert err["error"] == "MalformedRecord"
+    assert (f"corpus.jsonl:{ln}: record does not have the corpus-artifact "
+            f"shape") in err["detail"]
 
 
 def test_only_extract_builds_tokens(tmp_path, monkeypatch, capsys):

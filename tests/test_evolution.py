@@ -6,9 +6,9 @@ import pytest
 
 from chronicle.errors import TooFewPoints
 from chronicle.evolution import (EmissionProfile, StreamParams, analyze_corpus,
-                                 classify_emission, classify_linearity,
-                                 fit_linear, generate_stream, plot_data,
-                                 plot_data_csv)
+                                 classify_emission, fit_linear, generate_stream,
+                                 plot_data, plot_data_csv)
+from tests.oracles import classify_linearity
 
 UTC = timezone.utc
 WEEK_MINUTES = 7 * 24 * 60

@@ -8,9 +8,9 @@ from chronicle.errors import (CycleInTaxonomy, DslSyntaxError, DuplicateInstance
                               DuplicateMessageType, ScaleRequired,
                               UnknownConcept, UnknownMessageType, UnknownSlot)
 from chronicle.extract import load_trigger_rules
-from chronicle.ontology import (ConditionAtom, dump_domain, is_subtype,
-                                load_message_specs, load_ontology,
-                                load_relation_specs)
+from chronicle.ontology import (ConditionAtom, is_subtype, load_message_specs,
+                                load_ontology, load_relation_specs)
+from tests.oracles import dump_domain
 
 
 def write_spec(tmp_path, text, name="d.spec"):

@@ -7,13 +7,12 @@ import pytest
 
 from chronicle.extract import Message
 from chronicle.ontology import ConditionAtom, RelationSpec
-from chronicle.relations import (WindowPolicy, anchors_compatible,
-                                 brute_force_oracle, bucket_messages,
-                                 detect_ellipsis, diachronic_pairs,
-                                 evaluate_relations, parse_window,
-                                 synchronic_pairs)
+from chronicle.relations import (WindowPolicy, brute_force_oracle,
+                                 bucket_messages, detect_ellipsis,
+                                 diachronic_pairs, evaluate_relations,
+                                 parse_window, synchronic_pairs)
 from chronicle.temporal import TimeAnchor
-from tests.oracles import bucket_oracle, ellipsis_oracle
+from tests.oracles import anchors_compatible, bucket_oracle, ellipsis_oracle
 
 UTC = timezone.utc
 

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import json
 import random
-import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -13,8 +11,7 @@ from chronicle.ontology import ConditionAtom, RelationSpec
 from chronicle.relations import (WindowPolicy, detect_ellipsis,
                                  evaluate_relations)
 from chronicle.summarize import (SummaryTemplate, _diachronic_chains,
-                                 build_graph, export_graph, load_templates,
-                                 render_summary)
+                                 build_graph, load_templates, render_summary)
 from chronicle.temporal import TimeAnchor
 from tests.oracles import chains_oracle
 from tests.test_relations import random_trial
@@ -220,20 +217,6 @@ def test_template_file_syntax_error(tmp_path):
     path.write_text("template agreement missing colon\n")
     with pytest.raises(DslSyntaxError):
         load_templates(path)
-
-
-def test_export_graph_json_and_dot_round_trip_counts(hostage):
-    edges = evaluate_relations(hostage.gold, hostage.relation_specs, W0)
-    graph = build_graph(hostage.gold, edges, W0)
-    doc = json.loads(export_graph(graph, "json"))
-    assert len(doc["nodes"]) == len(graph.nodes)
-    assert len(doc["edges"]) == len(graph.edges)
-    dot = export_graph(graph, "dot").decode("utf-8")
-    node_lines = re.findall(r'^  "[^"]+" \[label=', dot, flags=re.M)
-    edge_lines = re.findall(r'^  "[^"]+" -> "[^"]+"', dot, flags=re.M)
-    assert len(node_lines) == len(graph.nodes)
-    assert len(edge_lines) == len(graph.edges)
-    assert export_graph(graph, "json") == export_graph(graph, "json")
 
 
 @pytest.mark.parametrize("seed", range(0, 80))
