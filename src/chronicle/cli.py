@@ -155,7 +155,8 @@ def cmd_summarize(args) -> int:
         out / MESSAGES_ARTIFACT, message_specs, ontology, corpus)
     instances = relations_mod.read_relations(out / RELATIONS_ARTIFACT, messages)
     ellipsis_path = out / ELLIPSIS_ARTIFACT
-    reports = (relations_mod.read_ellipsis(ellipsis_path, messages)
+    reports = (relations_mod.read_ellipsis(ellipsis_path, messages,
+                                           corpus.sources)
                if ellipsis_path.exists() else [])
     window = parse_window(args.window)
     templates = summarize_mod.load_templates(args.templates)

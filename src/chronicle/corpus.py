@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import starmap
+from json.scanner import make_scanner
 from pathlib import Path
 import re
 from typing import Iterable, Iterator, NamedTuple
@@ -120,7 +121,7 @@ class PhraseIndex:
     def __init__(self, phrases: Iterable[tuple[str, str]]):
         entries: list[tuple[tuple[str, ...], str]] = []
         for surface, value in phrases:
-            key = tuple(m.group(0).lower() for m in _TOKEN_RE.finditer(surface))
+            key = tuple(t.lower() for t in _TOKEN_RE.findall(surface))
             if key:
                 entries.append((key, value))
         entries.sort(key=lambda e: (-len(e[0]), e[0]))
@@ -136,16 +137,26 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, record) for each non-blank line of a JSON-lines file.
 
     A line that is not valid JSON, or not a JSON object, raises
-    MalformedRecord naming the file and line.
+    MalformedRecord naming the file and line. Each line goes straight to
+    the JSON scanner, without ``json.loads``' per-call checks; a line that
+    the scanner does not read whole, up to JSON whitespace, goes to
+    ``json.loads``, so blank lines and decoding errors read as they did.
     """
+    scan = make_scanner(json.JSONDecoder())
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
             try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"invalid JSON ({exc.msg})", str(path), ln) from None
+                rec, end = scan(raw, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end < 0 or raw[end:].strip(" \t\n\r"):
+                if not raw.strip():
+                    continue
+                try:
+                    rec = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(f"invalid JSON ({exc.msg})",
+                                          str(path), ln) from None
             if not isinstance(rec, dict):
                 raise MalformedRecord("record is not an object", str(path), ln)
             yield ln, rec

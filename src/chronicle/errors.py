@@ -69,13 +69,17 @@ class CorpusError(ChronicleError):
     """Error in a corpus file or record."""
 
 
+def _located(reason: str, path: str | None, line: int | None) -> str:
+    """``reason``, prefixed ``path:line:`` when both are known."""
+    return reason if path is None or line is None else f"{path}:{line}: {reason}"
+
+
 class MalformedRecord(CorpusError):
     def __init__(self, reason: str, path: str | None = None, line: int | None = None):
         self.reason = reason
         self.path = path
         self.line = line
-        loc = f"{path}:{line}: " if path is not None and line is not None else ""
-        super().__init__(f"{loc}{reason}")
+        super().__init__(_located(reason, path, line))
 
 
 class DuplicateDocId(CorpusError):
@@ -100,23 +104,31 @@ class UnresolvableExpression(ChronicleError):
 
 
 class GoldMessageError(ChronicleError):
-    """Error in a gold-message file."""
+    """Error in a gold-message file, prefixed ``path:line:`` when both are
+    known."""
+
+    def __init__(self, reason: str, path: str | None = None, line: int | None = None):
+        self.path = path
+        self.line = line
+        super().__init__(_located(reason, path, line))
 
 
 class SlotTypeViolation(GoldMessageError):
-    def __init__(self, msg_type: str, slot: str, value: str, expected: str):
+    def __init__(self, msg_type: str, slot: str, value: str, expected: str,
+                 path: str | None = None, line: int | None = None):
         self.msg_type = msg_type
         self.slot = slot
         self.value = value
         self.expected = expected
         super().__init__(
-            f"{msg_type}.{slot}: {value!r} is not an instance of {expected}")
+            f"{msg_type}.{slot}: {value!r} is not an instance of {expected}",
+            path, line)
 
 
 class UnparsableAnchor(GoldMessageError):
-    def __init__(self, value: str):
+    def __init__(self, value: str, path: str | None = None, line: int | None = None):
         self.value = value
-        super().__init__(f"unparsable time anchor {value!r}")
+        super().__init__(f"unparsable time anchor {value!r}", path, line)
 
 
 class EmptyTrainingSet(ChronicleError):

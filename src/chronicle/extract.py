@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .corpus import Corpus, Document, Sentence, read_records
 from .errors import (EmptyTrainingSet, MalformedRecord, SlotTypeViolation,
-                     UnknownMessageType, UnknownSlot)
+                     UnknownMessageType, UnknownSlot, UnparsableAnchor)
 from .ontology import (MessageTypeSpec, Ontology, ParsedSpec,
                        constraint_satisfied, is_subtype)
 from .temporal import TimeAnchor, _span_distance, message_time
@@ -392,10 +392,14 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
                         str(path), ln)
                 got = ontology.concept_of(value)
                 if got is None or not is_subtype(ontology, got, concept):
-                    raise SlotTypeViolation(msg_type, slot, value, concept)
+                    raise SlotTypeViolation(msg_type, slot, value, concept,
+                                            str(path), ln)
             args[slot] = value
         if "time" in rec and rec["time"] is not None:
-            anchor = TimeAnchor.from_string(rec["time"])
+            try:
+                anchor = TimeAnchor.from_string(rec["time"])
+            except UnparsableAnchor as exc:
+                raise UnparsableAnchor(exc.value, str(path), ln) from None
         else:
             anchor = TimeAnchor.day(doc.publish_time)
         reason = _violated_constraint(spec, args)

@@ -6,6 +6,12 @@ value scales, message signatures with optional cross-slot constraints,
 relation rules over message pairs, and trigger-lemma lines consumed by the
 extraction stage. Relation rules and message constraints share a single
 condition-atom grammar and a single evaluator.
+
+Most lines of a grown domain are ``instance`` and ``concept`` lines, so each
+line is first tried against one whole-line pattern for each of those two
+forms (spaces and tabs between tokens). Every other line, and every line
+that fails the pattern, goes to the column-tracking cursor, which parses
+the remaining statements and reports every syntax error.
 """
 
 from __future__ import annotations
@@ -22,6 +28,15 @@ from .errors import (CycleInTaxonomy, DslSyntaxError, DuplicateInstance,
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INSTANCE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+# Whole instance and concept lines, matching only lines that the cursor
+# reads to the same statement: the keyword needs a blank after it, or the
+# cursor would read a longer keyword.
+_INSTANCE_LINE = re.compile(
+    r"[ \t]*instance[ \t]+([A-Za-z_][A-Za-z0-9_-]*)[ \t]*:[ \t]*"
+    r"([A-Za-z_][A-Za-z0-9_]*)[ \t]*")
+_CONCEPT_LINE = re.compile(
+    r"[ \t]*concept[ \t]+([A-Za-z_][A-Za-z0-9_]*)"
+    r"(?:[ \t]*<[ \t]*([A-Za-z_][A-Za-z0-9_]*))?[ \t]*")
 
 SYNCHRONIC = "synchronic"
 DIACHRONIC = "diachronic"
@@ -275,6 +290,12 @@ def _parse_atoms(cur: _Cursor) -> list[dict]:
 
 
 def _parse_line(line: str, ln: int, path: str) -> Statement | None:
+    m = _INSTANCE_LINE.fullmatch(line)
+    if m:
+        return Statement("instance", ln, {"name": m[1], "concept": m[2]})
+    m = _CONCEPT_LINE.fullmatch(line)
+    if m:
+        return Statement("concept", ln, {"name": m[1], "parent": m[2]})
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
@@ -395,9 +416,10 @@ def _parse_line(line: str, ln: int, path: str) -> Statement | None:
 def parse_spec_file(path: str | Path) -> list[Statement]:
     """Parse a spec file into raw statements (no semantic validation)."""
     statements = []
+    name = str(path)
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
-            stmt = _parse_line(raw.rstrip("\n"), ln, str(path))
+            stmt = _parse_line(raw.rstrip("\n"), ln, name)
             if stmt is not None:
                 statements.append(stmt)
     return statements

@@ -497,12 +497,14 @@ def _message_ref(m: Message) -> str:
 
 
 def write_relations(instances: list[RelationInstance], path: str | Path) -> None:
-    """One line per instance, in ``sort_instances`` order, with the bytes of
+    """One line per instance, in the order given, with the bytes of
     ``json.dumps(record, sort_keys=True)``: keys ``axis``, ``distance``
     (diachronic only), ``left``, ``name`` and ``right``, each message given
-    by ``doc_id`` and ``sentence_index``."""
+    by ``doc_id`` and ``sentence_index``. ``evaluate_relations`` returns
+    its instances in ``sort_instances`` order, the artifact's order, so
+    they are not sorted again here."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in sort_instances(instances):
+        for r in instances:
             distance = f'"distance": {r.distance:d}, ' if r.axis == DIACHRONIC else ""
             fh.write(f'{{"axis": {encode_basestring_ascii(r.axis)}, {distance}'
                      f'"left": {_message_ref(r.left)}, '
@@ -564,8 +566,10 @@ def write_ellipsis(reports: list[EllipsisReport], path: str | Path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_ellipsis(path: str | Path, messages: list[Message]) -> list[EllipsisReport]:
-    """Load an ellipsis artifact; each message may have one report."""
+def read_ellipsis(path: str | Path, messages: list[Message],
+                  sources: set[str]) -> list[EllipsisReport]:
+    """Load an ellipsis artifact; each message may have one report, whose
+    silent sources are distinct corpus ``sources`` other than its own."""
     by_key = {m.key(): m for m in messages}
     out = []
     seen = set()
@@ -584,6 +588,17 @@ def read_ellipsis(path: str | Path, messages: list[Message]) -> list[EllipsisRep
             raise MalformedRecord(
                 "ellipsis needs an integer bucket and a non-empty list of silent sources",
                 str(path), ln)
+        for i, source in enumerate(silent):
+            if source == message.source:
+                problem = "is the reporting source"
+            elif source not in sources:
+                problem = "has no document in the corpus"
+            elif source in silent[:i]:
+                problem = "is repeated"
+            else:
+                continue
+            raise MalformedRecord(f"silent source {source!r} {problem}",
+                                  str(path), ln)
         if message.key() in seen:
             raise MalformedRecord(f"second ellipsis report for {message.key()!r}",
                                   str(path), ln)

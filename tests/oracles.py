@@ -11,19 +11,26 @@ The three phrase scans after them are the library's scans from before its
 phrase indexes, kept as they were: they try every gazetteer entry,
 instance or grammar pattern at every token. The artifact writers after
 them are the library's writers from before it formatted records itself:
-one ``json.dumps``/``json.dump`` call per record or document. The
+one ``json.dumps``/``json.dump`` call per record or document, and the
+JSON-lines reader from before it called the JSON scanner itself. The
 evolution and spec-text helpers at the end have no counterpart in the
 package: the pipeline classifies linearity inside ``analyze_corpus`` and
-never writes a spec file.
+never writes a spec file. Last comes the spec line parser from before the
+whole-line patterns for ``instance`` and ``concept`` lines: the cursor
+alone, as it was.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from chronicle.corpus import _TOKEN_RE, Sentence, Token, format_rfc3339
 from chronicle.evolution import LINEAR, NON_LINEAR, fit_linear
-from chronicle.ontology import ConditionAtom, MessageTypeSpec, Ontology, RelationSpec
+from chronicle.errors import DslSyntaxError, MalformedRecord
+from chronicle.ontology import (_INSTANCE_RE, _NAME_RE, DIACHRONIC, SYNCHRONIC,
+                                ConditionAtom, MessageTypeSpec, Ontology,
+                                RelationSpec, Statement, _parse_atoms)
 from chronicle.relations import sort_instances
 from chronicle.summarize import instance_key
 from chronicle.temporal import (_MONTHS, _WEEKDAYS, GrammarPattern,
@@ -276,6 +283,21 @@ def write_corpus_artifact_oracle(corpus, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def read_records_oracle(path):
+    """``read_records`` as it was before it called the JSON scanner."""
+    with open(path, encoding="utf-8") as fh:
+        for ln, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                rec = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(f"invalid JSON ({exc.msg})", str(path), ln) from None
+            if not isinstance(rec, dict):
+                raise MalformedRecord("record is not an object", str(path), ln)
+            yield ln, rec
+
+
 def write_relations_oracle(instances, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in sort_instances(instances):
@@ -373,3 +395,194 @@ def dump_domain(ontology: Ontology,
             text += " requires [" + ", ".join(t.requires) + "]"
         lines.append(text)
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The spec line parser before its whole-line patterns
+
+class _Cursor:
+    """Single-line scanner that reports 1-based columns on error."""
+
+    def __init__(self, text: str, path: str, line: int):
+        self.text = text
+        self.pos = 0
+        self.path = path
+        self.line = line
+
+    def error(self, msg: str, pos: int | None = None):
+        raise DslSyntaxError(msg, self.path, self.line,
+                             (self.pos if pos is None else pos) + 1)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def expect_end(self):
+        if not self.at_end():
+            self.error(f"unexpected trailing input {self.text[self.pos:].strip()!r}")
+
+    def try_literal(self, literal: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(literal, self.pos):
+            self.pos += len(literal)
+            return True
+        return False
+
+    def expect_literal(self, literal: str):
+        if not self.try_literal(literal):
+            self.error(f"expected {literal!r}")
+
+    def name(self, what: str = "name", pattern: re.Pattern = _NAME_RE) -> str:
+        self.skip_ws()
+        m = pattern.match(self.text, self.pos)
+        if not m:
+            self.error(f"expected {what}")
+        self.pos = m.end()
+        return m.group(0)
+
+    def instance_name(self, what: str = "instance name") -> str:
+        return self.name(what, _INSTANCE_RE)
+
+    def quoted(self) -> str:
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != '"':
+            self.error("expected quoted value")
+        end = self.text.find('"', self.pos + 1)
+        if end < 0:
+            self.error("unterminated quote")
+        value = self.text[self.pos + 1:end]
+        self.pos = end + 1
+        return value
+
+    def integer(self) -> int:
+        self.skip_ws()
+        m = re.compile(r"\d+").match(self.text, self.pos)
+        if not m:
+            self.error("expected integer")
+        self.pos = m.end()
+        return int(m.group(0))
+
+
+def parse_line_oracle(line: str, ln: int, path: str) -> Statement | None:
+    """The spec line parser as it was before the whole-line patterns: the
+    cursor alone reads every line. Condition atoms go to the library's
+    ``_parse_atoms``, which the patterns left as it was."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    cur = _Cursor(line, path, ln)
+    cur.skip_ws()
+    keyword = cur.name("statement keyword")
+
+    if keyword == "concept":
+        name = cur.name("concept name")
+        parent = None
+        if cur.try_literal("<"):
+            parent = cur.name("parent concept")
+        cur.expect_end()
+        return Statement("concept", ln, {"name": name, "parent": parent})
+
+    if keyword == "instance":
+        name = cur.instance_name()
+        cur.expect_literal(":")
+        concept = cur.name("concept name")
+        cur.expect_end()
+        return Statement("instance", ln, {"name": name, "concept": concept})
+
+    if keyword == "scale":
+        concept = cur.name("concept name")
+        cur.expect_literal("=")
+        values = [cur.instance_name("scale value")]
+        while cur.try_literal("<"):
+            values.append(cur.instance_name("scale value"))
+        cur.expect_end()
+        return Statement("scale", ln, {"concept": concept, "values": values})
+
+    if keyword == "message":
+        name = cur.name("message type name")
+        cur.expect_literal("(")
+        slots = []
+        if not cur.try_literal(")"):
+            while True:
+                slot = cur.name("slot name")
+                cur.expect_literal(":")
+                concept = cur.name("concept name")
+                slots.append((slot, concept))
+                if cur.try_literal(")"):
+                    break
+                cur.expect_literal(",")
+        atoms = _parse_atoms(cur) if cur.try_literal("where") else []
+        cur.expect_end()
+        return Statement("message", ln, {"name": name, "slots": slots,
+                                         "atoms": atoms})
+
+    if keyword == "relation":
+        name = cur.name("relation name")
+        axis = left = right = None
+        distance = None
+        symmetric = False
+        while True:
+            cur.skip_ws()
+            pos = cur.pos
+            if cur.at_end():
+                break
+            if cur.try_literal("where"):
+                cur.pos = pos
+                break
+            key = cur.name("relation property")
+            if key == "axis":
+                cur.expect_literal("=")
+                axis = cur.name("axis")
+                if axis not in (SYNCHRONIC, DIACHRONIC):
+                    cur.error(f"axis must be {SYNCHRONIC} or {DIACHRONIC}", pos)
+            elif key == "left":
+                cur.expect_literal("=")
+                left = cur.name("message type")
+            elif key == "right":
+                cur.expect_literal("=")
+                right = cur.name("message type")
+            elif key == "distance":
+                if cur.try_literal(">="):
+                    distance = (">=", cur.integer())
+                elif cur.try_literal("=="):
+                    distance = ("==", cur.integer())
+                else:
+                    cur.error("expected distance==k or distance>=k", pos)
+            elif key == "symmetric":
+                symmetric = True
+            else:
+                cur.error(f"unknown relation property {key!r}", pos)
+        atoms = _parse_atoms(cur) if cur.try_literal("where") else []
+        cur.expect_end()
+        for label, value in (("axis", axis), ("left", left), ("right", right)):
+            if value is None:
+                cur.error(f"relation {name!r} is missing {label}=", 0)
+        return Statement("relation", ln, {
+            "name": name, "axis": axis, "left": left, "right": right,
+            "distance": distance, "symmetric": symmetric, "atoms": atoms})
+
+    if keyword == "trigger":
+        msg_type = cur.name("message type")
+        cur.expect_literal("on")
+        cur.expect_literal("[")
+        lemmas = [cur.instance_name("lemma")]
+        while cur.try_literal(","):
+            lemmas.append(cur.instance_name("lemma"))
+        cur.expect_literal("]")
+        requires: list[str] = []
+        if cur.try_literal("requires"):
+            cur.expect_literal("[")
+            requires.append(cur.name("NE label"))
+            while cur.try_literal(","):
+                requires.append(cur.name("NE label"))
+            cur.expect_literal("]")
+        cur.expect_end()
+        return Statement("trigger", ln, {"msg_type": msg_type, "lemmas": lemmas,
+                                         "requires": requires})
+
+    cur.error(f"unknown statement {keyword!r}", 0)
+    return None

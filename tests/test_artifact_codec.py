@@ -20,7 +20,7 @@ from chronicle.corpus import (Token, build_corpus, read_corpus_artifact,
                               write_corpus_artifact)
 from chronicle.extract import Message
 from chronicle.relations import (RelationInstance, evaluate_relations,
-                                 write_relations)
+                                 sort_instances, write_relations)
 from chronicle.summarize import RenderResult, write_coverage
 from chronicle.temporal import TimeAnchor
 from tests.oracles import (write_corpus_artifact_oracle, write_coverage_oracle,
@@ -69,7 +69,8 @@ def random_relations(rng: random.Random) -> list[RelationInstance]:
 
 @pytest.mark.parametrize("seed", range(60))
 def test_relations_writer_matches_json_dumps(tmp_path, seed):
-    instances = random_relations(random.Random(seed))
+    # the writer keeps the order it is given; the engine gives it sorted
+    instances = sort_instances(random_relations(random.Random(seed)))
     write_relations(instances, tmp_path / "fast.jsonl")
     write_relations_oracle(instances, tmp_path / "reference.jsonl")
     written = (tmp_path / "fast.jsonl").read_bytes()

@@ -235,6 +235,24 @@ def test_malformed_gold_record_exits_2(tmp_path, capsys, changes):
     assert "gold.jsonl:1:" in err["detail"]
 
 
+@pytest.mark.parametrize("changes,error,reason", [
+    ({"time": "2004-13-01"}, "UnparsableAnchor",
+     "unparsable time anchor '2004-13-01'"),
+    ({"args": {"entity": "occupation"}}, "SlotTypeViolation",
+     "start.entity: 'occupation' is not an instance of Person"),
+], ids=["unparsable-time", "slot-of-wrong-concept"])
+def test_gold_error_names_file_and_line(tmp_path, capsys, changes, error, reason):
+    root = FIXTURES / "hostage"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--out-dir", tmp_path]) == 0
+    code = run(["extract", "--ontology", root / "domain.spec", "--mode", "gold",
+                "--gold", gold_with(tmp_path, **changes), "--out-dir", tmp_path])
+    assert code == 2
+    err = one_json_error(capsys, "extract")
+    assert err["error"] == error
+    assert err["detail"].endswith(f"gold.jsonl:1: {reason}")
+
+
 def replace_first_line(path, line):
     lines = path.read_text().splitlines()
     path.write_text("\n".join([line] + lines[1:]) + "\n")
@@ -271,6 +289,13 @@ def broken_record(path, kind):
     elif kind.startswith("empty-"):
         record[kind[len("empty-"):]] = []
         lines[0] = json.dumps(record)
+    elif kind.endswith("-silent_source"):
+        corpus = read_corpus_artifact(path.parent / "corpus.jsonl", tokens=False)
+        extra = {"own": corpus.document(record["doc_id"]).source,
+                 "unknown": "nobody",
+                 "repeated": record["silent_sources"][0]}[kind.split("-")[0]]
+        record["silent_sources"].append(extra)
+        lines[0] = json.dumps(record)
     elif kind.startswith(("false-", "true-")):
         # "false-left.sentence_index" sets record["left"]["sentence_index"]
         value, _, field = kind.partition("-")
@@ -297,6 +322,9 @@ def broken_record(path, kind):
     ("ellipsis.jsonl", "missing-silent_sources"),
     ("ellipsis.jsonl", "missing-doc_id"),
     ("ellipsis.jsonl", "empty-silent_sources"),
+    ("ellipsis.jsonl", "own-silent_source"),
+    ("ellipsis.jsonl", "unknown-silent_source"),
+    ("ellipsis.jsonl", "repeated-silent_source"),
     ("ellipsis.jsonl", "not-object"),
     ("ellipsis.jsonl", "false-sentence_index"),
     ("ellipsis.jsonl", "true-bucket"),

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
 from datetime import timedelta
 
 import pytest
 
-from chronicle.corpus import PhraseIndex, load_corpus, parse_rfc3339, tokenize
+from chronicle.corpus import (PhraseIndex, load_corpus, parse_rfc3339,
+                              read_records, tokenize)
 from chronicle.errors import DuplicateDocId, MalformedRecord, UnparsableTimestamp
+from tests.oracles import read_records_oracle
 
 
 def write_jsonl(path, records):
@@ -143,3 +146,46 @@ def test_publish_time_nondecreasing_over_report_index(hostage, football):
             docs.sort(key=lambda d: d.report_index)
             for a, b in zip(docs, docs[1:]):
                 assert a.publish_time <= b.publish_time
+
+
+# Lines of JSON-lines files: records with JSON whitespace around them,
+# blank lines with whitespace JSON does not allow, and pieces of broken
+# lines: values that are not objects, a byte-order mark, constants, numbers
+# the scanner reads in its own way, and broken syntax.
+RECORDS = ['{"a": 1}', '{"a": [1, {"b": null}], "c": "\\u00e9"}', "{}",
+           '{"n": -0.0, "m": 1e999}']
+BLANK_LINES = ["", " ", "\t", "\r", "\x0c", "\u00a0 "]
+LINE_PIECES = RECORDS + BLANK_LINES + [
+    "[1]", '"s"', "7", "NaN", "-Infinity", "true", "null", "\ufeff", "{",
+    "}", ",", ":", '"', '{"a": 1,}', "{'a': 1}", "é", "\\u12"]
+
+
+def random_line(rng: random.Random) -> str:
+    roll = rng.random()
+    if roll < 0.7:
+        pad = [rng.choice(["", "", " ", "\t", "\r", " \t"]) for _ in range(2)]
+        return pad[0] + rng.choice(RECORDS) + pad[1]
+    if roll < 0.85:
+        return rng.choice(BLANK_LINES)
+    return "".join(rng.choice(LINE_PIECES) for _ in range(rng.randint(1, 3)))
+
+
+def records_or_error(read, path):
+    """Every record a reader yields, then the error it stopped on, if any."""
+    out = []
+    try:
+        for item in read(path):
+            out.append(item)
+    except Exception as exc:  # every class counts, so any difference shows
+        out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_read_records_matches_json_loads_reader(tmp_path, seed):
+    rng = random.Random(seed)
+    lines = [random_line(rng) for _ in range(rng.randint(1, 12))]
+    path = tmp_path / "r.jsonl"
+    path.write_text("\n".join(lines) + rng.choice(["", "\n"]), encoding="utf-8")
+    assert (records_or_error(read_records, path)
+            == records_or_error(read_records_oracle, path))
