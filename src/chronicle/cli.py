@@ -93,7 +93,7 @@ def cmd_extract(args) -> int:
             args.gold, message_specs, ontology, corpus)
     else:
         rules = extract_mod.load_trigger_rules(specs, message_specs)
-        config = extract_mod.ExtractorConfig(mode=args.mode, rules=rules)
+        model = None
         if args.mode == "statistical":
             if not args.train:
                 raise ChronicleError("--mode statistical requires --train")
@@ -101,10 +101,10 @@ def cmd_extract(args) -> int:
             gazetteer = (corpus_mod.load_gazetteer(args.gazetteer)
                          if args.gazetteer else None)
             labeled = _read_training(args.train, lexicon, gazetteer)
-            config.model = extract_mod.train_classifier(
+            model = extract_mod.train_classifier(
                 labeled, type_order=[m.name for m in message_specs])
         messages = extract_mod.extract_corpus(corpus, message_specs, ontology,
-                                              config)
+                                              rules, model)
     extract_mod.write_messages(messages, out / MESSAGES_ARTIFACT)
     log.info("extracted %d messages", len(messages))
     return 0

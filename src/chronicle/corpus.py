@@ -334,11 +334,18 @@ class _TokensNotRead:
 _TOKENS_NOT_READ = _TokensNotRead()
 
 
-def _tokens(rows) -> tuple[Token, ...]:
-    """Tokens from their rows; a row that is not a 5-field array raises TypeError."""
+def _sentence(rec, tokens: bool) -> Sentence:
+    """A sentence from its record; a non-int ``index``, a non-str ``text`` or
+    (with tokens) a token row that is not a 5-field array raises TypeError."""
+    index, text = rec["index"], rec["text"]
+    if type(index) is not int or type(text) is not str:
+        raise TypeError
+    if not tokens:
+        return Sentence(index=index, text=text, tokens=_TOKENS_NOT_READ)
+    rows = rec["tokens"]
     if not all(type(row) is list and len(row) == 5 for row in rows):
         raise TypeError
-    return tuple(starmap(Token, rows))
+    return Sentence(index=index, text=text, tokens=tuple(starmap(Token, rows)))
 
 
 def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
@@ -348,9 +355,9 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
     sentence counts: no ``Token`` is built or checked, and any use of a
     sentence's ``tokens`` raises RuntimeError. Either way a record that lacks
     ``doc_id``, ``source``, ``publish_time``, ``report_index`` or
-    ``sentences``, or holds one of the wrong type, raises MalformedRecord
-    with the line; with tokens, so does a token row that is not an array of
-    five fields.
+    ``sentences``, or a sentence's ``index`` or ``text``, or holds one of the
+    wrong type, raises MalformedRecord with the line; with tokens, so does a
+    token row that is not an array of five fields.
     """
     documents = []
     event_id = Path(path).stem
@@ -367,11 +374,7 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
                     or not isinstance(report_index, int)
                     or not isinstance(rec["sentences"], list)):
                 raise TypeError
-            sentences = tuple(
-                Sentence(
-                    index=s["index"], text=s["text"],
-                    tokens=_tokens(s["tokens"]) if tokens else _TOKENS_NOT_READ)
-                for s in rec["sentences"])
+            sentences = tuple(_sentence(s, tokens) for s in rec["sentences"])
         except KeyError as exc:
             raise MalformedRecord(f"missing {exc.args[0]}", str(path), ln) from None
         except TypeError:

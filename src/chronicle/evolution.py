@@ -54,9 +54,6 @@ class LinearModel:
     period: timedelta
     residual: float     # max |t_n - (t0 + n*period)| / period
 
-    def predicted(self, n: int) -> datetime:
-        return self.t0 + n * self.period
-
 
 def fit_linear(timestamps) -> LinearModel:
     """Fit the fixed-period grid to >= 3 strictly increasing timestamps."""

@@ -1,11 +1,14 @@
 """Two-stage message extraction.
 
-Stage one decides the message type of a sentence, either from trigger-lemma
-rules or from a smoothed count-based classifier over lemma and named-entity
-features. Stage two fills the message's arguments with ontology instances
-mentioned in the sentence: type-compatible candidates, nearest to the
-trigger, leftmost on ties, no token reuse. Every emitted message passes the
-same validation as gold messages.
+Stage one, ``classify_sentence(sentence, rules, model=None)``, types a
+sentence by trigger-lemma rules, or by a smoothed count-based classifier over
+lemma and named-entity features when a trained ``model`` is given. Stage two,
+``fill_arguments(sentence, ontology, spec, trigger_span)``, fills the slots of
+``spec`` with ontology instances mentioned in the sentence: type-compatible
+candidates, nearest to the trigger, leftmost on ties, no token reuse. The rules
+locate the trigger whichever classifier typed the sentence. ``extract_messages``
+and ``extract_corpus`` take the same ``rules`` and ``model``, and every emitted
+message passes the same validation as gold messages.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Corpus, Document, Sentence, read_records
@@ -151,33 +154,29 @@ def train_classifier(labeled: list[tuple[Sentence, str | None]],
     return ClassifierModel(order, class_counts, feature_counts, vocabulary)
 
 
-def classify_sentence(sentence: Sentence,
-                      model_or_rules,
-                      mode: str = "rules") -> str | None:
+def classify_sentence(sentence: Sentence, rules: list[TriggerRule],
+                      model: ClassifierModel | None = None) -> str | None:
     """Predict the message type of a sentence, or None.
 
-    Rules mode: the first rule (spec-file order) whose trigger lemma occurs
-    and whose NE requirements are all present wins. Statistical mode: argmax
-    smoothed log score; ties break by class order with ``none`` last.
+    Without a model: the first rule (spec-file order) whose trigger lemma
+    occurs and whose NE requirements are all present wins. With a model:
+    argmax smoothed log score; ties break by class order with ``none`` last.
     """
-    if mode == "rules":
+    if model is None:
         lemmas = set(sentence.lemmas())
         labels = sentence.ne_labels()
-        for rule in model_or_rules:
+        for rule in rules:
             if any(l in lemmas for l in rule.lemmas) \
                     and all(r in labels for r in rule.requires):
                 return rule.msg_type
         return None
-    if mode == "statistical":
-        model: ClassifierModel = model_or_rules
-        features = sentence_features(sentence)
-        best_cls, best_score = None, None
-        for cls in model.classes:
-            score = model.log_score(cls, features)
-            if best_score is None or score > best_score:
-                best_cls, best_score = cls, score
-        return None if best_cls == NONE_LABEL else best_cls
-    raise ValueError(f"unknown mode {mode!r}")
+    features = sentence_features(sentence)
+    best_cls, best_score = None, None
+    for cls in model.classes:
+        score = model.log_score(cls, features)
+        if best_score is None or score > best_score:
+            best_cls, best_score = cls, score
+    return None if best_cls == NONE_LABEL else best_cls
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +199,15 @@ def _instance_spans(sentence: Sentence, ontology: Ontology) -> list[tuple[str, t
     return out
 
 
-def fill_arguments(sentence: Sentence, msg_type: str, ontology: Ontology,
-                   spec: MessageTypeSpec,
+def fill_arguments(sentence: Sentence, ontology: Ontology, spec: MessageTypeSpec,
                    trigger_span: tuple[int, int] | None = None) -> dict[str, str | None]:
-    """Heuristic slot filling.
+    """Heuristic filling of the slots of ``spec``.
 
     Slots are filled in spec order. Candidates are instance mentions whose
     concept is a subtype of the slot constraint; the mention nearest the
     trigger wins (leftmost on ties, longer span preferred at equal start);
     a token span fills at most one slot; unfilled slots stay None.
     """
-    if spec.name != msg_type:
-        raise ValueError(f"spec {spec.name!r} does not describe message type {msg_type!r}")
     mentions = _instance_spans(sentence, ontology)
     anchor = trigger_span if trigger_span is not None else (0, 0)
     used: list[tuple[int, int]] = []
@@ -237,16 +233,10 @@ def fill_arguments(sentence: Sentence, msg_type: str, ontology: Ontology,
 # ---------------------------------------------------------------------------
 # Pipeline
 
-@dataclass
-class ExtractorConfig:
-    mode: str = "rules"                       # rules | statistical
-    rules: list[TriggerRule] = field(default_factory=list)
-    model: ClassifierModel | None = None
-
-
 def trigger_span_for(sentence: Sentence, msg_type: str,
                      rules: list[TriggerRule]) -> tuple[int, int] | None:
-    """First token whose lemma triggers ``msg_type``. Mode-independent."""
+    """First token whose lemma triggers ``msg_type``, whichever classifier
+    typed the sentence."""
     wanted = set()
     for rule in rules:
         if rule.msg_type == msg_type:
@@ -289,19 +279,18 @@ def _violated_constraint(spec: MessageTypeSpec,
 
 
 def extract_messages(document: Document, specs: list[MessageTypeSpec],
-                     ontology: Ontology, config: ExtractorConfig) -> list[Message]:
+                     ontology: Ontology, rules: list[TriggerRule],
+                     model: ClassifierModel | None = None) -> list[Message]:
     """Run both stages over a document; at most one message per sentence.
 
+    Sentences are typed by ``model`` when one is given, else by ``rules``.
     Messages that violate their type's cross-slot constraints are discarded
     (with a logged reason), not repaired.
     """
     by_name = {m.name: m for m in specs}
     out: list[Message] = []
     for sentence in document.sentences:
-        if config.mode == "rules":
-            msg_type = classify_sentence(sentence, config.rules, "rules")
-        else:
-            msg_type = classify_sentence(sentence, config.model, "statistical")
+        msg_type = classify_sentence(sentence, rules, model)
         if msg_type is None:
             continue
         if msg_type not in by_name:
@@ -309,8 +298,8 @@ def extract_messages(document: Document, specs: list[MessageTypeSpec],
                      document.doc_id, sentence.index, msg_type)
             continue
         spec = by_name[msg_type]
-        trigger = trigger_span_for(sentence, msg_type, config.rules)
-        args = fill_arguments(sentence, msg_type, ontology, spec, trigger)
+        trigger = trigger_span_for(sentence, msg_type, rules)
+        args = fill_arguments(sentence, ontology, spec, trigger)
         anchor = message_time(sentence, document.publish_time, trigger)
         msg = Message(msg_type=msg_type, args=args, time=anchor,
                       source=document.source, doc_id=document.doc_id,
@@ -325,10 +314,11 @@ def extract_messages(document: Document, specs: list[MessageTypeSpec],
 
 
 def extract_corpus(corpus: Corpus, specs: list[MessageTypeSpec],
-                   ontology: Ontology, config: ExtractorConfig) -> list[Message]:
+                   ontology: Ontology, rules: list[TriggerRule],
+                   model: ClassifierModel | None = None) -> list[Message]:
     messages: list[Message] = []
     for doc in corpus.documents:
-        messages.extend(extract_messages(doc, specs, ontology, config))
+        messages.extend(extract_messages(doc, specs, ontology, rules, model))
     return messages
 
 

@@ -44,7 +44,7 @@ import json
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import timedelta
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -390,7 +390,6 @@ def brute_force_oracle(messages: list[Message], relation_specs: list[RelationSpe
 class Bucket:
     index: int
     label: str                      # ISO date of the earliest anchor start
-    start: datetime
     messages: tuple[Message, ...]
 
 
@@ -410,7 +409,6 @@ def bucket_messages(messages: list[Message], window: WindowPolicy) -> list[Bucke
             buckets.append(Bucket(
                 index=len(buckets),
                 label=group[0].time.start.date().isoformat(),
-                start=group[0].time.start,
                 messages=tuple(group)))
 
     for m in ordered:

@@ -71,7 +71,6 @@ class RelationGraph:
     nodes: tuple[Message, ...]
     edges: tuple[RelationInstance, ...]
     buckets: tuple[Bucket, ...]
-    window: WindowPolicy
 
 
 def build_graph(messages: list[Message], relations: list[RelationInstance],
@@ -84,7 +83,7 @@ def build_graph(messages: list[Message], relations: list[RelationInstance],
                 f"relation {r.name!r} references a message outside the graph")
     return RelationGraph(
         nodes=nodes, edges=tuple(sort_instances(relations)),
-        buckets=tuple(bucket_messages(list(nodes), window)), window=window)
+        buckets=tuple(bucket_messages(list(nodes), window)))
 
 
 @dataclass(frozen=True)
@@ -234,9 +233,8 @@ def render_summary(graph: RelationGraph,
     for e in sync_edges:
         by_name.setdefault(e.name, []).append(e)
     for name in sorted(by_name):
-        pool = sort_instances(by_name[name])
         equal, rest = [], []
-        for e in pool:
+        for e in by_name[name]:
             same = e.left.msg_type == e.right.msg_type and e.left.args == e.right.args
             (equal if same else rest).append(e)
 
@@ -263,7 +261,7 @@ def render_summary(graph: RelationGraph,
             pair_id = (name,) + tuple(sorted([e.left.key(), e.right.key()]))
             grouped.setdefault(pair_id, []).append(e)
         for pair_id in sorted(grouped):
-            edges_p = sort_instances(grouped[pair_id])
+            edges_p = grouped[pair_id]
             canon = edges_p[0]
             ctx = _pair_context(canon.left, canon.right,
                                 [canon.left.source, canon.right.source])

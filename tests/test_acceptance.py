@@ -17,9 +17,9 @@ from chronicle import cli
 from chronicle.corpus import Sentence, read_corpus_artifact, tokenize
 from chronicle.errors import MissingTemplate
 from chronicle.evolution import (StreamParams, analyze_corpus, generate_stream)
-from chronicle.extract import (ExtractorConfig, extract_corpus,
-                               load_gold_messages, load_trigger_rules,
-                               train_classifier, validate_message)
+from chronicle.extract import (extract_corpus, load_gold_messages,
+                               load_trigger_rules, train_classifier,
+                               validate_message)
 from chronicle.relations import (WindowPolicy, brute_force_oracle,
                                  detect_ellipsis, evaluate_relations)
 from chronicle.summarize import build_graph, load_templates, render_summary
@@ -254,10 +254,9 @@ def test_criterion_5_evolution_round_trip(football, hostage):
 # 6. Extraction determinism/validity + classifier posteriors
 
 def test_criterion_6_extraction_and_classifier(hostage):
-    config = ExtractorConfig(mode="rules", rules=load_trigger_rules(
-        hostage.spec_path, hostage.message_specs))
+    rules = load_trigger_rules(hostage.spec_path, hostage.message_specs)
     runs = [extract_corpus(hostage.corpus, hostage.message_specs,
-                           hostage.ontology, config) for _ in range(3)]
+                           hostage.ontology, rules) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
     assert runs[0]
     for message in runs[0]:

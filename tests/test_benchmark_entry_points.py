@@ -19,6 +19,7 @@ import pytest
 
 from chronicle import (cli, corpus, evolution, extract, ontology, relations,
                        summarize, temporal)
+from tests.conftest import FIXTURES
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -32,16 +33,45 @@ def load_benchmark_module(name, monkeypatch):
     return module
 
 
+MODULES = SimpleNamespace(cli=cli, corpus=corpus, evolution=evolution,
+                          extract=extract, ontology=ontology,
+                          relations=relations, summarize=summarize,
+                          temporal=temporal)
+
+
 def test_every_traced_function_exists(monkeypatch):
     spans = load_benchmark_module("spans", monkeypatch)
-    modules = SimpleNamespace(cli=cli, corpus=corpus, evolution=evolution,
-                              extract=extract, ontology=ontology,
-                              relations=relations, summarize=summarize,
-                              temporal=temporal)
-    points = spans.patch_points(modules)
+    points = spans.patch_points(MODULES)
     assert points
     for module, attr, name, _ in points:
         assert callable(getattr(module, attr, None)), (module.__name__, attr, name)
+
+
+def test_traced_pipeline_reaches_every_patch_point(monkeypatch, tmp_path):
+    """A stage that stops calling a traced function through its module's
+    namespace would leave that span's figures at 0 without any error."""
+    spans = load_benchmark_module("spans", monkeypatch)
+    root = FIXTURES / "hostage"
+    domain = ["--ontology", str(root / "domain.spec")]
+    out = ["--out-dir", str(tmp_path)]
+    tracer = spans.Tracer()
+    tracer.install(MODULES)
+    try:
+        for argv in (
+                ["ingest", "--corpus", str(root / "corpus.jsonl"),
+                 "--lexicon", str(root / "lexicon.tsv"),
+                 "--gazetteer", str(root / "gazetteer.tsv")],
+                ["extract", *domain],
+                ["relate", *domain, "--window", "1d"],
+                ["analyze"],
+                ["summarize", *domain, "--templates", str(root / "templates.txt"),
+                 "--window", "1d", "--out", str(tmp_path / "summary.txt")]):
+            assert cli.main(argv + out) == 0, argv[0]
+    finally:
+        tracer.uninstall()
+    recorded = {name for _, _, name, _, _ in tracer.spans}
+    expected = {name for _, _, name, _ in spans.patch_points(MODULES)}
+    assert expected - recorded == set()
 
 
 def chronicle_imports(path):

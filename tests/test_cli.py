@@ -414,6 +414,19 @@ def hostage_stage(stage, out_dir):
     return [stage, *flags, "--out-dir", out_dir]
 
 
+@pytest.mark.parametrize("mode", ["statistical", "gold"])
+def test_extract_mode_without_its_input_exits_2(tmp_path, capsys, mode):
+    root = FIXTURES / "hostage"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--out-dir", tmp_path]) == 0
+    assert run(["extract", "--ontology", root / "domain.spec", "--mode", mode,
+                "--out-dir", tmp_path]) == 2
+    err = one_json_error(capsys, "extract")
+    assert err["error"] == "ChronicleError"
+    assert f"--mode {mode} requires" in err["detail"]
+    assert not (tmp_path / "messages.jsonl").exists()
+
+
 def break_corpus_record(out_dir, change):
     """Ingest the hostage corpus, apply ``change`` to the first document
     record of the artifact and return that record's line number."""
@@ -454,6 +467,21 @@ def test_wrong_typed_corpus_field_exits_2(tmp_path, capsys, key, value):
         assert err["error"] == "MalformedRecord"
         assert (f"corpus.jsonl:{ln}: record does not have the corpus-artifact "
                 f"shape") in err["detail"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("index", "0"), ("index", True), ("index", 0.0), ("text", 5), ("text", None),
+])
+def test_wrong_typed_corpus_sentence_field_exits_2(tmp_path, capsys, key, value):
+    ln = break_corpus_record(
+        tmp_path, lambda record: record["sentences"][0].update({key: value}))
+    for stage in ["extract", "analyze", "relate", "summarize"]:
+        assert run(hostage_stage(stage, tmp_path)) == 2, stage
+        err = one_json_error(capsys, stage)
+        assert err["error"] == "MalformedRecord"
+        assert (f"corpus.jsonl:{ln}: record does not have the corpus-artifact "
+                f"shape") in err["detail"]
+    assert not (tmp_path / "messages.jsonl").exists()
 
 
 @pytest.mark.parametrize("row", [

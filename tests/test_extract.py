@@ -8,7 +8,7 @@ from chronicle.corpus import PhraseIndex, Sentence, tokenize
 from chronicle.errors import (EmptyTrainingSet, MalformedRecord,
                               SlotTypeViolation, UnknownMessageType,
                               UnparsableAnchor)
-from chronicle.extract import (ExtractorConfig, TriggerRule, classify_sentence,
+from chronicle.extract import (TriggerRule, classify_sentence,
                                extract_corpus, extract_messages,
                                fill_arguments, load_gold_messages,
                                load_trigger_rules, train_classifier,
@@ -29,12 +29,12 @@ def test_rules_mode_first_matching_rule_wins():
              TriggerRule("demand", ("demand",))]
     s = sent("X negotiated with Y about the release",
              lexicon={"negotiated": "negotiate"})
-    assert classify_sentence(s, rules, "rules") == "negotiate"
+    assert classify_sentence(s, rules) == "negotiate"
 
 
 def test_rules_mode_no_trigger_is_none():
     rules = [TriggerRule("negotiate", ("negotiate",))]
-    assert classify_sentence(sent("nothing to see"), rules, "rules") is None
+    assert classify_sentence(sent("nothing to see"), rules) is None
 
 
 def test_rules_mode_ne_requirement():
@@ -42,8 +42,8 @@ def test_rules_mode_ne_requirement():
     plain = sent("they negotiate tonight")
     tagged = sent("Simona negotiate tonight",
                   gazetteer=PhraseIndex([("Simona", "PER")]))
-    assert classify_sentence(plain, rules, "rules") is None
-    assert classify_sentence(tagged, rules, "rules") == "negotiate"
+    assert classify_sentence(plain, rules) is None
+    assert classify_sentence(tagged, rules) == "negotiate"
 
 
 # The six-sentence two-class fixture. Counts are small enough to carry the
@@ -70,7 +70,7 @@ def hand_posteriors():
 
 def test_classifier_held_out_prediction():
     model = train_classifier(TRAIN)
-    assert classify_sentence(HELD_OUT, model, "statistical") == "start"
+    assert classify_sentence(HELD_OUT, [], model) == "start"
 
 
 def test_classifier_posteriors_match_hand_computation():
@@ -85,8 +85,8 @@ def test_classifier_posteriors_match_hand_computation():
 def test_classifier_memorizes_disjoint_single_examples():
     train = [(sent("alpha beta"), "t1"), (sent("gamma delta"), "t2")]
     model = train_classifier(train)
-    assert classify_sentence(sent("alpha beta"), model, "statistical") == "t1"
-    assert classify_sentence(sent("gamma delta"), model, "statistical") == "t2"
+    assert classify_sentence(sent("alpha beta"), [], model) == "t1"
+    assert classify_sentence(sent("gamma delta"), [], model) == "t2"
 
 
 def test_classifier_empty_training_set():
@@ -110,22 +110,15 @@ def test_fill_arguments_nearest_to_trigger(hostage):
     trigger = trigger_span_for(s, "negotiate",
                                load_trigger_rules(hostage.spec_path,
                                                   hostage.message_specs))
-    args = fill_arguments(s, "negotiate", hostage.ontology, spec, trigger)
+    args = fill_arguments(s, hostage.ontology, spec, trigger)
     assert args == {"entity_1": "Italian_government", "entity_2": "captors",
                     "about": "release"}
-
-
-def test_fill_arguments_rejects_spec_of_another_type(hostage):
-    spec = {m.name: m for m in hostage.message_specs}["negotiate"]
-    s = sent("the captors negotiated", lexicon=hostage.lexicon)
-    with pytest.raises(ValueError, match="negotiate"):
-        fill_arguments(s, "demand", hostage.ontology, spec, (2, 3))
 
 
 def test_fill_arguments_missing_candidate_is_null(hostage):
     spec = {m.name: m for m in hostage.message_specs}["negotiate"]
     s = sent("the captors negotiated", lexicon=hostage.lexicon)
-    args = fill_arguments(s, "negotiate", hostage.ontology, spec, (2, 3))
+    args = fill_arguments(s, hostage.ontology, spec, (2, 3))
     assert args["entity_1"] == "captors"
     assert args["entity_2"] is None
 
@@ -134,7 +127,7 @@ def test_fill_arguments_equidistant_prefers_leftmost(hostage):
     spec = {m.name: m for m in hostage.message_specs}["negotiate"]
     # captors and Simona both one token away from the trigger
     s = sent("captors negotiated Simona release", lexicon=hostage.lexicon)
-    args = fill_arguments(s, "negotiate", hostage.ontology, spec, (1, 2))
+    args = fill_arguments(s, hostage.ontology, spec, (1, 2))
     assert args["entity_1"] == "captors"
     assert args["entity_2"] == "Simona"
 
@@ -144,10 +137,9 @@ def test_fill_arguments_equidistant_prefers_leftmost(hostage):
 
 def test_single_trigger_document(hostage):
     doc = hostage.corpus.document("aegean-03")
-    config = ExtractorConfig(mode="rules", rules=load_trigger_rules(
-        hostage.spec_path, hostage.message_specs))
+    rules = load_trigger_rules(hostage.spec_path, hostage.message_specs)
     messages = extract_messages(doc, hostage.message_specs, hostage.ontology,
-                                config)
+                                rules)
     assert len(messages) == 1
     assert messages[0].source == doc.source == "aegean_news"
     assert messages[0].msg_type == "demand"
@@ -155,10 +147,9 @@ def test_single_trigger_document(hostage):
 
 def test_yesterday_shifts_message_time(hostage):
     doc = hostage.corpus.document("tribune-01")
-    config = ExtractorConfig(mode="rules", rules=load_trigger_rules(
-        hostage.spec_path, hostage.message_specs))
+    rules = load_trigger_rules(hostage.spec_path, hostage.message_specs)
     messages = extract_messages(doc, hostage.message_specs, hostage.ontology,
-                                config)
+                                rules)
     assert messages[0].time == TimeAnchor.from_string("2004-09-01")
 
 
@@ -169,28 +160,25 @@ def test_extraction_respects_cross_slot_constraints(hostage):
         "d1", "src", parse_rfc3339("2004-09-10T00:00:00Z"),
         ["the captors negotiated with the captors about the release"])],
         lexicon=hostage.lexicon)
-    config = ExtractorConfig(mode="rules", rules=load_trigger_rules(
-        hostage.spec_path, hostage.message_specs))
+    rules = load_trigger_rules(hostage.spec_path, hostage.message_specs)
     messages = extract_corpus(corpus, hostage.message_specs, hostage.ontology,
-                              config)
+                              rules)
     assert messages == []
 
 
 def test_extraction_emits_only_valid_messages(hostage):
-    config = ExtractorConfig(mode="rules", rules=load_trigger_rules(
-        hostage.spec_path, hostage.message_specs))
+    rules = load_trigger_rules(hostage.spec_path, hostage.message_specs)
     messages = extract_corpus(hostage.corpus, hostage.message_specs,
-                              hostage.ontology, config)
+                              hostage.ontology, rules)
     assert messages
     for m in messages:
         assert validate_message(m, hostage.message_specs, hostage.ontology) is None
 
 
 def test_extraction_deterministic(hostage):
-    config = ExtractorConfig(mode="rules", rules=load_trigger_rules(
-        hostage.spec_path, hostage.message_specs))
+    rules = load_trigger_rules(hostage.spec_path, hostage.message_specs)
     runs = [extract_corpus(hostage.corpus, hostage.message_specs,
-                           hostage.ontology, config) for _ in range(3)]
+                           hostage.ontology, rules) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -206,12 +194,10 @@ def test_modes_share_argument_filling(hostage):
         [(sent(text, lexicon=hostage.lexicon), "negotiate"),
          (sent("the captors seized the compound", lexicon=hostage.lexicon),
           "start")])
-    rules_out = extract_corpus(
-        corpus, hostage.message_specs, hostage.ontology,
-        ExtractorConfig(mode="rules", rules=rules))
-    stat_out = extract_corpus(
-        corpus, hostage.message_specs, hostage.ontology,
-        ExtractorConfig(mode="statistical", rules=rules, model=model))
+    rules_out = extract_corpus(corpus, hostage.message_specs, hostage.ontology,
+                               rules)
+    stat_out = extract_corpus(corpus, hostage.message_specs, hostage.ontology,
+                              rules, model)
     assert len(rules_out) == len(stat_out) == 1
     assert rules_out[0].msg_type == stat_out[0].msg_type == "negotiate"
     assert rules_out[0].args == stat_out[0].args
