@@ -119,11 +119,7 @@ def cmd_relate(args) -> int:
     window = parse_window(args.window)
     instances = relations_mod.evaluate_relations(messages, relation_specs, window)
     relations_mod.write_relations(instances, out / RELATIONS_ARTIFACT)
-    if len(corpus.sources) >= 2:
-        reports = relations_mod.detect_ellipsis(messages, corpus.sources, window)
-    else:
-        reports = []
-        log.info("single-source corpus: no ellipsis detection")
+    reports = relations_mod.detect_ellipsis(messages, corpus.sources, window)
     relations_mod.write_ellipsis(reports, out / ELLIPSIS_ARTIFACT)
     log.info("emitted %d relation instances, %d ellipsis reports",
              len(instances), len(reports))

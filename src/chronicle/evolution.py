@@ -37,17 +37,6 @@ def minutes_since_epoch(t: datetime) -> int:
     return int((t - _EPOCH).total_seconds() // 60)
 
 
-def _as_datetimes(timestamps) -> list[datetime]:
-    """Accept datetimes, or bare numbers read as minutes since the epoch."""
-    out = []
-    for t in timestamps:
-        if isinstance(t, datetime):
-            out.append(t)
-        else:
-            out.append(_EPOCH + timedelta(minutes=float(t)))
-    return out
-
-
 @dataclass(frozen=True)
 class LinearModel:
     t0: datetime
@@ -55,9 +44,8 @@ class LinearModel:
     residual: float     # max |t_n - (t0 + n*period)| / period
 
 
-def fit_linear(timestamps) -> LinearModel:
+def fit_linear(times: list[datetime]) -> LinearModel:
     """Fit the fixed-period grid to >= 3 strictly increasing timestamps."""
-    times = _as_datetimes(timestamps)
     if len(times) < 3:
         raise TooFewPoints(len(times))
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -97,8 +85,6 @@ def classify_emission(profile: EmissionProfile,
                       alignment_tolerance: timedelta) -> str:
     """Synchronous iff report counts agree and every k-th report cohort
     spans at most the tolerance (boundary inclusive)."""
-    if len(profile.reports) < 2:
-        raise ValueError("emission classification needs at least two sources")
     counts = {len(ts) for _, ts in profile.reports}
     if len(counts) != 1:
         return ASYNCHRONOUS
@@ -128,11 +114,14 @@ def analyze_corpus(corpus: Corpus, residual_threshold: float = 0.1,
     fixed-period grid; the aggregate model takes the earliest first report,
     the median per-source period and the worst per-source residual. A
     single-source corpus is vacuously synchronous. The residual threshold
-    must be finite and not negative.
+    must be finite and not negative, and so must the alignment tolerance.
     """
     if not 0 <= residual_threshold < math.inf:
         raise ValueError(f"residual threshold must be finite and >= 0, "
                          f"got {residual_threshold!r}")
+    if alignment_tolerance < timedelta(0):
+        raise ValueError(f"alignment tolerance must be >= 0, "
+                         f"got {alignment_tolerance}")
     profile = EmissionProfile.from_corpus(corpus)
     fits = []
     for _, times in profile.reports:
@@ -149,12 +138,10 @@ def analyze_corpus(corpus: Corpus, residual_threshold: float = 0.1,
             t0=min(f.t0 for f in fits),
             period=statistics.median([f.period for f in fits]),
             residual=residual)
-    if len(profile.reports) >= 2:
-        emission = classify_emission(profile, alignment_tolerance)
-    else:
-        emission = SYNCHRONOUS
     return EvolutionReport(
-        linearity=linearity, model=model, emission=emission, profile=profile,
+        linearity=linearity, model=model,
+        emission=classify_emission(profile, alignment_tolerance),
+        profile=profile,
         residual_threshold=residual_threshold,
         alignment_tolerance=alignment_tolerance)
 

@@ -60,7 +60,7 @@ def load_trigger_rules(spec: str | Path | ParsedSpec,
     known = {m.name for m in message_specs}
     spec = ParsedSpec.of(spec)
     rules = []
-    for st in (s for s in spec.statements if s.kind == "trigger"):
+    for st in spec.statements("trigger"):
         msg_type = st.data["msg_type"]
         if msg_type not in known:
             raise UnknownMessageType(

@@ -45,34 +45,26 @@ DIACHRONIC = "diachronic"
 @dataclass(frozen=True, eq=True)
 class Ontology:
     concepts: frozenset[str]
-    parent: tuple[tuple[str, str], ...]            # (child, parent) edges
-    instances: tuple[tuple[str, str], ...]         # (instance, concept)
-    ordered_scales: tuple[tuple[str, tuple[str, ...]], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_parent_map", dict(self.parent))
-        object.__setattr__(self, "_instance_map", dict(self.instances))
-        object.__setattr__(self, "_scale_map", dict(self.ordered_scales))
+    parent: dict[str, str]                         # child -> parent
+    instances: dict[str, str]                      # instance -> concept
+    ordered_scales: dict[str, tuple[str, ...]]     # concept -> values, low first
 
     @cached_property
     def instance_phrases(self) -> PhraseIndex:
         """Instance surface forms (the name with underscores as spaces),
         indexed for spotting in token sequences; built on first use."""
-        return PhraseIndex((i.replace("_", " "), i) for i, _ in self.instances)
+        return PhraseIndex((i.replace("_", " "), i) for i in self.instances)
 
     def concept_of(self, instance: str) -> str | None:
-        return self._instance_map.get(instance)
-
-    def has_instance(self, name: str) -> bool:
-        return name in self._instance_map
+        return self.instances.get(instance)
 
     def scale_for(self, concept: str) -> tuple[str, ...] | None:
         """Ordered scale for a concept, inherited from the nearest ancestor."""
         node: str | None = concept
         while node is not None:
-            if node in self._scale_map:
-                return self._scale_map[node]
-            node = self._parent_map.get(node)
+            if node in self.ordered_scales:
+                return self.ordered_scales[node]
+            node = self.parent.get(node)
         return None
 
 
@@ -85,7 +77,7 @@ def is_subtype(ontology: Ontology, a: str, b: str) -> bool:
     while node is not None:
         if node == b:
             return True
-        node = ontology._parent_map.get(node)
+        node = ontology.parent.get(node)
     return False
 
 
@@ -262,8 +254,6 @@ def _parse_slot_ref(cur: _Cursor) -> tuple[str | None, str]:
 def _parse_atoms(cur: _Cursor) -> list[dict]:
     atoms = []
     while True:
-        cur.skip_ws()
-        pos = cur.pos
         side_l, slot_l = _parse_slot_ref(cur)
         cur.skip_ws()
         op_pos = cur.pos
@@ -279,11 +269,11 @@ def _parse_atoms(cur: _Cursor) -> list[dict]:
             if op != "eq":
                 cur.error("constant comparisons support == only", op_pos)
             atoms.append({"op": "const", "side": side_l, "slot": slot_l,
-                          "value": cur.quoted(), "pos": pos})
+                          "value": cur.quoted()})
         else:
             side_r, slot_r = _parse_slot_ref(cur)
             atoms.append({"op": op, "left": (side_l, slot_l),
-                          "right": (side_r, slot_r), "pos": pos})
+                          "right": (side_r, slot_r)})
         if not cur.try_literal("&&"):
             break
     return atoms
@@ -426,22 +416,29 @@ def parse_spec_file(path: str | Path) -> list[Statement]:
 
 
 class ParsedSpec:
-    """A spec file's statements and the path its errors name.
+    """A spec file's statements, filed by kind, and the path its errors name.
 
     Every loader accepts one in place of a path, so one parse can serve
-    them all. A plain class: a dataclass would add to every import.
+    them all, and each reads only its own kind. A plain class: a dataclass
+    would add to every import.
     """
 
-    __slots__ = ("path", "statements")
+    __slots__ = ("path", "_by_kind")
 
     def __init__(self, path: str | Path):
         self.path = str(path)
-        self.statements = tuple(parse_spec_file(path))
+        self._by_kind: dict[str, list[Statement]] = {}
+        for st in parse_spec_file(path):
+            self._by_kind.setdefault(st.kind, []).append(st)
 
     @classmethod
     def of(cls, spec: str | Path | ParsedSpec) -> ParsedSpec:
         """``spec`` itself, or the parse of the file it names."""
         return spec if isinstance(spec, ParsedSpec) else cls(spec)
+
+    def statements(self, kind: str) -> list[Statement]:
+        """The statements of one kind, in file order."""
+        return self._by_kind.get(kind, [])
 
 
 # ---------------------------------------------------------------------------
@@ -451,50 +448,48 @@ def load_ontology(spec: str | Path | ParsedSpec) -> Ontology:
     """Build the taxonomy/instances/scales from a spec file.
 
     Statements other than concept/instance/scale are ignored, so a single
-    combined domain file can serve every loader.
+    combined domain file can serve every loader. Those three kinds may come
+    in any order, and a parent concept may follow its child.
     """
     spec = ParsedSpec.of(spec)
-    statements, path = spec.statements, spec.path
+    path = spec.path
     concepts: dict[str, int] = {}
-    parent: dict[str, tuple[str, int]] = {}
-    for st in (s for s in statements if s.kind == "concept"):
+    parent: dict[str, str] = {}
+    for st in spec.statements("concept"):
         name = st.data["name"]
         if name in concepts:
             raise DslSyntaxError(f"concept {name!r} redeclared", path, st.line)
         concepts[name] = st.line
         if st.data["parent"] is not None:
-            parent[name] = (st.data["parent"], st.line)
-    for child, (par, line) in parent.items():
+            parent[name] = st.data["parent"]
+    for child, par in parent.items():
         if par not in concepts:
-            raise UnknownConcept(f"unknown parent concept {par!r}", path, line)
+            raise UnknownConcept(f"unknown parent concept {par!r}", path,
+                                 concepts[child])
     for start in concepts:
         seen = {start}
         node = start
         while node in parent:
-            node = parent[node][0]
+            node = parent[node]
             if node in seen:
                 raise CycleInTaxonomy(
                     f"taxonomy cycle through {node!r}", path, concepts[start])
             seen.add(node)
 
-    instances: dict[str, tuple[str, int]] = {}
-    for st in (s for s in statements if s.kind == "instance"):
+    instances: dict[str, str] = {}
+    for st in spec.statements("instance"):
         name, concept = st.data["name"], st.data["concept"]
         if name in instances:
             raise DuplicateInstance(f"instance {name!r} redeclared", path, st.line)
         if concept not in concepts:
             raise UnknownConcept(
                 f"instance {name!r} names unknown concept {concept!r}", path, st.line)
-        instances[name] = (concept, st.line)
-
-    ontology = Ontology(
-        concepts=frozenset(concepts),
-        parent=tuple(sorted((c, p) for c, (p, _) in parent.items())),
-        instances=tuple(sorted((i, c) for i, (c, _) in instances.items())),
-        ordered_scales=())
+        instances[name] = concept
 
     scales: dict[str, tuple[str, ...]] = {}
-    for st in (s for s in statements if s.kind == "scale"):
+    ontology = Ontology(concepts=frozenset(concepts), parent=parent,
+                        instances=instances, ordered_scales=scales)
+    for st in spec.statements("scale"):
         concept, values = st.data["concept"], st.data["values"]
         if concept not in concepts:
             raise UnknownConcept(f"scale names unknown concept {concept!r}",
@@ -508,16 +503,12 @@ def load_ontology(spec: str | Path | ParsedSpec) -> Ontology:
             if got is None:
                 raise UnknownInstance(f"scale value {v!r} is not an instance",
                                       path, st.line)
-            if not is_subtype(ontology, got[0], concept):
+            if not is_subtype(ontology, got, concept):
                 raise UnknownInstance(
                     f"scale value {v!r} is not an instance of {concept!r}",
                     path, st.line)
         scales[concept] = tuple(values)
-
-    return Ontology(
-        concepts=ontology.concepts, parent=ontology.parent,
-        instances=ontology.instances,
-        ordered_scales=tuple(sorted(scales.items())))
+    return ontology
 
 
 def _resolve_atom(raw: dict, left_spec: MessageTypeSpec, right_spec: MessageTypeSpec,
@@ -547,7 +538,7 @@ def _resolve_atom(raw: dict, left_spec: MessageTypeSpec, right_spec: MessageType
 
     if raw["op"] == "const":
         side, slot = resolve_ref((raw["side"], raw["slot"]))
-        if not ontology.has_instance(raw["value"]):
+        if raw["value"] not in ontology.instances:
             raise UnknownInstance(
                 f"constant {raw['value']!r} is not an ontology instance",
                 path, line)
@@ -590,9 +581,9 @@ def _resolve_atom(raw: dict, left_spec: MessageTypeSpec, right_spec: MessageType
 def load_message_specs(spec: str | Path | ParsedSpec,
                        ontology: Ontology) -> list[MessageTypeSpec]:
     spec = ParsedSpec.of(spec)
-    statements, path = spec.statements, spec.path
+    path = spec.path
     specs: dict[str, MessageTypeSpec] = {}
-    for st in (s for s in statements if s.kind == "message"):
+    for st in spec.statements("message"):
         name = st.data["name"]
         if name in specs:
             raise DuplicateMessageType(f"message type {name!r} redeclared",
@@ -621,10 +612,10 @@ def load_relation_specs(spec: str | Path | ParsedSpec,
                         message_specs: list[MessageTypeSpec],
                         ontology: Ontology) -> list[RelationSpec]:
     spec = ParsedSpec.of(spec)
-    statements, path = spec.statements, spec.path
+    path = spec.path
     by_name = {m.name: m for m in message_specs}
     specs: list[RelationSpec] = []
-    for st in (s for s in statements if s.kind == "relation"):
+    for st in spec.statements("relation"):
         d = st.data
         for key in ("left", "right"):
             if d[key] not in by_name:

@@ -461,8 +461,6 @@ def detect_ellipsis(messages: list[Message], sources: set[str],
     """One report per message that some other source never echoes: the
     report lists every source with no window-compatible message of the
     same type."""
-    if len(sources) < 2:
-        raise ValueError("ellipsis detection needs at least two sources")
     bucket_of = bucket_indices(bucket_messages(messages, window))
     items = _by_extent(messages, window)
     partitions: dict[tuple[str, str], list] = {}

@@ -182,7 +182,7 @@ def instance_spans_oracle(sentence: Sentence, ontology: Ontology) -> list[tuple[
     """
     folded = [t.surface.lower() for t in sentence.tokens]
     out = []
-    for instance, _ in ontology.instances:
+    for instance in sorted(ontology.instances):
         surface = instance.replace("_", " ")
         key = tuple(m.group(0).lower() for m in _TOKEN_RE.finditer(surface))
         if not key:
@@ -367,9 +367,9 @@ def dump_domain(ontology: Ontology,
 
     for name in sorted(ontology.concepts):
         emit_concept(name)
-    for instance, concept in ontology.instances:
+    for instance, concept in ontology.instances.items():
         lines.append(f"instance {instance} : {concept}")
-    for concept, values in ontology.ordered_scales:
+    for concept, values in ontology.ordered_scales.items():
         lines.append(f"scale {concept} = " + " < ".join(values))
     for m in message_specs:
         sig = ", ".join(f"{s}: {c}" for s, c in m.slots)

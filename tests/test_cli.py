@@ -414,6 +414,65 @@ def hostage_stage(stage, out_dir):
     return [stage, *flags, "--out-dir", out_dir]
 
 
+def test_each_stage_builds_one_ontology(tmp_path, monkeypatch, capsys):
+    """Each stage that loads the domain builds its Ontology once, scales
+    included."""
+    builds = []
+
+    class Counted(ontology_mod.Ontology):
+        def __init__(self, **fields):
+            builds.append(fields)
+            super().__init__(**fields)
+
+    monkeypatch.setattr(ontology_mod, "Ontology", Counted)
+    root = FIXTURES / "hostage"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--out-dir", tmp_path]) == 0
+    gold = ["extract", "--ontology", root / "domain.spec", "--mode", "gold",
+            "--gold", root / "gold_messages.jsonl", "--out-dir", tmp_path]
+    for argv in (hostage_stage("extract", tmp_path), gold,
+                 hostage_stage("relate", tmp_path),
+                 hostage_stage("summarize", tmp_path),
+                 ["validate", "--ontology", root / "domain.spec"]):
+        builds.clear()
+        assert run(argv) == 0, argv
+        assert len(builds) == 1, argv
+    capsys.readouterr()
+
+
+def test_single_source_corpus_runs_every_stage(tmp_path):
+    """With one source no other source can be silent, so there is no
+    ellipsis, and every k-th report cohort spans 0, so emission is
+    synchronous."""
+    root = FIXTURES / "hostage"
+
+    def lines_where(path, keep):
+        return [line for line in path.read_text().splitlines()
+                if keep(json.loads(line))]
+
+    documents = lines_where(root / "corpus.jsonl",
+                            lambda d: d["source"] == "aegean_news")
+    doc_ids = {json.loads(line)["doc_id"] for line in documents}
+    gold = lines_where(root / "gold_messages.jsonl",
+                       lambda m: m["doc_id"] in doc_ids)
+    assert len(documents) == 12 and gold
+    (tmp_path / "corpus.jsonl").write_text("\n".join(documents) + "\n")
+    (tmp_path / "gold.jsonl").write_text("\n".join(gold) + "\n")
+    out = tmp_path / "out"
+    assert run(["ingest", "--corpus", tmp_path / "corpus.jsonl",
+                "--lexicon", root / "lexicon.tsv",
+                "--gazetteer", root / "gazetteer.tsv", "--out-dir", out]) == 0
+    assert run(["extract", "--ontology", root / "domain.spec", "--mode", "gold",
+                "--gold", tmp_path / "gold.jsonl", "--out-dir", out]) == 0
+    run_downstream("hostage", out)
+    assert (out / "ellipsis.jsonl").read_text() == ""
+    assert (out / "relations.jsonl").read_text()
+    evolution = json.loads((out / "evolution.json").read_text())
+    assert evolution["emission"] == "synchronous"
+    assert list(evolution["sources"]) == ["aegean_news"]
+    assert (out / "summary.txt").read_text()
+
+
 @pytest.mark.parametrize("mode", ["statistical", "gold"])
 def test_extract_mode_without_its_input_exits_2(tmp_path, capsys, mode):
     root = FIXTURES / "hostage"

@@ -14,8 +14,14 @@ UTC = timezone.utc
 WEEK_MINUTES = 7 * 24 * 60
 
 
+def minutes(*offsets):
+    """Datetimes the given numbers of minutes after the epoch."""
+    epoch = datetime(1970, 1, 1, tzinfo=UTC)
+    return [epoch + timedelta(minutes=m) for m in offsets]
+
+
 def test_fit_exact_weekly_stream():
-    model = fit_linear([0, 10080, 20160, 30240])
+    model = fit_linear(minutes(0, 10080, 20160, 30240))
     assert model.period == timedelta(minutes=10080)
     assert model.residual == 0.0
 
@@ -28,22 +34,22 @@ def test_fit_football_fixture_period_is_a_week(football):
 
 
 def test_grossly_aperiodic_stream_has_large_residual():
-    model = fit_linear([0, 100, 5000])
+    model = fit_linear(minutes(0, 100, 5000))
     assert model.residual > 0.1
 
 
 def test_too_few_points():
     with pytest.raises(TooFewPoints):
-        fit_linear([0, 10080])
+        fit_linear(minutes(0, 10080))
 
 
 def test_non_increasing_rejected():
     with pytest.raises(ValueError):
-        fit_linear([0, 10080, 10080])
+        fit_linear(minutes(0, 10080, 10080))
 
 
 def test_classify_exact_stream_linear():
-    assert classify_linearity([0, 10080, 20160, 30240]) == "linear"
+    assert classify_linearity(minutes(0, 10080, 20160, 30240)) == "linear"
 
 
 def test_classify_hostage_fixture_non_linear(hostage):
@@ -85,6 +91,12 @@ def test_emission_boundary_inclusive():
     profile2 = EmissionProfile(reports=(
         ("A", (base,)), ("B", (base + tol + timedelta(minutes=1),))))
     assert classify_emission(profile2, tol) == "asynchronous"
+
+
+def test_negative_alignment_tolerance_rejected(hostage):
+    # a negative tolerance would call even a one-source corpus asynchronous
+    with pytest.raises(ValueError):
+        analyze_corpus(hostage.corpus, alignment_tolerance=timedelta(minutes=-1))
 
 
 def test_emission_permutation_invariant(hostage):

@@ -12,6 +12,8 @@ that means to alter them regenerates the table with
 from __future__ import annotations
 
 import hashlib
+import random
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -237,6 +239,39 @@ GOLDEN = {
 @pytest.mark.parametrize("domain,mode,window", CASES)
 def test_artifacts_match_golden_digests(tmp_path, domain, mode, window):
     assert digests(domain, mode, window, tmp_path) == GOLDEN[domain, mode, window]
+
+
+def shuffle_lines(path: Path, rng: random.Random, movable) -> None:
+    """Permute the lines ``movable`` accepts among their own positions."""
+    lines = path.read_text().splitlines()
+    slots = [i for i, line in enumerate(lines) if movable(line)]
+    moved = [lines[i] for i in slots]
+    rng.shuffle(moved)
+    for i, line in zip(slots, moved):
+        lines[i] = line
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("domain", ["football", "hostage"])
+def test_declaration_order_leaves_artifacts_unchanged(tmp_path, monkeypatch,
+                                                      domain, seed):
+    """The concept, instance and scale lines of the domain file, and the
+    lines of the gazetteer and lexicon, may come in any order."""
+    rng = random.Random(seed)
+    root = tmp_path / "fixtures" / domain
+    shutil.copytree(FIXTURES / domain, root)
+    shuffle_lines(root / "domain.spec", rng,
+                  lambda line: line.split(" ", 1)[0] in ("concept", "instance",
+                                                          "scale"))
+    for table in ("gazetteer.tsv", "lexicon.tsv"):
+        shuffle_lines(root / table, rng,
+                      lambda line: line.strip() and not line.startswith("#"))
+    monkeypatch.setattr(f"{__name__}.FIXTURES", tmp_path / "fixtures")
+    for case in CASES:
+        if case[0] == domain:
+            out = tmp_path / "-".join(case)
+            assert digests(*case, out) == GOLDEN[case], case
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ import pytest
 
 from chronicle.errors import (CycleInTaxonomy, DslSyntaxError, DuplicateInstance,
                               DuplicateMessageType, ScaleRequired,
-                              UnknownConcept, UnknownMessageType, UnknownSlot)
+                              UnknownConcept, UnknownInstance,
+                              UnknownMessageType, UnknownSlot)
 from chronicle.extract import load_trigger_rules
 from chronicle.ontology import (ConditionAtom, is_subtype, load_message_specs,
                                 load_ontology, load_relation_specs)
@@ -60,6 +61,47 @@ def test_duplicate_instance(tmp_path):
     path = write_spec(tmp_path, "concept A\ninstance x : A\ninstance x : A\n")
     with pytest.raises(DuplicateInstance):
         load_ontology(path)
+
+
+def test_unknown_parent_names_the_child_line(tmp_path):
+    path = write_spec(tmp_path, "concept A\n\nconcept B < Missing\n")
+    with pytest.raises(UnknownConcept, match="unknown parent concept 'Missing'") as err:
+        load_ontology(path)
+    assert err.value.line == 3
+
+
+def test_scale_value_must_be_an_instance(tmp_path):
+    path = write_spec(tmp_path, "concept Degree\ninstance good : Degree\n"
+                                "scale Degree = good < great\n")
+    with pytest.raises(UnknownInstance, match="'great' is not an instance$") as err:
+        load_ontology(path)
+    assert err.value.line == 3
+
+
+def test_scale_value_must_be_of_the_scale_concept(tmp_path):
+    path = write_spec(tmp_path, "concept Degree\nconcept Team\n"
+                                "instance good : Degree\ninstance Ajax : Team\n"
+                                "scale Degree = good < Ajax\n")
+    with pytest.raises(UnknownInstance,
+                       match="'Ajax' is not an instance of 'Degree'") as err:
+        load_ontology(path)
+    assert err.value.line == 5
+
+
+def test_scale_on_a_parent_concept_serves_its_children(tmp_path):
+    # the child concept comes before its parent, the scale before both
+    path = write_spec(tmp_path, "scale Degree = poor < good\n"
+                                "concept Rating < Degree\nconcept Degree\n"
+                                "instance poor : Rating\ninstance good : Degree\n"
+                                "message m(x: Rating)\n"
+                                "relation better axis=diachronic left=m right=m "
+                                "where left.x < right.x\n")
+    onto = load_ontology(path)
+    assert onto.scale_for("Rating") == ("poor", "good")
+    specs = load_message_specs(path, onto)
+    (rule,) = load_relation_specs(path, specs, onto)
+    assert rule.conditions == (ConditionAtom(
+        op="lt", left_slot="x", right_slot="x", scale=("poor", "good")),)
 
 
 def test_football_performance_slots(football):

@@ -76,10 +76,9 @@ def random_ontology(rng: random.Random) -> Ontology:
                  for _ in range(rng.randint(1, 3))]
         names.add("_".join(words))
     concepts = ["Agent", "Place"]
-    return Ontology(concepts=frozenset(concepts), parent=(),
-                    instances=tuple(sorted((n, rng.choice(concepts))
-                                           for n in names)),
-                    ordered_scales=())
+    return Ontology(concepts=frozenset(concepts), parent={},
+                    instances={n: rng.choice(concepts) for n in sorted(names)},
+                    ordered_scales={})
 
 
 @pytest.mark.parametrize("seed", range(60))
