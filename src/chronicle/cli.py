@@ -150,10 +150,8 @@ def cmd_summarize(args) -> int:
     messages = extract_mod.load_gold_messages(
         out / MESSAGES_ARTIFACT, message_specs, ontology, corpus)
     instances = relations_mod.read_relations(out / RELATIONS_ARTIFACT, messages)
-    ellipsis_path = out / ELLIPSIS_ARTIFACT
-    reports = (relations_mod.read_ellipsis(ellipsis_path, messages,
-                                           corpus.sources)
-               if ellipsis_path.exists() else [])
+    reports = relations_mod.read_ellipsis(out / ELLIPSIS_ARTIFACT, messages,
+                                          corpus.sources)
     window = parse_window(args.window)
     templates = summarize_mod.load_templates(args.templates)
     graph = summarize_mod.build_graph(messages, instances, window)

@@ -221,8 +221,8 @@ def tokenize(text: str,
 
 
 def _split_sentences(text) -> list[str]:
-    if isinstance(text, list):
-        parts = [str(s) for s in text]
+    if isinstance(text, list) and all(isinstance(s, str) for s in text):
+        parts = text
     elif isinstance(text, str):
         parts = text.split("\n")
     else:
@@ -236,8 +236,8 @@ def load_corpus(path: str | Path,
     """Load a raw jsonl-v1 corpus file into the canonical model.
 
     One JSON record per line with fields ``doc_id``, ``source``,
-    ``publish_time`` (RFC 3339) and ``text`` (a sentence list, or raw text
-    split one sentence per line). The event id is the file's stem. Records
+    ``publish_time`` (RFC 3339) and ``text`` (a list of sentence strings, or
+    raw text split one sentence per line). The event id is the file's stem. Records
     with missing ids, sources or timestamps are rejected, not skipped.
     """
     path = Path(path)

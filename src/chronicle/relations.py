@@ -11,21 +11,23 @@ report steps.
 Candidates are found without testing every pair. Synchronic ones come from
 a sweep over dilated extents sorted by start: a message can only overlap
 extents that start between its own start minus the longest extent among
-the candidates and its own end, a range two bisections find. Diachronic
-ones come from per-source lists sorted by anchor start, where the later
-anchors of a message's source are one bisection away. Ellipsis runs the
-same sweep on per-(type, source) lists.
+the candidates and its own end, a range two bisections find. Ellipsis runs
+the same sweep on per-(type, source) lists. Diachronic ones come from a
+report index: per-source lists in report order, where a rule's distance is
+a range of report indices that two bisections find (``==k`` one index,
+``>=k`` every index from ``+k`` on, no distance the whole source). Report
+order follows publish time, but anchors come from the text, so each
+candidate in the range is still tested for a strictly later anchor start.
 
 ``evaluate_relations`` runs each rule as a keyed join, since a rule's
 conditions are a conjunction of slot equalities plus a few other atoms.
 The rule's ``eq`` atoms, in order, give a key over the left message's
 slots and one over the right's; its ``const`` atoms filter each side. The
-right messages are grouped by key, and the sweep or the per-source lists
-run inside the left message's group only. A message with a null key slot,
-or one that fails a ``const`` atom, joins no group, since no atom matches a
+right messages are grouped by key, and the sweep or the report index runs
+inside the left message's group only. A message with a null key slot, or
+one that fails a ``const`` atom, joins no group, since no atom matches a
 null slot. The ``neq``, ``lt`` and ``gt`` atoms are tested on each
-candidate. A ``distance==k`` rule looks up the group's messages of the same
-source at report index ``+k`` instead of scanning every later report.
+candidate.
 
 ``brute_force_oracle`` re-implements the whole contract literally and
 independently (no shared condition or window helpers) so tests can check
@@ -154,34 +156,39 @@ def _synchronic_candidates(lefts, rights: _Sweep):
     ``lefts`` are _by_extent items."""
     for m1, ext in lefts:
         for m2 in rights.overlapping(ext):
-            if m2.source != m1.source and m2.key() != m1.key():
+            if m2.source != m1.source:
                 yield m1, m2
 
 
-class _SourceLists:
-    """Messages per source, each list sorted by anchor start."""
+class _Reports:
+    """Messages per source in report order, for finding a message's later
+    same-source messages at a given report distance."""
 
-    def __init__(self, messages: list[Message]):
+    def __init__(self, messages):
         self.lists: dict[str, list[Message]] = {}
-        for m in sorted(messages, key=_message_sort_key):
+        for m in sorted(messages, key=lambda m: m.report_index):
             self.lists.setdefault(m.source, []).append(m)
-        self.starts = {source: [m.time.start for m in ms]
-                       for source, ms in self.lists.items()}
+        self.indices = {source: [m.report_index for m in ms]
+                        for source, ms in self.lists.items()}
 
-    def later(self, m: Message) -> list[Message]:
-        """Same-source messages with a strictly later anchor start."""
-        if m.source not in self.lists:
-            return []
-        cut = bisect_right(self.starts[m.source], m.time.start)
-        return self.lists[m.source][cut:]
-
-
-def _diachronic_candidates(lefts, rights: _SourceLists):
-    """(left, right, report distance) for same-source pairs at strictly
-    increasing anchor starts."""
-    for m1 in lefts:
-        for m2 in rights.later(m1):
-            yield m1, m2, m2.report_index - m1.report_index
+    def later(self, m: Message, distance: tuple[str, int] | None = None):
+        """(m2, report distance) for each same-source m2 with a strictly
+        later anchor start whose report is ``k`` after ``m``'s for
+        ``("==", k)``, at least ``k`` after for ``(">=", k)``, or anywhere
+        for None."""
+        ms = self.lists.get(m.source)
+        if ms is None:
+            return
+        lo, hi = 0, len(ms)
+        if distance is not None:
+            op, k = distance
+            indices = self.indices[m.source]
+            lo = bisect_left(indices, m.report_index + k)
+            if op == "==":
+                hi = bisect_right(indices, m.report_index + k, lo)
+        for m2 in ms[lo:hi]:
+            if m2.time.start > m.time.start:
+                yield m2, m2.report_index - m.report_index
 
 
 def synchronic_pairs(messages: list[Message],
@@ -194,29 +201,9 @@ def synchronic_pairs(messages: list[Message],
 def diachronic_pairs(messages: list[Message]) -> list[tuple[Message, Message, int]]:
     """All same-source ordered pairs with strictly increasing anchor start,
     with their report distance (later report_index minus earlier)."""
-    return list(_diachronic_candidates(sorted(messages, key=_message_sort_key),
-                                       _SourceLists(messages)))
-
-
-def _at_distance(lefts, rights: list[Message], k: int):
-    """(left, right, k) for same-source pairs exactly ``k`` reports apart at
-    strictly increasing anchor starts, found by a lookup on (source, report
-    index). Report order follows publish time, but anchors come from the
-    text, so the start test stays."""
-    at: dict[tuple[str, int], list[Message]] = {}
-    for m in rights:
-        at.setdefault((m.source, m.report_index), []).append(m)
-    for m1 in lefts:
-        for m2 in at.get((m1.source, m1.report_index + k), ()):
-            if m2.time.start > m1.time.start:
-                yield m1, m2, k
-
-
-def _distance_ok(constraint: tuple[str, int] | None, distance: int) -> bool:
-    if constraint is None:
-        return True
-    op, k = constraint
-    return distance == k if op == "==" else distance >= k
+    reports = _Reports(messages)
+    return [(m1, m2, distance) for m1 in sorted(messages, key=_message_sort_key)
+            for m2, distance in reports.later(m1)]
 
 
 def _join_plan(spec: RelationSpec):
@@ -289,21 +276,13 @@ def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpe
                         if spec.symmetric:
                             emit(RelationInstance(spec.name, SYNCHRONIC, m2, m1))
                 continue
-            left_messages = (m for m, _ in lefts)
-            right_messages = [m for m, _ in rights]
-            if spec.distance is not None and spec.distance[0] == "==":
-                pairs = _at_distance(left_messages, right_messages,
-                                     spec.distance[1])
-            else:
-                pairs = _diachronic_candidates(left_messages,
-                                               _SourceLists(right_messages))
-            for m1, m2, distance in pairs:
-                if (_distance_ok(spec.distance, distance)
-                        and (not residual
-                             or all(evaluate_atom(a, m1.args, m2.args)
-                                    for a in residual))):
-                    emit(RelationInstance(spec.name, DIACHRONIC, m1, m2,
-                                          distance=distance))
+            reports = _Reports(m for m, _ in rights)
+            for m1, _ in lefts:
+                for m2, distance in reports.later(m1, spec.distance):
+                    if not residual or all(evaluate_atom(a, m1.args, m2.args)
+                                           for a in residual):
+                        emit(RelationInstance(spec.name, DIACHRONIC, m1, m2,
+                                              distance=distance))
     return sort_instances(found.values())
 
 
@@ -399,7 +378,6 @@ def bucket_messages(messages: list[Message], window: WindowPolicy) -> list[Bucke
     Buckets are the connected components of the anchor-compatibility graph,
     computed by a sweep over dilated extents.
     """
-    ordered = sorted(messages, key=_message_sort_key)
     buckets: list[Bucket] = []
     group: list[Message] = []
     hull = None
@@ -411,8 +389,7 @@ def bucket_messages(messages: list[Message], window: WindowPolicy) -> list[Bucke
                 label=group[0].time.start.date().isoformat(),
                 messages=tuple(group)))
 
-    for m in ordered:
-        ext = _dilated(m.time, window)
+    for m, ext in _by_extent(messages, window):
         if hull is None or _extents_overlap(hull, ext):
             if hull is None:
                 hull = ext

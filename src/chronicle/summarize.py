@@ -309,7 +309,6 @@ def render_summary(graph: RelationGraph,
         order = (bucket_of[m.key()], 3, tname, _message_sort_key(m))
         lone_sentences.append((order, text))
 
-    planned.sort(key=lambda p: p[0])
     lone_sentences.sort(key=lambda p: p[0])
 
     # merge, applying the per-bucket budget to lone sentences only

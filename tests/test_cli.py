@@ -107,6 +107,21 @@ def test_stage_isolation_relate_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "relations.jsonl").read_bytes() == before
 
 
+def test_summarize_without_ellipsis_artifact_exits_2(tmp_path, capsys):
+    run_pipeline("hostage", tmp_path, window="1d")
+    (tmp_path / "ellipsis.jsonl").unlink()
+    (tmp_path / "summary.txt").unlink()
+    capsys.readouterr()
+    root = FIXTURES / "hostage"
+    assert run(["summarize", "--ontology", root / "domain.spec",
+                "--templates", root / "templates.txt", "--window", "1d",
+                "--out", tmp_path / "summary.txt", "--out-dir", tmp_path]) == 2
+    err = one_json_error(capsys, "summarize")
+    assert err["error"] == "FileNotFoundError"
+    assert "ellipsis.jsonl" in err["detail"]
+    assert not (tmp_path / "summary.txt").exists()
+
+
 def test_simulate_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -65,6 +65,8 @@ def test_duplicate_doc_id_rejected(tmp_path):
       "text": []}, "sentences"),
     ({"source": "A", "publish_time": "2004-09-10T08:00:00Z", "text": ["x"]},
      "doc_id"),
+    ({"doc_id": "a1", "source": "A", "publish_time": "2004-09-10T08:00:00Z",
+      "text": ["The talks began.", None, 5, {"x": 1}]}, "text"),
 ])
 def test_malformed_records_rejected(tmp_path, record, fragment):
     path = write_jsonl(tmp_path / "c.jsonl", [record])

@@ -364,6 +364,34 @@ def test_keyed_join_matches_oracle(seed):
     assert [r.distance for r in engine] == [r.distance for r in oracle]
 
 
+def candidate_oracle(messages, window):
+    """Both axes' candidate sets by a literal double loop, as sorted key
+    lists: cross-source pairs with window-compatible anchors, and
+    same-source pairs at a strictly later anchor start with their report
+    distance."""
+    sync, dia = [], []
+    for m1 in messages:
+        for m2 in messages:
+            if m1.source != m2.source:
+                if anchors_compatible(m1.time, m2.time, window):
+                    sync.append((m1.key(), m2.key()))
+            elif m1.time.start < m2.time.start:
+                dia.append((m1.key(), m2.key(),
+                            m2.report_index - m1.report_index))
+    return sorted(sync), sorted(dia)
+
+
+@pytest.mark.parametrize("seed", [*range(0, 100), *range(20_000, 20_100)])
+def test_candidate_pairs_match_double_loop(seed):
+    trial = random_trial if seed < 20_000 else keyed_trial
+    messages, _, window = trial(seed)
+    sync, dia = candidate_oracle(messages, window)
+    assert sorted((m1.key(), m2.key())
+                  for m1, m2 in synchronic_pairs(messages, window)) == sync
+    assert sorted((m1.key(), m2.key(), distance)
+                  for m1, m2, distance in diachronic_pairs(messages)) == dia
+
+
 @pytest.mark.parametrize("seed", range(0, 60))
 def test_buckets_match_oracle(seed):
     messages, _, window = random_trial(seed)
