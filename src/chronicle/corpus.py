@@ -70,12 +70,6 @@ class Corpus:
     def sources(self) -> set[str]:
         return {d.source for d in self.documents}
 
-    def document(self, doc_id: str) -> Document:
-        for d in self.documents:
-            if d.doc_id == doc_id:
-                return d
-        raise KeyError(doc_id)
-
 
 def to_utc(dt: datetime) -> datetime:
     """The same moment in UTC; a naive datetime is taken as UTC, never as
@@ -238,7 +232,8 @@ def load_corpus(path: str | Path,
     One JSON record per line with fields ``doc_id``, ``source``,
     ``publish_time`` (RFC 3339) and ``text`` (a list of sentence strings, or
     raw text split one sentence per line). The event id is the file's stem. Records
-    with missing ids, sources or timestamps are rejected, not skipped.
+    with missing ids, sources or timestamps are rejected, not skipped, and so
+    is a ``doc_id`` holding ``#``, which message references use as a separator.
     """
     path = Path(path)
     raw_docs: list[tuple[str, str, datetime, list[str]]] = []
@@ -247,6 +242,8 @@ def load_corpus(path: str | Path,
         doc_id = rec.get("doc_id")
         if not doc_id or not isinstance(doc_id, str):
             raise MalformedRecord("missing doc_id", str(path), ln)
+        if "#" in doc_id:
+            raise MalformedRecord(f"doc_id {doc_id!r} contains '#'", str(path), ln)
         if doc_id in seen_ids:
             raise DuplicateDocId(doc_id)
         seen_ids.add(doc_id)
@@ -356,8 +353,9 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
     sentence's ``tokens`` raises RuntimeError. Either way a record that lacks
     ``doc_id``, ``source``, ``publish_time``, ``report_index`` or
     ``sentences``, or a sentence's ``index`` or ``text``, or holds one of the
-    wrong type, raises MalformedRecord with the line; with tokens, so does a
-    token row that is not an array of five fields.
+    wrong type, or a ``doc_id`` holding ``#``, raises MalformedRecord with
+    the line; with tokens, so does a token row that is not an array of five
+    fields.
     """
     documents = []
     event_id = Path(path).stem
@@ -374,6 +372,8 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
                     or not isinstance(report_index, int)
                     or not isinstance(rec["sentences"], list)):
                 raise TypeError
+            if "#" in doc_id:
+                raise MalformedRecord(f"doc_id {doc_id!r} contains '#'", str(path), ln)
             sentences = tuple(_sentence(s, tokens) for s in rec["sentences"])
         except KeyError as exc:
             raise MalformedRecord(f"missing {exc.args[0]}", str(path), ln) from None

@@ -14,11 +14,15 @@ formats that trace itself, with the bytes of ``json.dump(doc, indent=2,
 sort_keys=True)`` plus a newline; an indented ``json.dump`` always runs the
 encoder's pure-Python path.
 
-Rendering stays near-linear in messages plus relation instances: a chain
-walk finds its next edge through an adjacency map from left message to
-the unconsumed edges leaving it, bucket lookups go through one
-message-to-bucket map, and each bucket's relation sentences are counted
-once before the budget trims lone sentences.
+Sentences are planned in one walk over the graph's edges, which
+``build_graph`` holds in ``sort_instances`` order, so grouping them by
+(axis, name) yields each relation's pool with no regrouping or re-sort.
+Each planned sentence is ordered by (bucket, kind rank, name, message);
+lone sentences rank last in their bucket, so after one sort a single filter
+applies the budget. A chain walk finds its next edge through an adjacency
+map from left message to the unconsumed edges leaving it, and bucket
+lookups go through one message-to-bucket map, so rendering stays
+near-linear in messages plus relation instances.
 """
 
 from __future__ import annotations
@@ -26,13 +30,15 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
 from .errors import ChronicleError, DslSyntaxError, MissingTemplate
 from .extract import Message
-from .ontology import DIACHRONIC, SYNCHRONIC
+from .ontology import DIACHRONIC
 from .relations import (Bucket, EllipsisReport, RelationInstance, WindowPolicy,
                         bucket_indices, bucket_messages, sort_instances,
                         _message_sort_key)
@@ -75,12 +81,9 @@ class RelationGraph:
 
 def build_graph(messages: list[Message], relations: list[RelationInstance],
                 window: WindowPolicy) -> RelationGraph:
+    """Messages in time order and relations in ``sort_instances`` order, so
+    that no summary depends on the order its artifacts were read in."""
     nodes = tuple(sorted(messages, key=_message_sort_key))
-    node_keys = {m.key() for m in nodes}
-    for r in relations:
-        if r.left.key() not in node_keys or r.right.key() not in node_keys:
-            raise ChronicleError(
-                f"relation {r.name!r} references a message outside the graph")
     return RelationGraph(
         nodes=nodes, edges=tuple(sort_instances(relations)),
         buckets=tuple(bucket_messages(list(nodes), window)))
@@ -159,8 +162,9 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _diachronic_chains(edges: list[RelationInstance]) -> list[list[RelationInstance]]:
-    """Maximal same-name paths; each edge lands in exactly one chain.
+def _diachronic_chains(pool: list[RelationInstance]) -> list[list[RelationInstance]]:
+    """Maximal paths through one relation's edges, given in
+    ``sort_instances`` order; each edge lands in exactly one chain.
 
     Chains start at edges whose left message no edge enters, in pool order;
     edges left over start further chains, again in pool order. A walk always
@@ -169,35 +173,30 @@ def _diachronic_chains(edges: list[RelationInstance]) -> list[list[RelationInsta
     pool positions.
     """
     chains: list[list[RelationInstance]] = []
-    by_name: dict[str, list[RelationInstance]] = {}
-    for e in edges:
-        by_name.setdefault(e.name, []).append(e)
-    for name in sorted(by_name):
-        pool = sort_instances(by_name[name])
-        consumed = [False] * len(pool)
-        # left message key -> pool positions of its edges, last = first in pool
-        leaving: dict[tuple, list[int]] = {}
-        for i in reversed(range(len(pool))):
-            leaving.setdefault(pool[i].left.key(), []).append(i)
-        incoming = {e.right.key() for e in pool}
+    consumed = [False] * len(pool)
+    # left message key -> pool positions of its edges, last = first in pool
+    leaving: dict[tuple, list[int]] = {}
+    for i in reversed(range(len(pool))):
+        leaving.setdefault(pool[i].left.key(), []).append(i)
+    incoming = {e.right.key() for e in pool}
 
-        def take_chain(i: int | None) -> list[RelationInstance]:
-            chain = []
-            while i is not None:
-                consumed[i] = True
-                chain.append(pool[i])
-                out = leaving.get(pool[i].right.key(), [])
-                while out and consumed[out[-1]]:
-                    out.pop()
-                i = out[-1] if out else None
-            return chain
+    def take_chain(i: int | None) -> list[RelationInstance]:
+        chain = []
+        while i is not None:
+            consumed[i] = True
+            chain.append(pool[i])
+            out = leaving.get(pool[i].right.key(), [])
+            while out and consumed[out[-1]]:
+                out.pop()
+            i = out[-1] if out else None
+        return chain
 
-        for i, e in enumerate(pool):
-            if not consumed[i] and e.left.key() not in incoming:
-                chains.append(take_chain(i))
-        for i in range(len(pool)):
-            if not consumed[i]:
-                chains.append(take_chain(i))
+    for i, e in enumerate(pool):
+        if not consumed[i] and e.left.key() not in incoming:
+            chains.append(take_chain(i))
+    for i in range(len(pool)):
+        if not consumed[i]:
+            chains.append(take_chain(i))
     return chains
 
 
@@ -211,123 +210,98 @@ def render_summary(graph: RelationGraph,
     "ellipsis" template, or a needed "lone-<type>" template is absent. The
     per-bucket budget only trims lone-message sentences; relation-driven
     and ellipsis sentences always render so coverage stays exact. Raises
-    ChronicleError when an ellipsis report's bucket is not the one the
-    graph's window puts its message in (the relate window differed).
+    ValueError for a negative budget, and ChronicleError when an ellipsis
+    report's bucket is not the one the graph's window puts its message in
+    (the relate window differed).
     """
+    if bucket_budget is not None and bucket_budget < 0:
+        raise ValueError(f"bucket budget must be at least 0, got {bucket_budget}")
     for name in sorted({e.name for e in graph.edges}):
         if name not in templates:
             raise MissingTemplate(name)
     if ellipsis and "ellipsis" not in templates:
         raise MissingTemplate("ellipsis")
 
-    # (bucket, kind_rank, sort_key) -> rendered text + consumed instances
+    bucket_of = bucket_indices(graph.buckets)
+    touched: set[tuple[str, int]] = set()
+    # ((bucket, kind rank, template name, message sort key), text, consumed)
     planned: list[tuple[tuple, str, list[str]]] = []
 
-    sync_edges = [e for e in graph.edges if e.axis == SYNCHRONIC]
-    dia_edges = [e for e in graph.edges if e.axis == DIACHRONIC]
-    bucket_of = bucket_indices(graph.buckets)
-    by_key = {m.key(): m for m in graph.nodes}
+    def plan(m: Message, rank: int, name: str, ctx: dict[str, str],
+             consumed: Iterable[RelationInstance] = ()) -> None:
+        order = (bucket_of[m.key()], rank, name, _message_sort_key(m))
+        planned.append((order, _render(templates[name].pattern, ctx, name),
+                        [instance_key(e) for e in consumed]))
 
-    # --- synchronic: collapse equal-argument groups, attribute variants
-    by_name: dict[str, list[RelationInstance]] = {}
-    for e in sync_edges:
-        by_name.setdefault(e.name, []).append(e)
-    for name in sorted(by_name):
-        equal, rest = [], []
-        for e in by_name[name]:
-            same = e.left.msg_type == e.right.msg_type and e.left.args == e.right.args
-            (equal if same else rest).append(e)
+    for (axis, name), group in groupby(graph.edges, key=lambda e: (e.axis, e.name)):
+        pool = list(group)
+        touched.update(m.key() for e in pool for m in (e.left, e.right))
+        if axis == DIACHRONIC:
+            # one trend sentence per chain, in the bucket where it lands
+            for chain in _diachronic_chains(pool):
+                head, tail = chain[0].left, chain[-1].right
+                ctx = _pair_context(head, tail, [head.source])
+                ctx["date"] = _date_of(tail)
+                plan(tail, 1, name, ctx, chain)
+            continue
 
+        # synchronic: collapse equal-argument groups, attribute variants
         uf = _UnionFind()
-        for e in equal:
-            uf.union(e.left.key(), e.right.key())
+        equal: list[RelationInstance] = []
+        # undirected pairs of the remaining directed instances
+        pairs: dict[tuple, list[RelationInstance]] = {}
+        for e in pool:
+            if e.left.msg_type == e.right.msg_type and e.left.args == e.right.args:
+                equal.append(e)
+                uf.union(e.left.key(), e.right.key())
+            else:
+                pairs.setdefault(tuple(sorted([e.left.key(), e.right.key()])),
+                                 []).append(e)
         components: dict[tuple, list[RelationInstance]] = {}
         for e in equal:
             components.setdefault(uf.find(e.left.key()), []).append(e)
         for root in sorted(components):
-            edges_c = components[root]
-            members = {e.left.key() for e in edges_c} | {e.right.key() for e in edges_c}
-            msgs = sorted((by_key[k] for k in members), key=_message_sort_key)
-            rep = msgs[0]
-            ctx = _pair_context(rep, rep, [m.source for m in msgs])
-            text = _render(templates[name].pattern, ctx, name)
-            order = (bucket_of[rep.key()], 0, name,
-                     _message_sort_key(rep))
-            planned.append((order, text, [instance_key(e) for e in edges_c]))
+            edges = components[root]
+            members = {m.key(): m for e in edges for m in (e.left, e.right)}
+            msgs = sorted(members.values(), key=_message_sort_key)
+            plan(msgs[0], 0, name,
+                 _pair_context(msgs[0], msgs[0], [m.source for m in msgs]), edges)
+        for pair in sorted(pairs):
+            canon = pairs[pair][0]
+            plan(canon.left, 0, name,
+                 _pair_context(canon.left, canon.right,
+                               [canon.left.source, canon.right.source]),
+                 pairs[pair])
 
-        # group remaining directed instances into undirected pairs
-        grouped: dict[tuple, list[RelationInstance]] = {}
-        for e in rest:
-            pair_id = (name,) + tuple(sorted([e.left.key(), e.right.key()]))
-            grouped.setdefault(pair_id, []).append(e)
-        for pair_id in sorted(grouped):
-            edges_p = grouped[pair_id]
-            canon = edges_p[0]
-            ctx = _pair_context(canon.left, canon.right,
-                                [canon.left.source, canon.right.source])
-            text = _render(templates[name].pattern, ctx, name)
-            order = (bucket_of[canon.left.key()], 0, name,
-                     _message_sort_key(canon.left))
-            planned.append((order, text, [instance_key(e) for e in edges_p]))
-
-    # --- diachronic: collapse same-name chains into trend sentences
-    for chain in _diachronic_chains(dia_edges):
-        name = chain[0].name
-        head, tail = chain[0].left, chain[-1].right
-        ctx = _pair_context(head, tail, [head.source])
-        ctx["date"] = _date_of(tail)
-        text = _render(templates[name].pattern, ctx, name)
-        order = (bucket_of[tail.key()], 1, name, _message_sort_key(tail))
-        planned.append((order, text, [instance_key(e) for e in chain]))
-
-    # --- ellipsis reports
-    reported: set[tuple[str, int]] = set()
     for rep in ellipsis:
         if bucket_of.get(rep.message.key()) != rep.bucket:
             raise ChronicleError(
                 f"ellipsis report for {rep.message.doc_id}#"
                 f"{rep.message.sentence_index} names bucket {rep.bucket}, "
                 f"which is not its bucket under this window")
-        reported.add(rep.message.key())
+        touched.add(rep.message.key())
         ctx = _single_context(rep.message)
         ctx["silent"] = _join_sources(rep.silent_sources)
-        text = _render(templates["ellipsis"].pattern, ctx, "ellipsis")
-        order = (rep.bucket, 2, "ellipsis", _message_sort_key(rep.message))
-        planned.append((order, text, []))
+        plan(rep.message, 2, "ellipsis", ctx)
 
-    # --- lone messages: no relation touches them, no ellipsis covers them
-    touched = {e.left.key() for e in graph.edges} | \
-              {e.right.key() for e in graph.edges} | reported
-    lone_sentences: list[tuple[tuple, str]] = []
+    # lone messages: no relation touches them, no ellipsis covers them
     for m in graph.nodes:
-        if m.key() in touched:
-            continue
-        tname = f"lone-{m.msg_type}"
-        if tname not in templates:
-            raise MissingTemplate(tname)
-        text = _render(templates[tname].pattern, _single_context(m), tname)
-        order = (bucket_of[m.key()], 3, tname, _message_sort_key(m))
-        lone_sentences.append((order, text))
+        if m.key() not in touched:
+            tname = f"lone-{m.msg_type}"
+            if tname not in templates:
+                raise MissingTemplate(tname)
+            plan(m, 3, tname, _single_context(m))
 
-    lone_sentences.sort(key=lambda p: p[0])
-
-    # merge, applying the per-bucket budget to lone sentences only
-    mandatory = Counter(order[0] for order, _, _ in planned)
-    per_bucket: dict[int, int] = {}
-    merged: list[tuple[tuple, str, list[str]]] = list(planned)
-    for order, text in lone_sentences:
-        bucket = order[0]
-        used = per_bucket.get(bucket, 0)
-        if bucket_budget is None or mandatory[bucket] + used < bucket_budget:
-            merged.append((order, text, []))
-            per_bucket[bucket] = used + 1
-    merged.sort(key=lambda p: p[0])
-
-    sentences = tuple(text for _, text, _ in merged)
+    # lone sentences sort last in their bucket, so the budget is one filter
+    kept: Counter = Counter()
+    sentences: list[str] = []
     coverage = []
-    for idx, (_, _, consumed) in enumerate(merged):
-        for key in consumed:
-            coverage.append((key, idx))
+    for (bucket, rank, *_), text, consumed in sorted(planned, key=itemgetter(0)):
+        if rank == 3 and bucket_budget is not None and kept[bucket] >= bucket_budget:
+            continue
+        kept[bucket] += 1
+        coverage.extend((key, len(sentences)) for key in consumed)
+        sentences.append(text)
     seen = [k for k, _ in coverage]
     if not len(seen) == len(set(seen)) == len(graph.edges):
         raise ChronicleError(
@@ -335,7 +309,7 @@ def render_summary(graph: RelationGraph,
             f"{len(graph.edges)} instances, {len(seen)} consumed, "
             f"{len(set(seen))} distinct")
     text = "\n".join(sentences) + ("\n" if sentences else "")
-    return RenderResult(text=text, sentences=sentences,
+    return RenderResult(text=text, sentences=tuple(sentences),
                         coverage=tuple(sorted(coverage)))
 
 

@@ -12,7 +12,11 @@ phrase indexes, kept as they were: they try every gazetteer entry,
 instance or grammar pattern at every token. The artifact writers after
 them are the library's writers from before it formatted records itself:
 one ``json.dumps``/``json.dump`` call per record or document, and the
-JSON-lines reader from before it called the JSON scanner itself. The
+JSON-lines reader from before it called the JSON scanner itself.
+``render_summary_oracle`` is the summarizer from before it planned every
+sentence in one walk over the sorted relation list: it splits the edges by
+axis, regroups each axis by name, re-sorts each diachronic pool, and trims
+lone sentences through a separate list. The
 evolution and spec-text helpers at the end have no counterpart in the
 package: the pipeline classifies linearity inside ``analyze_corpus`` and
 never writes a spec file. Last comes the spec line parser from before the
@@ -24,15 +28,20 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 
 from chronicle.corpus import _TOKEN_RE, Sentence, Token, format_rfc3339
 from chronicle.evolution import LINEAR, NON_LINEAR, fit_linear
-from chronicle.errors import DslSyntaxError, MalformedRecord
+from chronicle.errors import (ChronicleError, DslSyntaxError, MalformedRecord,
+                              MissingTemplate)
 from chronicle.ontology import (_INSTANCE_RE, _NAME_RE, DIACHRONIC, SYNCHRONIC,
                                 ConditionAtom, MessageTypeSpec, Ontology,
                                 RelationSpec, Statement, _parse_atoms)
-from chronicle.relations import sort_instances
-from chronicle.summarize import instance_key
+from chronicle.relations import (RelationInstance, _message_sort_key,
+                                 bucket_indices, sort_instances)
+from chronicle.summarize import (RenderResult, _date_of, _join_sources,
+                                 _pair_context, _render, _single_context,
+                                 _UnionFind, instance_key)
 from chronicle.temporal import (_MONTHS, _WEEKDAYS, GrammarPattern,
                                 TemporalExpression, default_grammar)
 
@@ -323,6 +332,166 @@ def write_coverage_oracle(result, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _diachronic_chains_oracle(edges: list[RelationInstance]) -> list[list[RelationInstance]]:
+    chains: list[list[RelationInstance]] = []
+    by_name: dict[str, list[RelationInstance]] = {}
+    for e in edges:
+        by_name.setdefault(e.name, []).append(e)
+    for name in sorted(by_name):
+        pool = sort_instances(by_name[name])
+        consumed = [False] * len(pool)
+        # left message key -> pool positions of its edges, last = first in pool
+        leaving: dict[tuple, list[int]] = {}
+        for i in reversed(range(len(pool))):
+            leaving.setdefault(pool[i].left.key(), []).append(i)
+        incoming = {e.right.key() for e in pool}
+
+        def take_chain(i: int | None) -> list[RelationInstance]:
+            chain = []
+            while i is not None:
+                consumed[i] = True
+                chain.append(pool[i])
+                out = leaving.get(pool[i].right.key(), [])
+                while out and consumed[out[-1]]:
+                    out.pop()
+                i = out[-1] if out else None
+            return chain
+
+        for i, e in enumerate(pool):
+            if not consumed[i] and e.left.key() not in incoming:
+                chains.append(take_chain(i))
+        for i in range(len(pool)):
+            if not consumed[i]:
+                chains.append(take_chain(i))
+    return chains
+
+
+def render_summary_oracle(graph, templates, ellipsis=(), bucket_budget=None) -> RenderResult:
+    for name in sorted({e.name for e in graph.edges}):
+        if name not in templates:
+            raise MissingTemplate(name)
+    if ellipsis and "ellipsis" not in templates:
+        raise MissingTemplate("ellipsis")
+
+    # (bucket, kind_rank, sort_key) -> rendered text + consumed instances
+    planned: list[tuple[tuple, str, list[str]]] = []
+
+    sync_edges = [e for e in graph.edges if e.axis == SYNCHRONIC]
+    dia_edges = [e for e in graph.edges if e.axis == DIACHRONIC]
+    bucket_of = bucket_indices(graph.buckets)
+    by_key = {m.key(): m for m in graph.nodes}
+
+    # --- synchronic: collapse equal-argument groups, attribute variants
+    by_name: dict[str, list[RelationInstance]] = {}
+    for e in sync_edges:
+        by_name.setdefault(e.name, []).append(e)
+    for name in sorted(by_name):
+        equal, rest = [], []
+        for e in by_name[name]:
+            same = e.left.msg_type == e.right.msg_type and e.left.args == e.right.args
+            (equal if same else rest).append(e)
+
+        uf = _UnionFind()
+        for e in equal:
+            uf.union(e.left.key(), e.right.key())
+        components: dict[tuple, list[RelationInstance]] = {}
+        for e in equal:
+            components.setdefault(uf.find(e.left.key()), []).append(e)
+        for root in sorted(components):
+            edges_c = components[root]
+            members = {e.left.key() for e in edges_c} | {e.right.key() for e in edges_c}
+            msgs = sorted((by_key[k] for k in members), key=_message_sort_key)
+            rep = msgs[0]
+            ctx = _pair_context(rep, rep, [m.source for m in msgs])
+            text = _render(templates[name].pattern, ctx, name)
+            order = (bucket_of[rep.key()], 0, name,
+                     _message_sort_key(rep))
+            planned.append((order, text, [instance_key(e) for e in edges_c]))
+
+        # group remaining directed instances into undirected pairs
+        grouped: dict[tuple, list[RelationInstance]] = {}
+        for e in rest:
+            pair_id = (name,) + tuple(sorted([e.left.key(), e.right.key()]))
+            grouped.setdefault(pair_id, []).append(e)
+        for pair_id in sorted(grouped):
+            edges_p = grouped[pair_id]
+            canon = edges_p[0]
+            ctx = _pair_context(canon.left, canon.right,
+                                [canon.left.source, canon.right.source])
+            text = _render(templates[name].pattern, ctx, name)
+            order = (bucket_of[canon.left.key()], 0, name,
+                     _message_sort_key(canon.left))
+            planned.append((order, text, [instance_key(e) for e in edges_p]))
+
+    # --- diachronic: collapse same-name chains into trend sentences
+    for chain in _diachronic_chains_oracle(dia_edges):
+        name = chain[0].name
+        head, tail = chain[0].left, chain[-1].right
+        ctx = _pair_context(head, tail, [head.source])
+        ctx["date"] = _date_of(tail)
+        text = _render(templates[name].pattern, ctx, name)
+        order = (bucket_of[tail.key()], 1, name, _message_sort_key(tail))
+        planned.append((order, text, [instance_key(e) for e in chain]))
+
+    # --- ellipsis reports
+    reported: set[tuple[str, int]] = set()
+    for rep in ellipsis:
+        if bucket_of.get(rep.message.key()) != rep.bucket:
+            raise ChronicleError(
+                f"ellipsis report for {rep.message.doc_id}#"
+                f"{rep.message.sentence_index} names bucket {rep.bucket}, "
+                f"which is not its bucket under this window")
+        reported.add(rep.message.key())
+        ctx = _single_context(rep.message)
+        ctx["silent"] = _join_sources(rep.silent_sources)
+        text = _render(templates["ellipsis"].pattern, ctx, "ellipsis")
+        order = (rep.bucket, 2, "ellipsis", _message_sort_key(rep.message))
+        planned.append((order, text, []))
+
+    # --- lone messages: no relation touches them, no ellipsis covers them
+    touched = {e.left.key() for e in graph.edges} | \
+              {e.right.key() for e in graph.edges} | reported
+    lone_sentences: list[tuple[tuple, str]] = []
+    for m in graph.nodes:
+        if m.key() in touched:
+            continue
+        tname = f"lone-{m.msg_type}"
+        if tname not in templates:
+            raise MissingTemplate(tname)
+        text = _render(templates[tname].pattern, _single_context(m), tname)
+        order = (bucket_of[m.key()], 3, tname, _message_sort_key(m))
+        lone_sentences.append((order, text))
+
+    lone_sentences.sort(key=lambda p: p[0])
+
+    # merge, applying the per-bucket budget to lone sentences only
+    mandatory = Counter(order[0] for order, _, _ in planned)
+    per_bucket: dict[int, int] = {}
+    merged: list[tuple[tuple, str, list[str]]] = list(planned)
+    for order, text in lone_sentences:
+        bucket = order[0]
+        used = per_bucket.get(bucket, 0)
+        if bucket_budget is None or mandatory[bucket] + used < bucket_budget:
+            merged.append((order, text, []))
+            per_bucket[bucket] = used + 1
+    merged.sort(key=lambda p: p[0])
+
+    sentences = tuple(text for _, text, _ in merged)
+    coverage = []
+    for idx, (_, _, consumed) in enumerate(merged):
+        for key in consumed:
+            coverage.append((key, idx))
+    seen = [k for k, _ in coverage]
+    if not len(seen) == len(set(seen)) == len(graph.edges):
+        raise ChronicleError(
+            f"every relation instance must be consumed exactly once: "
+            f"{len(graph.edges)} instances, {len(seen)} consumed, "
+            f"{len(set(seen))} distinct")
+    text = "\n".join(sentences) + ("\n" if sentences else "")
+    return RenderResult(text=text, sentences=sentences,
+                        coverage=tuple(sorted(coverage)))
 
 
 def classify_linearity(timestamps, residual_threshold: float = 0.1) -> str:

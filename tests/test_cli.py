@@ -306,7 +306,7 @@ def broken_record(path, kind):
         lines[0] = json.dumps(record)
     elif kind.endswith("-silent_source"):
         corpus = read_corpus_artifact(path.parent / "corpus.jsonl", tokens=False)
-        extra = {"own": corpus.document(record["doc_id"]).source,
+        extra = {"own": next(d.source for d in corpus.documents if d.doc_id == record["doc_id"]),
                  "unknown": "nobody",
                  "repeated": record["silent_sources"][0]}[kind.split("-")[0]]
         record["silent_sources"].append(extra)
@@ -558,6 +558,34 @@ def test_wrong_typed_corpus_sentence_field_exits_2(tmp_path, capsys, key, value)
     assert not (tmp_path / "messages.jsonl").exists()
 
 
+def test_raw_doc_id_with_hash_exits_2(tmp_path, capsys):
+    """Coverage keys render a message as DOC#SENTENCE, so these four ids
+    would give two relation instances one key; ingest refuses the first
+    id that holds a '#'."""
+    text = ["Alpha United delivered a good performance in attack during the "
+            "full match."]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"doc_id": doc_id, "source": source, "text": text,
+                    "publish_time": "2004-08-14T18:00:00Z"}) + "\n"
+        for doc_id, source in [("a", "s1"), ("a#0->b", "s1"),
+                               ("b#0->c", "s2"), ("c", "s2")]))
+    assert run(["ingest", "--corpus", corpus, "--out-dir", tmp_path / "out"]) == 2
+    err = one_json_error(capsys, "ingest")
+    assert err["error"] == "MalformedRecord"
+    assert err["detail"] == f"{corpus}:2: doc_id 'a#0->b' contains '#'"
+    assert not (tmp_path / "out" / "corpus.jsonl").exists()
+
+
+def test_corpus_artifact_doc_id_with_hash_exits_2(tmp_path, capsys):
+    ln = break_corpus_record(tmp_path, lambda record: record.update(doc_id="x#0"))
+    for stage in ["extract", "analyze", "relate", "summarize"]:
+        assert run(hostage_stage(stage, tmp_path)) == 2, stage
+        err = one_json_error(capsys, stage)
+        assert err["error"] == "MalformedRecord"
+        assert f"corpus.jsonl:{ln}: doc_id 'x#0' contains '#'" in err["detail"]
+
+
 @pytest.mark.parametrize("row", [
     "ab", ["ab", "ab"], ["ab", "ab", None, 0, 2, 0], {"surface": "ab"},
 ], ids=["string", "short-array", "long-array", "object"])
@@ -689,6 +717,32 @@ def test_input_order_leaves_artifacts_unchanged(tmp_path, domain, window, seed):
     assert after == base
 
 
+@pytest.mark.parametrize("domain", ["football", "hostage"])
+@pytest.mark.parametrize("window", ["0", "1d"])
+def test_relation_and_ellipsis_line_order_leaves_summary_unchanged(
+        tmp_path, domain, window):
+    """Shuffling the lines of relations.jsonl and ellipsis.jsonl changes
+    neither summary.txt nor coverage.json."""
+    run_pipeline(domain, tmp_path, window)
+    base = {name: (tmp_path / name).read_bytes()
+            for name in ("relations.jsonl", "ellipsis.jsonl", "summary.txt",
+                         "coverage.json")}
+    root = FIXTURES / domain
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for name in ("relations.jsonl", "ellipsis.jsonl"):
+            lines = base[name].decode().splitlines(keepends=True)
+            rng.shuffle(lines)
+            (tmp_path / name).write_text("".join(lines))
+        assert (tmp_path / "relations.jsonl").read_bytes() != base["relations.jsonl"]
+        assert run(["summarize", "--ontology", root / "domain.spec",
+                    "--templates", root / "templates.txt", "--window", window,
+                    "--out", tmp_path / "summary.txt",
+                    "--out-dir", tmp_path]) == 0
+        for name in ("summary.txt", "coverage.json"):
+            assert (tmp_path / name).read_bytes() == base[name], (seed, name)
+
+
 def test_simulate_rejects_empty_bursts(tmp_path, capsys):
     code = run(["simulate", "--kind", "non-linear", "--burst-min", "0",
                 "--burst-max", "0", "--out-dir", tmp_path])
@@ -715,6 +769,20 @@ def summarize_hostage(out_dir, window="0"):
     return run(["summarize", "--ontology", root / "domain.spec",
                 "--templates", root / "templates.txt", "--window", window,
                 "--out", out_dir / "s.txt", "--out-dir", out_dir])
+
+
+def test_negative_bucket_budget_exits_2(tmp_path, capsys):
+    run_pipeline("hostage", tmp_path)
+    capsys.readouterr()
+    root = FIXTURES / "hostage"
+    assert run(["summarize", "--ontology", root / "domain.spec",
+                "--templates", root / "templates.txt", "--window", "0",
+                "--bucket-budget", "-5", "--out", tmp_path / "s.txt",
+                "--out-dir", tmp_path]) == 2
+    err = one_json_error(capsys, "summarize")
+    assert err["error"] == "ValueError"
+    assert "-5" in err["detail"]
+    assert not (tmp_path / "s.txt").exists()
 
 
 def test_summarize_rejects_ellipsis_from_another_window(tmp_path, capsys):

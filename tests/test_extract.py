@@ -136,7 +136,7 @@ def test_fill_arguments_equidistant_prefers_leftmost(hostage):
 # pipeline
 
 def test_single_trigger_document(hostage):
-    doc = hostage.corpus.document("aegean-03")
+    doc = next(d for d in hostage.corpus.documents if d.doc_id == "aegean-03")
     rules = load_trigger_rules(hostage.spec_path, hostage.message_specs)
     messages = extract_messages(doc, hostage.message_specs, hostage.ontology,
                                 rules)
@@ -146,7 +146,7 @@ def test_single_trigger_document(hostage):
 
 
 def test_yesterday_shifts_message_time(hostage):
-    doc = hostage.corpus.document("tribune-01")
+    doc = next(d for d in hostage.corpus.documents if d.doc_id == "tribune-01")
     rules = load_trigger_rules(hostage.spec_path, hostage.message_specs)
     messages = extract_messages(doc, hostage.message_specs, hostage.ontology,
                                 rules)
@@ -210,7 +210,7 @@ def test_gold_messages_load_and_validate(hostage):
     assert len(hostage.gold) == 39
     for m in hostage.gold:
         assert validate_message(m, hostage.message_specs, hostage.ontology) is None
-        doc = hostage.corpus.document(m.doc_id)
+        doc = next(d for d in hostage.corpus.documents if d.doc_id == m.doc_id)
         assert m.source == doc.source
         assert m.report_index == doc.report_index
 

@@ -9,11 +9,11 @@ from chronicle.errors import ChronicleError, MissingTemplate
 from chronicle.extract import Message
 from chronicle.ontology import ConditionAtom, RelationSpec
 from chronicle.relations import (WindowPolicy, detect_ellipsis,
-                                 evaluate_relations)
+                                 evaluate_relations, sort_instances)
 from chronicle.summarize import (SummaryTemplate, _diachronic_chains,
                                  build_graph, load_templates, render_summary)
 from chronicle.temporal import TimeAnchor
-from tests.oracles import chains_oracle
+from tests.oracles import chains_oracle, render_summary_oracle
 from tests.test_relations import random_trial
 
 UTC = timezone.utc
@@ -228,5 +228,50 @@ def test_chains_match_oracle(seed):
     subset = [e for e in edges if rng.random() < 0.5]
     rng.shuffle(subset)
     for pool in (edges, subset):
-        assert [[e.key() for e in c] for c in _diachronic_chains(pool)] == \
+        chains = [c for name in sorted({e.name for e in pool})
+                  for c in _diachronic_chains(
+                      sort_instances([e for e in pool if e.name == name]))]
+        assert [[e.key() for e in c] for c in chains] == \
             [[e.key() for e in c] for c in chains_oracle(pool)]
+
+
+def trial_templates(specs, messages):
+    """Templates naming every field a sentence can draw on, so any change
+    to which messages a sentence renders from shows in its text."""
+    templates = {s.name: SummaryTemplate(
+        s.name, s.name + " {date} {sources}: {left.source} {left.date} "
+        "{left.type} {left.s0} -> {right.source} {right.date} {right.type} "
+        "{right.s0}") for s in specs}
+    templates["ellipsis"] = SummaryTemplate(
+        "ellipsis", "only {source} {type} {date} {s0}; silent {silent}")
+    for t in {m.msg_type for m in messages}:
+        templates[f"lone-{t}"] = SummaryTemplate(
+            f"lone-{t}", "lone {sources} {type} {date} {s0}")
+    return templates
+
+
+def outcome(render, *args):
+    try:
+        return render(*args)
+    except ChronicleError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(0, 150))
+def test_render_matches_oracle(seed):
+    """The one-walk summarizer renders what the regroup-and-merge one did,
+    with ellipsis reports, at every budget; a missing template or a
+    duplicated edge fails the same way in both."""
+    messages, specs, window = random_trial(seed)
+    rng = random.Random(seed)
+    edges = evaluate_relations(messages, specs, window)
+    if edges and rng.random() < 0.1:
+        edges.append(rng.choice(edges))
+    reports = detect_ellipsis(messages, {m.source for m in messages}, window)
+    templates = trial_templates(specs, messages)
+    if rng.random() < 0.1:
+        del templates[rng.choice(sorted(templates))]
+    graph = build_graph(messages, edges, window)
+    for budget in (None, 0, 1, 2):
+        assert outcome(render_summary, graph, templates, reports, budget) == \
+            outcome(render_summary_oracle, graph, templates, reports, budget)
