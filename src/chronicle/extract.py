@@ -332,9 +332,14 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
     Records: ``doc_id``, ``sentence_index``, ``type``, ``args`` (slot to
     instance or null), optional ``time`` (RFC 3339 day or instant; absent
     means the publication day). One message per sentence, as in extraction.
+    Each spec's slot names, each (instance, concept) verdict and each parsed
+    ``time`` string are computed once per call.
     """
     by_name = {m.name: m for m in specs}
+    slot_names = {m.name: set(m.slot_names()) for m in specs}
     docs = {d.doc_id: d for d in corpus.documents}
+    fits: dict[tuple[str, str], bool] = {}
+    anchors: dict[str, TimeAnchor] = {}
     seen: set[tuple[str, int]] = set()
     messages = []
     for ln, rec in read_records(path):
@@ -368,7 +373,7 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
             raise MalformedRecord("args must be an object of slot values",
                                   str(path), ln)
         for slot in raw_args:
-            if slot not in spec.slot_names():
+            if slot not in slot_names[msg_type]:
                 raise UnknownSlot(
                     f"message type {msg_type!r} has no slot {slot!r}",
                     str(path), ln)
@@ -380,18 +385,26 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
                     raise MalformedRecord(
                         f"slot {slot!r} must be an instance name or null",
                         str(path), ln)
-                got = ontology.concept_of(value)
-                if got is None or not is_subtype(ontology, got, concept):
+                fit = fits.get((value, concept))
+                if fit is None:
+                    got = ontology.concept_of(value)
+                    fit = fits[value, concept] = (
+                        got is not None and is_subtype(ontology, got, concept))
+                if not fit:
                     raise SlotTypeViolation(msg_type, slot, value, concept,
                                             str(path), ln)
             args[slot] = value
-        if "time" in rec and rec["time"] is not None:
+        time = rec.get("time")
+        if time is None:
+            anchor = TimeAnchor.day(doc.publish_time)
+        elif isinstance(time, str) and time in anchors:
+            anchor = anchors[time]
+        else:
             try:
-                anchor = TimeAnchor.from_string(rec["time"])
+                # only a string parses, so ``time`` is one from here on
+                anchor = anchors[time] = TimeAnchor.from_string(time)
             except UnparsableAnchor as exc:
                 raise UnparsableAnchor(exc.value, str(path), ln) from None
-        else:
-            anchor = TimeAnchor.day(doc.publish_time)
         reason = _violated_constraint(spec, args)
         if reason is not None:
             raise MalformedRecord(reason, str(path), ln)

@@ -491,41 +491,69 @@ def _lookup_failure(exc: KeyError) -> str:
     return f"missing {key}" if isinstance(key, str) else f"unknown message {key!r}"
 
 
-def _message_at(by_key: dict, ref: dict, path: str | Path, ln: int) -> Message:
-    """The message that a record's ``doc_id`` and ``sentence_index`` name."""
+def _key_at(ref: dict, path: str | Path, ln: int) -> tuple[str, int]:
+    """The message key that a record's ``doc_id`` and ``sentence_index`` give."""
     sidx = ref["sentence_index"]
     if isinstance(sidx, bool) or not isinstance(sidx, int):
         raise MalformedRecord(f"sentence_index {sidx!r} is not an integer",
                               str(path), ln)
-    return by_key[(ref["doc_id"], sidx)]
+    return (ref["doc_id"], sidx)
+
+
+def _axis_problem(rec: dict, left: Message, right: Message) -> str | None:
+    """Why a relation record on a known axis is not one ``evaluate_relations``
+    can emit, or None. A synchronic record relates messages of two sources
+    and has no ``distance``; a diachronic one relates two messages of one
+    source whose anchors start in order, and its ``distance`` is their
+    report distance."""
+    if rec["axis"] == SYNCHRONIC:
+        if "distance" in rec:
+            return "synchronic relation carries a distance"
+        if left.source == right.source:
+            return "synchronic relation needs messages from two sources"
+        return None
+    if left.source != right.source:
+        return "diachronic relation needs messages from one source"
+    if not left.time.start < right.time.start:
+        return "diachronic relation needs a left anchor that starts before the right one"
+    distance = rec.get("distance")
+    expected = right.report_index - left.report_index
+    if isinstance(distance, bool) or not isinstance(distance, int) or distance != expected:
+        return f"diachronic distance {distance!r} is not the report distance {expected}"
+    return None
 
 
 def read_relations(path: str | Path,
                    messages: list[Message]) -> list[RelationInstance]:
-    """Load a relations artifact; each relation instance may occur once."""
+    """Load a relations artifact; each relation instance may occur once, and
+    each must be one ``evaluate_relations`` can emit (see ``_axis_problem``).
+    An instance's key is built from the message keys the record names."""
     by_key = {m.key(): m for m in messages}
     out = []
     seen = set()
     for ln, rec in read_records(path):
         try:
-            instance = RelationInstance(
-                name=rec["name"], axis=rec["axis"],
-                left=_message_at(by_key, rec["left"], path, ln),
-                right=_message_at(by_key, rec["right"], path, ln),
-                distance=rec.get("distance"))
+            name, axis = rec["name"], rec["axis"]
+            left_key = _key_at(rec["left"], path, ln)
+            left = by_key[left_key]
+            right_key = _key_at(rec["right"], path, ln)
+            right = by_key[right_key]
         except KeyError as exc:
             raise MalformedRecord(_lookup_failure(exc), str(path), ln) from None
         except TypeError:
             raise MalformedRecord("record does not have the relations-artifact shape",
                                   str(path), ln) from None
-        if not isinstance(instance.name, str) or instance.axis not in (SYNCHRONIC, DIACHRONIC):
+        if not isinstance(name, str) or axis not in (SYNCHRONIC, DIACHRONIC):
             raise MalformedRecord("relation needs a string name and a known axis",
                                   str(path), ln)
-        key = instance.key()
+        problem = _axis_problem(rec, left, right)
+        if problem is not None:
+            raise MalformedRecord(problem, str(path), ln)
+        key = (axis, name, left_key, right_key)
         if key in seen:
             raise MalformedRecord(f"duplicate relation {key!r}", str(path), ln)
         seen.add(key)
-        out.append(instance)
+        out.append(RelationInstance(name, axis, left, right, rec.get("distance")))
     return out
 
 
@@ -548,7 +576,7 @@ def read_ellipsis(path: str | Path, messages: list[Message],
     seen = set()
     for ln, rec in read_records(path):
         try:
-            message = _message_at(by_key, rec, path, ln)
+            message = by_key[_key_at(rec, path, ln)]
             bucket, silent = rec["bucket"], rec["silent_sources"]
         except KeyError as exc:
             raise MalformedRecord(_lookup_failure(exc), str(path), ln) from None

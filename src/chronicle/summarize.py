@@ -17,12 +17,20 @@ encoder's pure-Python path.
 Sentences are planned in one walk over the graph's edges, which
 ``build_graph`` holds in ``sort_instances`` order, so grouping them by
 (axis, name) yields each relation's pool with no regrouping or re-sort.
-Each planned sentence is ordered by (bucket, kind rank, name, message);
-lone sentences rank last in their bucket, so after one sort a single filter
-applies the budget. A chain walk finds its next edge through an adjacency
-map from left message to the unconsumed edges leaving it, and bucket
-lookups go through one message-to-bucket map, so rendering stays
-near-linear in messages plus relation instances.
+``build_graph`` also resolves each edge, once, to the positions of its two
+messages in the graph's time-ordered nodes. ``render_summary`` keeps one
+table per call, indexed by that position: each message's bucket, its
+``DOC#I`` reference, its date, and its ``left.*`` and ``right.*``
+placeholder values, built the first time a sentence needs them. A relation
+instance then costs lookups in that table: its coverage key joins two
+references, and a sentence's context merges two cached halves. Each
+template is compiled once per call into a ``str.format`` string.
+
+Each planned sentence is ordered by (bucket, kind rank, name, message
+position); lone sentences rank last in their bucket, so after one sort a
+single filter applies the budget. A chain walk finds its next edge through
+an adjacency map from left message to the unconsumed edges leaving it, so
+rendering stays near-linear in messages plus relation instances.
 """
 
 from __future__ import annotations
@@ -30,18 +38,17 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import ChronicleError, DslSyntaxError, MissingTemplate
 from .extract import Message
 from .ontology import DIACHRONIC
 from .relations import (Bucket, EllipsisReport, RelationInstance, WindowPolicy,
-                        bucket_indices, bucket_messages, sort_instances,
-                        _message_sort_key)
+                        bucket_indices, bucket_messages, _message_sort_key)
 from .relations import bucket_index_of  # noqa: F401  (re-exported)
 
 _TEMPLATE_RE = re.compile(r'^template\s+([A-Za-z_][A-Za-z0-9_-]*)\s*:\s*"(.*)"\s*$')
@@ -77,16 +84,27 @@ class RelationGraph:
     nodes: tuple[Message, ...]
     edges: tuple[RelationInstance, ...]
     buckets: tuple[Bucket, ...]
+    ends: tuple[tuple[int, int], ...]    # per edge: its messages' positions in nodes
 
 
 def build_graph(messages: list[Message], relations: list[RelationInstance],
                 window: WindowPolicy) -> RelationGraph:
     """Messages in time order and relations in ``sort_instances`` order, so
-    that no summary depends on the order its artifacts were read in."""
+    that no summary depends on the order its artifacts were read in.
+
+    Each edge's messages are resolved once to their positions in ``nodes``.
+    Since ``nodes`` is sorted by the key ``sort_instances`` compares
+    messages by, and message keys are unique, sorting the edges by (axis,
+    name, left position, right position) gives that order."""
     nodes = tuple(sorted(messages, key=_message_sort_key))
+    position = {m.key(): i for i, m in enumerate(nodes)}
+    keyed = [((r.axis, r.name, position[r.left.key()], position[r.right.key()]), r)
+             for r in relations]
+    keyed.sort(key=itemgetter(0))
     return RelationGraph(
-        nodes=nodes, edges=tuple(sort_instances(relations)),
-        buckets=tuple(bucket_messages(list(nodes), window)))
+        nodes=nodes, edges=tuple(r for _, r in keyed),
+        buckets=tuple(bucket_messages(list(nodes), window)),
+        ends=tuple(k[2:] for k, _ in keyed))
 
 
 @dataclass(frozen=True)
@@ -94,11 +112,6 @@ class RenderResult:
     text: str
     sentences: tuple[str, ...]
     coverage: tuple[tuple[str, int], ...]   # (relation instance key, sentence)
-
-
-def instance_key(r: RelationInstance) -> str:
-    return (f"{r.axis}|{r.name}|{r.left.doc_id}#{r.left.sentence_index}"
-            f"->{r.right.doc_id}#{r.right.sentence_index}")
 
 
 def _pretty(value: str | None) -> str:
@@ -116,17 +129,6 @@ def _join_sources(sources) -> str:
     return ", ".join(items[:-1]) + " and " + items[-1]
 
 
-def _pair_context(left: Message, right: Message, sources) -> dict[str, str]:
-    ctx = {"sources": _join_sources(sources), "date": _date_of(left)}
-    for side, msg in (("left", left), ("right", right)):
-        ctx[f"{side}.source"] = msg.source
-        ctx[f"{side}.date"] = _date_of(msg)
-        ctx[f"{side}.type"] = msg.msg_type
-        for slot, value in msg.args.items():
-            ctx[f"{side}.{slot}"] = _pretty(value)
-    return ctx
-
-
 def _single_context(m: Message) -> dict[str, str]:
     ctx = {"source": m.source, "sources": m.source, "date": _date_of(m),
            "type": m.msg_type}
@@ -135,14 +137,23 @@ def _single_context(m: Message) -> dict[str, str]:
     return ctx
 
 
-def _render(pattern: str, ctx: dict[str, str], template_name: str) -> str:
-    def sub(match: re.Match) -> str:
-        key = match.group(1)
-        if key not in ctx:
-            raise ChronicleError(
-                f"template {template_name!r}: unresolvable placeholder {{{key}}}")
-        return ctx[key]
-    return _PLACEHOLDER_RE.sub(sub, pattern)
+def _compile(pattern: str, template_name: str) -> Callable[[dict[str, str]], str]:
+    """A template pattern as a function from a sentence's placeholder values
+    to its text. The pattern is split once into a ``str.format`` string,
+    with one positional field per placeholder and every other brace
+    doubled, and the placeholder names in pattern order. The first name
+    with no value raises ChronicleError."""
+    parts = _PLACEHOLDER_RE.split(pattern)
+    fmt = "{}".join(p.replace("{", "{{").replace("}", "}}") for p in parts[::2])
+    keys = parts[1::2]
+
+    def render(ctx: dict[str, str]) -> str:
+        try:
+            return fmt.format(*[ctx[key] for key in keys])
+        except KeyError as exc:
+            raise ChronicleError(f"template {template_name!r}: unresolvable "
+                                 f"placeholder {{{exc.args[0]}}}") from None
+    return render
 
 
 class _UnionFind:
@@ -162,9 +173,10 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _diachronic_chains(pool: list[RelationInstance]) -> list[list[RelationInstance]]:
-    """Maximal paths through one relation's edges, given in
-    ``sort_instances`` order; each edge lands in exactly one chain.
+def _diachronic_chains(ends: Sequence[tuple]) -> list[list[int]]:
+    """Maximal paths through one relation's edges, each given as its
+    (left, right) messages, in ``sort_instances`` order; each edge's index
+    lands in exactly one chain.
 
     Chains start at edges whose left message no edge enters, in pool order;
     edges left over start further chains, again in pool order. A walk always
@@ -172,29 +184,29 @@ def _diachronic_chains(pool: list[RelationInstance]) -> list[list[RelationInstan
     message it reached, found through an adjacency map from left message to
     pool positions.
     """
-    chains: list[list[RelationInstance]] = []
-    consumed = [False] * len(pool)
-    # left message key -> pool positions of its edges, last = first in pool
-    leaving: dict[tuple, list[int]] = {}
-    for i in reversed(range(len(pool))):
-        leaving.setdefault(pool[i].left.key(), []).append(i)
-    incoming = {e.right.key() for e in pool}
+    chains: list[list[int]] = []
+    consumed = [False] * len(ends)
+    # left message -> pool positions of its edges, last = first in pool
+    leaving: dict = {}
+    for i in reversed(range(len(ends))):
+        leaving.setdefault(ends[i][0], []).append(i)
+    incoming = {right for _, right in ends}
 
-    def take_chain(i: int | None) -> list[RelationInstance]:
+    def take_chain(i: int | None) -> list[int]:
         chain = []
         while i is not None:
             consumed[i] = True
-            chain.append(pool[i])
-            out = leaving.get(pool[i].right.key(), [])
+            chain.append(i)
+            out = leaving.get(ends[i][1], [])
             while out and consumed[out[-1]]:
                 out.pop()
             i = out[-1] if out else None
         return chain
 
-    for i, e in enumerate(pool):
-        if not consumed[i] and e.left.key() not in incoming:
+    for i, (left, _) in enumerate(ends):
+        if not consumed[i] and left not in incoming:
             chains.append(take_chain(i))
-    for i in range(len(pool)):
+    for i in range(len(ends)):
         if not consumed[i]:
             chains.append(take_chain(i))
     return chains
@@ -212,7 +224,8 @@ def render_summary(graph: RelationGraph,
     and ellipsis sentences always render so coverage stays exact. Raises
     ValueError for a negative budget, and ChronicleError when an ellipsis
     report's bucket is not the one the graph's window puts its message in
-    (the relate window differed).
+    (the relate window differed), or when a template names a placeholder
+    its sentence has no value for.
     """
     if bucket_budget is not None and bucket_budget < 0:
         raise ValueError(f"bucket budget must be at least 0, got {bucket_budget}")
@@ -222,85 +235,124 @@ def render_summary(graph: RelationGraph,
     if ellipsis and "ellipsis" not in templates:
         raise MissingTemplate("ellipsis")
 
+    # the per-message table, indexed by position in graph.nodes
+    nodes = graph.nodes
+    keys = [m.key() for m in nodes]
     bucket_of = bucket_indices(graph.buckets)
-    touched: set[tuple[str, int]] = set()
-    # ((bucket, kind rank, template name, message sort key), text, consumed)
+    bucket = [bucket_of[k] for k in keys]
+    ref = [f"{doc_id}#{sentence_index}" for doc_id, sentence_index in keys]
+    date = [_date_of(m) for m in nodes]
+    halves: dict[str, list[dict[str, str] | None]] = {
+        "left": [None] * len(nodes), "right": [None] * len(nodes)}
+    touched = bytearray(len(nodes))
+
+    def half(side: str, i: int) -> dict[str, str]:
+        """The ``left.*`` or ``right.*`` placeholders of message ``i``."""
+        ctx = halves[side][i]
+        if ctx is None:
+            m = nodes[i]
+            ctx = {f"{side}.source": m.source, f"{side}.date": date[i],
+                   f"{side}.type": m.msg_type}
+            for slot, value in m.args.items():
+                ctx[f"{side}.{slot}"] = _pretty(value)
+            halves[side][i] = ctx
+        return ctx
+
+    def pair_context(left: int, right: int, sources, when: int) -> dict[str, str]:
+        """A relation sentence's placeholders, dated by message ``when``."""
+        ctx = {"sources": _join_sources(sources), "date": date[when]}
+        ctx.update(half("left", left))
+        ctx.update(half("right", right))
+        return ctx
+
+    compiled: dict[str, Callable[[dict[str, str]], str]] = {}
+    # ((bucket, kind rank, template name, message position), text, consumed)
     planned: list[tuple[tuple, str, list[str]]] = []
 
-    def plan(m: Message, rank: int, name: str, ctx: dict[str, str],
-             consumed: Iterable[RelationInstance] = ()) -> None:
-        order = (bucket_of[m.key()], rank, name, _message_sort_key(m))
-        planned.append((order, _render(templates[name].pattern, ctx, name),
-                        [instance_key(e) for e in consumed]))
+    def plan(i: int, rank: int, name: str, ctx: dict[str, str],
+             consumed: Sequence[str] = ()) -> None:
+        render = compiled.get(name)
+        if render is None:
+            render = compiled[name] = _compile(templates[name].pattern, name)
+        planned.append(((bucket[i], rank, name, i), render(ctx), consumed))
 
-    for (axis, name), group in groupby(graph.edges, key=lambda e: (e.axis, e.name)):
-        pool = list(group)
-        touched.update(m.key() for e in pool for m in (e.left, e.right))
+    hi = 0
+    for (axis, name), group in groupby(graph.edges, key=attrgetter("axis", "name")):
+        lo, hi = hi, hi + len(list(group))
+        pool = graph.ends[lo:hi]
+        covered = [f"{axis}|{name}|{ref[left]}->{ref[right]}" for left, right in pool]
+        for left, right in pool:
+            touched[left] = touched[right] = 1
         if axis == DIACHRONIC:
             # one trend sentence per chain, in the bucket where it lands
             for chain in _diachronic_chains(pool):
-                head, tail = chain[0].left, chain[-1].right
-                ctx = _pair_context(head, tail, [head.source])
-                ctx["date"] = _date_of(tail)
-                plan(tail, 1, name, ctx, chain)
+                head, tail = pool[chain[0]][0], pool[chain[-1]][1]
+                plan(tail, 1, name,
+                     pair_context(head, tail, [nodes[head].source], tail),
+                     [covered[c] for c in chain])
             continue
 
         # synchronic: collapse equal-argument groups, attribute variants
         uf = _UnionFind()
-        equal: list[RelationInstance] = []
-        # undirected pairs of the remaining directed instances
-        pairs: dict[tuple, list[RelationInstance]] = {}
-        for e in pool:
-            if e.left.msg_type == e.right.msg_type and e.left.args == e.right.args:
-                equal.append(e)
-                uf.union(e.left.key(), e.right.key())
+        equal: list[int] = []
+        # undirected message-key pairs of the remaining directed instances;
+        # pairs with the same left message tie in plan order, so they keep
+        # the order of their message keys, not of their positions
+        pairs: dict[tuple, list[int]] = {}
+        for c, (left, right) in enumerate(pool):
+            a, b = nodes[left], nodes[right]
+            if a.msg_type == b.msg_type and a.args == b.args:
+                equal.append(c)
+                uf.union(left, right)
             else:
-                pairs.setdefault(tuple(sorted([e.left.key(), e.right.key()])),
-                                 []).append(e)
-        components: dict[tuple, list[RelationInstance]] = {}
-        for e in equal:
-            components.setdefault(uf.find(e.left.key()), []).append(e)
+                ka, kb = keys[left], keys[right]
+                pairs.setdefault((ka, kb) if ka < kb else (kb, ka), []).append(c)
+        components: dict[int, list[int]] = {}
+        for c in equal:
+            components.setdefault(uf.find(pool[c][0]), []).append(c)
         for root in sorted(components):
-            edges = components[root]
-            members = {m.key(): m for e in edges for m in (e.left, e.right)}
-            msgs = sorted(members.values(), key=_message_sort_key)
-            plan(msgs[0], 0, name,
-                 _pair_context(msgs[0], msgs[0], [m.source for m in msgs]), edges)
+            members = sorted({i for c in components[root] for i in pool[c]})
+            first = members[0]
+            plan(first, 0, name,
+                 pair_context(first, first, [nodes[i].source for i in members], first),
+                 [covered[c] for c in components[root]])
         for pair in sorted(pairs):
-            canon = pairs[pair][0]
-            plan(canon.left, 0, name,
-                 _pair_context(canon.left, canon.right,
-                               [canon.left.source, canon.right.source]),
-                 pairs[pair])
+            left, right = pool[pairs[pair][0]]
+            plan(left, 0, name,
+                 pair_context(left, right, [nodes[left].source, nodes[right].source],
+                              left),
+                 [covered[c] for c in pairs[pair]])
 
+    position = {k: i for i, k in enumerate(keys)}
     for rep in ellipsis:
-        if bucket_of.get(rep.message.key()) != rep.bucket:
+        i = position.get(rep.message.key())
+        if i is None or bucket[i] != rep.bucket:
             raise ChronicleError(
                 f"ellipsis report for {rep.message.doc_id}#"
                 f"{rep.message.sentence_index} names bucket {rep.bucket}, "
                 f"which is not its bucket under this window")
-        touched.add(rep.message.key())
+        touched[i] = 1
         ctx = _single_context(rep.message)
         ctx["silent"] = _join_sources(rep.silent_sources)
-        plan(rep.message, 2, "ellipsis", ctx)
+        plan(i, 2, "ellipsis", ctx)
 
     # lone messages: no relation touches them, no ellipsis covers them
-    for m in graph.nodes:
-        if m.key() not in touched:
+    for i, m in enumerate(nodes):
+        if not touched[i]:
             tname = f"lone-{m.msg_type}"
             if tname not in templates:
                 raise MissingTemplate(tname)
-            plan(m, 3, tname, _single_context(m))
+            plan(i, 3, tname, _single_context(m))
 
     # lone sentences sort last in their bucket, so the budget is one filter
     kept: Counter = Counter()
     sentences: list[str] = []
     coverage = []
-    for (bucket, rank, *_), text, consumed in sorted(planned, key=itemgetter(0)):
-        if rank == 3 and bucket_budget is not None and kept[bucket] >= bucket_budget:
+    for (bucket_index, rank, *_), text, consumed in sorted(planned, key=itemgetter(0)):
+        if rank == 3 and bucket_budget is not None and kept[bucket_index] >= bucket_budget:
             continue
-        kept[bucket] += 1
-        coverage.extend((key, len(sentences)) for key in consumed)
+        kept[bucket_index] += 1
+        coverage.extend(zip(consumed, repeat(len(sentences))))
         sentences.append(text)
     seen = [k for k, _ in coverage]
     if not len(seen) == len(set(seen)) == len(graph.edges):

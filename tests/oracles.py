@@ -16,7 +16,12 @@ JSON-lines reader from before it called the JSON scanner itself.
 ``render_summary_oracle`` is the summarizer from before it planned every
 sentence in one walk over the sorted relation list: it splits the edges by
 axis, regroups each axis by name, re-sorts each diachronic pool, and trims
-lone sentences through a separate list. The
+lone sentences through a separate list. It renders through the
+summarizer's helpers from before it kept a per-message table:
+``instance_key`` builds a coverage key from an instance's messages,
+``_pair_context`` builds a relation sentence's placeholder values anew for
+every sentence, and ``_render`` substitutes them with ``re.sub`` on every
+call, where the package now compiles each template once. The
 evolution and spec-text helpers at the end have no counterpart in the
 package: the pipeline classifies linearity inside ``analyze_corpus`` and
 never writes a spec file. Last comes the spec line parser from before the
@@ -40,8 +45,7 @@ from chronicle.ontology import (_INSTANCE_RE, _NAME_RE, DIACHRONIC, SYNCHRONIC,
 from chronicle.relations import (RelationInstance, _message_sort_key,
                                  bucket_indices, sort_instances)
 from chronicle.summarize import (RenderResult, _date_of, _join_sources,
-                                 _pair_context, _render, _single_context,
-                                 _UnionFind, instance_key)
+                                 _pretty, _single_context, _UnionFind)
 from chronicle.temporal import (_MONTHS, _WEEKDAYS, GrammarPattern,
                                 TemporalExpression, default_grammar)
 
@@ -332,6 +336,35 @@ def write_coverage_oracle(result, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+_PLACEHOLDER_RE = re.compile(r"\{([A-Za-z0-9_.]+)\}")
+
+
+def instance_key(r: RelationInstance) -> str:
+    return (f"{r.axis}|{r.name}|{r.left.doc_id}#{r.left.sentence_index}"
+            f"->{r.right.doc_id}#{r.right.sentence_index}")
+
+
+def _pair_context(left, right, sources) -> dict[str, str]:
+    ctx = {"sources": _join_sources(sources), "date": _date_of(left)}
+    for side, msg in (("left", left), ("right", right)):
+        ctx[f"{side}.source"] = msg.source
+        ctx[f"{side}.date"] = _date_of(msg)
+        ctx[f"{side}.type"] = msg.msg_type
+        for slot, value in msg.args.items():
+            ctx[f"{side}.{slot}"] = _pretty(value)
+    return ctx
+
+
+def _render(pattern: str, ctx: dict[str, str], template_name: str) -> str:
+    def sub(match: re.Match) -> str:
+        key = match.group(1)
+        if key not in ctx:
+            raise ChronicleError(
+                f"template {template_name!r}: unresolvable placeholder {{{key}}}")
+        return ctx[key]
+    return _PLACEHOLDER_RE.sub(sub, pattern)
 
 
 def _diachronic_chains_oracle(edges: list[RelationInstance]) -> list[list[RelationInstance]]:

@@ -288,41 +288,56 @@ def test_non_object_gold_record_exits_2(tmp_path, capsys):
 
 
 def broken_record(path, kind):
-    """Rewrite the first record of a JSON-lines artifact; return the number
-    of the line that is now malformed."""
+    """Rewrite the first record of a JSON-lines artifact, or with a
+    ``sync-`` kind its first synchronic relation; return the number of the
+    line that is now malformed."""
     lines = path.read_text().splitlines()
-    record = json.loads(lines[0])
+    at = 0
+    if kind.startswith("sync-"):
+        kind = kind[len("sync-"):]
+        at = next(i for i, line in enumerate(lines) if '"synchronic"' in line)
+    record = json.loads(lines[at])
     if kind == "duplicate":
-        lines.append(lines[0])
+        lines.append(lines[at])
         path.write_text("\n".join(lines) + "\n")
         return len(lines)
     if kind == "not-object":
-        lines[0] = json.dumps([record])
+        record = [record]
     elif kind.startswith("missing-"):
         del record[kind[len("missing-"):]]
-        lines[0] = json.dumps(record)
     elif kind.startswith("empty-"):
         record[kind[len("empty-"):]] = []
-        lines[0] = json.dumps(record)
     elif kind.endswith("-silent_source"):
         corpus = read_corpus_artifact(path.parent / "corpus.jsonl", tokens=False)
         extra = {"own": next(d.source for d in corpus.documents if d.doc_id == record["doc_id"]),
                  "unknown": "nobody",
                  "repeated": record["silent_sources"][0]}[kind.split("-")[0]]
         record["silent_sources"].append(extra)
-        lines[0] = json.dumps(record)
     elif kind.startswith(("false-", "true-")):
         # "false-left.sentence_index" sets record["left"]["sentence_index"]
         value, _, field = kind.partition("-")
         *outer, key = field.split(".")
         (record[outer[0]] if outer else record)[key] = value == "true"
-        lines[0] = json.dumps(record)
+    elif kind.startswith("distance-"):
+        record["distance"] = json.loads(kind[len("distance-"):])
+    elif kind == "off-by-one-distance":
+        record["distance"] += 1
+    elif kind == "swapped":
+        record["left"], record["right"] = record["right"], record["left"]
+    elif kind == "same-message":
+        record["right"] = record["left"]
+    elif kind == "other-axis":
+        # a synchronic pair as diachronic, or a diachronic one as synchronic
+        if record.pop("distance", None) is None:
+            record["axis"], record["distance"] = "diachronic", 0
+        else:
+            record["axis"] = "synchronic"
     else:
         side = kind[len("string-"):]
         record[side] = record[side]["doc_id"]
-        lines[0] = json.dumps(record)
+    lines[at] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
-    return 1
+    return at + 1
 
 
 @pytest.mark.parametrize("artifact,kind", [
@@ -334,6 +349,19 @@ def broken_record(path, kind):
     ("relations.jsonl", "duplicate"),
     ("relations.jsonl", "false-left.sentence_index"),
     ("relations.jsonl", "false-right.sentence_index"),
+    # records on a known axis that relate cannot write
+    ("relations.jsonl", 'distance-"x"'),
+    ("relations.jsonl", "distance-1.0"),
+    ("relations.jsonl", "true-distance"),
+    ("relations.jsonl", "off-by-one-distance"),
+    ("relations.jsonl", "missing-distance"),
+    ("relations.jsonl", "sync-distance-3"),
+    ("relations.jsonl", "sync-distance-null"),
+    ("relations.jsonl", "same-message"),
+    ("relations.jsonl", "sync-same-message"),
+    ("relations.jsonl", "swapped"),
+    ("relations.jsonl", "other-axis"),
+    ("relations.jsonl", "sync-other-axis"),
     ("ellipsis.jsonl", "missing-silent_sources"),
     ("ellipsis.jsonl", "missing-doc_id"),
     ("ellipsis.jsonl", "empty-silent_sources"),
@@ -357,6 +385,26 @@ def test_malformed_relate_artifact_exits_2(tmp_path, capsys, artifact, kind):
     err = one_json_error(capsys, "summarize")
     assert err["error"] == "MalformedRecord"
     assert f"{artifact}:{ln}:" in err["detail"]
+
+
+@pytest.mark.parametrize("template", ["agreement", "termination", "ellipsis"])
+def test_unresolvable_placeholder_exits_2(tmp_path, capsys, template):
+    """A template naming a placeholder no sentence has a value for fails
+    the stage with one JSON line naming the template and the placeholder."""
+    run_pipeline("hostage", tmp_path)
+    capsys.readouterr()
+    root = FIXTURES / "hostage"
+    templates = tmp_path / "templates.txt"
+    templates.write_text("".join(
+        line.replace('."', ' {nosuch}."') if line.startswith(f"template {template}:")
+        else line for line in (root / "templates.txt").read_text().splitlines(True)))
+    code = run(["summarize", "--ontology", root / "domain.spec",
+                "--templates", templates, "--window", "0",
+                "--out", tmp_path / "s.txt", "--out-dir", tmp_path])
+    assert code == 2
+    err = one_json_error(capsys, "summarize")
+    assert err["error"] == "ChronicleError"
+    assert err["detail"] == f"template {template!r}: unresolvable placeholder {{nosuch}}"
 
 
 @pytest.mark.parametrize("line", [

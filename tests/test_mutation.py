@@ -1,0 +1,123 @@
+"""Mutation test over the artifacts ``summarize`` reads.
+
+One line of ``messages.jsonl``, ``relations.jsonl`` or ``ellipsis.jsonl``
+from a hostage run is mutated: a field (at the top level or one level down)
+is replaced by a drawn JSON value or dropped, or the whole line is replaced
+by drawn JSON. Whatever the mutation, ``summarize`` exits 0, or exits 2
+with exactly one JSON error line on stderr; an exception escaping
+``chronicle.cli.main`` is a traceback and fails the test.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from chronicle import cli
+from tests.conftest import FIXTURES
+
+ARTIFACTS = ("messages.jsonl", "relations.jsonl", "ellipsis.jsonl")
+ROOT = FIXTURES / "hostage"
+WINDOW = "1d"
+
+# values a stage could mistake for valid ones, next to arbitrary JSON
+PLAUSIBLE = st.sampled_from([
+    "aegean-01", "courier-01", "late_wire", "start", "end", "agreement",
+    "synchronic", "diachronic", "2004-09-01", "2004-09-01T10:00:00Z",
+    "2004-09-01T10:00:00", "2004-09-03/2004-09-01", "9999-12-31", "0001-01-01",
+    0, 1, -1, 2, 10 ** 30, 1.0, True, False, None, "", [], {}])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+VALUES = st.one_of(PLAUSIBLE, JSON)
+
+
+@pytest.fixture(scope="module")
+def hostage_run(tmp_path_factory):
+    """A directory holding one hostage pipeline run at the test window."""
+    out = tmp_path_factory.mktemp("hostage")
+    for argv in (
+            ["ingest", "--corpus", ROOT / "corpus.jsonl",
+             "--lexicon", ROOT / "lexicon.tsv",
+             "--gazetteer", ROOT / "gazetteer.tsv", "--out-dir", out],
+            ["extract", "--ontology", ROOT / "domain.spec", "--mode", "gold",
+             "--gold", ROOT / "gold_messages.jsonl", "--out-dir", out],
+            ["relate", "--ontology", ROOT / "domain.spec",
+             "--window", WINDOW, "--out-dir", out]):
+        assert cli.main([str(a) for a in argv]) == 0
+    return out
+
+
+def field_paths(record) -> list[tuple[str, ...]]:
+    """Every field of a record and of the objects directly inside it."""
+    if not isinstance(record, dict):
+        return []
+    paths = []
+    for key, value in record.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths.extend((key, inner) for inner in value)
+    return paths
+
+
+@st.composite
+def mutations(draw, lines: list[str]):
+    """(line index, new line text) for one mutated line of ``lines``."""
+    index = draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[index])
+    how = draw(st.sampled_from(["replace", "drop", "line"]))
+    if how == "line":
+        return index, json.dumps(draw(VALUES))
+    *outer, key = draw(st.sampled_from(field_paths(record)))
+    target = record[outer[0]] if outer else record
+    if how == "drop":
+        del target[key]
+    else:
+        target[key] = draw(VALUES)
+    return index, json.dumps(record)
+
+
+def summarize(out: Path) -> tuple[int, str]:
+    argv = ["summarize", "--ontology", ROOT / "domain.spec",
+            "--templates", ROOT / "templates.txt", "--window", WINDOW,
+            "--out", out / "summary.txt", "--out-dir", out]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("artifact", ARTIFACTS)
+def test_mutated_summarize_input_exits_0_or_2(hostage_run, artifact):
+    path = hostage_run / artifact
+    original = path.read_text()
+    lines = original.splitlines()
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mutations(lines))
+    def check(mutation):
+        index, text = mutation
+        path.write_text("\n".join(lines[:index] + [text] + lines[index + 1:]) + "\n")
+        try:
+            code, err = summarize(hostage_run)
+        finally:
+            path.write_text(original)
+        assert code in (0, 2), (code, err)
+        if code == 2:
+            err_lines = err.splitlines()
+            assert len(err_lines) == 1, err_lines
+            assert json.loads(err_lines[0])["stage"] == "summarize"
+        else:
+            assert err == ""
+
+    check()

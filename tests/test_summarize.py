@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -10,10 +11,10 @@ from chronicle.extract import Message
 from chronicle.ontology import ConditionAtom, RelationSpec
 from chronicle.relations import (WindowPolicy, detect_ellipsis,
                                  evaluate_relations, sort_instances)
-from chronicle.summarize import (SummaryTemplate, _diachronic_chains,
+from chronicle.summarize import (SummaryTemplate, _compile, _diachronic_chains,
                                  build_graph, load_templates, render_summary)
 from chronicle.temporal import TimeAnchor
-from tests.oracles import chains_oracle, render_summary_oracle
+from tests.oracles import _render, chains_oracle, render_summary_oracle
 from tests.test_relations import random_trial
 
 UTC = timezone.utc
@@ -228,9 +229,11 @@ def test_chains_match_oracle(seed):
     subset = [e for e in edges if rng.random() < 0.5]
     rng.shuffle(subset)
     for pool in (edges, subset):
-        chains = [c for name in sorted({e.name for e in pool})
-                  for c in _diachronic_chains(
-                      sort_instances([e for e in pool if e.name == name]))]
+        chains = []
+        for name in sorted({e.name for e in pool}):
+            part = sort_instances([e for e in pool if e.name == name])
+            chains += [[part[i] for i in c] for c in _diachronic_chains(
+                [(e.left.key(), e.right.key()) for e in part])]
         assert [[e.key() for e in c] for c in chains] == \
             [[e.key() for e in c] for c in chains_oracle(pool)]
 
@@ -275,3 +278,65 @@ def test_render_matches_oracle(seed):
     for budget in (None, 0, 1, 2):
         assert outcome(render_summary, graph, templates, reports, budget) == \
             outcome(render_summary_oracle, graph, templates, reports, budget)
+
+
+PLACEHOLDER_KEYS = ["a", "b", "left.x", "right.x", "date", "s0", "nosuch", "a.", "0"]
+LITERALS = ["", " ", "x", "{", "}", "{}", "{{", "}}", "{a b}", "{a-b}", "{ a}",
+            "{left.x", "right.x}", "%s", "\\", "{0:>3}", "!r"]
+VALUES = ["", "v", "{a}", "{}", "}{", "%s", "two words", "{0}"]
+
+
+def random_pattern(rng):
+    """A template pattern: placeholders, adjacent or not, between literal
+    fragments that hold braces that are no placeholder."""
+    parts = []
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.5:
+            parts.append("{" + rng.choice(PLACEHOLDER_KEYS) + "}")
+        else:
+            parts.append(rng.choice(LITERALS))
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("seed", range(0, 60))
+def test_compiled_template_renders_as_substitution(seed):
+    """A compiled template gives the text, or the unresolvable-placeholder
+    error, that substituting each placeholder into the pattern gives."""
+    rng = random.Random(seed)
+    patterns = ["", "no placeholder at all", "{a}", "{a}{b}", "{a}{b}{a}",
+                "{a} starts", "ends {b}", "{a b} and {} are text",
+                "{{a}}", "{nosuch} first", "{a}{nosuch}"]
+    patterns += [random_pattern(rng) for _ in range(40)]
+    for pattern in patterns:
+        ctx = {k: rng.choice(VALUES) for k in PLACEHOLDER_KEYS
+               if k != "nosuch" and rng.random() < 0.8}
+        assert outcome(_compile(pattern, "t"), ctx) == \
+            outcome(_render, pattern, ctx, "t")
+
+
+@pytest.mark.parametrize("seed", range(0, 60))
+def test_graph_edges_follow_sort_instances_order(seed):
+    """Edges sorted by their messages' positions in ``nodes`` come out in
+    ``sort_instances`` order, whatever order they arrive in, also when
+    messages of different documents share an anchor start; each edge's
+    ``ends`` are its messages' positions."""
+    messages, specs, window = random_trial(seed)
+    rng = random.Random(seed)
+    # the same anchor in another document of another source, sorting
+    # before or after the original by doc_id
+    twins = [replace(m, doc_id=rng.choice(["0-", "z-"]) + m.doc_id,
+                     source=rng.choice([s for s in {"src0", "src1"}
+                                        if s != m.source]))
+             for m in rng.sample(messages, len(messages) // 3)]
+    messages = messages + twins
+    starts = [m.time.start for m in messages]
+    assert len(set(starts)) < len(starts)
+    edges = evaluate_relations(messages, specs, window)
+    rng.shuffle(edges)
+    rng.shuffle(messages)
+    graph = build_graph(messages, edges, window)
+    assert [e.key() for e in graph.edges] == \
+        [e.key() for e in sort_instances(edges)]
+    assert [(graph.nodes[left].key(), graph.nodes[right].key())
+            for left, right in graph.ends] == \
+        [(e.left.key(), e.right.key()) for e in graph.edges]
