@@ -145,16 +145,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_summarize(args) -> int:
     out = _out_dir(args)
-    ontology, message_specs, _, _ = _load_domain(args)
+    ontology, message_specs, relation_specs, _ = _load_domain(args)
     corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT, tokens=False)
     messages = extract_mod.load_gold_messages(
         out / MESSAGES_ARTIFACT, message_specs, ontology, corpus)
-    instances = relations_mod.read_relations(out / RELATIONS_ARTIFACT, messages)
+    relations = relations_mod.read_relations(out / RELATIONS_ARTIFACT, messages,
+                                             relation_specs)
     reports = relations_mod.read_ellipsis(out / ELLIPSIS_ARTIFACT, messages,
                                           corpus.sources)
     window = parse_window(args.window)
     templates = summarize_mod.load_templates(args.templates)
-    graph = summarize_mod.build_graph(messages, instances, window)
+    graph = summarize_mod.build_graph(messages, relations, window)
     result = summarize_mod.render_summary(graph, templates, reports,
                                           bucket_budget=args.bucket_budget)
     target = Path(args.out) if args.out else out / SUMMARY_ARTIFACT

@@ -33,6 +33,11 @@ candidate.
 independently (no shared condition or window helpers) so tests can check
 the engine against it on randomized inputs.
 
+A bucket is a run of messages in ``_message_sort_key`` order, the tuple of
+its members, and its index is its place in the bucket list.
+``read_relations`` gives each record as its instance key
+(``RelationInstance.key``): the summarizer needs no more of a relation.
+
 ``write_relations`` formats each line itself, escaping strings with the
 ``json`` module's ASCII escaper, and writes the bytes that
 ``json.dumps(record, sort_keys=True)`` would (the format in README.md):
@@ -365,62 +370,39 @@ def brute_force_oracle(messages: list[Message], relation_specs: list[RelationSpe
 # ---------------------------------------------------------------------------
 # Window-aligned time buckets (shared with the summarizer)
 
-@dataclass(frozen=True)
-class Bucket:
-    index: int
-    label: str                      # ISO date of the earliest anchor start
-    messages: tuple[Message, ...]
-
-
-def bucket_messages(messages: list[Message], window: WindowPolicy) -> list[Bucket]:
+def bucket_messages(messages: list[Message],
+                    window: WindowPolicy) -> list[tuple[Message, ...]]:
     """Partition messages into chronological groups of compatible anchors.
 
     Buckets are the connected components of the anchor-compatibility graph,
-    computed by a sweep over dilated extents.
+    computed by a sweep over dilated extents that closes one at each gap.
     """
-    buckets: list[Bucket] = []
+    buckets: list[tuple[Message, ...]] = []
     group: list[Message] = []
     hull = None
-
-    def close():
-        if group:
-            buckets.append(Bucket(
-                index=len(buckets),
-                label=group[0].time.start.date().isoformat(),
-                messages=tuple(group)))
-
     for m, ext in _by_extent(messages, window):
-        if hull is None or _extents_overlap(hull, ext):
-            if hull is None:
-                hull = ext
-            else:
-                # extend the hull end; a closed end outranks an open one
-                s, e, o = hull
-                if ext[1] > e or (ext[1] == e and o and not ext[2]):
-                    e, o = ext[1], ext[2]
-                hull = (s, e, o)
+        if group and _extents_overlap(hull, ext):
+            # extend the hull end; a closed end outranks an open one
+            s, e, o = hull
+            if ext[1] > e or (ext[1] == e and o and not ext[2]):
+                hull = (s, ext[1], ext[2])
             group.append(m)
         else:
-            close()
-            group = [m]
-            hull = ext
-    close()
+            if group:
+                buckets.append(tuple(group))
+            group, hull = [m], ext
+    if group:
+        buckets.append(tuple(group))
     return buckets
 
 
-def bucket_index_of(message: Message, buckets: list[Bucket]) -> int:
+def bucket_index_of(message: Message, buckets: list[tuple[Message, ...]]) -> int:
     """Index of the bucket holding ``message``, by a scan of ``buckets``."""
-    for b in buckets:
-        for m in b.messages:
+    for index, members in enumerate(buckets):
+        for m in members:
             if m.key() == message.key():
-                return b.index
+                return index
     raise KeyError(message.key())
-
-
-def bucket_indices(buckets: list[Bucket]) -> dict[tuple[str, int], int]:
-    """Message key to bucket index, for lookups that ``bucket_index_of``
-    would answer one scan at a time."""
-    return {m.key(): b.index for b in buckets for m in b.messages}
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +420,17 @@ def detect_ellipsis(messages: list[Message], sources: set[str],
     """One report per message that some other source never echoes: the
     report lists every source with no window-compatible message of the
     same type."""
-    bucket_of = bucket_indices(bucket_messages(messages, window))
     items = _by_extent(messages, window)
+    # the buckets are runs of ``items``, so item i lies in bucket_of[i]
+    bucket_of = [b for b, members in enumerate(bucket_messages(messages, window))
+                 for _ in members]
     partitions: dict[tuple[str, str], list] = {}
     for item in items:
         partitions.setdefault((item[0].msg_type, item[0].source), []).append(item)
     sweeps = {part: _Sweep(part_items) for part, part_items in partitions.items()}
     ordered_sources = sorted(sources)
     reports = []
-    for m, ext in items:
+    for (m, ext), bucket in zip(items, bucket_of):
         silent = []
         for source in ordered_sources:
             if source == m.source:
@@ -456,7 +440,7 @@ def detect_ellipsis(messages: list[Message], sources: set[str],
                 silent.append(source)
         if silent:
             reports.append(EllipsisReport(
-                message=m, bucket=bucket_of[m.key()],
+                message=m, bucket=bucket,
                 silent_sources=tuple(silent)))
     return reports
 
@@ -523,12 +507,19 @@ def _axis_problem(rec: dict, left: Message, right: Message) -> str | None:
     return None
 
 
-def read_relations(path: str | Path,
-                   messages: list[Message]) -> list[RelationInstance]:
-    """Load a relations artifact; each relation instance may occur once, and
-    each must be one ``evaluate_relations`` can emit (see ``_axis_problem``).
-    An instance's key is built from the message keys the record names."""
+def read_relations(path: str | Path, messages: list[Message],
+                   relation_specs: list[RelationSpec]) -> list[tuple]:
+    """Load a relations artifact as instance keys, ``(axis, name, left
+    message key, right message key)`` as ``RelationInstance.key`` gives
+    them, in file order. Each instance may occur once. Each must be one
+    ``evaluate_relations`` can emit on its axis (see ``_axis_problem``),
+    from a rule of ``relation_specs`` with that name and axis between its
+    messages' types; a symmetric rule also relates them the other way. A
+    rule's conditions and the window are not checked again."""
     by_key = {m.key(): m for m in messages}
+    rules = {(s.name, s.axis, s.left_type, s.right_type) for s in relation_specs}
+    rules.update((s.name, s.axis, s.right_type, s.left_type)
+                 for s in relation_specs if s.symmetric)
     out = []
     seen = set()
     for ln, rec in read_records(path):
@@ -546,6 +537,10 @@ def read_relations(path: str | Path,
         if not isinstance(name, str) or axis not in (SYNCHRONIC, DIACHRONIC):
             raise MalformedRecord("relation needs a string name and a known axis",
                                   str(path), ln)
+        if (name, axis, left.msg_type, right.msg_type) not in rules:
+            raise MalformedRecord(
+                f"no {axis} rule {name!r} relates a {left.msg_type!r} message "
+                f"to a {right.msg_type!r} one", str(path), ln)
         problem = _axis_problem(rec, left, right)
         if problem is not None:
             raise MalformedRecord(problem, str(path), ln)
@@ -553,7 +548,7 @@ def read_relations(path: str | Path,
         if key in seen:
             raise MalformedRecord(f"duplicate relation {key!r}", str(path), ln)
         seen.add(key)
-        out.append(RelationInstance(name, axis, left, right, rec.get("distance")))
+        out.append(key)
     return out
 
 

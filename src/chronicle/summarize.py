@@ -14,17 +14,19 @@ formats that trace itself, with the bytes of ``json.dump(doc, indent=2,
 sort_keys=True)`` plus a newline; an indented ``json.dump`` always runs the
 encoder's pure-Python path.
 
-Sentences are planned in one walk over the graph's edges, which
-``build_graph`` holds in ``sort_instances`` order, so grouping them by
-(axis, name) yields each relation's pool with no regrouping or re-sort.
-``build_graph`` also resolves each edge, once, to the positions of its two
-messages in the graph's time-ordered nodes. ``render_summary`` keeps one
-table per call, indexed by that position: each message's bucket, its
-``DOC#I`` reference, its date, and its ``left.*`` and ``right.*``
-placeholder values, built the first time a sentence needs them. A relation
-instance then costs lookups in that table: its coverage key joins two
-references, and a sentence's context merges two cached halves. Each
-template is compiled once per call into a ``str.format`` string.
+Within the graph a message is its position in the time-ordered nodes. An
+edge is a relation instance as (axis, name, left position, right
+position): ``build_graph`` resolves each instance key once, and holds the
+edges in ``sort_instances`` order, so grouping them by (axis, name) yields
+each relation's pool with no regrouping or re-sort. A bucket is a run of
+consecutive nodes, its index its place in the bucket list. Sentences are
+planned in one walk over the edges. ``render_summary`` keeps one table per
+call, indexed by node position: each message's bucket, its ``DOC#I``
+reference, its date, and its ``left.*`` and ``right.*`` placeholder
+values, built the first time a sentence needs them. A relation instance
+then costs lookups in that table: its coverage key joins two references,
+and a sentence's context merges two cached halves. Each template is
+compiled once per call into a ``str.format`` string.
 
 Each planned sentence is ordered by (bucket, kind rank, name, message
 position); lone sentences rank last in their bucket, so after one sort a
@@ -40,15 +42,15 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import ChronicleError, DslSyntaxError, MissingTemplate
 from .extract import Message
 from .ontology import DIACHRONIC
-from .relations import (Bucket, EllipsisReport, RelationInstance, WindowPolicy,
-                        bucket_indices, bucket_messages, _message_sort_key)
+from .relations import (EllipsisReport, WindowPolicy, bucket_messages,
+                        _message_sort_key)
 from .relations import bucket_index_of  # noqa: F401  (re-exported)
 
 _TEMPLATE_RE = re.compile(r'^template\s+([A-Za-z_][A-Za-z0-9_-]*)\s*:\s*"(.*)"\s*$')
@@ -82,29 +84,26 @@ def load_templates(path: str | Path) -> dict[str, SummaryTemplate]:
 @dataclass(frozen=True)
 class RelationGraph:
     nodes: tuple[Message, ...]
-    edges: tuple[RelationInstance, ...]
-    buckets: tuple[Bucket, ...]
-    ends: tuple[tuple[int, int], ...]    # per edge: its messages' positions in nodes
+    edges: tuple[tuple[str, str, int, int], ...]  # (axis, name, left, right position)
+    buckets: tuple[tuple[Message, ...], ...]      # runs of consecutive nodes
 
 
-def build_graph(messages: list[Message], relations: list[RelationInstance],
+def build_graph(messages: list[Message], relations: Iterable[tuple],
                 window: WindowPolicy) -> RelationGraph:
-    """Messages in time order and relations in ``sort_instances`` order, so
-    that no summary depends on the order its artifacts were read in.
+    """Messages in time order, and relations, given as instance keys
+    (``RelationInstance.key``), as edges between node positions in
+    ``sort_instances`` order, so that no summary depends on the order its
+    artifacts were read in.
 
-    Each edge's messages are resolved once to their positions in ``nodes``.
     Since ``nodes`` is sorted by the key ``sort_instances`` compares
     messages by, and message keys are unique, sorting the edges by (axis,
     name, left position, right position) gives that order."""
     nodes = tuple(sorted(messages, key=_message_sort_key))
     position = {m.key(): i for i, m in enumerate(nodes)}
-    keyed = [((r.axis, r.name, position[r.left.key()], position[r.right.key()]), r)
-             for r in relations]
-    keyed.sort(key=itemgetter(0))
-    return RelationGraph(
-        nodes=nodes, edges=tuple(r for _, r in keyed),
-        buckets=tuple(bucket_messages(list(nodes), window)),
-        ends=tuple(k[2:] for k, _ in keyed))
+    edges = sorted((axis, name, position[left], position[right])
+                   for axis, name, left, right in relations)
+    return RelationGraph(nodes=nodes, edges=tuple(edges),
+                         buckets=tuple(bucket_messages(list(nodes), window)))
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,7 @@ def render_summary(graph: RelationGraph,
     """
     if bucket_budget is not None and bucket_budget < 0:
         raise ValueError(f"bucket budget must be at least 0, got {bucket_budget}")
-    for name in sorted({e.name for e in graph.edges}):
+    for name in sorted({name for _, name, _, _ in graph.edges}):
         if name not in templates:
             raise MissingTemplate(name)
     if ellipsis and "ellipsis" not in templates:
@@ -238,8 +237,7 @@ def render_summary(graph: RelationGraph,
     # the per-message table, indexed by position in graph.nodes
     nodes = graph.nodes
     keys = [m.key() for m in nodes]
-    bucket_of = bucket_indices(graph.buckets)
-    bucket = [bucket_of[k] for k in keys]
+    bucket = [b for b, members in enumerate(graph.buckets) for _ in members]
     ref = [f"{doc_id}#{sentence_index}" for doc_id, sentence_index in keys]
     date = [_date_of(m) for m in nodes]
     halves: dict[str, list[dict[str, str] | None]] = {
@@ -276,10 +274,8 @@ def render_summary(graph: RelationGraph,
             render = compiled[name] = _compile(templates[name].pattern, name)
         planned.append(((bucket[i], rank, name, i), render(ctx), consumed))
 
-    hi = 0
-    for (axis, name), group in groupby(graph.edges, key=attrgetter("axis", "name")):
-        lo, hi = hi, hi + len(list(group))
-        pool = graph.ends[lo:hi]
+    for (axis, name), group in groupby(graph.edges, key=itemgetter(0, 1)):
+        pool = [edge[2:] for edge in group]
         covered = [f"{axis}|{name}|{ref[left]}->{ref[right]}" for left, right in pool]
         for left, right in pool:
             touched[left] = touched[right] = 1

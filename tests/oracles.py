@@ -43,7 +43,7 @@ from chronicle.ontology import (_INSTANCE_RE, _NAME_RE, DIACHRONIC, SYNCHRONIC,
                                 ConditionAtom, MessageTypeSpec, Ontology,
                                 RelationSpec, Statement, _parse_atoms)
 from chronicle.relations import (RelationInstance, _message_sort_key,
-                                 bucket_indices, sort_instances)
+                                 sort_instances)
 from chronicle.summarize import (RenderResult, _date_of, _join_sources,
                                  _pretty, _single_context, _UnionFind)
 from chronicle.temporal import (_MONTHS, _WEEKDAYS, GrammarPattern,
@@ -402,7 +402,9 @@ def _diachronic_chains_oracle(edges: list[RelationInstance]) -> list[list[Relati
 
 
 def render_summary_oracle(graph, templates, ellipsis=(), bucket_budget=None) -> RenderResult:
-    for name in sorted({e.name for e in graph.edges}):
+    edges = [RelationInstance(name, axis, graph.nodes[left], graph.nodes[right])
+             for axis, name, left, right in graph.edges]
+    for name in sorted({e.name for e in edges}):
         if name not in templates:
             raise MissingTemplate(name)
     if ellipsis and "ellipsis" not in templates:
@@ -411,9 +413,10 @@ def render_summary_oracle(graph, templates, ellipsis=(), bucket_budget=None) -> 
     # (bucket, kind_rank, sort_key) -> rendered text + consumed instances
     planned: list[tuple[tuple, str, list[str]]] = []
 
-    sync_edges = [e for e in graph.edges if e.axis == SYNCHRONIC]
-    dia_edges = [e for e in graph.edges if e.axis == DIACHRONIC]
-    bucket_of = bucket_indices(graph.buckets)
+    sync_edges = [e for e in edges if e.axis == SYNCHRONIC]
+    dia_edges = [e for e in edges if e.axis == DIACHRONIC]
+    bucket_of = {m.key(): index for index, members in enumerate(graph.buckets)
+                 for m in members}
     by_key = {m.key(): m for m in graph.nodes}
 
     # --- synchronic: collapse equal-argument groups, attribute variants
@@ -484,8 +487,8 @@ def render_summary_oracle(graph, templates, ellipsis=(), bucket_budget=None) -> 
         planned.append((order, text, []))
 
     # --- lone messages: no relation touches them, no ellipsis covers them
-    touched = {e.left.key() for e in graph.edges} | \
-              {e.right.key() for e in graph.edges} | reported
+    touched = {e.left.key() for e in edges} | \
+              {e.right.key() for e in edges} | reported
     lone_sentences: list[tuple[tuple, str]] = []
     for m in graph.nodes:
         if m.key() in touched:

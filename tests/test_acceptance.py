@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from datetime import datetime, timedelta, timezone
@@ -14,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from chronicle import cli
-from chronicle.corpus import Sentence, read_corpus_artifact, tokenize
+from chronicle.corpus import Sentence, tokenize
 from chronicle.errors import MissingTemplate
 from chronicle.evolution import (StreamParams, analyze_corpus, generate_stream)
 from chronicle.extract import (extract_corpus, load_gold_messages,
@@ -25,7 +24,7 @@ from chronicle.relations import (WindowPolicy, brute_force_oracle,
 from chronicle.summarize import build_graph, load_templates, render_summary
 from chronicle.temporal import TimeAnchor, find_temporal_expressions, message_time, resolve
 
-from tests.conftest import FIXTURES, domain_bundle
+from tests.conftest import FIXTURES
 from tests.oracles import anchors_compatible
 from tests.test_relations import random_trial
 
@@ -295,7 +294,7 @@ def test_criterion_7_summary_coverage(football, hostage):
         edges = evaluate_relations(bundle.gold, bundle.relation_specs, W0)
         reports = detect_ellipsis(bundle.gold, bundle.corpus.sources, W0)
         templates = load_templates(bundle.templates_path)
-        graph = build_graph(bundle.gold, edges, W0)
+        graph = build_graph(bundle.gold, [r.key() for r in edges], W0)
         first = render_summary(graph, templates, reports)
         second = render_summary(graph, templates, reports)
         assert first.text.encode() == second.text.encode()

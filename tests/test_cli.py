@@ -11,7 +11,7 @@ from chronicle import ontology as ontology_mod
 from chronicle.corpus import read_corpus_artifact
 from chronicle.extract import load_gold_messages
 from chronicle.relations import (WindowPolicy, brute_force_oracle,
-                                 read_relations, sort_instances)
+                                 read_relations)
 from tests.conftest import FIXTURES
 
 
@@ -89,11 +89,11 @@ def test_relate_on_gold_messages_matches_oracle(tmp_path, hostage):
     messages = load_gold_messages(root / "gold_messages.jsonl",
                                   hostage.message_specs, hostage.ontology,
                                   corpus)
-    got = read_relations(tmp_path / "relations.jsonl", messages)
+    got = read_relations(tmp_path / "relations.jsonl", messages,
+                         hostage.relation_specs)
     expected = brute_force_oracle(messages, hostage.relation_specs,
                                   WindowPolicy(cli.parse_duration("0")))
-    assert [r.key() for r in sort_instances(got)] == \
-        [r.key() for r in expected]
+    assert sorted(got) == sorted(r.key() for r in expected)
 
 
 def test_stage_isolation_relate_rerun_is_byte_identical(tmp_path):
@@ -326,6 +326,14 @@ def broken_record(path, kind):
         record["left"], record["right"] = record["right"], record["left"]
     elif kind == "same-message":
         record["right"] = record["left"]
+    elif kind == "unknown-name":
+        record["name"] = "nosuch"
+    elif kind == "other-name":
+        record["name"] = "repetition"
+    elif kind == "other-type":
+        # the first synchronic record relates two start messages; this is a
+        # negotiate message of a third source
+        record["right"] = {"doc_id": "late_wire-02", "sentence_index": 0}
     elif kind == "other-axis":
         # a synchronic pair as diachronic, or a diachronic one as synchronic
         if record.pop("distance", None) is None:
@@ -362,6 +370,10 @@ def broken_record(path, kind):
     ("relations.jsonl", "swapped"),
     ("relations.jsonl", "other-axis"),
     ("relations.jsonl", "sync-other-axis"),
+    # records whose name, axis and message types no domain rule has
+    ("relations.jsonl", "unknown-name"),
+    ("relations.jsonl", "sync-other-type"),
+    ("relations.jsonl", "sync-other-name"),
     ("ellipsis.jsonl", "missing-silent_sources"),
     ("ellipsis.jsonl", "missing-doc_id"),
     ("ellipsis.jsonl", "empty-silent_sources"),

@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and neither
+the package nor the tests import a name they never use."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chronicle"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "chronicle"
 
 
 def imported_modules(path: Path):
@@ -28,3 +30,31 @@ def test_package_imports_only_the_standard_library(path):
     outside = [(line, name) for line, name in imported_modules(path)
                if name not in allowed]
     assert outside == []
+
+
+def unused_imports(path: Path):
+    """(line, name) for every name an import binds that the file never
+    reads, except on imports marked ``# noqa: F401`` (a re-export)."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in used:
+                yield node.lineno, name
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert list(unused_imports(path)) == []

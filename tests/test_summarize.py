@@ -9,8 +9,11 @@ import pytest
 from chronicle.errors import ChronicleError, MissingTemplate
 from chronicle.extract import Message
 from chronicle.ontology import ConditionAtom, RelationSpec
-from chronicle.relations import (WindowPolicy, detect_ellipsis,
-                                 evaluate_relations, sort_instances)
+from chronicle.relations import (EllipsisReport, WindowPolicy, _message_sort_key,
+                                 bucket_index_of, bucket_messages,
+                                 detect_ellipsis, evaluate_relations,
+                                 read_relations, sort_instances,
+                                 write_relations)
 from chronicle.summarize import (SummaryTemplate, _compile, _diachronic_chains,
                                  build_graph, load_templates, render_summary)
 from chronicle.temporal import TimeAnchor
@@ -72,9 +75,9 @@ def test_graph_with_no_relations_has_isolated_nodes():
 def test_agreement_pair_lands_in_one_bucket():
     ms = [perf("A", "a0", day(1), "good"), perf("B", "b0", day(1), "good")]
     edges = evaluate_relations(ms, [AGREEMENT], W0)
-    graph = build_graph(ms, edges, W0)
+    graph = build_graph(ms, [r.key() for r in edges], W0)
     assert len(graph.buckets) == 1
-    assert len(graph.buckets[0].messages) == 2
+    assert len(graph.buckets[0]) == 2
 
 
 def test_graduation_chain_spans_three_buckets():
@@ -82,7 +85,7 @@ def test_graduation_chain_spans_three_buckets():
           perf("A", "a1", day(3), "good", 1),
           perf("A", "a2", day(5), "excellent", 2)]
     edges = evaluate_relations(ms, [POSITIVE], W0)
-    graph = build_graph(ms, edges, W0)
+    graph = build_graph(ms, [r.key() for r in edges], W0)
     assert len(graph.buckets) == 3
     assert len(graph.edges) == 2
 
@@ -92,7 +95,7 @@ def test_agreement_collapses_to_one_sentence_listing_sources():
           perf("C", "c0", day(1), "good")]
     edges = evaluate_relations(ms, [AGREEMENT], W0)
     assert len(edges) == 6
-    result = render_summary(build_graph(ms, edges, W0), TEMPLATES)
+    result = render_summary(build_graph(ms, [r.key() for r in edges], W0), TEMPLATES)
     assert result.sentences == (
         "On 2004-09-01, A, B and C agreed on Alpha United: good.",)
     assert len(result.coverage) == 6
@@ -104,7 +107,7 @@ def test_duplicated_edge_is_not_consumed_exactly_once(relation):
           perf("B", "b0", day(1), "poor", 0)]
     edges = evaluate_relations(ms, [relation], W0)
     assert edges
-    graph = build_graph(ms, edges + edges[:1], W0)
+    graph = build_graph(ms, [r.key() for r in edges + edges[:1]], W0)
     with pytest.raises(ChronicleError, match="exactly once"):
         render_summary(graph, TEMPLATES)
 
@@ -115,7 +118,7 @@ def test_graduation_chain_renders_single_trend_sentence():
           perf("A", "a2", day(5), "excellent", 2)]
     edges = evaluate_relations(ms, [POSITIVE], W0)
     assert len(edges) == 2
-    result = render_summary(build_graph(ms, edges, W0), TEMPLATES)
+    result = render_summary(build_graph(ms, [r.key() for r in edges], W0), TEMPLATES)
     assert result.sentences == (
         "Alpha United improved from poor to excellent.",)
 
@@ -130,7 +133,7 @@ def test_empty_graph_renders_empty_summary():
 def test_missing_template_is_an_error():
     ms = [perf("A", "a0", day(1), "good"), perf("B", "b0", day(1), "good")]
     edges = evaluate_relations(ms, [AGREEMENT], W0)
-    graph = build_graph(ms, edges, W0)
+    graph = build_graph(ms, [r.key() for r in edges], W0)
     templates = {k: v for k, v in TEMPLATES.items() if k != "agreement"}
     with pytest.raises(MissingTemplate) as err:
         render_summary(graph, templates)
@@ -163,7 +166,7 @@ def test_bucket_budget_trims_lone_sentences_only():
     ms = [perf("A", "a0", day(1), "good"), perf("B", "b0", day(1), "good"),
           perf("C", "c0", day(1), "poor")]
     edges = evaluate_relations(ms, [AGREEMENT], W0)
-    graph = build_graph(ms, edges, W0)
+    graph = build_graph(ms, [r.key() for r in edges], W0)
     unbudgeted = render_summary(graph, TEMPLATES)
     assert len(unbudgeted.sentences) == 2
     budgeted = render_summary(graph, TEMPLATES, bucket_budget=1)
@@ -175,7 +178,7 @@ def test_rendering_deterministic_on_fixture(hostage):
     edges = evaluate_relations(hostage.gold, hostage.relation_specs, W0)
     reports = detect_ellipsis(hostage.gold, hostage.corpus.sources, W0)
     templates = load_templates(hostage.templates_path)
-    graph = build_graph(hostage.gold, edges, W0)
+    graph = build_graph(hostage.gold, [r.key() for r in edges], W0)
     a = render_summary(graph, templates, reports)
     b = render_summary(graph, templates, reports)
     assert a == b
@@ -186,7 +189,7 @@ def test_every_instance_consumed_exactly_once_on_fixtures(football, hostage):
         edges = evaluate_relations(bundle.gold, bundle.relation_specs, W0)
         reports = detect_ellipsis(bundle.gold, bundle.corpus.sources, W0)
         templates = load_templates(bundle.templates_path)
-        graph = build_graph(bundle.gold, edges, W0)
+        graph = build_graph(bundle.gold, [r.key() for r in edges], W0)
         result = render_summary(graph, templates, reports)
         consumed = [key for key, _ in result.coverage]
         assert len(consumed) == len(set(consumed)) == len(edges)
@@ -197,7 +200,7 @@ def test_every_instance_consumed_exactly_once_on_fixtures(football, hostage):
 def test_collapse_keeps_distinct_argument_tuples(football):
     edges = evaluate_relations(football.gold, football.relation_specs, W0)
     templates = load_templates(football.templates_path)
-    graph = build_graph(football.gold, edges, W0)
+    graph = build_graph(football.gold, [r.key() for r in edges], W0)
     result = render_summary(graph, templates)
     # every distinct value mentioned by a collapsed agreement appears somewhere
     sync_values = {r.left.args["value"] for r in edges if r.axis == "synchronic"}
@@ -274,7 +277,7 @@ def test_render_matches_oracle(seed):
     templates = trial_templates(specs, messages)
     if rng.random() < 0.1:
         del templates[rng.choice(sorted(templates))]
-    graph = build_graph(messages, edges, window)
+    graph = build_graph(messages, [r.key() for r in edges], window)
     for budget in (None, 0, 1, 2):
         assert outcome(render_summary, graph, templates, reports, budget) == \
             outcome(render_summary_oracle, graph, templates, reports, budget)
@@ -318,8 +321,7 @@ def test_compiled_template_renders_as_substitution(seed):
 def test_graph_edges_follow_sort_instances_order(seed):
     """Edges sorted by their messages' positions in ``nodes`` come out in
     ``sort_instances`` order, whatever order they arrive in, also when
-    messages of different documents share an anchor start; each edge's
-    ``ends`` are its messages' positions."""
+    messages of different documents share an anchor start."""
     messages, specs, window = random_trial(seed)
     rng = random.Random(seed)
     # the same anchor in another document of another source, sorting
@@ -334,9 +336,46 @@ def test_graph_edges_follow_sort_instances_order(seed):
     edges = evaluate_relations(messages, specs, window)
     rng.shuffle(edges)
     rng.shuffle(messages)
-    graph = build_graph(messages, edges, window)
-    assert [e.key() for e in graph.edges] == \
+    graph = build_graph(messages, [r.key() for r in edges], window)
+    assert [(axis, name, graph.nodes[left].key(), graph.nodes[right].key())
+            for axis, name, left, right in graph.edges] == \
         [e.key() for e in sort_instances(edges)]
-    assert [(graph.nodes[left].key(), graph.nodes[right].key())
-            for left, right in graph.ends] == \
-        [(e.left.key(), e.right.key()) for e in graph.edges]
+
+
+@pytest.mark.parametrize("seed", range(0, 60))
+def test_relations_artifact_reads_back_as_keys(tmp_path, seed):
+    """``read_relations`` accepts every record ``write_relations`` writes,
+    also those of symmetric rules between two message types, and gives back
+    their instance keys in file order. With the lines shuffled, the graph
+    built from what it reads is the graph built from the instances."""
+    messages, specs, window = random_trial(seed)
+    instances = evaluate_relations(messages, specs, window)
+    keys = [r.key() for r in instances]
+    path = tmp_path / "relations.jsonl"
+    write_relations(instances, path)
+    assert read_relations(path, messages, specs) == keys
+    lines = path.read_text().splitlines(True)
+    random.Random(seed).shuffle(lines)
+    path.write_text("".join(lines))
+    assert build_graph(messages, read_relations(path, messages, specs), window) == \
+        build_graph(messages, keys, window)
+
+
+@pytest.mark.parametrize("seed", range(0, 60))
+def test_buckets_are_runs_of_the_time_order(seed):
+    """The buckets, joined, are the messages in time order. So the bucket
+    ``render_summary`` gives each node by its position is the one
+    ``bucket_index_of`` finds by a scan: an ellipsis report naming that
+    bucket renders, one naming the next bucket does not."""
+    messages, _, window = random_trial(seed)
+    buckets = bucket_messages(messages, window)
+    assert [m for b in buckets for m in b] == sorted(messages, key=_message_sort_key)
+    graph = build_graph(messages, [], window)
+    templates = {"ellipsis": SummaryTemplate("ellipsis", "{source} {date}")}
+    reports = [EllipsisReport(m, bucket_index_of(m, graph.buckets), ("elsewhere",))
+               for m in graph.nodes]
+    assert len(render_summary(graph, templates, reports).sentences) == len(messages)
+    for i, rep in enumerate(reports):
+        moved = replace(rep, bucket=rep.bucket + 1)
+        with pytest.raises(ChronicleError, match="not its bucket"):
+            render_summary(graph, templates, reports[:i] + [moved] + reports[i + 1:])
