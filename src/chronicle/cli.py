@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -205,7 +206,9 @@ def cmd_validate(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: ``parse_args`` leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="chronicle",
         description="Summarize events evolving across multiple news sources.")

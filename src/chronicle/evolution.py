@@ -72,9 +72,6 @@ class EmissionProfile:
         return cls(tuple((s, tuple(sorted(ts)))
                          for s, ts in sorted(per_source.items())))
 
-    def counts(self) -> dict[str, int]:
-        return {s: len(ts) for s, ts in self.reports}
-
     def first_report_lags(self) -> dict[str, timedelta]:
         firsts = {s: ts[0] for s, ts in self.reports if ts}
         earliest = min(firsts.values())

@@ -7,8 +7,10 @@ lemma and named-entity features when a trained ``model`` is given. Stage two,
 ``spec`` with ontology instances mentioned in the sentence: type-compatible
 candidates, nearest to the trigger, leftmost on ties, no token reuse. The rules
 locate the trigger whichever classifier typed the sentence. ``extract_messages``
-and ``extract_corpus`` take the same ``rules`` and ``model``, and every emitted
-message passes the same validation as gold messages.
+and ``extract_corpus`` take the same ``rules`` and ``model``. Extraction checks
+an emitted message against its type's constraints only, since its type and
+slots come from the spec and its values from fitting ontology instances;
+``load_gold_messages`` checks every invariant on outside input.
 """
 
 from __future__ import annotations
@@ -103,14 +105,6 @@ class ClassifierModel:
                 continue
             score += math.log((counts.get(f, 0) + 1) / denom)
         return score
-
-    def posteriors(self, sentence: Sentence) -> dict[str, float]:
-        features = sentence_features(sentence)
-        scores = {c: self.log_score(c, features) for c in self.classes}
-        peak = max(scores.values())
-        expd = {c: math.exp(s - peak) for c, s in scores.items()}
-        norm = sum(expd.values())
-        return {c: v / norm for c, v in expd.items()}
 
 
 def sentence_features(sentence: Sentence) -> list[str]:
@@ -247,30 +241,11 @@ def trigger_span_for(sentence: Sentence, msg_type: str,
     return None
 
 
-def validate_message(msg: Message, specs: list[MessageTypeSpec],
-                     ontology: Ontology) -> str | None:
-    """Check a message against its type spec; returns a reason or None."""
-    spec = next((m for m in specs if m.name == msg.msg_type), None)
-    if spec is None:
-        return f"unknown message type {msg.msg_type!r}"
-    for slot in msg.args:
-        if slot not in spec.slot_names():
-            return f"unknown slot {slot!r}"
-    for slot, concept in spec.slots:
-        value = msg.args.get(slot)
-        if value is None:
-            continue
-        got = ontology.concept_of(value)
-        if got is None:
-            return f"{slot}: {value!r} is not an ontology instance"
-        if not is_subtype(ontology, got, concept):
-            return f"{slot}: {value!r} is not an instance of {concept!r}"
-    return _violated_constraint(spec, msg.args)
-
-
-def _violated_constraint(spec: MessageTypeSpec,
-                         args: dict[str, str | None]) -> str | None:
-    """Why ``args`` break the first cross-slot constraint they break, or None."""
+def validate_message(spec: MessageTypeSpec,
+                     args: dict[str, str | None]) -> str | None:
+    """Why ``args`` break the first cross-slot constraint of ``spec`` they
+    break, or None. Extraction checks nothing else: ``fill_arguments``
+    fills exactly the spec's slots, each with an instance of its concept."""
     for atom in spec.constraints:
         if not constraint_satisfied(atom, args):
             return f"constraint violated: {atom.op} on " \
@@ -301,15 +276,14 @@ def extract_messages(document: Document, specs: list[MessageTypeSpec],
         trigger = trigger_span_for(sentence, msg_type, rules)
         args = fill_arguments(sentence, ontology, spec, trigger)
         anchor = message_time(sentence, document.publish_time, trigger)
-        msg = Message(msg_type=msg_type, args=args, time=anchor,
-                      source=document.source, doc_id=document.doc_id,
-                      sentence_index=sentence.index, report_index=document.report_index)
-        reason = validate_message(msg, specs, ontology)
+        reason = validate_message(spec, args)
         if reason is not None:
             log.info("discard %s#%d (%s): %s",
                      document.doc_id, sentence.index, msg_type, reason)
             continue
-        out.append(msg)
+        out.append(Message(msg_type=msg_type, args=args, time=anchor,
+                           source=document.source, doc_id=document.doc_id,
+                           sentence_index=sentence.index, report_index=document.report_index))
     return out
 
 
@@ -405,7 +379,7 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
                 anchor = anchors[time] = TimeAnchor.from_string(time)
             except UnparsableAnchor as exc:
                 raise UnparsableAnchor(exc.value, str(path), ln) from None
-        reason = _violated_constraint(spec, args)
+        reason = validate_message(spec, args)
         if reason is not None:
             raise MalformedRecord(reason, str(path), ln)
         messages.append(Message(msg_type=msg_type, args=args, time=anchor,

@@ -34,7 +34,8 @@ independently (no shared condition or window helpers) so tests can check
 the engine against it on randomized inputs.
 
 A bucket is a run of messages in ``_message_sort_key`` order, the tuple of
-its members, and its index is its place in the bucket list.
+its members, and its index is its place in the bucket list. The one walk
+that feeds the sweeps also gives each message's bucket.
 ``read_relations`` gives each record as its instance key
 (``RelationInstance.key``): the summarizer needs no more of a relation.
 
@@ -52,6 +53,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import timedelta
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -129,10 +131,23 @@ def sort_instances(instances) -> list[RelationInstance]:
 
 
 def _by_extent(messages: list[Message], window: WindowPolicy):
-    """(message, dilated extent) pairs in ``_message_sort_key`` order, which
-    is also the order of dilated starts."""
-    return [(m, _dilated(m.time, window))
-            for m in sorted(messages, key=_message_sort_key)]
+    """(message, dilated extent, bucket index) triples in
+    ``_message_sort_key`` order, which is also the order of dilated starts.
+    A bucket closes at the first extent that misses its hull, so buckets are
+    the connected components of the anchor-compatibility graph."""
+    items = []
+    bucket, hull = -1, None
+    for m in sorted(messages, key=_message_sort_key):
+        ext = _dilated(m.time, window)
+        if hull is not None and _extents_overlap(hull, ext):
+            # extend the hull end; a closed end outranks an open one
+            s, e, o = hull
+            if ext[1] > e or (ext[1] == e and o and not ext[2]):
+                hull = (s, ext[1], ext[2])
+        else:
+            bucket, hull = bucket + 1, ext
+        items.append((m, ext, bucket))
+    return items
 
 
 class _Sweep:
@@ -141,9 +156,9 @@ class _Sweep:
 
     def __init__(self, items):
         self.items = items              # from _by_extent
-        self.starts = [ext[0] for _, ext in items]
+        self.starts = [ext[0] for _, ext, _ in items]
         # an extent that starts before s - lookback ends before s
-        self.lookback = max((ext[1] - ext[0] for _, ext in items),
+        self.lookback = max((ext[1] - ext[0] for _, ext, _ in items),
                             default=timedelta(0))
 
     def overlapping(self, extent):
@@ -151,7 +166,7 @@ class _Sweep:
         lo = bisect_left(self.starts, extent[0] - self.lookback)
         hi = bisect_right(self.starts, extent[1])
         for j in range(lo, hi):
-            m, ext = self.items[j]
+            m, ext, _ = self.items[j]
             if _extents_overlap(extent, ext):
                 yield m
 
@@ -159,7 +174,7 @@ class _Sweep:
 def _synchronic_candidates(lefts, rights: _Sweep):
     """Cross-source (left, right) pairs with overlapping dilated extents;
     ``lefts`` are _by_extent items."""
-    for m1, ext in lefts:
+    for m1, ext, _ in lefts:
         for m2 in rights.overlapping(ext):
             if m2.source != m1.source:
                 yield m1, m2
@@ -281,8 +296,8 @@ def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpe
                         if spec.symmetric:
                             emit(RelationInstance(spec.name, SYNCHRONIC, m2, m1))
                 continue
-            reports = _Reports(m for m, _ in rights)
-            for m1, _ in lefts:
+            reports = _Reports(m for m, _, _ in rights)
+            for m1, _, _ in lefts:
                 for m2, distance in reports.later(m1, spec.distance):
                     if not residual or all(evaluate_atom(a, m1.args, m2.args)
                                            for a in residual):
@@ -375,25 +390,10 @@ def bucket_messages(messages: list[Message],
     """Partition messages into chronological groups of compatible anchors.
 
     Buckets are the connected components of the anchor-compatibility graph,
-    computed by a sweep over dilated extents that closes one at each gap.
+    the runs of ``_by_extent``'s walk.
     """
-    buckets: list[tuple[Message, ...]] = []
-    group: list[Message] = []
-    hull = None
-    for m, ext in _by_extent(messages, window):
-        if group and _extents_overlap(hull, ext):
-            # extend the hull end; a closed end outranks an open one
-            s, e, o = hull
-            if ext[1] > e or (ext[1] == e and o and not ext[2]):
-                hull = (s, ext[1], ext[2])
-            group.append(m)
-        else:
-            if group:
-                buckets.append(tuple(group))
-            group, hull = [m], ext
-    if group:
-        buckets.append(tuple(group))
-    return buckets
+    return [tuple(m for m, _, _ in run)
+            for _, run in groupby(_by_extent(messages, window), lambda item: item[2])]
 
 
 def bucket_index_of(message: Message, buckets: list[tuple[Message, ...]]) -> int:
@@ -421,16 +421,13 @@ def detect_ellipsis(messages: list[Message], sources: set[str],
     report lists every source with no window-compatible message of the
     same type."""
     items = _by_extent(messages, window)
-    # the buckets are runs of ``items``, so item i lies in bucket_of[i]
-    bucket_of = [b for b, members in enumerate(bucket_messages(messages, window))
-                 for _ in members]
     partitions: dict[tuple[str, str], list] = {}
     for item in items:
         partitions.setdefault((item[0].msg_type, item[0].source), []).append(item)
     sweeps = {part: _Sweep(part_items) for part, part_items in partitions.items()}
     ordered_sources = sorted(sources)
     reports = []
-    for (m, ext), bucket in zip(items, bucket_of):
+    for m, ext, bucket in items:
         silent = []
         for source in ordered_sources:
             if source == m.source:

@@ -49,8 +49,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import ChronicleError, DslSyntaxError, MissingTemplate
 from .extract import Message
 from .ontology import DIACHRONIC
-from .relations import (EllipsisReport, WindowPolicy, bucket_messages,
-                        _message_sort_key)
+from .relations import EllipsisReport, WindowPolicy, bucket_messages
 from .relations import bucket_index_of  # noqa: F401  (re-exported)
 
 _TEMPLATE_RE = re.compile(r'^template\s+([A-Za-z_][A-Za-z0-9_-]*)\s*:\s*"(.*)"\s*$')
@@ -95,15 +94,15 @@ def build_graph(messages: list[Message], relations: Iterable[tuple],
     ``sort_instances`` order, so that no summary depends on the order its
     artifacts were read in.
 
-    Since ``nodes`` is sorted by the key ``sort_instances`` compares
-    messages by, and message keys are unique, sorting the edges by (axis,
-    name, left position, right position) gives that order."""
-    nodes = tuple(sorted(messages, key=_message_sort_key))
+    ``nodes`` joins the buckets, runs of the order ``sort_instances``
+    compares messages by; as message keys are unique, sorting the edges by
+    (axis, name, left position, right position) gives that order."""
+    buckets = tuple(bucket_messages(messages, window))
+    nodes = tuple(m for members in buckets for m in members)
     position = {m.key(): i for i, m in enumerate(nodes)}
     edges = sorted((axis, name, position[left], position[right])
                    for axis, name, left, right in relations)
-    return RelationGraph(nodes=nodes, edges=tuple(edges),
-                         buckets=tuple(bucket_messages(list(nodes), window)))
+    return RelationGraph(nodes=nodes, edges=tuple(edges), buckets=buckets)
 
 
 @dataclass(frozen=True)

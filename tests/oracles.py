@@ -21,7 +21,11 @@ summarizer's helpers from before it kept a per-message table:
 ``instance_key`` builds a coverage key from an instance's messages,
 ``_pair_context`` builds a relation sentence's placeholder values anew for
 every sentence, and ``_render`` substitutes them with ``re.sub`` on every
-call, where the package now compiles each template once. The
+call, where the package now compiles each template once.
+``message_problem_oracle`` is the whole message predicate extraction
+checked every message against before it checked only the constraints its
+slot filling cannot guarantee, and ``posteriors`` is the classifier's
+normalized class probabilities, which no stage reads. The
 evolution and spec-text helpers at the end have no counterpart in the
 package: the pipeline classifies linearity inside ``analyze_corpus`` and
 never writes a spec file. Last comes the spec line parser from before the
@@ -32,6 +36,7 @@ alone, as it was.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 
@@ -39,9 +44,12 @@ from chronicle.corpus import _TOKEN_RE, Sentence, Token, format_rfc3339
 from chronicle.evolution import LINEAR, NON_LINEAR, fit_linear
 from chronicle.errors import (ChronicleError, DslSyntaxError, MalformedRecord,
                               MissingTemplate)
+from chronicle.extract import (ClassifierModel, Message, sentence_features,
+                               validate_message)
 from chronicle.ontology import (_INSTANCE_RE, _NAME_RE, DIACHRONIC, SYNCHRONIC,
                                 ConditionAtom, MessageTypeSpec, Ontology,
-                                RelationSpec, Statement, _parse_atoms)
+                                RelationSpec, Statement, _parse_atoms,
+                                is_subtype)
 from chronicle.relations import (RelationInstance, _message_sort_key,
                                  sort_instances)
 from chronicle.summarize import (RenderResult, _date_of, _join_sources,
@@ -528,6 +536,36 @@ def render_summary_oracle(graph, templates, ellipsis=(), bucket_budget=None) -> 
     text = "\n".join(sentences) + ("\n" if sentences else "")
     return RenderResult(text=text, sentences=sentences,
                         coverage=tuple(sorted(coverage)))
+
+
+def message_problem_oracle(msg: Message, specs: list[MessageTypeSpec],
+                           ontology: Ontology) -> str | None:
+    """Check a message against its type spec; returns a reason or None."""
+    spec = next((m for m in specs if m.name == msg.msg_type), None)
+    if spec is None:
+        return f"unknown message type {msg.msg_type!r}"
+    for slot in msg.args:
+        if slot not in spec.slot_names():
+            return f"unknown slot {slot!r}"
+    for slot, concept in spec.slots:
+        value = msg.args.get(slot)
+        if value is None:
+            continue
+        got = ontology.concept_of(value)
+        if got is None:
+            return f"{slot}: {value!r} is not an ontology instance"
+        if not is_subtype(ontology, got, concept):
+            return f"{slot}: {value!r} is not an instance of {concept!r}"
+    return validate_message(spec, msg.args)
+
+
+def posteriors(model: ClassifierModel, sentence: Sentence) -> dict[str, float]:
+    features = sentence_features(sentence)
+    scores = {c: model.log_score(c, features) for c in model.classes}
+    peak = max(scores.values())
+    expd = {c: math.exp(s - peak) for c, s in scores.items()}
+    norm = sum(expd.values())
+    return {c: v / norm for c, v in expd.items()}
 
 
 def classify_linearity(timestamps, residual_threshold: float = 0.1) -> str:

@@ -17,15 +17,14 @@ from chronicle.corpus import Sentence, tokenize
 from chronicle.errors import MissingTemplate
 from chronicle.evolution import (StreamParams, analyze_corpus, generate_stream)
 from chronicle.extract import (extract_corpus, load_gold_messages,
-                               load_trigger_rules, train_classifier,
-                               validate_message)
+                               load_trigger_rules, train_classifier)
 from chronicle.relations import (WindowPolicy, brute_force_oracle,
                                  detect_ellipsis, evaluate_relations)
 from chronicle.summarize import build_graph, load_templates, render_summary
 from chronicle.temporal import TimeAnchor, find_temporal_expressions, message_time, resolve
 
 from tests.conftest import FIXTURES
-from tests.oracles import anchors_compatible
+from tests.oracles import anchors_compatible, message_problem_oracle, posteriors
 from tests.test_relations import random_trial
 
 UTC = timezone.utc
@@ -242,7 +241,7 @@ def test_criterion_5_evolution_round_trip(football, hostage):
     hz = analyze_corpus(hostage.corpus)
     assert hz.emission == "asynchronous"
     assert hz.profile.first_report_lags()["late_wire"] == timedelta(days=12)
-    assert sorted(hz.profile.counts().values()) == [5, 6, 7, 9, 12]
+    assert sorted(len(ts) for _, ts in hz.profile.reports) == [5, 6, 7, 9, 12]
     elapsed = time.monotonic() - started
     assert failures == 0
     assert elapsed < 10.0
@@ -259,8 +258,8 @@ def test_criterion_6_extraction_and_classifier(hostage):
     assert runs[0] == runs[1] == runs[2]
     assert runs[0]
     for message in runs[0]:
-        assert validate_message(message, hostage.message_specs,
-                                hostage.ontology) is None
+        assert message_problem_oracle(message, hostage.message_specs,
+                                      hostage.ontology) is None
 
     def s(text):
         return Sentence(index=0, text=text, tokens=tokenize(text))
@@ -274,7 +273,7 @@ def test_criterion_6_extraction_and_classifier(hostage):
         (s("attackers seize station"), "start"),
     ]
     model = train_classifier(train)
-    got = model.posteriors(s("gunmen seize again"))
+    got = posteriors(model, s("gunmen seize again"))
     # by hand: priors 3/6; add-one smoothing over 9 tokens/class, |V| = 14:
     #   negotiate ~ 1/2 * 1/23 * 1/23 * 2/23, start ~ 1/2 * 2/23 * 4/23 * 1/23
     p_neg = Fraction(1, 2) * Fraction(1, 23) * Fraction(1, 23) * Fraction(2, 23)

@@ -140,6 +140,19 @@ def test_simulated_corpus_is_ingestable(tmp_path):
     assert report["linearity"] == "non-linear"
 
 
+def test_parser_is_built_once_and_serves_every_stage(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["simulate", "--kind", "linear", "--seed", "7", "--sources", "2",
+                "--horizon", "3", "--out-dir", tmp_path]) == 0
+    assert run(["ingest", "--corpus", tmp_path / "simulated.jsonl",
+                "--out-dir", tmp_path]) == 0
+    # a value given in one call is not a default in the next
+    parse = cli.build_parser().parse_args
+    assert parse(["analyze", "--residual-threshold", "0.5",
+                  "--out-dir", "a"]).residual_threshold == 0.5
+    assert parse(["analyze", "--out-dir", "b"]).residual_threshold == 0.1
+
+
 def test_statistical_mode_via_cli(tmp_path):
     root = FIXTURES / "hostage"
     assert run(["ingest", "--corpus", root / "corpus.jsonl",

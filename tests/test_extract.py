@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,14 @@ from chronicle.corpus import PhraseIndex, Sentence, tokenize
 from chronicle.errors import (EmptyTrainingSet, MalformedRecord,
                               SlotTypeViolation, UnknownMessageType,
                               UnparsableAnchor)
-from chronicle.extract import (TriggerRule, classify_sentence,
+from chronicle.extract import (Message, TriggerRule, classify_sentence,
                                extract_corpus, extract_messages,
                                fill_arguments, load_gold_messages,
                                load_trigger_rules, train_classifier,
-                               trigger_span_for, validate_message)
+                               trigger_span_for)
 from chronicle.temporal import TimeAnchor
+
+from tests.oracles import message_problem_oracle, posteriors
 
 
 def sent(text, lexicon=None, gazetteer=None, index=0):
@@ -75,7 +78,7 @@ def test_classifier_held_out_prediction():
 
 def test_classifier_posteriors_match_hand_computation():
     model = train_classifier(TRAIN)
-    got = model.posteriors(HELD_OUT)
+    got = posteriors(model, HELD_OUT)
     expected = hand_posteriors()
     assert expected == {"negotiate": Fraction(1, 5), "start": Fraction(4, 5)}
     assert got["negotiate"] == pytest.approx(0.200000, abs=1e-6)
@@ -97,7 +100,7 @@ def test_classifier_empty_training_set():
 def test_classifier_is_order_independent():
     a = train_classifier(TRAIN, type_order=["negotiate", "start"])
     b = train_classifier(list(reversed(TRAIN)), type_order=["negotiate", "start"])
-    assert a.posteriors(HELD_OUT) == b.posteriors(HELD_OUT)
+    assert posteriors(a, HELD_OUT) == posteriors(b, HELD_OUT)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +133,37 @@ def test_fill_arguments_equidistant_prefers_leftmost(hostage):
     args = fill_arguments(s, hostage.ontology, spec, (1, 2))
     assert args["entity_1"] == "captors"
     assert args["entity_2"] == "Simona"
+
+
+FILLER = ["the", "and", "said", "of", "in", "reported", "after", "talks"]
+
+
+@pytest.mark.parametrize("domain", ["football", "hostage"])
+def test_fill_arguments_leaves_only_constraints_to_check(request, domain):
+    # why extraction validates constraints only: over random sentences of
+    # instance phrases and filler, with a random trigger or none, the
+    # filled args name exactly the spec's slots, each with a fitting instance
+    bundle = request.getfixturevalue(domain)
+    phrases = sorted(i.replace("_", " ") for i in bundle.ontology.instances)
+    filled = empty = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        words = [rng.choice(phrases) if rng.random() < 0.6 else rng.choice(FILLER)
+                 for _ in range(rng.randint(1, 12))]
+        s = sent(" ".join(words), lexicon=bundle.lexicon)
+        start = rng.randrange(len(s.tokens))
+        trigger = rng.choice([None, (start, start + 1)])
+        for spec in bundle.message_specs:
+            args = fill_arguments(s, bundle.ontology, spec, trigger)
+            assert list(args) == spec.slot_names()
+            msg = Message(spec.name, args, TimeAnchor.from_string("2004-09-01"),
+                          "src", "d1", 0)
+            problem = message_problem_oracle(msg, bundle.message_specs,
+                                             bundle.ontology)
+            assert problem is None or problem.startswith("constraint violated")
+            filled += sum(v is not None for v in args.values())
+            empty += sum(v is None for v in args.values())
+    assert filled and empty
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +206,7 @@ def test_extraction_emits_only_valid_messages(hostage):
                               hostage.ontology, rules)
     assert messages
     for m in messages:
-        assert validate_message(m, hostage.message_specs, hostage.ontology) is None
+        assert message_problem_oracle(m, hostage.message_specs, hostage.ontology) is None
 
 
 def test_extraction_deterministic(hostage):
@@ -209,7 +243,7 @@ def test_modes_share_argument_filling(hostage):
 def test_gold_messages_load_and_validate(hostage):
     assert len(hostage.gold) == 39
     for m in hostage.gold:
-        assert validate_message(m, hostage.message_specs, hostage.ontology) is None
+        assert message_problem_oracle(m, hostage.message_specs, hostage.ontology) is None
         doc = next(d for d in hostage.corpus.documents if d.doc_id == m.doc_id)
         assert m.source == doc.source
         assert m.report_index == doc.report_index

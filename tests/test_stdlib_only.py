@@ -1,5 +1,6 @@
-"""The runtime imports nothing outside the standard library, and neither
-the package nor the tests import a name they never use."""
+"""The runtime imports nothing outside the standard library, neither the
+package nor the tests import a name they never use, and everything the
+package defines is read by the package or the benchmark."""
 
 from __future__ import annotations
 
@@ -58,3 +59,45 @@ def unused_imports(path: Path):
     ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert list(unused_imports(path)) == []
+
+
+BENCHMARKS = TESTS.parent / "benchmarks"
+
+
+def unreached_definitions(package_files, reader_files):
+    """(file name, line, name) for every function, method or class defined
+    in ``package_files`` whose name nothing in ``reader_files`` reads
+    outside the definition itself. A read is a ``Name``, an ``Attribute`` or
+    an import alias; dunder methods are called by the language. Reads are
+    matched by name alone, so a name reused for something else, such as a
+    ``counts`` attribute of another class, can mask an unreached
+    definition: the check can miss one, but never flags a used one."""
+    reads: dict[str, list[tuple[Path, int]]] = {}   # name -> (file, line)
+    for path in reader_files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                reads.setdefault(name, []).append((path, node.lineno))
+    for path in package_files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if all(where == path and node.lineno <= line <= node.end_lineno
+                   for where, line in reads.get(node.name, ())):
+                yield path.name, node.lineno, node.name
+
+
+def test_package_defines_only_what_the_pipeline_or_benchmark_reads():
+    package = sorted(PACKAGE.glob("*.py"))
+    readers = package + sorted(BENCHMARKS.glob("*.py"))
+    assert list(unreached_definitions(package, readers)) == []
