@@ -202,14 +202,16 @@ def fill_arguments(sentence: Sentence, ontology: Ontology, spec: MessageTypeSpec
     trigger wins (leftmost on ties, longer span preferred at equal start);
     a token span fills at most one slot; unfilled slots stay None.
     """
-    mentions = _instance_spans(sentence, ontology)
+    ancestors = ontology.ancestors
+    mentions = [(instance, span, ancestors[ontology.concept_of(instance)])
+                for instance, span in _instance_spans(sentence, ontology)]
     anchor = trigger_span if trigger_span is not None else (0, 0)
     used: list[tuple[int, int]] = []
     args: dict[str, str | None] = {}
     for slot, concept in spec.slots:
         best = None
-        for instance, span in mentions:
-            if not is_subtype(ontology, ontology.concept_of(instance), concept):
+        for instance, span, above in mentions:
+            if concept not in above:
                 continue
             if any(span[0] < u[1] and u[0] < span[1] for u in used):
                 continue

@@ -55,6 +55,21 @@ class Ontology:
         indexed for spotting in token sequences; built on first use."""
         return PhraseIndex((i.replace("_", " "), i) for i in self.instances)
 
+    @cached_property
+    def ancestors(self) -> dict[str, frozenset[str]]:
+        """Each concept's ancestors, itself included; built on first use."""
+        out: dict[str, frozenset[str]] = {}
+        for concept in self.concepts:
+            chain = []
+            node: str | None = concept
+            while node is not None and node not in out:
+                chain.append(node)
+                node = self.parent.get(node)
+            above = out[node] if node is not None else frozenset()
+            for name in reversed(chain):
+                above = out[name] = above | {name}
+        return out
+
     def concept_of(self, instance: str) -> str | None:
         return self.instances.get(instance)
 
@@ -73,12 +88,7 @@ def is_subtype(ontology: Ontology, a: str, b: str) -> bool:
     for name in (a, b):
         if name not in ontology.concepts:
             raise UnknownConcept(f"unknown concept {name!r}")
-    node: str | None = a
-    while node is not None:
-        if node == b:
-            return True
-        node = ontology.parent.get(node)
-    return False
+    return b in ontology.ancestors[a]
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,25 @@
 
 The pattern grammar is data, not code: each grammar line pairs a token
 pattern with a resolution rule id, so new domains or languages extend the
-set without touching this module. Resolution is day-granular; a message
-with no resolvable expression falls back to the publication day.
+set without touching this module. A pattern element is a literal word,
+matched case-insensitively, or an element class matching one token:
+
+- ``<num>``: decimal digits (``str.isdecimal``, so "²" is no number and
+  "٣" is 3);
+- ``<day>``: one or two decimal digits from 1 to 31;
+- ``<year>``: four decimal digits;
+- ``<month>`` and ``<weekday>``: a name or abbreviation from ``_MONTHS``
+  or ``_WEEKDAYS``;
+- ``<isodate>``: YYYY-MM-DD in decimal digits.
+
+So a pattern can start only at a token equal to its literal first word,
+at a month or weekday name, or at a token whose first character is a
+decimal digit; spotting tries no pattern anywhere else.
+
+Resolution is day-granular. An expression whose date is out of range
+("31 February 2004", "1000000 days ago") is unresolvable, like "recently".
+A message anchors to its resolvable expression nearest the trigger and
+falls back to the publication day when it has none.
 """
 
 from __future__ import annotations
@@ -29,8 +46,6 @@ _WEEKDAYS = {
     "saturday": 5, "sunday": 6,
     "mon": 0, "tue": 1, "wed": 2, "thu": 3, "fri": 4, "sat": 5, "sun": 6,
 }
-
-_ELEMENT_CLASSES = {"<num>", "<day>", "<year>", "<month>", "<weekday>", "<isodate>"}
 
 _RULES = {"dmy", "iso", "days-ago", "weeks-ago",
           "last-weekday", "next-weekday", "on-weekday", "vague"}
@@ -109,7 +124,7 @@ class TemporalExpression:
     pattern_id: str
     raw: str
     rule: str
-    captures: tuple[tuple[str, int | str], ...] = ()
+    captures: tuple[tuple[str, int | str | None], ...] = ()
 
     def capture(self, name: str):
         for key, val in self.captures:
@@ -141,7 +156,7 @@ def load_grammar() -> tuple[GrammarPattern, ...]:
         pattern_id, tokens, rule = parts
         elements = tuple(tokens.split())
         for el in elements:
-            if el.startswith("<") and el not in _ELEMENT_CLASSES:
+            if el.startswith("<") and el not in _MATCHERS:
                 raise DslSyntaxError(f"unknown pattern element {el!r}", name, ln,
                                      raw.index(el) + 1)
         base = rule.split(":", 1)[0]
@@ -151,27 +166,85 @@ def load_grammar() -> tuple[GrammarPattern, ...]:
     return tuple(patterns)
 
 
-_GrammarIndex = tuple[dict[str, list[GrammarPattern]], list[GrammarPattern]]
+def _decimal(folded: str) -> int | None:
+    """The value of a string of decimal digits, or None when it has more
+    digits than ``int`` reads (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(folded)
+    except ValueError:
+        return None
+
+
+def _match_num(folded: str) -> tuple[str, int | None] | None:
+    return ("num", _decimal(folded)) if folded.isdecimal() else None
+
+
+def _match_day(folded: str) -> tuple[str, int] | None:
+    if folded.isdecimal() and len(folded) <= 2 and 1 <= int(folded) <= 31:
+        return ("day", int(folded))
+    return None
+
+
+def _match_year(folded: str) -> tuple[str, int] | None:
+    return ("year", int(folded)) if folded.isdecimal() and len(folded) == 4 else None
+
+
+def _match_month(folded: str) -> tuple[str, int] | None:
+    return ("month", _MONTHS[folded]) if folded in _MONTHS else None
+
+
+def _match_weekday(folded: str) -> tuple[str, int] | None:
+    return ("weekday", _WEEKDAYS[folded]) if folded in _WEEKDAYS else None
+
+
+def _match_isodate(folded: str) -> tuple[str, str] | None:
+    parts = folded.split("-")
+    if len(parts) == 3 and [len(p) for p in parts] == [4, 2, 2] \
+            and all(p.isdecimal() for p in parts):
+        return ("isodate", folded)
+    return None
+
+
+# Element class -> matcher: a lowercased token surface to its capture, or
+# None. The digit classes match only a token whose first character is a
+# decimal digit; the name classes only a key of _MONTHS or _WEEKDAYS.
+_MATCHERS = {"<num>": _match_num, "<day>": _match_day, "<year>": _match_year,
+             "<isodate>": _match_isodate, "<month>": _match_month,
+             "<weekday>": _match_weekday}
+_DIGIT_CLASSES = {"<num>", "<day>", "<year>", "<isodate>"}
+_NAMES = {"<month>": _MONTHS, "<weekday>": _WEEKDAYS}
+
+# A pattern with each literal element folded and each class its matcher.
+_Compiled = tuple[GrammarPattern, tuple]
+_GrammarIndex = tuple[dict[str, list[_Compiled]], list[_Compiled]]
 
 
 def _index_grammar(grammar: tuple[GrammarPattern, ...]) -> _GrammarIndex:
-    """Patterns by first element, each list in match priority: longest
-    first, then grammar file order.
+    """Compiled patterns by the tokens they can start at, each list in match
+    priority: longest first, then grammar file order.
 
-    The dict maps a folded literal first element to the patterns that can
-    start at a token equal to it: those that open with the literal plus
-    those that open with an element class. The list holds the class-opened
-    patterns alone, the candidates at any other token.
+    The dict maps a folded literal first element, and each month or weekday
+    name when a pattern opens with that class, to exactly the patterns
+    whose first element matches that token. The list holds the patterns
+    opened by a digit class, the candidates at any other token that starts
+    with a decimal digit. No pattern can start at any other token.
     """
     ordered = sorted(grammar, key=lambda p: -len(p.elements))
+    compiled = [(p, tuple(_MATCHERS.get(el, el.lower()) for el in p.elements))
+                for p in ordered]
 
-    def opener(p: GrammarPattern) -> str | None:
+    def first_matches(elements: tuple, token: str) -> bool:
+        first = elements[0]
+        return first == token if isinstance(first, str) else first(token) is not None
+
+    keys: set[str] = set()
+    for p in ordered:
         first = p.elements[0]
-        return None if first in _ELEMENT_CLASSES else first.lower()
-
-    by_literal = {opener(p): [q for q in ordered if opener(q) in (None, opener(p))]
-                  for p in ordered if opener(p) is not None}
-    return by_literal, [p for p in ordered if opener(p) is None]
+        if first not in _MATCHERS:
+            keys.add(first.lower())
+        keys.update(_NAMES.get(first, ()))
+    by_token = {k: [c for c in compiled if first_matches(c[1], k)] for k in keys}
+    return by_token, [c for c in compiled if c[0].elements[0] in _DIGIT_CLASSES]
 
 
 _DEFAULT_GRAMMAR: tuple[GrammarPattern, ...] | None = None
@@ -186,30 +259,6 @@ def default_grammar() -> tuple[GrammarPattern, ...]:
     return _DEFAULT_GRAMMAR
 
 
-def _match_element(element: str, folded: str) -> tuple[str, int | str] | None | bool:
-    """Return False (no match), True (literal match) or a (name, value)
-    capture, for a lowercased token surface."""
-    if element == "<num>":
-        return ("num", int(folded)) if folded.isdigit() else False
-    if element == "<day>":
-        if folded.isdigit() and len(folded) <= 2 and 1 <= int(folded) <= 31:
-            return ("day", int(folded))
-        return False
-    if element == "<year>":
-        return ("year", int(folded)) if folded.isdigit() and len(folded) == 4 else False
-    if element == "<month>":
-        return ("month", _MONTHS[folded]) if folded in _MONTHS else False
-    if element == "<weekday>":
-        return ("weekday", _WEEKDAYS[folded]) if folded in _WEEKDAYS else False
-    if element == "<isodate>":
-        parts = folded.split("-")
-        if len(parts) == 3 and [len(p) for p in parts] == [4, 2, 2] \
-                and all(p.isdigit() for p in parts):
-            return ("isodate", folded)
-        return False
-    return folded == element.lower()
-
-
 def find_temporal_expressions(
         sentence: Sentence,
         grammar: tuple[GrammarPattern, ...] | None = None) -> list[TemporalExpression]:
@@ -220,40 +269,52 @@ def find_temporal_expressions(
     """
     if grammar is None:
         grammar = default_grammar()
-    by_literal, by_class = (_DEFAULT_INDEX if grammar is _DEFAULT_GRAMMAR
-                            else _index_grammar(grammar))
+    by_token, by_digit = (_DEFAULT_INDEX if grammar is _DEFAULT_GRAMMAR
+                          else _index_grammar(grammar))
     tokens = sentence.tokens
     folded = [t.surface.lower() for t in tokens]
     found: list[TemporalExpression] = []
-    i = 0
-    while i < len(tokens):
-        hit = None
-        for pat in by_literal.get(folded[i], by_class):
-            n = len(pat.elements)
-            if i + n > len(tokens):
+    end = 0  # tokens before ``end`` lie inside a match
+    for i, token in enumerate(folded):
+        if i < end:
+            continue
+        candidates = by_token.get(token)
+        if candidates is None:
+            if not token[:1].isdecimal():
+                continue
+            candidates = by_digit
+        for pat, elements in candidates:
+            n = len(elements)
+            if i + n > len(folded):
                 continue
             captures = []
-            ok = True
-            for k, el in enumerate(pat.elements):
-                res = _match_element(el, folded[i + k])
-                if res is False:
-                    ok = False
-                    break
-                if res is not True:
-                    captures.append(res)
-            if ok:
-                raw = sentence.text[tokens[i].start:tokens[i + n - 1].end]
-                hit = TemporalExpression(
-                    sentence_index=sentence.index, token_span=(i, i + n),
+            for el, tok in zip(elements, folded[i:i + n]):
+                if isinstance(el, str):
+                    if el != tok:
+                        break
+                else:
+                    capture = el(tok)
+                    if capture is None:
+                        break
+                    captures.append(capture)
+            else:
+                end = i + n
+                raw = sentence.text[tokens[i].start:tokens[end - 1].end]
+                found.append(TemporalExpression(
+                    sentence_index=sentence.index, token_span=(i, end),
                     pattern_id=pat.pattern_id, raw=raw, rule=pat.rule,
-                    captures=tuple(captures))
+                    captures=tuple(captures)))
                 break
-        if hit is not None:
-            found.append(hit)
-            i = hit.token_span[1]
-        else:
-            i += 1
     return found
+
+
+def _day_after(pub: date, days: int, expr: TemporalExpression) -> TimeAnchor:
+    """The day ``days`` days after ``pub``; unresolvable when that day is
+    outside the ``date`` range."""
+    try:
+        return TimeAnchor.day(pub + timedelta(days=days))
+    except OverflowError:
+        raise UnresolvableExpression(expr.raw, expr.pattern_id) from None
 
 
 def resolve(expr: TemporalExpression, publish_time: datetime) -> TimeAnchor:
@@ -266,11 +327,13 @@ def resolve(expr: TemporalExpression, publish_time: datetime) -> TimeAnchor:
     pub = to_utc(publish_time).date()
     rule = expr.rule
     if rule.startswith("day-offset:"):
-        return TimeAnchor.day(pub + timedelta(days=int(rule.split(":", 1)[1])))
-    if rule == "days-ago":
-        return TimeAnchor.day(pub - timedelta(days=expr.capture("num")))
-    if rule == "weeks-ago":
-        return TimeAnchor.day(pub - timedelta(weeks=expr.capture("num")))
+        return _day_after(pub, int(rule.split(":", 1)[1]), expr)
+    if rule in ("days-ago", "weeks-ago"):
+        num = expr.capture("num")
+        if num is None:
+            raise UnresolvableExpression(expr.raw, expr.pattern_id)
+        days = 7 * num if rule == "weeks-ago" else num
+        return _day_after(pub, -days, expr)
     if rule == "dmy":
         try:
             d = date(expr.capture("year"), expr.capture("month"), expr.capture("day"))
@@ -285,13 +348,13 @@ def resolve(expr: TemporalExpression, publish_time: datetime) -> TimeAnchor:
         return TimeAnchor.day(d)
     if rule == "last-weekday":
         back = (pub.weekday() - expr.capture("weekday") - 1) % 7 + 1
-        return TimeAnchor.day(pub - timedelta(days=back))
+        return _day_after(pub, -back, expr)
     if rule == "next-weekday":
         fwd = (expr.capture("weekday") - pub.weekday() - 1) % 7 + 1
-        return TimeAnchor.day(pub + timedelta(days=fwd))
+        return _day_after(pub, fwd, expr)
     if rule == "on-weekday":
         back = (pub.weekday() - expr.capture("weekday")) % 7
-        return TimeAnchor.day(pub - timedelta(days=back))
+        return _day_after(pub, -back, expr)
     raise UnresolvableExpression(expr.raw, expr.pattern_id)
 
 

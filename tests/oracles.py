@@ -22,6 +22,8 @@ summarizer's helpers from before it kept a per-message table:
 ``_pair_context`` builds a relation sentence's placeholder values anew for
 every sentence, and ``_render`` substitutes them with ``re.sub`` on every
 call, where the package now compiles each template once.
+``is_subtype_oracle`` is the subtype test from before each ontology kept
+its concepts' ancestor sets: it walks the parent chain on every call.
 ``message_problem_oracle`` is the whole message predicate extraction
 checked every message against before it checked only the constraints its
 slot filling cannot guarantee, and ``posteriors`` is the classifier's
@@ -43,13 +45,12 @@ from collections import Counter
 from chronicle.corpus import _TOKEN_RE, Sentence, Token, format_rfc3339
 from chronicle.evolution import LINEAR, NON_LINEAR, fit_linear
 from chronicle.errors import (ChronicleError, DslSyntaxError, MalformedRecord,
-                              MissingTemplate)
+                              MissingTemplate, UnknownConcept)
 from chronicle.extract import (ClassifierModel, Message, sentence_features,
                                validate_message)
 from chronicle.ontology import (_INSTANCE_RE, _NAME_RE, DIACHRONIC, SYNCHRONIC,
                                 ConditionAtom, MessageTypeSpec, Ontology,
-                                RelationSpec, Statement, _parse_atoms,
-                                is_subtype)
+                                RelationSpec, Statement, _parse_atoms)
 from chronicle.relations import (RelationInstance, _message_sort_key,
                                  sort_instances)
 from chronicle.summarize import (RenderResult, _date_of, _join_sources,
@@ -218,13 +219,13 @@ def _match_element_oracle(element: str, surface: str) -> tuple[str, int | str] |
     """Return False (no match), True (literal match) or a (name, value) capture."""
     folded = surface.lower()
     if element == "<num>":
-        return ("num", int(folded)) if folded.isdigit() else False
+        return ("num", int(folded)) if folded.isdecimal() else False
     if element == "<day>":
-        if folded.isdigit() and len(folded) <= 2 and 1 <= int(folded) <= 31:
+        if folded.isdecimal() and len(folded) <= 2 and 1 <= int(folded) <= 31:
             return ("day", int(folded))
         return False
     if element == "<year>":
-        return ("year", int(folded)) if folded.isdigit() and len(folded) == 4 else False
+        return ("year", int(folded)) if folded.isdecimal() and len(folded) == 4 else False
     if element == "<month>":
         return ("month", _MONTHS[folded]) if folded in _MONTHS else False
     if element == "<weekday>":
@@ -232,7 +233,7 @@ def _match_element_oracle(element: str, surface: str) -> tuple[str, int | str] |
     if element == "<isodate>":
         parts = folded.split("-")
         if len(parts) == 3 and [len(p) for p in parts] == [4, 2, 2] \
-                and all(p.isdigit() for p in parts):
+                and all(p.isdecimal() for p in parts):
             return ("isodate", folded)
         return False
     return folded == element.lower()
@@ -538,6 +539,19 @@ def render_summary_oracle(graph, templates, ellipsis=(), bucket_budget=None) -> 
                         coverage=tuple(sorted(coverage)))
 
 
+def is_subtype_oracle(ontology: Ontology, a: str, b: str) -> bool:
+    """Reflexive-transitive subtype test over the taxonomy forest."""
+    for name in (a, b):
+        if name not in ontology.concepts:
+            raise UnknownConcept(f"unknown concept {name!r}")
+    node: str | None = a
+    while node is not None:
+        if node == b:
+            return True
+        node = ontology.parent.get(node)
+    return False
+
+
 def message_problem_oracle(msg: Message, specs: list[MessageTypeSpec],
                            ontology: Ontology) -> str | None:
     """Check a message against its type spec; returns a reason or None."""
@@ -554,7 +568,7 @@ def message_problem_oracle(msg: Message, specs: list[MessageTypeSpec],
         got = ontology.concept_of(value)
         if got is None:
             return f"{slot}: {value!r} is not an ontology instance"
-        if not is_subtype(ontology, got, concept):
+        if not is_subtype_oracle(ontology, got, concept):
             return f"{slot}: {value!r} is not an instance of {concept!r}"
     return validate_message(spec, msg.args)
 

@@ -739,6 +739,35 @@ def test_year_below_1000_round_trips_through_the_corpus(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tail", [
+    " near a 2 km² compound",           # a digit int() refuses
+    " 1000000 days ago",                # a day before date.min
+    " " + "9" * 5000 + " weeks ago",    # more digits than int() reads
+], ids=["superscript", "before-date-min", "too-many-digits"])
+def test_extract_survives_unusable_numbers(tmp_path, capsys, tail):
+    """A number no element class can use, or one outside the date range,
+    leaves the message at its publication day, as with no expression."""
+    root = FIXTURES / "hostage"
+    lines = (root / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    first["text"][0] = first["text"][0].rstrip(".") + tail + "."
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n",
+                      encoding="utf-8")
+    outputs = []
+    for name, path in (("plain", root / "corpus.jsonl"), ("edited", corpus)):
+        out = tmp_path / name
+        assert run(["ingest", "--corpus", path, "--lexicon", root / "lexicon.tsv",
+                    "--gazetteer", root / "gazetteer.tsv", "--out-dir", out]) == 0
+        assert run(["extract", "--ontology", root / "domain.spec",
+                    "--out-dir", out]) == 0
+        outputs.append((out / "messages.jsonl").read_text(encoding="utf-8"))
+    assert '"doc_id": "aegean-01", "sentence_index": 0, "time": "2004-09-01"' \
+        in outputs[1]
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
 def test_gold_time_below_year_1000_round_trips(tmp_path, capsys):
     root = FIXTURES / "hostage"
     assert run(["ingest", "--corpus", root / "corpus.jsonl",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -9,9 +10,10 @@ from chronicle.errors import (CycleInTaxonomy, DslSyntaxError, DuplicateInstance
                               UnknownConcept, UnknownInstance,
                               UnknownMessageType, UnknownSlot)
 from chronicle.extract import load_trigger_rules
-from chronicle.ontology import (ConditionAtom, is_subtype, load_message_specs,
-                                load_ontology, load_relation_specs)
-from tests.oracles import dump_domain
+from chronicle.ontology import (ConditionAtom, Ontology, is_subtype,
+                                load_message_specs, load_ontology,
+                                load_relation_specs)
+from tests.oracles import dump_domain, is_subtype_oracle
 
 
 def write_spec(tmp_path, text, name="d.spec"):
@@ -38,6 +40,29 @@ def test_subtype_reflexive_transitive_antisymmetric(tmp_path):
     for a, b in itertools.product(onto.concepts, repeat=2):
         if is_subtype(onto, a, b) and is_subtype(onto, b, a):
             assert a == b
+
+
+def random_forest(rng: random.Random) -> Ontology:
+    """A taxonomy forest: each concept's parent is an earlier concept or
+    none, with names shuffled so that declaration order says nothing."""
+    names = [f"C{k}" for k in range(rng.randint(1, 14))]
+    rng.shuffle(names)
+    parent = {name: rng.choice(names[:k]) for k, name in enumerate(names)
+              if k and rng.random() < 0.8}
+    return Ontology(concepts=frozenset(names), parent=parent, instances={},
+                    ordered_scales={})
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_is_subtype_matches_oracle(seed):
+    onto = random_forest(random.Random(seed))
+    for a, b in itertools.product(sorted(onto.concepts), repeat=2):
+        assert is_subtype(onto, a, b) == is_subtype_oracle(onto, a, b)
+    known = min(onto.concepts)
+    for a, b in [("Unknown", known), (known, "Unknown"), ("Unknown", "Unknown")]:
+        for check in (is_subtype, is_subtype_oracle):
+            with pytest.raises(UnknownConcept, match="Unknown"):
+                check(onto, a, b)
 
 
 def test_degree_scale_four_values(football):

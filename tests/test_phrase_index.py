@@ -122,3 +122,33 @@ def test_temporal_spotting_matches_oracle(seed):
             find_temporal_expressions_oracle(sentence, grammar)
         assert find_temporal_expressions(sentence) == \
             find_temporal_expressions_oracle(sentence, default_grammar())
+
+
+# Tokens at the edges of the check that lets a class-opened pattern start:
+# a superscript digit (a digit that is not decimal), a decimal digit that
+# is not ASCII, numbers just inside and outside <day>, a number too large
+# to resolve, month and weekday abbreviations, an ISO date past the end of
+# its month and one with a one-digit month.
+EDGE_TOKENS = ["²", "٣", "0", "00", "32", "1000000", "SEPT", "Fri",
+               "2004-02-30", "2004-9-21"]
+EDGE_OPENERS = ["<num>", "<day>", "<year>", "<month>", "<weekday>",
+                "<isodate>", "32", "sept", "00"]
+EDGE_ELEMENTS = EDGE_OPENERS + ["days", "ago"]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_temporal_spotting_at_opener_edges_matches_oracle(seed):
+    rng = random.Random(seed)
+    grammar = tuple(
+        GrammarPattern(f"p{k}", (rng.choice(EDGE_OPENERS),
+                                 *rng.choices(EDGE_ELEMENTS, k=rng.randint(0, 2))),
+                       "vague")
+        for k in range(rng.randint(1, 12)))
+    words = EDGE_TOKENS + ["days", "ago", "talks"]
+    for index in range(20):
+        text = random_text(rng, words, rng.randint(0, 10))
+        sentence = Sentence(index=index, text=text, tokens=tokenize(text))
+        assert find_temporal_expressions(sentence, grammar) == \
+            find_temporal_expressions_oracle(sentence, grammar)
+        assert find_temporal_expressions(sentence) == \
+            find_temporal_expressions_oracle(sentence, default_grammar())

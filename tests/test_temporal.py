@@ -82,6 +82,55 @@ def test_message_time_survives_unresolvable():
     assert anchor == TimeAnchor.day(datetime(2004, 9, 10))
 
 
+def test_superscript_digit_is_no_number():
+    # "²" passes str.isdigit but int() refuses it; no class matches it
+    s = sent("the captors seized a 2 km² compound yesterday")
+    assert [e.raw for e in find_temporal_expressions(s)] == ["yesterday"]
+    assert message_time(s, pub(2004, 9, 10)) == \
+        TimeAnchor.day(datetime(2004, 9, 9))
+
+
+def test_non_ascii_decimal_digit_is_a_number():
+    e = find_temporal_expressions(sent("it began ٣ days ago"))[0]
+    assert e.captures == (("num", 3),)
+    assert resolve(e, pub(2004, 9, 10)) == TimeAnchor.day(datetime(2004, 9, 7))
+
+
+HUGE = "1" + "0" * 5000   # more digits than int() reads by default
+
+
+@pytest.mark.parametrize("text", [
+    "it began 1000000 days ago", "it began 200000 weeks ago",
+    "it began 1000000000 days ago", f"it began {HUGE} days ago",
+    f"it began {HUGE} weeks ago",
+], ids=["days", "weeks", "past-timedelta", "huge-days", "huge-weeks"])
+def test_ago_outside_the_date_range_is_unresolvable(text):
+    e = find_temporal_expressions(sent(text))[0]
+    assert e.rule in ("days-ago", "weeks-ago")
+    with pytest.raises(UnresolvableExpression):
+        resolve(e, pub(2004, 9, 10))
+    assert message_time(sent(text), pub(2004, 9, 10)) == \
+        TimeAnchor.day(datetime(2004, 9, 10))
+    # the next resolvable expression anchors the message instead
+    assert message_time(sent(text + " and talks began 3 days ago"),
+                        pub(2004, 9, 10)) == TimeAnchor.day(datetime(2004, 9, 7))
+
+
+@pytest.mark.parametrize("text, publish", [
+    ("talks resume next Monday", datetime(9999, 12, 31, tzinfo=UTC)),
+    ("talks resume tomorrow", datetime(9999, 12, 31, tzinfo=UTC)),
+    ("talks began last Monday", datetime(1, 1, 1, tzinfo=UTC)),
+    ("talks began on Sunday", datetime(1, 1, 1, tzinfo=UTC)),
+    ("talks began yesterday", datetime(1, 1, 1, tzinfo=UTC)),
+], ids=["next-weekday", "tomorrow", "last-weekday", "on-weekday", "yesterday"])
+def test_relative_day_past_the_date_range_is_unresolvable(text, publish):
+    # 0001-01-01 is a Monday, so "on Sunday" reaches back past date.min
+    e = find_temporal_expressions(sent(text))[0]
+    with pytest.raises(UnresolvableExpression):
+        resolve(e, publish)
+    assert message_time(sent(text), publish) == TimeAnchor.day(publish)
+
+
 def test_message_time_reanchors_to_earlier_day():
     # a later report whose sentence points at the earlier day: its anchor
     # must equal the earlier report's publication day so the two align
