@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import starmap
 from json.scanner import make_scanner
 from pathlib import Path
@@ -21,10 +21,14 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import DuplicateDocId, MalformedRecord, UnparsableTimestamp
 
 UTC = timezone.utc
+_EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+_MINUTE = timedelta(minutes=1)
 
 # A token is a maximal run of word characters (hyphens/apostrophes allowed
 # inside, so "Al-Jazeera" stays whole) or a single punctuation character.
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:[-'][A-Za-z0-9]+)*|[^\sA-Za-z0-9]")
+# Word characters are ASCII letters and decimal digits of any script (``\d``
+# is what ``str.isdecimal`` accepts), so "١٣" is one number, not two.
+_TOKEN_RE = re.compile(r"[A-Za-z\d]+(?:[-'][A-Za-z\d]+)*|[^\sA-Za-z\d]")
 
 
 class Token(NamedTuple):
@@ -77,6 +81,12 @@ def to_utc(dt: datetime) -> datetime:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=UTC)
     return dt.astimezone(UTC)
+
+
+def minutes_since_epoch(t: datetime) -> int:
+    """Whole minutes from 1970-01-01T00:00Z to an aware ``t``, rounded down;
+    exact over the whole date range."""
+    return (t - _EPOCH) // _MINUTE
 
 
 def parse_rfc3339(value: str) -> datetime:

@@ -21,20 +21,15 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .corpus import Corpus, build_corpus, format_rfc3339
+from .corpus import Corpus, build_corpus, format_rfc3339, minutes_since_epoch
 from .errors import TooFewPoints
 
 UTC = timezone.utc
-_EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
 
 LINEAR = "linear"
 NON_LINEAR = "non-linear"
 SYNCHRONOUS = "synchronous"
 ASYNCHRONOUS = "asynchronous"
-
-
-def minutes_since_epoch(t: datetime) -> int:
-    return int((t - _EPOCH).total_seconds() // 60)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .corpus import Corpus, Document, Sentence, read_records
 from .errors import (EmptyTrainingSet, MalformedRecord, SlotTypeViolation,
                      UnknownMessageType, UnknownSlot, UnparsableAnchor)
 from .ontology import (MessageTypeSpec, Ontology, ParsedSpec,
-                       constraint_satisfied, is_subtype)
+                       constraint_satisfied)
 from .temporal import TimeAnchor, _span_distance, message_time
 
 log = logging.getLogger("chronicle.extract")
@@ -308,13 +308,13 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
     Records: ``doc_id``, ``sentence_index``, ``type``, ``args`` (slot to
     instance or null), optional ``time`` (RFC 3339 day or instant; absent
     means the publication day). One message per sentence, as in extraction.
-    Each spec's slot names, each (instance, concept) verdict and each parsed
-    ``time`` string are computed once per call.
+    Each spec's slot names and each parsed ``time`` string are computed once
+    per call; a slot value fits its concept when the concept is among the
+    ancestors of the value's own.
     """
     by_name = {m.name: m for m in specs}
     slot_names = {m.name: set(m.slot_names()) for m in specs}
     docs = {d.doc_id: d for d in corpus.documents}
-    fits: dict[tuple[str, str], bool] = {}
     anchors: dict[str, TimeAnchor] = {}
     seen: set[tuple[str, int]] = set()
     messages = []
@@ -361,12 +361,8 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
                     raise MalformedRecord(
                         f"slot {slot!r} must be an instance name or null",
                         str(path), ln)
-                fit = fits.get((value, concept))
-                if fit is None:
-                    got = ontology.concept_of(value)
-                    fit = fits[value, concept] = (
-                        got is not None and is_subtype(ontology, got, concept))
-                if not fit:
+                got = ontology.concept_of(value)
+                if got is None or concept not in ontology.ancestors[got]:
                     raise SlotTypeViolation(msg_type, slot, value, concept,
                                             str(path), ln)
             args[slot] = value

@@ -8,16 +8,29 @@ degenerates to exact time equality. Diachronic candidates are same-source
 pairs at strictly increasing anchors, their distance counted in per-source
 report steps.
 
+The engine works in the time order alone. Messages are walked once in
+``_message_sort_key`` order, and a message is its position in that walk.
+Its span is two integers, minutes since the epoch with both ends included:
+an instant is one minute, an interval runs from its start to its end, and
+a day from 00:00 to 23:59. The window is a whole number of minutes (the
+duration grammar reads no finer one), and the span's end is pushed out by
+the whole width. Every anchor lies on the minute grid, so two spans
+overlap, ``a.start <= b.end and b.start <= a.end``, exactly when the two
+anchors' extents, each dilated by half the width, overlap. No date is
+computed, so an anchor at either end of the date range and the widest
+window the grammar reads relate like any other.
+
 Candidates are found without testing every pair. Synchronic ones come from
-a sweep over dilated extents sorted by start: a message can only overlap
-extents that start between its own start minus the longest extent among
-the candidates and its own end, a range two bisections find. Ellipsis runs
-the same sweep on per-(type, source) lists. Diachronic ones come from a
-report index: per-source lists in report order, where a rule's distance is
-a range of report indices that two bisections find (``==k`` one index,
-``>=k`` every index from ``+k`` on, no distance the whole source). Report
-order follows publish time, but anchors come from the text, so each
-candidate in the range is still tested for a strictly later anchor start.
+a sweep over spans sorted by start: a message can only overlap spans that
+start between its own start minus the longest span among the candidates
+and its own end, a range two bisections find. Ellipsis runs the same sweep
+on per-(type, source) lists. Diachronic ones come from per-source lists in
+report order, where a rule's distance is a range of report indices that
+two bisections find (``==k`` one index, ``>=k`` every index from ``+k``
+on, no distance the whole source). Report order follows publish time, but
+anchors come from the text, so each candidate in the range is still tested
+for a strictly later span start. Both generators yield (left, right,
+distance) triples, the distance None on the synchronic axis.
 
 ``evaluate_relations`` runs each rule as a keyed join, since a rule's
 conditions are a conjunction of slot equalities plus a few other atoms.
@@ -27,7 +40,10 @@ right messages are grouped by key, and the sweep or the report index runs
 inside the left message's group only. A message with a null key slot, or
 one that fails a ``const`` atom, joins no group, since no atom matches a
 null slot. The ``neq``, ``lt`` and ``gt`` atoms are tested on each
-candidate.
+candidate. A relation found is the tuple (axis, name, left position, right
+position, distance); the set of them, sorted, is in ``sort_instances``
+order, since positions follow ``_message_sort_key`` and message keys are
+unique. Each is built into a ``RelationInstance`` once.
 
 ``brute_force_oracle`` re-implements the whole contract literally and
 independently (no shared condition or window helpers) so tests can check
@@ -56,24 +72,28 @@ from datetime import timedelta
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
-from .corpus import read_records
+from .corpus import minutes_since_epoch, read_records
 from .errors import MalformedRecord
 from .extract import Message
 from .ontology import RelationSpec, SYNCHRONIC, DIACHRONIC, evaluate_atom
-from .temporal import TimeAnchor
+
+_MINUTE = timedelta(minutes=1)
 
 
 @dataclass(frozen=True)
 class WindowPolicy:
-    """Synchronic tolerance. Two anchors are compatible when their extents,
-    each dilated by width/2, overlap."""
+    """Synchronic tolerance, a whole number of minutes. Two anchors are
+    compatible when their extents, each dilated by width/2, overlap."""
 
     width: timedelta
 
     def __post_init__(self):
         if self.width < timedelta(0):
             raise ValueError("window width must be >= 0")
+        if self.width % _MINUTE:
+            raise ValueError("window width must be a whole number of minutes")
 
 
 _DURATION_RE = re.compile(r"^(\d+)([dhm])$")
@@ -93,20 +113,6 @@ def parse_duration(text: str) -> timedelta:
 
 def parse_window(text: str) -> WindowPolicy:
     return WindowPolicy(parse_duration(text))
-
-
-def _dilated(anchor: TimeAnchor, window: WindowPolicy):
-    start, end, end_open = anchor.extent()
-    half = window.width / 2
-    return start - half, end + half, end_open
-
-
-def _extents_overlap(a, b) -> bool:
-    s1, e1, open1 = a
-    s2, e2, open2 = b
-    left_ok = s2 < e1 or (s2 == e1 and not open1)
-    right_ok = s1 < e2 or (s1 == e2 and not open2)
-    return left_ok and right_ok
 
 
 @dataclass(frozen=True)
@@ -130,100 +136,109 @@ def sort_instances(instances) -> list[RelationInstance]:
         r.axis, r.name, _message_sort_key(r.left), _message_sort_key(r.right)))
 
 
-def _by_extent(messages: list[Message], window: WindowPolicy):
-    """(message, dilated extent, bucket index) triples in
-    ``_message_sort_key`` order, which is also the order of dilated starts.
-    A bucket closes at the first extent that misses its hull, so buckets are
-    the connected components of the anchor-compatibility graph."""
+class _Item(NamedTuple):
+    """A message at its position in the time order, with its span: minutes
+    since the epoch, both ends included, the end pushed out by the window
+    width."""
+
+    position: int
+    message: Message
+    start: int
+    end: int
+    bucket: int
+
+
+def _by_extent(messages: list[Message], window: WindowPolicy) -> list[_Item]:
+    """An item per message in ``_message_sort_key`` order, which is also the
+    order of span starts. A bucket closes at the first span that starts
+    after every earlier member's end, so buckets are the connected
+    components of the anchor-compatibility graph."""
+    widen = window.width // _MINUTE
     items = []
-    bucket, hull = -1, None
-    for m in sorted(messages, key=_message_sort_key):
-        ext = _dilated(m.time, window)
-        if hull is not None and _extents_overlap(hull, ext):
-            # extend the hull end; a closed end outranks an open one
-            s, e, o = hull
-            if ext[1] > e or (ext[1] == e and o and not ext[2]):
-                hull = (s, ext[1], ext[2])
-        else:
-            bucket, hull = bucket + 1, ext
-        items.append((m, ext, bucket))
+    bucket, reach = -1, None
+    for position, m in enumerate(sorted(messages, key=_message_sort_key)):
+        start = minutes_since_epoch(m.time.start)
+        end = start + 1439 if m.time.kind == "day" else minutes_since_epoch(m.time.end)
+        end += widen
+        if reach is None or start > reach:
+            bucket, reach = bucket + 1, end
+        elif end > reach:
+            reach = end
+        items.append(_Item(position, m, start, end, bucket))
     return items
 
 
 class _Sweep:
-    """Start-sorted dilated extents, for finding the ones that overlap a
-    given extent."""
+    """Start-sorted spans, for finding the ones that overlap a given span."""
 
     def __init__(self, items):
         self.items = items              # from _by_extent
-        self.starts = [ext[0] for _, ext, _ in items]
-        # an extent that starts before s - lookback ends before s
-        self.lookback = max((ext[1] - ext[0] for _, ext, _ in items),
-                            default=timedelta(0))
+        self.starts = [item.start for item in items]
+        # a span that starts before s - lookback ends before s
+        self.lookback = max((item.end - item.start for item in items), default=0)
 
-    def overlapping(self, extent):
-        """The messages whose extents overlap ``extent``, in sort order."""
-        lo = bisect_left(self.starts, extent[0] - self.lookback)
-        hi = bisect_right(self.starts, extent[1])
-        for j in range(lo, hi):
-            m, ext, _ = self.items[j]
-            if _extents_overlap(extent, ext):
-                yield m
+    def overlapping(self, start: int, end: int):
+        """The items whose spans overlap [start, end], in sort order."""
+        lo = bisect_left(self.starts, start - self.lookback)
+        hi = bisect_right(self.starts, end)
+        for item in self.items[lo:hi]:
+            if item.end >= start:
+                yield item
 
 
-def _synchronic_candidates(lefts, rights: _Sweep):
-    """Cross-source (left, right) pairs with overlapping dilated extents;
-    ``lefts`` are _by_extent items."""
-    for m1, ext, _ in lefts:
-        for m2 in rights.overlapping(ext):
-            if m2.source != m1.source:
-                yield m1, m2
+def _synchronic_candidates(lefts: list[_Item], rights: list[_Item]):
+    """(left, right, None) for each left and each right item of another
+    source whose spans overlap."""
+    sweep = _Sweep(rights)
+    for left in lefts:
+        source = left.message.source
+        for right in sweep.overlapping(left.start, left.end):
+            if right.message.source != source:
+                yield left, right, None
 
 
-class _Reports:
-    """Messages per source in report order, for finding a message's later
-    same-source messages at a given report distance."""
-
-    def __init__(self, messages):
-        self.lists: dict[str, list[Message]] = {}
-        for m in sorted(messages, key=lambda m: m.report_index):
-            self.lists.setdefault(m.source, []).append(m)
-        self.indices = {source: [m.report_index for m in ms]
-                        for source, ms in self.lists.items()}
-
-    def later(self, m: Message, distance: tuple[str, int] | None = None):
-        """(m2, report distance) for each same-source m2 with a strictly
-        later anchor start whose report is ``k`` after ``m``'s for
-        ``("==", k)``, at least ``k`` after for ``(">=", k)``, or anywhere
-        for None."""
-        ms = self.lists.get(m.source)
-        if ms is None:
-            return
-        lo, hi = 0, len(ms)
+def _diachronic_candidates(lefts: list[_Item], rights: list[_Item],
+                           distance: tuple[str, int] | None = None):
+    """(left, right, report distance) for each left and each right item of
+    the same source with a strictly later span start whose report is ``k``
+    after the left's for ``("==", k)``, at least ``k`` after for
+    ``(">=", k)``, or anywhere for None. Each source's rights are listed in
+    report order, so a distance is a range two bisections find."""
+    lists: dict[str, list[_Item]] = {}
+    for item in sorted(rights, key=lambda item: item.message.report_index):
+        lists.setdefault(item.message.source, []).append(item)
+    indices = {source: [item.message.report_index for item in items]
+               for source, items in lists.items()}
+    for left in lefts:
+        m = left.message
+        items = lists.get(m.source)
+        if items is None:
+            continue
+        lo, hi = 0, len(items)
         if distance is not None:
             op, k = distance
-            indices = self.indices[m.source]
-            lo = bisect_left(indices, m.report_index + k)
+            lo = bisect_left(indices[m.source], m.report_index + k)
             if op == "==":
-                hi = bisect_right(indices, m.report_index + k, lo)
-        for m2 in ms[lo:hi]:
-            if m2.time.start > m.time.start:
-                yield m2, m2.report_index - m.report_index
+                hi = bisect_right(indices[m.source], m.report_index + k, lo)
+        for right in items[lo:hi]:
+            if right.start > left.start:
+                yield left, right, right.message.report_index - m.report_index
 
 
 def synchronic_pairs(messages: list[Message],
                      window: WindowPolicy) -> list[tuple[Message, Message]]:
     """All ordered cross-source pairs with window-compatible anchors."""
     items = _by_extent(messages, window)
-    return list(_synchronic_candidates(items, _Sweep(items)))
+    return [(left.message, right.message)
+            for left, right, _ in _synchronic_candidates(items, items)]
 
 
 def diachronic_pairs(messages: list[Message]) -> list[tuple[Message, Message, int]]:
     """All same-source ordered pairs with strictly increasing anchor start,
     with their report distance (later report_index minus earlier)."""
-    reports = _Reports(messages)
-    return [(m1, m2, distance) for m1 in sorted(messages, key=_message_sort_key)
-            for m2, distance in reports.later(m1)]
+    items = _by_extent(messages, WindowPolicy(timedelta(0)))
+    return [(left.message, right.message, distance)
+            for left, right, distance in _diachronic_candidates(items, items)]
 
 
 def _join_plan(spec: RelationSpec):
@@ -251,7 +266,7 @@ def _key_groups(items, key_slots: list[str], pins: list[tuple[str, str]]):
     matches a null slot."""
     groups: dict[tuple, list] = {}
     for item in items:
-        args = item[0].args
+        args = item.message.args
         if any(args.get(slot) is None or args.get(slot) != value
                for slot, value in pins):
             continue
@@ -270,14 +285,11 @@ def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpe
     Symmetric synchronic specs emit both directions. Output is deduplicated
     and deterministically sorted by (axis, name, left anchor, doc, sentence).
     """
+    items = _by_extent(messages, window)
     by_type: dict[str, list] = {}
-    for item in _by_extent(messages, window):
-        by_type.setdefault(item[0].msg_type, []).append(item)
-    found: dict[tuple, RelationInstance] = {}
-
-    def emit(inst: RelationInstance):
-        found.setdefault(inst.key(), inst)
-
+    for item in items:
+        by_type.setdefault(item.message.msg_type, []).append(item)
+    found: set[tuple] = set()
     for spec in relation_specs:
         if spec.left_type not in by_type or spec.right_type not in by_type:
             continue
@@ -289,21 +301,22 @@ def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpe
             if rights is None:
                 continue
             if spec.axis == SYNCHRONIC:
-                for m1, m2 in _synchronic_candidates(lefts, _Sweep(rights)):
-                    if not residual or all(evaluate_atom(a, m1.args, m2.args)
-                                           for a in residual):
-                        emit(RelationInstance(spec.name, SYNCHRONIC, m1, m2))
-                        if spec.symmetric:
-                            emit(RelationInstance(spec.name, SYNCHRONIC, m2, m1))
-                continue
-            reports = _Reports(m for m, _, _ in rights)
-            for m1, _, _ in lefts:
-                for m2, distance in reports.later(m1, spec.distance):
-                    if not residual or all(evaluate_atom(a, m1.args, m2.args)
-                                           for a in residual):
-                        emit(RelationInstance(spec.name, DIACHRONIC, m1, m2,
-                                              distance=distance))
-    return sort_instances(found.values())
+                pairs = _synchronic_candidates(lefts, rights)
+            else:
+                pairs = _diachronic_candidates(lefts, rights, spec.distance)
+            for left, right, distance in pairs:
+                if residual and not all(
+                        evaluate_atom(a, left.message.args, right.message.args)
+                        for a in residual):
+                    continue
+                found.add((spec.axis, spec.name, left.position, right.position,
+                           distance))
+                if spec.symmetric and spec.axis == SYNCHRONIC:
+                    found.add((SYNCHRONIC, spec.name, right.position,
+                               left.position, None))
+    return [RelationInstance(name, axis, items[left].message, items[right].message,
+                             distance)
+            for axis, name, left, right, distance in sorted(found)]
 
 
 def brute_force_oracle(messages: list[Message], relation_specs: list[RelationSpec],
@@ -392,8 +405,8 @@ def bucket_messages(messages: list[Message],
     Buckets are the connected components of the anchor-compatibility graph,
     the runs of ``_by_extent``'s walk.
     """
-    return [tuple(m for m, _, _ in run)
-            for _, run in groupby(_by_extent(messages, window), lambda item: item[2])]
+    return [tuple(item.message for item in run)
+            for _, run in groupby(_by_extent(messages, window), lambda item: item.bucket)]
 
 
 def bucket_index_of(message: Message, buckets: list[tuple[Message, ...]]) -> int:
@@ -423,17 +436,18 @@ def detect_ellipsis(messages: list[Message], sources: set[str],
     items = _by_extent(messages, window)
     partitions: dict[tuple[str, str], list] = {}
     for item in items:
-        partitions.setdefault((item[0].msg_type, item[0].source), []).append(item)
+        partitions.setdefault((item.message.msg_type, item.message.source),
+                              []).append(item)
     sweeps = {part: _Sweep(part_items) for part, part_items in partitions.items()}
     ordered_sources = sorted(sources)
     reports = []
-    for m, ext, bucket in items:
+    for _, m, start, end, bucket in items:
         silent = []
         for source in ordered_sources:
             if source == m.source:
                 continue
             sweep = sweeps.get((m.msg_type, source))
-            if sweep is None or next(sweep.overlapping(ext), None) is None:
+            if sweep is None or next(sweep.overlapping(start, end), None) is None:
                 silent.append(source)
         if silent:
             reports.append(EllipsisReport(

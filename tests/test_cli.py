@@ -768,6 +768,44 @@ def test_extract_survives_unusable_numbers(tmp_path, capsys, tail):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("window", ["0", "1d"])
+@pytest.mark.parametrize("publish", ["0001-01-01T00:00:00Z", "9999-12-31T00:00:00Z"],
+                         ids=["first-day", "last-day"])
+def test_pipeline_runs_at_the_date_range_ends(tmp_path, capsys, publish, window):
+    """A document published on the first or the last day of the date range
+    anchors its message on that day, and every stage still runs."""
+    lines = (FIXTURES / "hostage" / "corpus.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])
+    first["publish_time"] = publish
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+    out = tmp_path / "out"
+    run_pipeline("hostage", out, window=window, corpus=corpus)
+    times = [json.loads(line)["time"]
+             for line in (out / "messages.jsonl").read_text().splitlines()]
+    assert publish[:10] in times
+    capsys.readouterr()
+
+
+def test_non_ascii_digit_run_anchors_as_one_number(tmp_path, capsys):
+    """"١٣" is 13 in Arabic-Indic digits: the message anchors 13 days before
+    its publication day, not 3."""
+    root = FIXTURES / "hostage"
+    lines = (root / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    first["text"][0] = first["text"][0].rstrip(".") + " ١٣ days ago."
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n",
+                      encoding="utf-8")
+    assert run(["ingest", "--corpus", corpus, "--lexicon", root / "lexicon.tsv",
+                "--gazetteer", root / "gazetteer.tsv", "--out-dir", tmp_path]) == 0
+    assert run(["extract", "--ontology", root / "domain.spec",
+                "--out-dir", tmp_path]) == 0
+    assert '"doc_id": "aegean-01", "sentence_index": 0, "time": "2004-08-19"' \
+        in (tmp_path / "messages.jsonl").read_text(encoding="utf-8")
+    capsys.readouterr()
+
+
 def test_gold_time_below_year_1000_round_trips(tmp_path, capsys):
     root = FIXTURES / "hostage"
     assert run(["ingest", "--corpus", root / "corpus.jsonl",
@@ -917,10 +955,24 @@ def test_summarize_rejects_out_of_range_ellipsis_bucket(tmp_path, capsys):
 ], ids=["relate-dilation", "relate-window", "analyze-tolerance",
         "simulate-period"])
 def test_overflowing_duration_exits_2(tmp_path, capsys, stage, flags):
+    """A duration too long for ``timedelta`` exits 2. ``relate`` computes no
+    date from its window, so the widest one ``timedelta`` holds is no
+    overflow: it relates the hostage days as a century-wide window does."""
     run_pipeline("hostage", tmp_path)
     capsys.readouterr()
     domain = (["--ontology", FIXTURES / "hostage" / "domain.spec"]
               if stage == "relate" else [])
+    if flags == ["--window", "999999999d"]:
+        century = tmp_path / "century"
+        century.mkdir()
+        for name in ("corpus.jsonl", "messages.jsonl"):
+            (century / name).write_bytes((tmp_path / name).read_bytes())
+        assert run([stage, *domain, *flags, "--out-dir", tmp_path]) == 0
+        assert run([stage, *domain, "--window", "36500d", "--out-dir", century]) == 0
+        for name in ("relations.jsonl", "ellipsis.jsonl"):
+            assert (tmp_path / name).read_bytes() == (century / name).read_bytes()
+        assert capsys.readouterr().err == ""
+        return
     assert run([stage, *domain, *flags, "--out-dir", tmp_path]) == 2
     err = one_json_error(capsys, stage)
     assert err["error"] == "OverflowError"

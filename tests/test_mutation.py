@@ -1,4 +1,4 @@
-"""Mutation test over the artifacts ``summarize`` reads.
+"""Mutation test over the artifacts ``relate`` and ``summarize`` read.
 
 One line of ``messages.jsonl``, ``relations.jsonl`` or ``ellipsis.jsonl``
 from a hostage run is mutated: a field (at the top level or one level down)
@@ -6,6 +6,13 @@ is replaced by a drawn JSON value or dropped, or the whole line is replaced
 by drawn JSON. Whatever the mutation, ``summarize`` exits 0, or exits 2
 with exactly one JSON error line on stderr; an exception escaping
 ``chronicle.cli.main`` is a traceback and fails the test.
+
+``relate`` gets the same mutations of ``messages.jsonl``, and mutations that
+set one message's ``time`` to a day, an instant or an interval anywhere in
+the date range, its two ends and intervals spanning it included, at
+windows from 0 to ``999999999d``, the widest ``timedelta`` holds. It exits
+0 or 2 in the same way, and exits 0 whenever only ``time`` changed, to a
+valid anchor.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import shutil
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -20,6 +29,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chronicle import cli
+from chronicle.errors import UnparsableAnchor
+from chronicle.temporal import TimeAnchor
 from tests.conftest import FIXTURES
 
 ARTIFACTS = ("messages.jsonl", "relations.jsonl", "ellipsis.jsonl")
@@ -39,6 +50,21 @@ JSON = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=6)
 VALUES = st.one_of(PLAUSIBLE, JSON)
+
+UTC = timezone.utc
+INSTANTS = st.datetimes(timezones=st.just(UTC)) | st.sampled_from(
+    [datetime.min.replace(tzinfo=UTC), datetime.max.replace(tzinfo=UTC)])
+# anchors anywhere in the date range, written as messages.jsonl writes them
+TIMES = st.one_of(
+    st.dates().map(TimeAnchor.day),
+    INSTANTS.map(TimeAnchor.instant),
+    st.tuples(INSTANTS, INSTANTS).map(
+        lambda ends: TimeAnchor.interval(*sorted(ends))),
+).map(TimeAnchor.to_string) | st.sampled_from([
+    "0001-01-01", "9999-12-31", "0001-01-01T00:00:00Z", "9999-12-31T23:59:00Z",
+    "0001-01-01T00:00:00Z/9999-12-31T23:59:00Z",
+    "9999-12-31T23:59:00Z/0001-01-01T00:00:00Z"])
+RELATE_WINDOWS = ["0", "1m", "90m", "1d", "999999999d"]
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +112,37 @@ def mutations(draw, lines: list[str]):
     return index, json.dumps(record)
 
 
-def summarize(out: Path) -> tuple[int, str]:
-    argv = ["summarize", "--ontology", ROOT / "domain.spec",
-            "--templates", ROOT / "templates.txt", "--window", WINDOW,
-            "--out", out / "summary.txt", "--out-dir", out]
+@st.composite
+def time_mutations(draw, lines: list[str]):
+    """(line index, new line text) for one message whose ``time`` is set to
+    a drawn anchor string."""
+    index = draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[index])
+    record["time"] = draw(TIMES)
+    return index, json.dumps(record)
+
+
+def run_stage(argv) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in argv])
     return code, err.getvalue()
+
+
+def summarize(out: Path) -> tuple[int, str]:
+    return run_stage(["summarize", "--ontology", ROOT / "domain.spec",
+                      "--templates", ROOT / "templates.txt", "--window", WINDOW,
+                      "--out", out / "summary.txt", "--out-dir", out])
+
+
+def assert_exit_0_or_one_error(code: int, err: str, stage: str):
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        err_lines = err.splitlines()
+        assert len(err_lines) == 1, err_lines
+        assert json.loads(err_lines[0])["stage"] == stage
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("artifact", ARTIFACTS)
@@ -112,12 +161,42 @@ def test_mutated_summarize_input_exits_0_or_2(hostage_run, artifact):
             code, err = summarize(hostage_run)
         finally:
             path.write_text(original)
-        assert code in (0, 2), (code, err)
-        if code == 2:
-            err_lines = err.splitlines()
-            assert len(err_lines) == 1, err_lines
-            assert json.loads(err_lines[0])["stage"] == "summarize"
-        else:
-            assert err == ""
+        assert_exit_0_or_one_error(code, err, "summarize")
+
+    check()
+
+
+def valid_time_only(original: str, text: str) -> bool:
+    """Whether ``text`` is the ``original`` record with only its ``time``
+    changed, to a valid anchor."""
+    record = json.loads(text)
+    if not isinstance(record, dict) or not isinstance(record.get("time"), str):
+        return False
+    try:
+        TimeAnchor.from_string(record["time"])
+    except UnparsableAnchor:
+        return False
+    return {**record, "time": None} == {**json.loads(original), "time": None}
+
+
+@pytest.mark.parametrize("window", RELATE_WINDOWS)
+def test_mutated_relate_input_exits_0_or_2(hostage_run, tmp_path, window):
+    for name in ("corpus.jsonl", "messages.jsonl"):
+        shutil.copy(hostage_run / name, tmp_path / name)
+    path = tmp_path / "messages.jsonl"
+    lines = path.read_text().splitlines()
+    argv = ["relate", "--ontology", ROOT / "domain.spec", "--window", window,
+            "--out-dir", tmp_path]
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(mutations(lines), time_mutations(lines)))
+    def check(mutation):
+        index, text = mutation
+        path.write_text("\n".join(lines[:index] + [text] + lines[index + 1:]) + "\n")
+        code, err = run_stage(argv)
+        assert_exit_0_or_one_error(code, err, "relate")
+        if valid_time_only(lines[index], text):
+            assert code == 0, err
 
     check()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -194,8 +195,9 @@ def test_buckets_merge_under_wide_window():
 # ---------------------------------------------------------------------------
 # randomized equivalence with the literal oracles
 
-def random_trial(seed: int, max_messages=60):
-    rng = random.Random(seed)
+def random_rules(rng: random.Random):
+    """(types, slots per type, instances, sources, relation specs) of a
+    random domain."""
     types = [f"t{i}" for i in range(rng.randint(1, 5))]
     slots = {t: [f"s{j}" for j in range(rng.randint(1, 3))] for t in types}
     scale = tuple(f"v{j}" for j in range(4))
@@ -231,6 +233,12 @@ def random_trial(seed: int, max_messages=60):
         specs.append(RelationSpec(name=f"r{k}", axis=axis, left_type=lt,
                                   right_type=rt, conditions=tuple(conds),
                                   distance=distance, symmetric=symmetric))
+    return types, slots, instances, sources, specs
+
+
+def random_trial(seed: int, max_messages=60):
+    rng = random.Random(seed)
+    types, slots, instances, sources, specs = random_rules(rng)
     base = datetime(2004, 9, 1, tzinfo=UTC)
     messages = []
     counters = {}
@@ -269,6 +277,113 @@ def test_engine_matches_oracle(seed):
     engine = evaluate_relations(messages, specs, window)
     oracle = brute_force_oracle(messages, specs, window)
     assert keys(engine) == keys(oracle)
+
+
+MINUTE_WINDOWS = ["0", "1m", "7m", "90m"]
+
+
+def minute_trial(seed: int, days=4, max_messages=50):
+    """Rules and messages at minute granularity around midnights, all within
+    ``days`` + 1 days from 2004-09-01 00:00: day anchors, instants at 23:59,
+    00:00 and 00:01 or a few minutes or hours either side of a midnight,
+    and intervals that end at a midnight, at 23:59 or near a midnight. Ends
+    a minute or a few minutes apart are where an open day end, or a
+    dilation by half a minute, decides whether two anchors are compatible."""
+    rng = random.Random(seed)
+    types, slots, instances, sources, specs = random_rules(rng)
+    base = datetime(2004, 9, 1, tzinfo=UTC)
+    last = base + timedelta(days=days + 1) - timedelta(minutes=1)
+    near = [-90, -7, -1, 0, 1, 7, 90]
+    messages = []
+    counters: dict[str, int] = {}
+    for _ in range(rng.randint(2, max_messages)):
+        source = rng.choice(sources)
+        ridx = counters.get(source, 0)
+        counters[source] = ridx + 1
+        midnight = base + timedelta(days=rng.randint(1, days))
+        kind = rng.random()
+        if kind < 0.3:
+            anchor = TimeAnchor.day(base + timedelta(days=rng.randint(0, days)))
+        elif kind < 0.65:
+            anchor = TimeAnchor.instant(
+                midnight + timedelta(minutes=rng.choice(near)))
+        else:
+            end = rng.choice([midnight, midnight - timedelta(minutes=1),
+                              midnight + timedelta(minutes=rng.choice(near))])
+            start = end - timedelta(minutes=rng.choice([0, 1, 7, 90, 1439, 1440,
+                                                        rng.randint(0, 3000)]))
+            anchor = TimeAnchor.interval(max(start, base), min(end, last))
+        t = rng.choice(types)
+        args = {s: (rng.choice(instances) if rng.random() < 0.85 else None)
+                for s in slots[t]}
+        messages.append(Message(
+            msg_type=t, args=args, time=anchor, source=source,
+            doc_id=f"{source}-{ridx}", sentence_index=0, report_index=ridx))
+    return messages, specs, set(sources)
+
+
+def engine_outputs(messages, specs, sources, window):
+    """What the engine gives on both axes, by message key: relations with
+    their distances, ellipsis reports and buckets."""
+    relations = evaluate_relations(messages, specs, window)
+    return ([(*r.key(), r.distance) for r in relations],
+            [(r.message.key(), r.bucket, r.silent_sources)
+             for r in detect_ellipsis(messages, sources, window)],
+            [[m.key() for m in b] for b in bucket_messages(messages, window)])
+
+
+def assert_matches_oracles(messages, specs, sources, window):
+    relations, reports, buckets = engine_outputs(messages, specs, sources, window)
+    assert relations == [(*r.key(), r.distance)
+                         for r in brute_force_oracle(messages, specs, window)]
+    assert reports == ellipsis_oracle(messages, sources, window)
+    assert buckets == [keys for _, keys in bucket_oracle(messages, window)]
+
+
+@pytest.mark.parametrize("window", MINUTE_WINDOWS)
+@pytest.mark.parametrize("seed", range(30_000, 30_040))
+def test_minute_spans_match_oracles(seed, window):
+    messages, specs, sources = minute_trial(seed)
+    assert_matches_oracles(messages, specs, sources, parse_window(window))
+
+
+def shifted(messages, delta: timedelta):
+    return [replace(m, time=TimeAnchor(m.time.kind, m.time.start + delta,
+                                       m.time.end + delta))
+            for m in messages]
+
+
+@pytest.mark.parametrize("seed", range(31_000, 31_020))
+def test_date_range_ends_relate_as_2004(seed):
+    """The same messages moved from 2004 to the first and to the last days
+    of the date range give the same relations, ellipsis reports and
+    buckets; the 2004 ones are checked against the oracles, which compute
+    with dates and so cannot run at the range ends. The widest window the
+    grammar reads relates these few days as a century does."""
+    days = 4
+    messages, specs, sources = minute_trial(seed, days=days)
+    base = datetime(2004, 9, 1, tzinfo=UTC)
+    first = datetime(1, 1, 1, tzinfo=UTC)
+    last = datetime(9999, 12, 31, tzinfo=UTC) - timedelta(days=days)
+    for window in [*MINUTE_WINDOWS, "1d", "36500d"]:
+        window = parse_window(window)
+        assert_matches_oracles(messages, specs, sources, window)
+        expected = engine_outputs(messages, specs, sources, window)
+        for start in (first, last):
+            moved = shifted(messages, start - base)
+            assert engine_outputs(moved, specs, sources, window) == expected
+    century = engine_outputs(messages, specs, sources, parse_window("36500d"))
+    for start in (base, first, last):
+        moved = shifted(messages, start - base)
+        assert engine_outputs(moved, specs, sources,
+                              parse_window("999999999d")) == century
+
+
+def test_window_must_be_whole_minutes():
+    assert WindowPolicy(timedelta(hours=36)).width == timedelta(hours=36)
+    for width in (timedelta(seconds=30), timedelta(minutes=1, microseconds=1)):
+        with pytest.raises(ValueError, match="whole number of minutes"):
+            WindowPolicy(width)
 
 
 def keyed_trial(seed: int, max_messages=50):

@@ -96,6 +96,14 @@ def test_non_ascii_decimal_digit_is_a_number():
     assert resolve(e, pub(2004, 9, 10)) == TimeAnchor.day(datetime(2004, 9, 7))
 
 
+def test_non_ascii_digit_run_is_one_number():
+    # "١٣" is 13 in Arabic-Indic digits, one token as "13" is
+    s = sent("talks began ١٣ days ago")
+    assert [e.captures for e in find_temporal_expressions(s)] == [(("num", 13),)]
+    assert message_time(s, pub(2004, 9, 10)) == \
+        TimeAnchor.day(datetime(2004, 8, 28))
+
+
 HUGE = "1" + "0" * 5000   # more digits than int() reads by default
 
 
