@@ -86,7 +86,9 @@ def _read_training(path: str, lexicon, gazetteer):
 def cmd_extract(args) -> int:
     out = _out_dir(args)
     ontology, message_specs, _, specs = _load_domain(args)
-    corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT)
+    # gold messages are checked against sentence counts, never tokens
+    corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT,
+                                             tokens=args.mode != "gold")
     if args.mode == "gold":
         if not args.gold:
             raise ChronicleError("--mode gold requires --gold <messages file>")

@@ -4,7 +4,10 @@ The canonical model is immutable. Within each source, documents are ranked
 chronologically (``report_index``); this rank is what diachronic relation
 rules count distance in. Tokenization is rule-based: whitespace/punctuation
 segmentation, lemmas from a plain-text lexicon, named-entity labels from a
-gazetteer matched greedily longest-first.
+gazetteer matched greedily longest-first. Gazetteer tagging and instance
+spotting share one phrase scan, ``PhraseIndex.scan``, and the work per token
+runs in C-level loops: ``map`` over parallel lists, not a Python frame per
+token.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import starmap
+from itertools import compress, count, repeat
 from json.scanner import make_scanner
 from pathlib import Path
 import re
+from re import Match
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DuplicateDocId, MalformedRecord, UnparsableTimestamp
@@ -32,9 +36,9 @@ _TOKEN_RE = re.compile(r"[A-Za-z\d]+(?:[-'][A-Za-z\d]+)*|[^\sA-Za-z\d]")
 
 
 class Token(NamedTuple):
-    """One token. A named tuple, not a frozen dataclass: every stage builds
-    or reads every token of the corpus, and a tuple is built without an
-    ``object.__setattr__`` call per field."""
+    """One token. A named tuple, not a frozen dataclass: ingest and extract
+    build every token of the corpus, and ``_tokens`` builds a whole
+    sentence's tokens with ``tuple.__new__``, in C."""
 
     surface: str
     lemma: str
@@ -116,25 +120,33 @@ class PhraseIndex:
     """Phrases segmented by the corpus tokenizer, filed under their first
     folded token.
 
-    A scan asks, at each token, only for the phrases that can start there.
     Each list holds (folded tokens, value) longest first; phrases of equal
     length are ordered by their tokens, then by input order. Build it once
     per gazetteer or ontology, not once per sentence.
     """
 
     def __init__(self, phrases: Iterable[tuple[str, str]]):
-        entries: list[tuple[tuple[str, ...], str]] = []
+        entries: list[tuple[list[str], str]] = []
         for surface, value in phrases:
-            key = tuple(t.lower() for t in _TOKEN_RE.findall(surface))
+            key = list(map(str.lower, _TOKEN_RE.findall(surface)))
             if key:
                 entries.append((key, value))
         entries.sort(key=lambda e: (-len(e[0]), e[0]))
-        self._by_first: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+        self._by_first: dict[str, list[tuple[list[str], str]]] = {}
         for entry in entries:
             self._by_first.setdefault(entry[0][0], []).append(entry)
 
-    def starting_with(self, token: str) -> list[tuple[tuple[str, ...], str]]:
-        return self._by_first.get(token, [])
+    def scan(self, folded: list[str]) -> list[tuple[int, int, str]]:
+        """(start, end, value) for every phrase occurring in the folded
+        tokens, by start, and at one start in index order. Only positions
+        whose token opens a phrase are visited; they are found in C."""
+        found = []
+        for i in compress(count(), map(self._by_first.__contains__, folded)):
+            for key, value in self._by_first[folded[i]]:
+                end = i + len(key)
+                if folded[i:end] == key:
+                    found.append((i, end, value))
+        return found
 
 
 def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -167,17 +179,19 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 def load_lexicon(path: str | Path) -> dict[str, str]:
-    """Load a surface<TAB>lemma table; surfaces are matched case-insensitively."""
-    return _load_tsv(path)
+    """Load a surface<TAB>lemma table. Surfaces are folded to lower case at
+    load, since ``tokenize`` looks up the folded surface; among surfaces
+    equal after folding, the last in file order wins."""
+    return {surface.lower(): lemma for surface, lemma in _tsv_rows(path)}
 
 
 def load_gazetteer(path: str | Path) -> dict[str, str]:
-    """Load a surface<TAB>NE-label table; multi-word surfaces are allowed."""
-    return _load_tsv(path)
+    """Load a surface<TAB>NE-label table; multi-word surfaces are allowed.
+    Of two equal surfaces, the last in file order wins."""
+    return dict(_tsv_rows(path))
 
 
-def _load_tsv(path: str | Path) -> dict[str, str]:
-    table: dict[str, str] = {}
+def _tsv_rows(path: str | Path) -> Iterator[tuple[str, str]]:
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -186,8 +200,14 @@ def _load_tsv(path: str | Path) -> dict[str, str]:
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
                 raise MalformedRecord("expected surface<TAB>value", str(path), ln)
-            table[parts[0].strip()] = parts[1].strip()
-    return table
+            yield parts[0].strip(), parts[1].strip()
+
+
+def _tokens(rows: Iterable[Iterable]) -> tuple[Token, ...]:
+    """Tokens from (surface, lemma, ne, start, end) rows of the right
+    length, built in one C-level pass: ``tuple.__new__`` runs no Python
+    frame per token, as ``Token(...)`` would."""
+    return tuple(map(tuple.__new__, repeat(Token), rows))
 
 
 def tokenize(text: str,
@@ -200,28 +220,26 @@ def tokenize(text: str,
     gazetteer entries matched greedily longest-first with no overlaps; among
     surfaces that differ only in case, the first in file order wins. Build
     the gazetteer's ``PhraseIndex`` once and pass it for every sentence.
+
+    The work per token runs in C: surfaces, folded forms, lemmas and
+    offsets are parallel lists built by ``map`` over the regex matches; the
+    gazetteer's ``scan`` visits only the tokens that open a phrase, and the
+    first occurrence starting at or past the end of the last one taken is
+    kept; the tokens are built from the zipped lists by ``_tokens``.
     """
-    lexicon = lexicon or {}
-    spans = [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
-    folded = [s.lower() for s, _, _ in spans]
-    lemmas = [lexicon.get(f, f) for f in folded]
-    labels: list[str | None] = [None] * len(spans)
-
+    matches = list(_TOKEN_RE.finditer(text))
+    surfaces = list(map(Match.group, matches))
+    folded = list(map(str.lower, surfaces))
+    lemmas = list(map(lexicon.get, folded, folded)) if lexicon else folded
+    labels: list[str | None] = [None] * len(matches)
     if ne_gazetteer is not None:
-        i = 0
-        while i < len(folded):
-            for key, label in ne_gazetteer.starting_with(folded[i]):
-                if tuple(folded[i:i + len(key)]) == key:
-                    for j in range(i, i + len(key)):
-                        labels[j] = label
-                    i += len(key) - 1
-                    break
-            i += 1
-
-    return tuple(
-        Token(surface=s, lemma=lemmas[k], ne=labels[k], start=a, end=b)
-        for k, (s, a, b) in enumerate(spans)
-    )
+        taken = 0
+        for start, end, label in ne_gazetteer.scan(folded):
+            if start >= taken:
+                labels[start:end] = [label] * (end - start)
+                taken = end
+    return _tokens(zip(surfaces, lemmas, labels, map(Match.start, matches),
+                       map(Match.end, matches)))
 
 
 def _split_sentences(text) -> list[str]:
@@ -341,18 +359,24 @@ class _TokensNotRead:
 _TOKENS_NOT_READ = _TokensNotRead()
 
 
+# The field types of a token row: surface, lemma, label or null, offsets.
+_ROW_TYPES = {(str, str, label, int, int) for label in (str, type(None))}
+
+
 def _sentence(rec, tokens: bool) -> Sentence:
     """A sentence from its record; a non-int ``index``, a non-str ``text`` or
-    (with tokens) a token row that is not a 5-field array raises TypeError."""
+    (with tokens) a token row that is not an array of a surface, a lemma, a
+    label or null and two offsets raises TypeError. The rows are checked and
+    built in C-level passes, with no Python frame per token."""
     index, text = rec["index"], rec["text"]
     if type(index) is not int or type(text) is not str:
         raise TypeError
     if not tokens:
         return Sentence(index=index, text=text, tokens=_TOKENS_NOT_READ)
     rows = rec["tokens"]
-    if not all(type(row) is list and len(row) == 5 for row in rows):
+    if not _ROW_TYPES.issuperset(map(tuple, map(map, repeat(type), rows))):
         raise TypeError
-    return Sentence(index=index, text=text, tokens=tuple(starmap(Token, rows)))
+    return Sentence(index=index, text=text, tokens=_tokens(rows))
 
 
 def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
@@ -364,8 +388,9 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
     ``doc_id``, ``source``, ``publish_time``, ``report_index`` or
     ``sentences``, or a sentence's ``index`` or ``text``, or holds one of the
     wrong type, or a ``doc_id`` holding ``#``, raises MalformedRecord with
-    the line; with tokens, so does a token row that is not an array of five
-    fields.
+    the line; with tokens, so does a token row that is not an array of a
+    surface and a lemma (strings), a label (a string or null) and two
+    integer offsets.
     """
     documents = []
     event_id = Path(path).stem

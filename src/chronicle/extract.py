@@ -19,6 +19,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .corpus import Corpus, Document, Sentence, read_records
@@ -180,15 +181,12 @@ def _instance_spans(sentence: Sentence, ontology: Ontology) -> list[tuple[str, t
     """All (instance, token_span) occurrences in the sentence, sorted.
 
     An instance's surface form is its name with underscores as spaces,
-    segmented by the corpus tokenizer and matched case-insensitively.
+    segmented by the corpus tokenizer and matched case-insensitively. Every
+    occurrence the ontology's ``PhraseIndex.scan`` finds is kept.
     """
-    folded = [t.surface.lower() for t in sentence.tokens]
-    index = ontology.instance_phrases
-    out = []
-    for i, token in enumerate(folded):
-        for key, instance in index.starting_with(token):
-            if tuple(folded[i:i + len(key)]) == key:
-                out.append((instance, (i, i + len(key))))
+    folded = list(map(str.lower, map(itemgetter(0), sentence.tokens)))
+    out = [(instance, (start, end)) for start, end, instance
+           in ontology.instance_phrases.scan(folded)]
     out.sort()
     return out
 

@@ -661,7 +661,12 @@ def test_corpus_artifact_doc_id_with_hash_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("row", [
     "ab", ["ab", "ab"], ["ab", "ab", None, 0, 2, 0], {"surface": "ab"},
-], ids=["string", "short-array", "long-array", "object"])
+    [5, "ab", None, 0, 2], ["ab", ["ab"], None, 0, 2], ["ab", "ab", 7, 0, 2],
+    ["ab", "ab", {}, 0, 2], ["ab", "ab", None, 0.0, 2],
+    ["ab", "ab", None, 0, "2"], ["ab", "ab", None, True, 2],
+], ids=["string", "short-array", "long-array", "object", "number-surface",
+        "array-lemma", "number-label", "object-label", "float-start",
+        "string-end", "bool-start"])
 def test_malformed_token_row_exits_2(tmp_path, capsys, row):
     def change(record):
         record["sentences"][0]["tokens"][0] = row
@@ -674,31 +679,73 @@ def test_malformed_token_row_exits_2(tmp_path, capsys, row):
             f"shape") in err["detail"]
 
 
-def test_only_extract_builds_tokens(tmp_path, monkeypatch, capsys):
-    """relate, analyze and summarize read no token; extract builds every one."""
+def ingest_hostage(out_dir) -> int:
+    """Ingest the hostage fixture into ``out_dir``; the number of tokens."""
     root = FIXTURES / "hostage"
     assert run(["ingest", "--corpus", root / "corpus.jsonl",
                 "--lexicon", root / "lexicon.tsv",
                 "--gazetteer", root / "gazetteer.tsv",
-                "--out-dir", tmp_path]) == 0
+                "--out-dir", out_dir]) == 0
     records = [json.loads(line) for line in
-               (tmp_path / "corpus.jsonl").read_text().splitlines()]
-    tokens = sum(len(s["tokens"]) for r in records for s in r.get("sentences", []))
-    assert tokens > 0
+               (out_dir / "corpus.jsonl").read_text().splitlines()]
+    return sum(len(s["tokens"]) for r in records for s in r.get("sentences", []))
+
+
+@pytest.fixture
+def built_tokens(monkeypatch) -> list:
+    """Every Token the package builds from here on. Tokens are built only
+    through ``corpus._tokens``, which calls no Python code per token."""
     built = []
-    token = corpus_mod.Token
+    build = corpus_mod._tokens
 
-    def counted(*args, **kwargs):
-        built.append(args)
-        return token(*args, **kwargs)
+    def counted(rows):
+        tokens = build(rows)
+        built.extend(tokens)
+        return tokens
 
-    monkeypatch.setattr(corpus_mod, "Token", counted)
+    monkeypatch.setattr(corpus_mod, "_tokens", counted)
+    return built
+
+
+def test_only_extract_builds_tokens(tmp_path, built_tokens, capsys):
+    """relate, analyze and summarize read no token; extract builds every one."""
+    tokens = ingest_hostage(tmp_path)
+    assert tokens > 0
     for stage, want in [("extract", tokens), ("relate", 0), ("analyze", 0),
                         ("summarize", 0)]:
-        built.clear()
+        built_tokens.clear()
         assert run(hostage_stage(stage, tmp_path)) == 0, stage
-        assert len(built) == want, stage
+        assert len(built_tokens) == want, stage
     capsys.readouterr()
+
+
+def test_gold_extract_builds_no_tokens(tmp_path, built_tokens):
+    """Gold messages are checked against sentence counts, not tokens."""
+    assert ingest_hostage(tmp_path) > 0
+    built_tokens.clear()
+    root = FIXTURES / "hostage"
+    assert run(["extract", "--ontology", root / "domain.spec", "--mode", "gold",
+                "--gold", root / "gold_messages.jsonl",
+                "--out-dir", tmp_path]) == 0
+    assert built_tokens == []
+    written = (tmp_path / "messages.jsonl").read_text().splitlines()
+    assert len(written) == len((root / "gold_messages.jsonl").read_text().splitlines())
+
+
+def test_ingest_folds_lexicon_surfaces(tmp_path):
+    """A lexicon line written in capitals lemmatizes the surface in any case."""
+    root = FIXTURES / "hostage"
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text((root / "lexicon.tsv").read_text(encoding="utf-8")
+                       + "Captors\tCAPTOR\nTHE\tTHE\n", encoding="utf-8")
+    assert run(["ingest", "--corpus", root / "corpus.jsonl", "--lexicon", lexicon,
+                "--gazetteer", root / "gazetteer.tsv", "--out-dir", tmp_path]) == 0
+    lemmas = {(row[0].lower(), row[1])
+              for doc in read_corpus_artifact(tmp_path / "corpus.jsonl").documents
+              for s in doc.sentences for row in s.tokens}
+    assert {(surface, lemma) for surface, lemma in lemmas
+            if surface in ("captors", "the")} == {("captors", "CAPTOR"),
+                                                  ("the", "THE")}
 
 
 def test_corpus_read_without_tokens_refuses_token_use(tmp_path):

@@ -6,8 +6,9 @@ from datetime import timedelta
 
 import pytest
 
-from chronicle.corpus import (PhraseIndex, load_corpus, parse_rfc3339,
-                              read_records, tokenize)
+from chronicle.corpus import (PhraseIndex, load_corpus, load_gazetteer,
+                              load_lexicon, parse_rfc3339, read_records,
+                              tokenize)
 from chronicle.errors import DuplicateDocId, MalformedRecord, UnparsableTimestamp
 from tests.oracles import read_records_oracle
 
@@ -97,6 +98,30 @@ def test_tokenize_lexicon_lemmas():
     tokens = tokenize("freed the hostages", {"freed": "free", "hostages": "hostage"})
     assert [(t.surface, t.lemma) for t in tokens] == [
         ("freed", "free"), ("the", "the"), ("hostages", "hostage")]
+
+
+def test_lexicon_surfaces_match_in_any_case(tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("Seized\tseize\nHOSTAGES\thostage\n", encoding="utf-8")
+    tokens = tokenize("Seized the Hostages; seized hostages", load_lexicon(path))
+    assert [t.lemma for t in tokens] == [
+        "seize", "the", "hostage", ";", "seize", "hostage"]
+
+
+def test_lexicon_last_surface_equal_after_folding_wins(tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("Seized\ta\nseized\tb\nSEIZED\tc\nfreed\td\nFreed\te\n"
+                    "Freed\tf\nfreed\tg\n", encoding="utf-8")
+    assert load_lexicon(path) == {"seized": "c", "freed": "g"}
+    assert [t.lemma for t in tokenize("sEiZeD FREED", load_lexicon(path))] == \
+        ["c", "g"]
+
+
+def test_gazetteer_surfaces_keep_their_case(tmp_path):
+    path = tmp_path / "gazetteer.tsv"
+    path.write_text("Red Cross\tORG\nred cross\tPER\nRed Cross\tLOC\n",
+                    encoding="utf-8")
+    assert load_gazetteer(path) == {"Red Cross": "LOC", "red cross": "PER"}
 
 
 def test_tokenize_gazetteer_label():

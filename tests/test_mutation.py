@@ -13,6 +13,13 @@ the date range, its two ends and intervals spanning it included, at
 windows from 0 to ``999999999d``, the widest ``timedelta`` holds. It exits
 0 or 2 in the same way, and exits 0 whenever only ``time`` changed, to a
 valid anchor.
+
+``extract`` (rules mode), ``relate``, ``analyze`` and ``summarize`` get
+mutations of one ``corpus.jsonl`` line: its document fields, its
+``sentences`` list, one sentence, that sentence's ``tokens`` (a string, an
+object, a number or null among them) or one token row (replaced, cut or
+grown, or one field replaced). Each stage exits 0 or 2 in the same way;
+the three that read no token exit 0 whenever only tokens changed.
 """
 
 from __future__ import annotations
@@ -197,6 +204,84 @@ def test_mutated_relate_input_exits_0_or_2(hostage_run, tmp_path, window):
         code, err = run_stage(argv)
         assert_exit_0_or_one_error(code, err, "relate")
         if valid_time_only(lines[index], text):
+            assert code == 0, err
+
+    check()
+
+
+CORPUS_STAGES = {
+    "extract": ["--ontology", ROOT / "domain.spec", "--mode", "rules"],
+    "relate": ["--ontology", ROOT / "domain.spec", "--window", WINDOW],
+    "analyze": [],
+    "summarize": ["--ontology", ROOT / "domain.spec", "--templates",
+                  ROOT / "templates.txt", "--window", WINDOW],
+}
+# values for a sentence's ``tokens`` that are not an array of rows
+NOT_ROWS = st.sampled_from(["", "tokens", {}, {"surface": "x"}, 0, 7.5, True,
+                            None]) | VALUES
+
+
+@st.composite
+def corpus_mutations(draw, lines: list[str]):
+    """(line index, new line text, whether only tokens changed) for one
+    mutated document line of ``corpus.jsonl``."""
+    index = draw(st.integers(1, len(lines) - 1))
+    record = json.loads(lines[index])
+    sentences = record["sentences"]
+    how = draw(st.sampled_from(["sentences", "sentence", "tokens", "row",
+                                "row length", "row field"]))
+    if how == "sentences":
+        if draw(st.booleans()):
+            record["sentences"] = draw(VALUES)
+        else:
+            del sentences[draw(st.integers(0, len(sentences) - 1))]
+        return index, json.dumps(record), False
+    sentence = sentences[draw(st.integers(0, len(sentences) - 1))]
+    if how == "sentence":
+        key = draw(st.sampled_from(["index", "text", "tokens", None]))
+        if key is None:
+            sentences[sentences.index(sentence)] = draw(VALUES)
+        elif draw(st.booleans()):
+            del sentence[key]
+        else:
+            sentence[key] = draw(VALUES)
+        return index, json.dumps(record), key == "tokens"
+    rows = sentence["tokens"]
+    if how == "tokens" or not rows:
+        sentence["tokens"] = draw(NOT_ROWS)
+        return index, json.dumps(record), True
+    at = draw(st.integers(0, len(rows) - 1))
+    if how == "row":
+        rows[at] = draw(VALUES)
+    elif how == "row length":
+        rows[at] = rows[at][:draw(st.integers(0, 4))] + \
+            draw(st.lists(VALUES, max_size=2))
+    else:
+        rows[at][draw(st.integers(0, 4))] = draw(VALUES)
+    return index, json.dumps(record), True
+
+
+@pytest.mark.parametrize("stage", sorted(CORPUS_STAGES))
+def test_mutated_corpus_exits_0_or_2(hostage_run, tmp_path, stage):
+    for name in ("corpus.jsonl",) + ARTIFACTS:
+        shutil.copy(hostage_run / name, tmp_path / name)
+    path = tmp_path / "corpus.jsonl"
+    lines = path.read_text().splitlines()
+    argv = [stage, *CORPUS_STAGES[stage], "--out-dir", tmp_path]
+    if stage == "summarize":
+        argv[-2:-2] = ["--out", tmp_path / "summary.txt"]
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(
+        mutations(lines).map(lambda mutation: (*mutation, False)),
+        corpus_mutations(lines)))
+    def check(mutation):
+        index, text, only_tokens = mutation
+        path.write_text("\n".join(lines[:index] + [text] + lines[index + 1:]) + "\n")
+        code, err = run_stage(argv)
+        assert_exit_0_or_one_error(code, err, stage)
+        if only_tokens and stage != "extract":
             assert code == 0, err
 
     check()

@@ -1,9 +1,12 @@
 """The indexed phrase scans against the scans they replaced.
 
-Gazetteer tagging, instance spotting and temporal spotting each look up
-only the phrases or patterns that can start at a token. On random inputs
-they must give exactly what the old scans (``tests/oracles.py``), which
-try every entry at every token, give.
+Gazetteer tagging and instance spotting share ``PhraseIndex.scan``, and
+temporal spotting has its own grammar index; each looks up only the
+phrases or patterns that can start at a token. On random inputs and on
+hand-picked edge cases they must give exactly what the old scans
+(``tests/oracles.py``), which try every entry at every token, give. The
+tokens that ``tokenize`` and ``read_corpus_artifact`` build in bulk must be
+real ``Token``s.
 """
 
 from __future__ import annotations
@@ -12,11 +15,15 @@ import random
 
 import pytest
 
-from chronicle.corpus import PhraseIndex, Sentence, tokenize
+from chronicle.corpus import (PhraseIndex, Sentence, Token, load_corpus,
+                              load_gazetteer, load_lexicon,
+                              read_corpus_artifact, tokenize,
+                              write_corpus_artifact)
 from chronicle.extract import _instance_spans
 from chronicle.ontology import Ontology
 from chronicle.temporal import (GrammarPattern, default_grammar,
                                 find_temporal_expressions)
+from tests.conftest import FIXTURES
 from tests.oracles import (find_temporal_expressions_oracle,
                            instance_spans_oracle, tokenize_oracle)
 
@@ -90,6 +97,89 @@ def test_instance_spotting_matches_oracle(seed):
         sentence = Sentence(index=0, text=text, tokens=tokenize(text))
         assert _instance_spans(sentence, ontology) == \
             instance_spans_oracle(sentence, ontology)
+
+
+# (text, phrases): each phrase is a gazetteer surface, and with underscores
+# for spaces an instance name.
+EDGE_CASES = [
+    # a phrase ending at the last token, with or without punctuation after
+    ("talks with the Red Cross", ["Red Cross"]),
+    ("talks with the Red Cross.", ["Red Cross", "Cross"]),
+    ("Rome", ["Rome"]),
+    # phrases longer than the sentence, or running past its end
+    ("Red", ["Red Cross"]),
+    ("the Red Cross", ["Red Cross of Rome", "the Red Cross city"]),
+    ("", ["Red Cross"]),
+    # adjacent openers, and openers inside a longer match
+    ("Rome Rome Rome", ["Rome", "Rome Rome"]),
+    ("New York Times Rome", ["New York", "York Times", "Times Rome"]),
+    ("New York Times of Rome", ["New York Times", "York Times of Rome",
+                                "Times", "of Rome"]),
+    ("the new the new york", ["the new", "new the", "new york", "the new york"]),
+    # one phrase filed under two values: case variants fold together
+    ("the RED cross", ["Red Cross", "red cross", "RED CROSS"]),
+    ("Al-Jazeera and al-jazeera", ["Al-Jazeera", "al-jazeera"]),
+    # empty text, and text with no token
+    ("", []),
+    ("   ", ["Rome"]),
+    (" . ", ["."]),
+]
+
+
+@pytest.mark.parametrize("text,phrases", EDGE_CASES)
+def test_gazetteer_edge_cases_match_oracle(text, phrases):
+    gazetteer = {p: LABELS[k % len(LABELS)] for k, p in enumerate(phrases)}
+    lexicon = {"times": "time"}
+    assert tokenize(text, lexicon, PhraseIndex(gazetteer.items())) == \
+        tokenize_oracle(text, lexicon, gazetteer)
+
+
+@pytest.mark.parametrize("text,phrases", EDGE_CASES)
+def test_instance_spotting_edge_cases_match_oracle(text, phrases):
+    names = {p.replace(" ", "_") for p in phrases if p != "."}
+    ontology = Ontology(concepts=frozenset({"Agent"}), parent={},
+                        instances=dict.fromkeys(sorted(names), "Agent"),
+                        ordered_scales={})
+    sentence = Sentence(index=0, text=text, tokens=tokenize(text))
+    assert _instance_spans(sentence, ontology) == \
+        instance_spans_oracle(sentence, ontology)
+
+
+def test_scan_gives_every_occurrence_by_start_longest_first():
+    index = PhraseIndex([("New York", "a"), ("new york times", "b"),
+                         ("York", "c"), ("NEW YORK", "d"), ("times square", "e")])
+    assert index.scan(["new", "york", "times", "york"]) == [
+        (0, 3, "b"), (0, 2, "a"), (0, 2, "d"), (1, 2, "c"), (3, 4, "c")]
+    assert index.scan([]) == []
+    assert index.scan(["times"]) == []
+
+
+def test_tokenize_builds_tokens():
+    tokens = tokenize("The Red Cross freed them", {"freed": "free"},
+                      PhraseIndex([("red cross", "ORG")]))
+    assert all(type(t) is Token for t in tokens)
+    freed = tokens[3]
+    assert (freed.surface, freed.lemma, freed.ne, freed.start, freed.end) == \
+        ("freed", "free", None, 14, 19)
+    assert [t.ne for t in tokens] == [None, "ORG", "ORG", None, None]
+    assert tokens[1]._replace(ne=None) == Token("Red", "red", None, 4, 7)
+
+
+@pytest.mark.parametrize("domain", ["football", "hostage"])
+def test_read_corpus_artifact_builds_tokens(tmp_path, domain):
+    root = FIXTURES / domain
+    corpus = load_corpus(root / "corpus.jsonl",
+                         lexicon=load_lexicon(root / "lexicon.tsv"),
+                         gazetteer=load_gazetteer(root / "gazetteer.tsv"))
+    write_corpus_artifact(corpus, tmp_path / "corpus.jsonl")
+    read = read_corpus_artifact(tmp_path / "corpus.jsonl")
+    pairs = [(a, b) for d, e in zip(corpus.documents, read.documents, strict=True)
+             for s, r in zip(d.sentences, e.sentences, strict=True)
+             for a, b in zip(s.tokens, r.tokens, strict=True)]
+    assert pairs and all(type(b) is Token for _, b in pairs)
+    assert all((b.surface, b.lemma, b.ne, b.start, b.end)
+               == (a.surface, a.lemma, a.ne, a.start, a.end) for a, b in pairs)
+    assert any(b.ne is not None for _, b in pairs)
 
 
 # First elements: literals, one of which ("may", "21") an element class
