@@ -2,8 +2,9 @@
 
 Every stage reads and writes only its declared artifacts inside --out-dir,
 so stages can be rerun and diffed in isolation. Outputs are byte-stable
-given identical inputs and seeds. Failures exit nonzero with one
-machine-readable JSON error object on stderr. The CHRONICLE_LOG
+given identical inputs and seeds. Failures, a command line the parser
+rejects among them, exit 2 with one machine-readable JSON error object on
+stderr; ``--help`` prints its text and exits 0. The CHRONICLE_LOG
 environment variable (DEBUG/INFO/WARNING/ERROR) controls diagnostics.
 """
 
@@ -22,7 +23,7 @@ from . import evolution as evolution_mod
 from . import extract as extract_mod
 from . import relations as relations_mod
 from . import summarize as summarize_mod
-from .errors import ChronicleError, MalformedRecord
+from .errors import ChronicleError, MalformedRecord, UsageError
 from .ontology import (ParsedSpec, load_message_specs, load_ontology,
                        load_relation_specs)
 from .relations import parse_duration, parse_window
@@ -208,26 +209,42 @@ def cmd_validate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise UsageError naming its
+    subcommand, where argparse prints usage text and exits. Subcommand
+    parsers are of the same class."""
+
+    def __init__(self, *args, stage: str | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stage = stage
+
+    def error(self, message: str):
+        raise UsageError(message, self.stage)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process: ``parse_args`` leaves the parser unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chronicle",
         description="Summarize events evolving across multiple news sources.")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_stage(name: str, help: str) -> _Parser:
+        return sub.add_parser(name, stage=name, help=help)
 
     def add_domain_flags(p):
         p.add_argument("--ontology", required=True,
                        help="domain spec file: ontology, messages, relations, triggers")
 
-    p = sub.add_parser("ingest", help="load a raw corpus into the canonical model")
+    p = add_stage("ingest", "load a raw corpus into the canonical model")
     p.add_argument("--corpus", required=True, help="raw jsonl-v1 corpus file")
     p.add_argument("--lexicon", help="surface<TAB>lemma table")
     p.add_argument("--gazetteer", help="surface<TAB>NE-label table")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("extract", help="extract messages from the corpus artifact")
+    p = add_stage("extract", "extract messages from the corpus artifact")
     add_domain_flags(p)
     p.add_argument("--mode", choices=["rules", "statistical", "gold"],
                    default="rules")
@@ -238,20 +255,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("relate", help="evaluate relation rules over messages")
+    p = add_stage("relate", "evaluate relation rules over messages")
     add_domain_flags(p)
     p.add_argument("--window", required=True,
                    help="synchronic window width (0, 12h, 2d, 90m)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_relate)
 
-    p = sub.add_parser("analyze", help="classify evolution and emission")
+    p = add_stage("analyze", "classify evolution and emission")
     p.add_argument("--residual-threshold", type=float, default=0.1)
     p.add_argument("--emission-tolerance", default="1h")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("summarize", help="render the relation-driven summary")
+    p = add_stage("summarize", "render the relation-driven summary")
     add_domain_flags(p)
     p.add_argument("--templates", required=True)
     p.add_argument("--window", required=True)
@@ -260,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_summarize)
 
-    p = sub.add_parser("simulate", help="generate a synthetic corpus")
+    p = add_stage("simulate", "generate a synthetic corpus")
     p.add_argument("--kind", choices=["linear", "non-linear"], required=True)
     p.add_argument("--sources", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -277,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("validate", help="check domain spec files")
+    p = add_stage("validate", "check domain spec files")
     add_domain_flags(p)
     p.add_argument("--templates")
     p.set_defaults(func=cmd_validate)
@@ -290,14 +307,26 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # the message parse_args gives, with the subcommand named
+            raise UsageError(f"unrecognized arguments: {' '.join(extras)}",
+                             args.command)
+    except UsageError as exc:
+        return _failed(exc.stage, exc)
     try:
         return args.func(args)
     except (ChronicleError, OSError, ValueError, OverflowError) as exc:
-        json.dump({"stage": args.command, "error": type(exc).__name__,
-                   "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return _failed(args.command, exc)
+
+
+def _failed(stage: str | None, exc: Exception) -> int:
+    """Report a failure as one JSON line on stderr; the exit code is 2."""
+    json.dump({"stage": stage, "error": type(exc).__name__, "detail": str(exc)},
+              sys.stderr)
+    sys.stderr.write("\n")
+    return 2
 
 
 if __name__ == "__main__":

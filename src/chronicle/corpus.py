@@ -20,7 +20,7 @@ from json.scanner import make_scanner
 from pathlib import Path
 import re
 from re import Match
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DuplicateDocId, MalformedRecord, UnparsableTimestamp
 
@@ -149,8 +149,10 @@ class PhraseIndex:
         return found
 
 
-def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(line number, record) for each non-blank line of a JSON-lines file.
+def record_decoder(path: str | Path) -> Callable[[str, int], dict | None]:
+    """The decoder ``read_records`` applies to each line of the JSON-lines
+    file ``path``: given a line and its number, the record on it, or None
+    for a blank line.
 
     A line that is not valid JSON, or not a JSON object, raises
     MalformedRecord naming the file and line. Each line goes straight to
@@ -159,23 +161,35 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     ``json.loads``, so blank lines and decoding errors read as they did.
     """
     scan = make_scanner(json.JSONDecoder())
+
+    def decode(raw: str, ln: int) -> dict | None:
+        try:
+            rec, end = scan(raw, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end < 0 or raw[end:].strip(" \t\n\r"):
+            if not raw.strip():
+                return None
+            try:
+                rec = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(f"invalid JSON ({exc.msg})",
+                                      str(path), ln) from None
+        if not isinstance(rec, dict):
+            raise MalformedRecord("record is not an object", str(path), ln)
+        return rec
+    return decode
+
+
+def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSON-lines file,
+    each line read by ``record_decoder``."""
+    decode = record_decoder(path)
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
-            try:
-                rec, end = scan(raw, 0)
-            except (StopIteration, ValueError):
-                end = -1
-            if end < 0 or raw[end:].strip(" \t\n\r"):
-                if not raw.strip():
-                    continue
-                try:
-                    rec = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(f"invalid JSON ({exc.msg})",
-                                          str(path), ln) from None
-            if not isinstance(rec, dict):
-                raise MalformedRecord("record is not an object", str(path), ln)
-            yield ln, rec
+            rec = decode(raw, ln)
+            if rec is not None:
+                yield ln, rec
 
 
 def load_lexicon(path: str | Path) -> dict[str, str]:

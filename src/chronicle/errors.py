@@ -65,6 +65,15 @@ class ScaleRequired(SpecError):
     """Ordered comparison requested on a concept without an ordered scale."""
 
 
+class UsageError(ChronicleError):
+    """A command line that the argument parser rejects; ``stage`` is the
+    subcommand it names, or None when it names none."""
+
+    def __init__(self, message: str, stage: str | None = None):
+        self.stage = stage
+        super().__init__(message)
+
+
 class CorpusError(ChronicleError):
     """Error in a corpus file or record."""
 

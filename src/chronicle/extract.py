@@ -308,62 +308,79 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
     means the publication day). One message per sentence, as in extraction.
     Each spec's slot names and each parsed ``time`` string are computed once
     per call; a slot value fits its concept when the concept is among the
-    ancestors of the value's own.
+    ancestors of the value's own. The type, slot and constraint checks
+    depend on a record's ``type`` and ``args`` alone, so they run once per
+    distinct pair in a call: a later record with the same pair takes the
+    checked slot values of the first, and only its own fields, ``doc_id``,
+    ``sentence_index`` and ``time``, are checked again. A pair is kept only
+    once it has passed, so errors come in the same order and on the same
+    line as when every record is checked. Messages with the same pair
+    share one ``args`` dict.
     """
     by_name = {m.name: m for m in specs}
     slot_names = {m.name: set(m.slot_names()) for m in specs}
     docs = {d.doc_id: d for d in corpus.documents}
     anchors: dict[str, TimeAnchor] = {}
+    # (type, the slot names, then their values) -> the checked slot values,
+    # for each passed pair
+    checked: dict[tuple, dict[str, str | None]] = {}
     seen: set[tuple[str, int]] = set()
     messages = []
     for ln, rec in read_records(path):
-        for key in ("doc_id", "sentence_index", "type"):
-            if key not in rec:
-                raise MalformedRecord(f"missing {key}", str(path), ln)
-        for key in ("doc_id", "type"):
-            if not isinstance(rec[key], str):
-                raise MalformedRecord(f"{key} must be a string", str(path), ln)
-        doc = docs.get(rec["doc_id"])
+        try:
+            doc_id, sidx, msg_type = rec["doc_id"], rec["sentence_index"], rec["type"]
+        except KeyError as exc:
+            raise MalformedRecord(f"missing {exc.args[0]}", str(path), ln) from None
+        if not isinstance(doc_id, str):
+            raise MalformedRecord("doc_id must be a string", str(path), ln)
+        if not isinstance(msg_type, str):
+            raise MalformedRecord("type must be a string", str(path), ln)
+        doc = docs.get(doc_id)
         if doc is None:
-            raise MalformedRecord(f"unknown doc_id {rec['doc_id']!r}",
-                                  str(path), ln)
-        sidx = rec["sentence_index"]
+            raise MalformedRecord(f"unknown doc_id {doc_id!r}", str(path), ln)
         if (isinstance(sidx, bool) or not isinstance(sidx, int)
                 or not 0 <= sidx < len(doc.sentences)):
             raise MalformedRecord(f"sentence_index {sidx!r} out of range",
                                   str(path), ln)
-        if (doc.doc_id, sidx) in seen:
-            raise MalformedRecord(
-                f"second message for sentence {doc.doc_id}#{sidx}",
-                str(path), ln)
-        seen.add((doc.doc_id, sidx))
-        msg_type = rec["type"]
-        spec = by_name.get(msg_type)
-        if spec is None:
-            raise UnknownMessageType(f"unknown message type {msg_type!r}",
-                                     str(path), ln)
-        raw_args = rec.get("args", {})
-        if not isinstance(raw_args, dict):
-            raise MalformedRecord("args must be an object of slot values",
+        count = len(seen)
+        seen.add((doc_id, sidx))
+        if len(seen) == count:
+            raise MalformedRecord(f"second message for sentence {doc_id}#{sidx}",
                                   str(path), ln)
-        for slot in raw_args:
-            if slot not in slot_names[msg_type]:
-                raise UnknownSlot(
-                    f"message type {msg_type!r} has no slot {slot!r}",
-                    str(path), ln)
-        args: dict[str, str | None] = {}
-        for slot, concept in spec.slots:
-            value = raw_args.get(slot)
-            if value is not None:
-                if not isinstance(value, str):
-                    raise MalformedRecord(
-                        f"slot {slot!r} must be an instance name or null",
+        raw_args = rec.get("args", {})
+        try:
+            pair = (msg_type, *raw_args, *raw_args.values())
+            args = checked.get(pair)
+        except (AttributeError, TypeError):
+            # args not an object, or a slot value unhashable: both fail below
+            pair = args = None
+        fresh = args is None
+        if fresh:
+            spec = by_name.get(msg_type)
+            if spec is None:
+                raise UnknownMessageType(f"unknown message type {msg_type!r}",
+                                         str(path), ln)
+            if not isinstance(raw_args, dict):
+                raise MalformedRecord("args must be an object of slot values",
+                                      str(path), ln)
+            for slot in raw_args:
+                if slot not in slot_names[msg_type]:
+                    raise UnknownSlot(
+                        f"message type {msg_type!r} has no slot {slot!r}",
                         str(path), ln)
-                got = ontology.concept_of(value)
-                if got is None or concept not in ontology.ancestors[got]:
-                    raise SlotTypeViolation(msg_type, slot, value, concept,
-                                            str(path), ln)
-            args[slot] = value
+            args = {}
+            for slot, concept in spec.slots:
+                value = raw_args.get(slot)
+                if value is not None:
+                    if not isinstance(value, str):
+                        raise MalformedRecord(
+                            f"slot {slot!r} must be an instance name or null",
+                            str(path), ln)
+                    got = ontology.concept_of(value)
+                    if got is None or concept not in ontology.ancestors[got]:
+                        raise SlotTypeViolation(msg_type, slot, value, concept,
+                                                str(path), ln)
+                args[slot] = value
         time = rec.get("time")
         if time is None:
             anchor = TimeAnchor.day(doc.publish_time)
@@ -375,9 +392,11 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
                 anchor = anchors[time] = TimeAnchor.from_string(time)
             except UnparsableAnchor as exc:
                 raise UnparsableAnchor(exc.value, str(path), ln) from None
-        reason = validate_message(spec, args)
-        if reason is not None:
-            raise MalformedRecord(reason, str(path), ln)
+        if fresh:
+            reason = validate_message(spec, args)
+            if reason is not None:
+                raise MalformedRecord(reason, str(path), ln)
+            checked[pair] = args
         messages.append(Message(msg_type=msg_type, args=args, time=anchor,
                                 source=doc.source, doc_id=doc.doc_id,
                                 sentence_index=sidx, report_index=doc.report_index))

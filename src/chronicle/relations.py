@@ -60,6 +60,13 @@ that feeds the sweeps also gives each message's bucket.
 ``json.dumps(record, sort_keys=True)`` would (the format in README.md):
 a dense relation set has thousands of instances, and a ``json.dumps``
 call per record takes about twice as long as the formatted line.
+``read_relations`` reads such a line with one compiled pattern, about
+three times as fast as the JSON scanner. Any other line, a record in
+another JSON encoding (key order, whitespace, escapes, non-ASCII) or no
+record at all, goes through the JSON-lines decoder that every artifact
+reader uses. Both give a record's name, axis, message keys and distance,
+and one check runs on them, so a record reads the same, or fails with
+the same error on the same line, whichever way it was read.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import minutes_since_epoch, read_records
+from .corpus import minutes_since_epoch, read_records, record_decoder
 from .errors import MalformedRecord
 from .extract import Message
 from .ontology import RelationSpec, SYNCHRONIC, DIACHRONIC, evaluate_atom
@@ -495,14 +502,15 @@ def _key_at(ref: dict, path: str | Path, ln: int) -> tuple[str, int]:
     return (ref["doc_id"], sidx)
 
 
-def _axis_problem(rec: dict, left: Message, right: Message) -> str | None:
+def _axis_problem(axis: str, has_distance: bool, distance, left: Message,
+                  right: Message) -> str | None:
     """Why a relation record on a known axis is not one ``evaluate_relations``
     can emit, or None. A synchronic record relates messages of two sources
     and has no ``distance``; a diachronic one relates two messages of one
     source whose anchors start in order, and its ``distance`` is their
     report distance."""
-    if rec["axis"] == SYNCHRONIC:
-        if "distance" in rec:
+    if axis == SYNCHRONIC:
+        if has_distance:
             return "synchronic relation carries a distance"
         if left.source == right.source:
             return "synchronic relation needs messages from two sources"
@@ -511,11 +519,45 @@ def _axis_problem(rec: dict, left: Message, right: Message) -> str | None:
         return "diachronic relation needs messages from one source"
     if not left.time.start < right.time.start:
         return "diachronic relation needs a left anchor that starts before the right one"
-    distance = rec.get("distance")
     expected = right.report_index - left.report_index
     if isinstance(distance, bool) or not isinstance(distance, int) or distance != expected:
         return f"diachronic distance {distance!r} is not the report distance {expected}"
     return None
+
+
+# A relations line with the bytes ``write_relations`` writes: strings of
+# printable ASCII with nothing escaped, integers as ``json.dumps`` writes
+# them and at most 18 digits long, which ``int`` reads as the JSON scanner
+# does.
+_JSON_STR = r'"([ !#-\[\]-~]*)"'
+_JSON_INT = r"(-?[1-9][0-9]{0,17}|0)"
+_JSON_REF = rf'\{{"doc_id": {_JSON_STR}, "sentence_index": {_JSON_INT}\}}'
+_CANONICAL_RELATION = re.compile(
+    rf'\{{"axis": {_JSON_STR}, (?:"distance": {_JSON_INT}, )?"left": {_JSON_REF}, '
+    rf'"name": {_JSON_STR}, "right": {_JSON_REF}\}}\n?')
+
+
+def _record_fields(rec: dict, by_key: dict, path: str | Path,
+                   ln: int) -> tuple[object, object, tuple, tuple]:
+    """The name, axis and left and right message keys of a relation record
+    decoded as JSON. A missing field, a ref that is not an object, and a
+    ``sentence_index`` that is not an integer raise MalformedRecord, in
+    field order: when the right ref is malformed and the left message is
+    unknown, the unknown message is named."""
+    try:
+        name, axis = rec["name"], rec["axis"]
+        left_key = _key_at(rec["left"], path, ln)
+        try:
+            right_key = _key_at(rec["right"], path, ln)
+        except (KeyError, TypeError, MalformedRecord):
+            by_key[left_key]        # raises first for an unknown left message
+            raise
+    except KeyError as exc:
+        raise MalformedRecord(_lookup_failure(exc), str(path), ln) from None
+    except TypeError:
+        raise MalformedRecord("record does not have the relations-artifact shape",
+                              str(path), ln) from None
+    return name, axis, left_key, right_key
 
 
 def read_relations(path: str | Path, messages: list[Message],
@@ -526,40 +568,63 @@ def read_relations(path: str | Path, messages: list[Message],
     ``evaluate_relations`` can emit on its axis (see ``_axis_problem``),
     from a rule of ``relation_specs`` with that name and axis between its
     messages' types; a symmetric rule also relates them the other way. A
-    rule's conditions and the window are not checked again."""
-    by_key = {m.key(): m for m in messages}
+    rule's conditions and the window are not checked again.
+
+    A line with the bytes ``write_relations`` writes is read with one
+    pattern; any other line, in another JSON encoding of a record or not
+    JSON at all, goes through ``record_decoder``. Both give the same
+    fields, and one check runs on them."""
+    # each key maps to its message and to one tuple that every record of
+    # the message shares, so a record keeps one new tuple, not three
+    by_key = {key: (m, key) for m, key in zip(messages, map(Message.key, messages))}
     rules = {(s.name, s.axis, s.left_type, s.right_type) for s in relation_specs}
     rules.update((s.name, s.axis, s.right_type, s.left_type)
                  for s in relation_specs if s.symmetric)
+    canonical = _CANONICAL_RELATION.fullmatch
+    decode = record_decoder(path)
     out = []
     seen = set()
-    for ln, rec in read_records(path):
-        try:
-            name, axis = rec["name"], rec["axis"]
-            left_key = _key_at(rec["left"], path, ln)
-            left = by_key[left_key]
-            right_key = _key_at(rec["right"], path, ln)
-            right = by_key[right_key]
-        except KeyError as exc:
-            raise MalformedRecord(_lookup_failure(exc), str(path), ln) from None
-        except TypeError:
-            raise MalformedRecord("record does not have the relations-artifact shape",
-                                  str(path), ln) from None
-        if not isinstance(name, str) or axis not in (SYNCHRONIC, DIACHRONIC):
-            raise MalformedRecord("relation needs a string name and a known axis",
-                                  str(path), ln)
-        if (name, axis, left.msg_type, right.msg_type) not in rules:
-            raise MalformedRecord(
-                f"no {axis} rule {name!r} relates a {left.msg_type!r} message "
-                f"to a {right.msg_type!r} one", str(path), ln)
-        problem = _axis_problem(rec, left, right)
-        if problem is not None:
-            raise MalformedRecord(problem, str(path), ln)
-        key = (axis, name, left_key, right_key)
-        if key in seen:
-            raise MalformedRecord(f"duplicate relation {key!r}", str(path), ln)
-        seen.add(key)
-        out.append(key)
+    with open(path, encoding="utf-8") as fh:
+        for ln, raw in enumerate(fh, start=1):
+            match = canonical(raw)
+            if match is not None:
+                axis, distance, left_doc, left_index, name, right_doc, right_index \
+                    = match.groups()
+                left_key = (left_doc, int(left_index))
+                right_key = (right_doc, int(right_index))
+                has_distance = distance is not None
+                if has_distance:
+                    distance = int(distance)
+            else:
+                rec = decode(raw, ln)
+                if rec is None:
+                    continue
+                name, axis, left_key, right_key = _record_fields(rec, by_key, path, ln)
+                has_distance = "distance" in rec
+                distance = rec.get("distance")
+            try:
+                (left, left_key), (right, right_key) = by_key[left_key], by_key[right_key]
+            except KeyError as exc:
+                raise MalformedRecord(_lookup_failure(exc), str(path), ln) from None
+            except TypeError:
+                raise MalformedRecord("record does not have the relations-artifact shape",
+                                      str(path), ln) from None
+            if not isinstance(name, str) or axis not in (SYNCHRONIC, DIACHRONIC):
+                raise MalformedRecord("relation needs a string name and a known axis",
+                                      str(path), ln)
+            if (name, axis, left.msg_type, right.msg_type) not in rules:
+                raise MalformedRecord(
+                    f"no {axis} rule {name!r} relates a {left.msg_type!r} message "
+                    f"to a {right.msg_type!r} one", str(path), ln)
+            problem = _axis_problem(axis, has_distance, distance, left, right)
+            if problem is not None:
+                raise MalformedRecord(problem, str(path), ln)
+            key = (axis, name, left_key, right_key)
+            count = len(seen)
+            seen.add(key)
+            if len(seen) == count:
+                raise MalformedRecord(f"duplicate relation {key!r}", str(path), ln)
+            out.append(key)
     return out
 
 

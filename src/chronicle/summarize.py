@@ -22,11 +22,16 @@ each relation's pool with no regrouping or re-sort. A bucket is a run of
 consecutive nodes, its index its place in the bucket list. Sentences are
 planned in one walk over the edges. ``render_summary`` keeps one table per
 call, indexed by node position: each message's bucket, its ``DOC#I``
-reference, its date, and its ``left.*`` and ``right.*`` placeholder
-values, built the first time a sentence needs them. A relation instance
-then costs lookups in that table: its coverage key joins two references,
-and a sentence's context merges two cached halves. Each template is
-compiled once per call into a ``str.format`` string.
+reference, its date and, for a message some relation names, an integer
+class shared by the messages of one type with equal arguments and its row,
+the source, date, type and prettified slot values a template reads. A
+relation instance then costs lookups in
+that table: its coverage key joins two references, and the synchronic
+equal-argument test compares two classes. Each template is compiled once
+per call into a ``str.format`` string whose fields index the sentence's
+values themselves: a relation sentence renders from its sources, its date
+and the rows of its two messages in one ``format`` call, with no context
+built for it.
 
 Each planned sentence is ordered by (bucket, kind rank, name, message
 position); lone sentences rank last in their bucket, so after one sort a
@@ -40,7 +45,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -127,31 +132,92 @@ def _join_sources(sources) -> str:
     return ", ".join(items[:-1]) + " and " + items[-1]
 
 
-def _single_context(m: Message) -> dict[str, str]:
-    ctx = {"source": m.source, "sources": m.source, "date": _date_of(m),
-           "type": m.msg_type}
+def _row(m: Message, date: str, sources: bool = False) -> dict[str, str]:
+    """What a template reads of a message: its source, date, type and
+    prettified slot values, and with ``sources`` its source once more as
+    ``sources``, as a sentence on the message alone reads it; a slot of one
+    of those names wins."""
+    row = {"source": m.source, "date": date, "type": m.msg_type}
+    if sources:
+        row["sources"] = m.source
     for slot, value in m.args.items():
-        ctx[slot] = _pretty(value)
-    return ctx
+        row[slot] = _pretty(value)
+    return row
 
 
-def _compile(pattern: str, template_name: str) -> Callable[[dict[str, str]], str]:
-    """A template pattern as a function from a sentence's placeholder values
-    to its text. The pattern is split once into a ``str.format`` string,
-    with one positional field per placeholder and every other brace
-    doubled, and the placeholder names in pattern order. The first name
-    with no value raises ChronicleError."""
+# the arguments a relation template is formatted with: ``{sources}`` and
+# ``{date}`` are the sentence's own, ``{left.X}`` and ``{right.X}`` are slot
+# or field ``X`` of a message row, and any other name is looked up in
+# _NO_VALUES, passed last
+_PAIR_ARGS = {"sources": 0, "date": 1, "left": 2, "right": 3}
+_NO_VALUES: dict[str, str] = {}
+
+
+def _compile(pattern: str, template_name: str,
+             sides: bool = False) -> Callable[..., str]:
+    """A template pattern as a ``str.format`` string that looks every
+    placeholder up itself, every other brace doubled, wrapped in a function
+    of the sentence's values. Without ``sides`` the function takes one
+    table, and each ``{name}`` becomes ``{0[name]}``. With ``sides`` it
+    takes a relation sentence's ``sources``, ``date`` and left and right
+    message rows (see ``_row``): ``{sources}`` becomes ``{0}``, ``{date}``
+    ``{1}``, ``{left.X}`` ``{2[X]}`` and ``{right.X}`` ``{3[X]}``, and any
+    other name is looked up in a table with no values. ``str.format`` reads
+    a key of digits alone as a list index and has no field for an empty
+    key, so such a key is looked up before formatting and passed as one
+    more argument. The first placeholder, in pattern order, with no value
+    raises ChronicleError."""
     parts = _PLACEHOLDER_RE.split(pattern)
-    fmt = "{}".join(p.replace("{", "{{").replace("}", "}}") for p in parts[::2])
-    keys = parts[1::2]
+    names = parts[1::2]
+    lookups = []                     # (argument index, key or None)
+    for name in names:
+        side, dot, key = name.partition(".")
+        if not sides:
+            lookups.append((0, name))
+        elif name in ("sources", "date"):
+            lookups.append((_PAIR_ARGS[name], None))
+        elif dot and side in ("left", "right"):
+            lookups.append((_PAIR_ARGS[side], key))
+        else:
+            lookups.append((len(_PAIR_ARGS), name))      # _NO_VALUES
+    first_extra = len(_PAIR_ARGS) + 1 if sides else 1
+    digits = []                      # keys passed as extra arguments
+    fields = []
+    for i, key in lookups:
+        if key is None:
+            fields.append(f"{{{i}}}")
+        elif not key or key.isdigit():
+            fields.append(f"{{{first_extra + len(digits)}}}")
+            digits.append((i, key))
+        else:
+            fields.append(f"{{{i}[{key}]}}")
+    fmt = "".join(literal.replace("{", "{{").replace("}", "}}") + field
+                  for literal, field in zip(parts[::2], fields + [""]))
 
-    def render(ctx: dict[str, str]) -> str:
+    def render(*args) -> str:
+        if sides:
+            args += (_NO_VALUES,)
         try:
-            return fmt.format(*[ctx[key] for key in keys])
-        except KeyError as exc:
+            if digits:
+                args += tuple(args[i][key] for i, key in digits)
+            return fmt.format(*args)
+        except KeyError:
+            name = next(name for name, (i, key) in zip(names, lookups)
+                        if key is not None and key not in args[i])
             raise ChronicleError(f"template {template_name!r}: unresolvable "
-                                 f"placeholder {{{exc.args[0]}}}") from None
-    return render
+                                 f"placeholder {{{name}}}") from None
+
+    if not sides or digits:
+        return render
+
+    def render_pair(sources: str, date: str, left: dict[str, str],
+                    right: dict[str, str]) -> str:
+        """``render`` for the common case, one ``str.format`` call."""
+        try:
+            return fmt.format(sources, date, left, right, _NO_VALUES)
+        except KeyError:
+            return render(sources, date, left, right)
+    return render_pair
 
 
 class _UnionFind:
@@ -172,9 +238,9 @@ class _UnionFind:
 
 
 def _diachronic_chains(ends: Sequence[tuple]) -> list[list[int]]:
-    """Maximal paths through one relation's edges, each given as its
-    (left, right) messages, in ``sort_instances`` order; each edge's index
-    lands in exactly one chain.
+    """Maximal paths through one relation's edges, each given as a tuple
+    whose last two items are its left and right messages, in
+    ``sort_instances`` order; each edge's index lands in exactly one chain.
 
     Chains start at edges whose left message no edge enters, in pool order;
     edges left over start further chains, again in pool order. A walk always
@@ -187,22 +253,22 @@ def _diachronic_chains(ends: Sequence[tuple]) -> list[list[int]]:
     # left message -> pool positions of its edges, last = first in pool
     leaving: dict = {}
     for i in reversed(range(len(ends))):
-        leaving.setdefault(ends[i][0], []).append(i)
-    incoming = {right for _, right in ends}
+        leaving.setdefault(ends[i][-2], []).append(i)
+    incoming = {end[-1] for end in ends}
 
     def take_chain(i: int | None) -> list[int]:
         chain = []
         while i is not None:
             consumed[i] = True
             chain.append(i)
-            out = leaving.get(ends[i][1], [])
+            out = leaving.get(ends[i][-1], [])
             while out and consumed[out[-1]]:
                 out.pop()
             i = out[-1] if out else None
         return chain
 
-    for i, (left, _) in enumerate(ends):
-        if not consumed[i] and left not in incoming:
+    for i, end in enumerate(ends):
+        if not consumed[i] and end[-2] not in incoming:
             chains.append(take_chain(i))
     for i in range(len(ends)):
         if not consumed[i]:
@@ -239,52 +305,42 @@ def render_summary(graph: RelationGraph,
     bucket = [b for b, members in enumerate(graph.buckets) for _ in members]
     ref = [f"{doc_id}#{sentence_index}" for doc_id, sentence_index in keys]
     date = [_date_of(m) for m in nodes]
-    halves: dict[str, list[dict[str, str] | None]] = {
-        "left": [None] * len(nodes), "right": [None] * len(nodes)}
     touched = bytearray(len(nodes))
+    for _, _, left, right in graph.edges:
+        touched[left] = touched[right] = 1
+    # rows and classes of the messages relation sentences name; messages of
+    # one class have the same type and equal arguments
+    rows = [_row(m, d) if t else None for m, d, t in zip(nodes, date, touched)]
+    classes: dict[tuple, int] = {}
+    kind = [classes.setdefault((m.msg_type, frozenset(m.args.items())), len(classes))
+            if t else None for m, t in zip(nodes, touched)]
 
-    def half(side: str, i: int) -> dict[str, str]:
-        """The ``left.*`` or ``right.*`` placeholders of message ``i``."""
-        ctx = halves[side][i]
-        if ctx is None:
-            m = nodes[i]
-            ctx = {f"{side}.source": m.source, f"{side}.date": date[i],
-                   f"{side}.type": m.msg_type}
-            for slot, value in m.args.items():
-                ctx[f"{side}.{slot}"] = _pretty(value)
-            halves[side][i] = ctx
-        return ctx
+    compiled: dict[tuple[str, bool], Callable[..., str]] = {}
 
-    def pair_context(left: int, right: int, sources, when: int) -> dict[str, str]:
-        """A relation sentence's placeholders, dated by message ``when``."""
-        ctx = {"sources": _join_sources(sources), "date": date[when]}
-        ctx.update(half("left", left))
-        ctx.update(half("right", right))
-        return ctx
-
-    compiled: dict[str, Callable[[dict[str, str]], str]] = {}
-    # ((bucket, kind rank, template name, message position), text, consumed)
-    planned: list[tuple[tuple, str, list[str]]] = []
-
-    def plan(i: int, rank: int, name: str, ctx: dict[str, str],
-             consumed: Sequence[str] = ()) -> None:
-        render = compiled.get(name)
+    def template(name: str, sides: bool) -> Callable[..., str]:
+        render = compiled.get((name, sides))
         if render is None:
-            render = compiled[name] = _compile(templates[name].pattern, name)
-        planned.append(((bucket[i], rank, name, i), render(ctx), consumed))
+            render = compiled[name, sides] = _compile(templates[name].pattern,
+                                                      name, sides)
+        return render
+
+    # (bucket, kind rank, template name, message position, text, consumed),
+    # ordered by the first four, stably, so that sentences which tie there
+    # keep plan order
+    planned: list[tuple] = []
 
     for (axis, name), group in groupby(graph.edges, key=itemgetter(0, 1)):
-        pool = [edge[2:] for edge in group]
-        covered = [f"{axis}|{name}|{ref[left]}->{ref[right]}" for left, right in pool]
-        for left, right in pool:
-            touched[left] = touched[right] = 1
+        pool = list(group)              # (axis, name, left, right) edges
+        covered = [f"{axis}|{name}|{ref[left]}->{ref[right]}"
+                   for _, _, left, right in pool]
+        render = template(name, True)
         if axis == DIACHRONIC:
             # one trend sentence per chain, in the bucket where it lands
             for chain in _diachronic_chains(pool):
-                head, tail = pool[chain[0]][0], pool[chain[-1]][1]
-                plan(tail, 1, name,
-                     pair_context(head, tail, [nodes[head].source], tail),
-                     [covered[c] for c in chain])
+                head, tail = pool[chain[0]][2], pool[chain[-1]][3]
+                text = render(nodes[head].source, date[tail], rows[head], rows[tail])
+                planned.append((bucket[tail], 1, name, tail, text,
+                                list(map(covered.__getitem__, chain))))
             continue
 
         # synchronic: collapse equal-argument groups, attribute variants
@@ -294,9 +350,8 @@ def render_summary(graph: RelationGraph,
         # pairs with the same left message tie in plan order, so they keep
         # the order of their message keys, not of their positions
         pairs: dict[tuple, list[int]] = {}
-        for c, (left, right) in enumerate(pool):
-            a, b = nodes[left], nodes[right]
-            if a.msg_type == b.msg_type and a.args == b.args:
+        for c, (_, _, left, right) in enumerate(pool):
+            if kind[left] == kind[right]:
                 equal.append(c)
                 uf.union(left, right)
             else:
@@ -304,19 +359,20 @@ def render_summary(graph: RelationGraph,
                 pairs.setdefault((ka, kb) if ka < kb else (kb, ka), []).append(c)
         components: dict[int, list[int]] = {}
         for c in equal:
-            components.setdefault(uf.find(pool[c][0]), []).append(c)
+            components.setdefault(uf.find(pool[c][2]), []).append(c)
         for root in sorted(components):
-            members = sorted({i for c in components[root] for i in pool[c]})
+            members = sorted({i for c in components[root] for i in pool[c][2:]})
             first = members[0]
-            plan(first, 0, name,
-                 pair_context(first, first, [nodes[i].source for i in members], first),
-                 [covered[c] for c in components[root]])
+            text = render(_join_sources([nodes[i].source for i in members]),
+                          date[first], rows[first], rows[first])
+            planned.append((bucket[first], 0, name, first, text,
+                            [covered[c] for c in components[root]]))
         for pair in sorted(pairs):
-            left, right = pool[pairs[pair][0]]
-            plan(left, 0, name,
-                 pair_context(left, right, [nodes[left].source, nodes[right].source],
-                              left),
-                 [covered[c] for c in pairs[pair]])
+            _, _, left, right = pool[pairs[pair][0]]
+            text = render(_join_sources([nodes[left].source, nodes[right].source]),
+                          date[left], rows[left], rows[right])
+            planned.append((bucket[left], 0, name, left, text,
+                            [covered[c] for c in pairs[pair]]))
 
     position = {k: i for i, k in enumerate(keys)}
     for rep in ellipsis:
@@ -327,9 +383,10 @@ def render_summary(graph: RelationGraph,
                 f"{rep.message.sentence_index} names bucket {rep.bucket}, "
                 f"which is not its bucket under this window")
         touched[i] = 1
-        ctx = _single_context(rep.message)
+        ctx = _row(rep.message, _date_of(rep.message), sources=True)
         ctx["silent"] = _join_sources(rep.silent_sources)
-        plan(i, 2, "ellipsis", ctx)
+        planned.append((bucket[i], 2, "ellipsis", i,
+                        template("ellipsis", False)(ctx), ()))
 
     # lone messages: no relation touches them, no ellipsis covers them
     for i, m in enumerate(nodes):
@@ -337,27 +394,34 @@ def render_summary(graph: RelationGraph,
             tname = f"lone-{m.msg_type}"
             if tname not in templates:
                 raise MissingTemplate(tname)
-            plan(i, 3, tname, _single_context(m))
+            planned.append((bucket[i], 3, tname, i,
+                            template(tname, False)(_row(m, date[i], sources=True)),
+                            ()))
 
-    # lone sentences sort last in their bucket, so the budget is one filter
-    kept: Counter = Counter()
-    sentences: list[str] = []
-    coverage = []
-    for (bucket_index, rank, *_), text, consumed in sorted(planned, key=itemgetter(0)):
-        if rank == 3 and bucket_budget is not None and kept[bucket_index] >= bucket_budget:
-            continue
-        kept[bucket_index] += 1
-        coverage.extend(zip(consumed, repeat(len(sentences))))
-        sentences.append(text)
-    seen = [k for k, _ in coverage]
-    if not len(seen) == len(set(seen)) == len(graph.edges):
+    planned.sort(key=itemgetter(0, 1, 2, 3))
+    if bucket_budget is not None:
+        # lone sentences sort last in their bucket, so the budget is one
+        # filter: a lone sentence stays while its bucket has room
+        kept: Counter = Counter()
+        trimmed = []
+        for entry in planned:
+            bucket_index, rank = entry[0], entry[1]
+            if rank != 3 or kept[bucket_index] < bucket_budget:
+                kept[bucket_index] += 1
+                trimmed.append(entry)
+        planned = trimmed
+    sentences = [entry[4] for entry in planned]
+    coverage = [(key, n) for n, entry in enumerate(planned) for key in entry[5]]
+    distinct = len({key for key, _ in coverage})
+    if not len(coverage) == distinct == len(graph.edges):
         raise ChronicleError(
             f"every relation instance must be consumed exactly once: "
-            f"{len(graph.edges)} instances, {len(seen)} consumed, "
-            f"{len(set(seen))} distinct")
+            f"{len(graph.edges)} instances, {len(coverage)} consumed, "
+            f"{distinct} distinct")
     text = "\n".join(sentences) + ("\n" if sentences else "")
+    # the keys are distinct, so they alone give the order of the pairs
     return RenderResult(text=text, sentences=tuple(sentences),
-                        coverage=tuple(sorted(coverage)))
+                        coverage=tuple(sorted(coverage, key=itemgetter(0))))
 
 
 def _write_json_list(fh, items: Iterable[str]) -> None:

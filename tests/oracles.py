@@ -12,7 +12,13 @@ phrase indexes, kept as they were: they try every gazetteer entry,
 instance or grammar pattern at every token. The artifact writers after
 them are the library's writers from before it formatted records itself:
 one ``json.dumps``/``json.dump`` call per record or document, and the
-JSON-lines reader from before it called the JSON scanner itself.
+JSON-lines reader from before it called the JSON scanner itself. The two
+artifact loaders after them are the library's from before they took
+shortcuts: ``read_relations_oracle`` decodes every line as JSON, where the
+package reads a line in ``write_relations``' own format with one pattern,
+and ``load_gold_messages_oracle`` checks every record's type, slots and
+constraints, where the package checks each distinct (type, args) pair
+once per call.
 ``render_summary_oracle`` is the summarizer from before it planned every
 sentence in one walk over the sorted relation list: it splits the edges by
 axis, regroups each axis by name, re-sorts each diachronic pool, and trims
@@ -45,7 +51,8 @@ from collections import Counter
 from chronicle.corpus import _TOKEN_RE, Sentence, Token, format_rfc3339
 from chronicle.evolution import LINEAR, NON_LINEAR, fit_linear
 from chronicle.errors import (ChronicleError, DslSyntaxError, MalformedRecord,
-                              MissingTemplate, UnknownConcept)
+                              MissingTemplate, SlotTypeViolation, UnknownConcept,
+                              UnknownMessageType, UnknownSlot, UnparsableAnchor)
 from chronicle.extract import (ClassifierModel, Message, sentence_features,
                                validate_message)
 from chronicle.ontology import (_INSTANCE_RE, _NAME_RE, DIACHRONIC, SYNCHRONIC,
@@ -54,9 +61,9 @@ from chronicle.ontology import (_INSTANCE_RE, _NAME_RE, DIACHRONIC, SYNCHRONIC,
 from chronicle.relations import (RelationInstance, _message_sort_key,
                                  sort_instances)
 from chronicle.summarize import (RenderResult, _date_of, _join_sources,
-                                 _pretty, _single_context, _UnionFind)
+                                 _pretty, _UnionFind)
 from chronicle.temporal import (_MONTHS, _WEEKDAYS, GrammarPattern,
-                                TemporalExpression, default_grammar)
+                                TemporalExpression, TimeAnchor, default_grammar)
 
 
 def _sort_key(m):
@@ -320,6 +327,156 @@ def read_records_oracle(path):
             yield ln, rec
 
 
+def _relation_lookup_failure(exc: KeyError) -> str:
+    key = exc.args[0]
+    return f"missing {key}" if isinstance(key, str) else f"unknown message {key!r}"
+
+
+def _relation_key_at(ref: dict, path, ln: int) -> tuple[str, int]:
+    sidx = ref["sentence_index"]
+    if isinstance(sidx, bool) or not isinstance(sidx, int):
+        raise MalformedRecord(f"sentence_index {sidx!r} is not an integer",
+                              str(path), ln)
+    return (ref["doc_id"], sidx)
+
+
+def _relation_axis_problem(rec: dict, left: Message, right: Message) -> str | None:
+    if rec["axis"] == SYNCHRONIC:
+        if "distance" in rec:
+            return "synchronic relation carries a distance"
+        if left.source == right.source:
+            return "synchronic relation needs messages from two sources"
+        return None
+    if left.source != right.source:
+        return "diachronic relation needs messages from one source"
+    if not left.time.start < right.time.start:
+        return "diachronic relation needs a left anchor that starts before the right one"
+    distance = rec.get("distance")
+    expected = right.report_index - left.report_index
+    if isinstance(distance, bool) or not isinstance(distance, int) or distance != expected:
+        return f"diachronic distance {distance!r} is not the report distance {expected}"
+    return None
+
+
+def read_relations_oracle(path, messages: list[Message],
+                          relation_specs: list[RelationSpec]) -> list[tuple]:
+    """``read_relations`` as it was before it read canonical lines with a
+    pattern: every line decoded as JSON, each record then checked field by
+    field."""
+    by_key = {m.key(): m for m in messages}
+    rules = {(s.name, s.axis, s.left_type, s.right_type) for s in relation_specs}
+    rules.update((s.name, s.axis, s.right_type, s.left_type)
+                 for s in relation_specs if s.symmetric)
+    out = []
+    seen = set()
+    for ln, rec in read_records_oracle(path):
+        try:
+            name, axis = rec["name"], rec["axis"]
+            left_key = _relation_key_at(rec["left"], path, ln)
+            left = by_key[left_key]
+            right_key = _relation_key_at(rec["right"], path, ln)
+            right = by_key[right_key]
+        except KeyError as exc:
+            raise MalformedRecord(_relation_lookup_failure(exc), str(path), ln) from None
+        except TypeError:
+            raise MalformedRecord("record does not have the relations-artifact shape",
+                                  str(path), ln) from None
+        if not isinstance(name, str) or axis not in (SYNCHRONIC, DIACHRONIC):
+            raise MalformedRecord("relation needs a string name and a known axis",
+                                  str(path), ln)
+        if (name, axis, left.msg_type, right.msg_type) not in rules:
+            raise MalformedRecord(
+                f"no {axis} rule {name!r} relates a {left.msg_type!r} message "
+                f"to a {right.msg_type!r} one", str(path), ln)
+        problem = _relation_axis_problem(rec, left, right)
+        if problem is not None:
+            raise MalformedRecord(problem, str(path), ln)
+        key = (axis, name, left_key, right_key)
+        if key in seen:
+            raise MalformedRecord(f"duplicate relation {key!r}", str(path), ln)
+        seen.add(key)
+        out.append(key)
+    return out
+
+
+def load_gold_messages_oracle(path, specs: list[MessageTypeSpec],
+                              ontology: Ontology, corpus) -> list[Message]:
+    """``load_gold_messages`` as it was before it checked each distinct
+    (type, args) pair once: every record's type, slots and constraints are
+    checked anew."""
+    by_name = {m.name: m for m in specs}
+    slot_names = {m.name: set(m.slot_names()) for m in specs}
+    docs = {d.doc_id: d for d in corpus.documents}
+    anchors: dict[str, TimeAnchor] = {}
+    seen: set[tuple[str, int]] = set()
+    messages = []
+    for ln, rec in read_records_oracle(path):
+        for key in ("doc_id", "sentence_index", "type"):
+            if key not in rec:
+                raise MalformedRecord(f"missing {key}", str(path), ln)
+        for key in ("doc_id", "type"):
+            if not isinstance(rec[key], str):
+                raise MalformedRecord(f"{key} must be a string", str(path), ln)
+        doc = docs.get(rec["doc_id"])
+        if doc is None:
+            raise MalformedRecord(f"unknown doc_id {rec['doc_id']!r}",
+                                  str(path), ln)
+        sidx = rec["sentence_index"]
+        if (isinstance(sidx, bool) or not isinstance(sidx, int)
+                or not 0 <= sidx < len(doc.sentences)):
+            raise MalformedRecord(f"sentence_index {sidx!r} out of range",
+                                  str(path), ln)
+        if (doc.doc_id, sidx) in seen:
+            raise MalformedRecord(
+                f"second message for sentence {doc.doc_id}#{sidx}",
+                str(path), ln)
+        seen.add((doc.doc_id, sidx))
+        msg_type = rec["type"]
+        spec = by_name.get(msg_type)
+        if spec is None:
+            raise UnknownMessageType(f"unknown message type {msg_type!r}",
+                                     str(path), ln)
+        raw_args = rec.get("args", {})
+        if not isinstance(raw_args, dict):
+            raise MalformedRecord("args must be an object of slot values",
+                                  str(path), ln)
+        for slot in raw_args:
+            if slot not in slot_names[msg_type]:
+                raise UnknownSlot(
+                    f"message type {msg_type!r} has no slot {slot!r}",
+                    str(path), ln)
+        args: dict[str, str | None] = {}
+        for slot, concept in spec.slots:
+            value = raw_args.get(slot)
+            if value is not None:
+                if not isinstance(value, str):
+                    raise MalformedRecord(
+                        f"slot {slot!r} must be an instance name or null",
+                        str(path), ln)
+                got = ontology.concept_of(value)
+                if got is None or concept not in ontology.ancestors[got]:
+                    raise SlotTypeViolation(msg_type, slot, value, concept,
+                                            str(path), ln)
+            args[slot] = value
+        time = rec.get("time")
+        if time is None:
+            anchor = TimeAnchor.day(doc.publish_time)
+        elif isinstance(time, str) and time in anchors:
+            anchor = anchors[time]
+        else:
+            try:
+                anchor = anchors[time] = TimeAnchor.from_string(time)
+            except UnparsableAnchor as exc:
+                raise UnparsableAnchor(exc.value, str(path), ln) from None
+        reason = validate_message(spec, args)
+        if reason is not None:
+            raise MalformedRecord(reason, str(path), ln)
+        messages.append(Message(msg_type=msg_type, args=args, time=anchor,
+                                source=doc.source, doc_id=doc.doc_id,
+                                sentence_index=sidx, report_index=doc.report_index))
+    return messages
+
+
 def write_relations_oracle(instances, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in sort_instances(instances):
@@ -353,6 +510,14 @@ _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z0-9_.]+)\}")
 def instance_key(r: RelationInstance) -> str:
     return (f"{r.axis}|{r.name}|{r.left.doc_id}#{r.left.sentence_index}"
             f"->{r.right.doc_id}#{r.right.sentence_index}")
+
+
+def _single_context(m: Message) -> dict[str, str]:
+    ctx = {"source": m.source, "sources": m.source, "date": _date_of(m),
+           "type": m.msg_type}
+    for slot, value in m.args.items():
+        ctx[slot] = _pretty(value)
+    return ctx
 
 
 def _pair_context(left, right, sources) -> dict[str, str]:

@@ -202,17 +202,34 @@ def test_missing_template_fails_with_name(tmp_path, capsys):
 
 def test_window_required_for_relate(tmp_path, capsys):
     root = FIXTURES / "football"
-    with pytest.raises(SystemExit):
-        run(["relate", "--ontology", root / "domain.spec",
-             "--out-dir", tmp_path])
-    capsys.readouterr()
+    assert run(["relate", "--ontology", root / "domain.spec",
+                "--out-dir", tmp_path]) == 2
+    assert one_json_error(capsys, "relate") == {
+        "stage": "relate", "error": "UsageError",
+        "detail": "the following arguments are required: --window"}
 
 
 def test_unknown_flag_is_an_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["ingest", "--corpus", "x", "--out-dir", "y", "--bogus-flag"])
-    assert exc.value.code != 0
-    capsys.readouterr()
+    assert run(["ingest", "--corpus", "x", "--out-dir", "y", "--bogus-flag"]) == 2
+    assert one_json_error(capsys, "ingest") == {
+        "stage": "ingest", "error": "UsageError",
+        "detail": "unrecognized arguments: --bogus-flag"}
+
+
+@pytest.mark.parametrize("argv,stage", [
+    (["simulate", "--kind", "linear", "--horizon", "x", "--out-dir", "y"], "simulate"),
+    (["analyze", "--emission-tolerance", "-5h", "--out-dir", "y"], "analyze"),
+    (["summarize", "--bucket-budget", "1.5"], "summarize"),
+    (["relate"], "relate"),
+    (["bogus"], None),
+    ([], None),
+])
+def test_usage_error_is_one_json_line(argv, stage, capsys):
+    """A command line the parser rejects exits 2 with one JSON error line,
+    naming the subcommand when there is one, and no usage text."""
+    assert run(argv) == 2
+    err = one_json_error(capsys, stage)
+    assert err["error"] == "UsageError" and err["detail"]
 
 
 @pytest.mark.parametrize("command", ["ingest", "extract", "relate", "analyze",

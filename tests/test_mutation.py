@@ -20,6 +20,13 @@ mutations of one ``corpus.jsonl`` line: its document fields, its
 object, a number or null among them) or one token row (replaced, cut or
 grown, or one field replaced). Each stage exits 0 or 2 in the same way;
 the three that read no token exit 0 whenever only tokens changed.
+
+The two text files get line mutations: a line of ``templates.txt`` into
+``summarize``, and a line of ``domain.spec`` into ``extract`` (rules and
+gold mode), ``relate`` and ``summarize``. A line is dropped, doubled, cut,
+swapped with the next, or has one of its words, or one character,
+replaced by a drawn word, punctuation or placeholder; or a drawn line is
+inserted. Each stage exits 0 or 2 with one JSON line.
 """
 
 from __future__ import annotations
@@ -285,3 +292,93 @@ def test_mutated_corpus_exits_0_or_2(hostage_run, tmp_path, stage):
             assert code == 0, err
 
     check()
+
+
+# words a spec or template line could hold, next to arbitrary text
+WORDS = st.sampled_from([
+    "", " ", "concept", "instance", "scale", "message", "relation", "trigger",
+    "template", "Person", "Entity", "Activity", "captors", "occupation",
+    "start", "end", "negotiate", "agreement", "entity", "entity_1", "about",
+    "axis=synchronic", "axis=diachronic", "axis=", "left=start", "right=end",
+    "left=", "distance>=1", "distance==0", "distance>=-1", "distance==99999999999999999999",
+    "symmetric", "where", "&&", "==", "!=", "<", ">", ":", ",", "(", ")", "[",
+    "]", "{", "}", '"', "#", "\\", "=", "on", "requires", "NOBODY", "é",
+    "left.entity", "right.activity", 'left.entity == "captors"',
+    "{date}", "{sources}", "{left.type}", "{right.nosuch}", "{nosuch}",
+    "{source}", "{silent}", "{0}", "{left.}", "{{", "}}", "{left.0}",
+]) | st.text(max_size=8)
+
+
+@st.composite
+def line_mutations(draw, lines: list[str]) -> list[str]:
+    """``lines`` with one line dropped, doubled, cut, swapped with the next
+    or changed in one word or character, or with a drawn line inserted."""
+    lines = list(lines)
+    index = draw(st.integers(0, len(lines) - 1))
+    line = lines[index]
+    how = draw(st.sampled_from(["drop", "double", "cut", "swap", "word",
+                                "char", "insert"]))
+    if how == "drop":
+        del lines[index]
+    elif how == "double":
+        lines.insert(index, line)
+    elif how == "cut":
+        lines[index] = line[:draw(st.integers(0, len(line)))]
+    elif how == "swap" and index + 1 < len(lines):
+        lines[index], lines[index + 1] = lines[index + 1], line
+    elif how == "word":
+        words = line.split(" ")
+        words[draw(st.integers(0, len(words) - 1))] = draw(WORDS)
+        lines[index] = " ".join(words)
+    elif how == "char" and line:
+        at = draw(st.integers(0, len(line) - 1))
+        lines[index] = line[:at] + draw(WORDS) + line[at + 1:]
+    else:
+        lines.insert(index, " ".join(draw(st.lists(WORDS, max_size=8))))
+    return lines
+
+
+SPEC_STAGES = {
+    "extract": ["--mode", "rules"],
+    "extract-gold": ["--mode", "gold", "--gold", ROOT / "gold_messages.jsonl"],
+    "relate": ["--window", WINDOW],
+    "summarize": ["--templates", ROOT / "templates.txt", "--window", WINDOW],
+}
+
+
+def mutate_text_file(source: Path, target: Path, argv: list, stage: str):
+    """Run ``argv`` once per drawn line mutation of ``source``, written to
+    ``target``, and require exit 0 or exit 2 with one JSON line."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(line_mutations(lines))
+    def check(mutated):
+        target.write_text("".join(line + "\n" for line in mutated), encoding="utf-8")
+        code, err = run_stage(argv)
+        assert_exit_0_or_one_error(code, err, stage)
+
+    check()
+
+
+@pytest.mark.parametrize("stage", sorted(SPEC_STAGES))
+def test_mutated_spec_exits_0_or_2(hostage_run, tmp_path, stage):
+    for name in ("corpus.jsonl",) + ARTIFACTS:
+        shutil.copy(hostage_run / name, tmp_path / name)
+    spec = tmp_path / "domain.spec"
+    command = stage.split("-")[0]
+    argv = [command, "--ontology", spec, *SPEC_STAGES[stage], "--out-dir", tmp_path]
+    if command == "summarize":
+        argv[-2:-2] = ["--out", tmp_path / "summary.txt"]
+    mutate_text_file(ROOT / "domain.spec", spec, argv, command)
+
+
+def test_mutated_templates_exit_0_or_2(hostage_run, tmp_path):
+    for name in ("corpus.jsonl",) + ARTIFACTS:
+        shutil.copy(hostage_run / name, tmp_path / name)
+    templates = tmp_path / "templates.txt"
+    argv = ["summarize", "--ontology", ROOT / "domain.spec", "--templates",
+            templates, "--window", WINDOW, "--out", tmp_path / "summary.txt",
+            "--out-dir", tmp_path]
+    mutate_text_file(ROOT / "templates.txt", templates, argv, "summarize")

@@ -317,6 +317,34 @@ def test_compiled_template_renders_as_substitution(seed):
             outcome(_render, pattern, ctx, "t")
 
 
+SIDE_KEYS = ["sources", "date", "left.x", "right.x", "left.0", "right.",
+             "left.a.b", "right.type", "x", "0", "left", "sources.x"]
+
+
+@pytest.mark.parametrize("seed", range(0, 60))
+def test_compiled_pair_template_renders_as_substitution(seed):
+    """A relation template compiled with ``sides`` gives, from a sentence's
+    sources, date and two message rows, the text or error that substituting
+    into one context of ``sources``, ``date`` and the rows' keys prefixed
+    ``left.`` and ``right.`` gives."""
+    rng = random.Random(seed)
+    keys = PLACEHOLDER_KEYS + SIDE_KEYS
+    patterns = ["{left.x}{right.x}", "{sources} {date}", "{left.0}", "{right.}",
+                "{left.x}{nosuch}{right.x}"]
+    patterns += ["".join(rng.choice(["{" + rng.choice(keys) + "}",
+                                     rng.choice(LITERALS)])
+                         for _ in range(rng.randint(0, 6))) for _ in range(40)]
+    for pattern in patterns:
+        rows = [{k: rng.choice(VALUES) for k in ["x", "0", "a.b", "type", ""]
+                 if rng.random() < 0.7} for _ in range(2)]
+        sources, date = rng.choice(VALUES), rng.choice(VALUES)
+        ctx = {"sources": sources, "date": date}
+        for side, row in zip(("left", "right"), rows):
+            ctx.update((f"{side}.{k}", v) for k, v in row.items())
+        assert outcome(_compile(pattern, "t", True), sources, date, *rows) == \
+            outcome(_render, pattern, ctx, "t")
+
+
 @pytest.mark.parametrize("seed", range(0, 60))
 def test_graph_edges_follow_sort_instances_order(seed):
     """Edges sorted by their messages' positions in ``nodes`` come out in
