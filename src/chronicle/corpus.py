@@ -154,11 +154,12 @@ def record_decoder(path: str | Path) -> Callable[[str, int], dict | None]:
     file ``path``: given a line and its number, the record on it, or None
     for a blank line.
 
-    A line that is not valid JSON, or not a JSON object, raises
-    MalformedRecord naming the file and line. Each line goes straight to
-    the JSON scanner, without ``json.loads``' per-call checks; a line that
-    the scanner does not read whole, up to JSON whitespace, goes to
-    ``json.loads``, so blank lines and decoding errors read as they did.
+    A line that is not valid JSON, holds an integer longer than ``int``
+    reads, or is not a JSON object, raises MalformedRecord naming the file
+    and line. Each line goes straight to the JSON scanner, without
+    ``json.loads``' per-call checks; a line that the scanner does not read
+    whole, up to JSON whitespace, goes to ``json.loads``, so blank lines and
+    decoding errors read as they did.
     """
     scan = make_scanner(json.JSONDecoder())
 
@@ -172,8 +173,8 @@ def record_decoder(path: str | Path) -> Callable[[str, int], dict | None]:
                 return None
             try:
                 rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"invalid JSON ({exc.msg})",
+            except ValueError as exc:    # JSONDecodeError, or an overlong int
+                raise MalformedRecord(f"invalid JSON ({getattr(exc, 'msg', exc)})",
                                       str(path), ln) from None
         if not isinstance(rec, dict):
             raise MalformedRecord("record is not an object", str(path), ln)
@@ -201,8 +202,13 @@ def load_lexicon(path: str | Path) -> dict[str, str]:
 
 def load_gazetteer(path: str | Path) -> dict[str, str]:
     """Load a surface<TAB>NE-label table; multi-word surfaces are allowed.
-    Of two equal surfaces, the last in file order wins."""
-    return dict(_tsv_rows(path))
+    Surfaces are folded at load as ``tokenize`` folds a sentence, token by
+    token; among surfaces equal after folding, the last in file order wins,
+    under its own spelling. (Folding a surface whole could tokenize it
+    otherwise: ``"ΣΑΣ".lower()`` ends in a final sigma.)"""
+    last = {tuple(map(str.lower, _TOKEN_RE.findall(surface))): (surface, label)
+            for surface, label in _tsv_rows(path)}
+    return dict(last.values())
 
 
 def _tsv_rows(path: str | Path) -> Iterator[tuple[str, str]]:
@@ -231,9 +237,11 @@ def tokenize(text: str,
 
     Deterministic: whitespace/punctuation segmentation, lemma = lexicon entry
     for the lowercased surface (default: the lowercased surface itself),
-    gazetteer entries matched greedily longest-first with no overlaps; among
-    surfaces that differ only in case, the first in file order wins. Build
-    the gazetteer's ``PhraseIndex`` once and pass it for every sentence.
+    gazetteer entries matched in any case, greedily longest-first with no
+    overlaps. ``load_lexicon`` and ``load_gazetteer`` keep one entry per
+    surface equal after folding, the last in the file; of index entries that
+    fold to the same tokens, the first wins. Build the gazetteer's
+    ``PhraseIndex`` once and pass it for every sentence.
 
     The work per token runs in C: surfaces, folded forms, lemmas and
     offsets are parallel lists built by ``map`` over the regex matches; the

@@ -22,16 +22,21 @@ each relation's pool with no regrouping or re-sort. A bucket is a run of
 consecutive nodes, its index its place in the bucket list. Sentences are
 planned in one walk over the edges. ``render_summary`` keeps one table per
 call, indexed by node position: each message's bucket, its ``DOC#I``
-reference, its date and, for a message some relation names, an integer
-class shared by the messages of one type with equal arguments and its row,
-the source, date, type and prettified slot values a template reads. A
-relation instance then costs lookups in
-that table: its coverage key joins two references, and the synchronic
-equal-argument test compares two classes. Each template is compiled once
-per call into a ``str.format`` string whose fields index the sentence's
-values themselves: a relation sentence renders from its sources, its date
-and the rows of its two messages in one ``format`` call, with no context
-built for it.
+reference, its date, its row (the source, date, type and prettified slot
+values a template reads) and, for a message some relation names, an
+integer class shared by the messages of one type with equal arguments. A
+relation instance then costs lookups in that table: its coverage key joins
+two references, and the synchronic equal-argument test compares two
+classes.
+
+Each template is compiled once per call into one ``str.format`` string
+over three tables: the sentence's own, read by ``{X}``, and its left and
+right message rows, read by ``{left.X}`` and ``{right.X}``. A relation
+sentence's own table holds ``sources`` and ``date``, and its side tables
+are the rows of its two messages. A lone sentence's own table is its
+message's row with ``sources``, the message's source, and an ellipsis
+sentence's adds ``silent``, the silent sources; both have empty side
+tables. Any other placeholder is unresolvable.
 
 Each planned sentence is ordered by (bucket, kind rank, name, message
 position); lone sentences rank last in their bucket, so after one sort a
@@ -132,92 +137,60 @@ def _join_sources(sources) -> str:
     return ", ".join(items[:-1]) + " and " + items[-1]
 
 
-def _row(m: Message, date: str, sources: bool = False) -> dict[str, str]:
+def _row(m: Message, date: str) -> dict[str, str]:
     """What a template reads of a message: its source, date, type and
-    prettified slot values, and with ``sources`` its source once more as
-    ``sources``, as a sentence on the message alone reads it; a slot of one
-    of those names wins."""
+    prettified slot values; a slot of one of those names wins."""
     row = {"source": m.source, "date": date, "type": m.msg_type}
-    if sources:
-        row["sources"] = m.source
     for slot, value in m.args.items():
         row[slot] = _pretty(value)
     return row
 
 
-# the arguments a relation template is formatted with: ``{sources}`` and
-# ``{date}`` are the sentence's own, ``{left.X}`` and ``{right.X}`` are slot
-# or field ``X`` of a message row, and any other name is looked up in
-# _NO_VALUES, passed last
-_PAIR_ARGS = {"sources": 0, "date": 1, "left": 2, "right": 3}
 _NO_VALUES: dict[str, str] = {}
 
 
-def _compile(pattern: str, template_name: str,
-             sides: bool = False) -> Callable[..., str]:
+def _compile(pattern: str, template_name: str) -> Callable[..., str]:
     """A template pattern as a ``str.format`` string that looks every
     placeholder up itself, every other brace doubled, wrapped in a function
-    of the sentence's values. Without ``sides`` the function takes one
-    table, and each ``{name}`` becomes ``{0[name]}``. With ``sides`` it
-    takes a relation sentence's ``sources``, ``date`` and left and right
-    message rows (see ``_row``): ``{sources}`` becomes ``{0}``, ``{date}``
-    ``{1}``, ``{left.X}`` ``{2[X]}`` and ``{right.X}`` ``{3[X]}``, and any
-    other name is looked up in a table with no values. ``str.format`` reads
-    a key of digits alone as a list index and has no field for an empty
-    key, so such a key is looked up before formatting and passed as one
-    more argument. The first placeholder, in pattern order, with no value
-    raises ChronicleError."""
+    of three tables: the sentence's own, and its left and right message
+    rows (see ``_row``), which default to tables with no values.
+    ``{left.X}`` becomes ``{1[X]}``, ``{right.X}`` ``{2[X]}`` and any other
+    ``{name}`` ``{0[name]}``. ``str.format`` reads a key of digits alone as
+    a list index and has no field for an empty key, so such a key is looked
+    up before formatting and passed as one more argument. The first
+    placeholder, in pattern order, with no value raises ChronicleError."""
     parts = _PLACEHOLDER_RE.split(pattern)
     names = parts[1::2]
-    lookups = []                     # (argument index, key or None)
+    lookups = []                     # (table index, key)
+    extras = []                      # lookups passed as extra arguments
+    fields = []
     for name in names:
         side, dot, key = name.partition(".")
-        if not sides:
-            lookups.append((0, name))
-        elif name in ("sources", "date"):
-            lookups.append((_PAIR_ARGS[name], None))
-        elif dot and side in ("left", "right"):
-            lookups.append((_PAIR_ARGS[side], key))
-        else:
-            lookups.append((len(_PAIR_ARGS), name))      # _NO_VALUES
-    first_extra = len(_PAIR_ARGS) + 1 if sides else 1
-    digits = []                      # keys passed as extra arguments
-    fields = []
-    for i, key in lookups:
-        if key is None:
-            fields.append(f"{{{i}}}")
-        elif not key or key.isdigit():
-            fields.append(f"{{{first_extra + len(digits)}}}")
-            digits.append((i, key))
+        i = 1 if side == "left" else 2 if side == "right" else 0
+        if not (dot and i):
+            i, key = 0, name
+        lookups.append((i, key))
+        if not key or key.isdigit():
+            fields.append(f"{{{3 + len(extras)}}}")
+            extras.append((i, key))
         else:
             fields.append(f"{{{i}[{key}]}}")
     fmt = "".join(literal.replace("{", "{{").replace("}", "}}") + field
                   for literal, field in zip(parts[::2], fields + [""]))
 
-    def render(*args) -> str:
-        if sides:
-            args += (_NO_VALUES,)
+    def render(own: dict[str, str], left: dict[str, str] = _NO_VALUES,
+               right: dict[str, str] = _NO_VALUES) -> str:
+        tables = (own, left, right)
         try:
-            if digits:
-                args += tuple(args[i][key] for i, key in digits)
-            return fmt.format(*args)
+            if extras:
+                return fmt.format(*tables, *[tables[i][key] for i, key in extras])
+            return fmt.format(own, left, right)
         except KeyError:
             name = next(name for name, (i, key) in zip(names, lookups)
-                        if key is not None and key not in args[i])
+                        if key not in tables[i])
             raise ChronicleError(f"template {template_name!r}: unresolvable "
                                  f"placeholder {{{name}}}") from None
-
-    if not sides or digits:
-        return render
-
-    def render_pair(sources: str, date: str, left: dict[str, str],
-                    right: dict[str, str]) -> str:
-        """``render`` for the common case, one ``str.format`` call."""
-        try:
-            return fmt.format(sources, date, left, right, _NO_VALUES)
-        except KeyError:
-            return render(sources, date, left, right)
-    return render_pair
+    return render
 
 
 class _UnionFind:
@@ -308,21 +281,15 @@ def render_summary(graph: RelationGraph,
     touched = bytearray(len(nodes))
     for _, _, left, right in graph.edges:
         touched[left] = touched[right] = 1
-    # rows and classes of the messages relation sentences name; messages of
-    # one class have the same type and equal arguments
-    rows = [_row(m, d) if t else None for m, d, t in zip(nodes, date, touched)]
+    # every message's row, which no sentence changes, and the classes of the
+    # messages relation sentences name; messages of one class have the same
+    # type and equal arguments
+    rows = [_row(m, d) for m, d in zip(nodes, date)]
     classes: dict[tuple, int] = {}
     kind = [classes.setdefault((m.msg_type, frozenset(m.args.items())), len(classes))
             if t else None for m, t in zip(nodes, touched)]
 
-    compiled: dict[tuple[str, bool], Callable[..., str]] = {}
-
-    def template(name: str, sides: bool) -> Callable[..., str]:
-        render = compiled.get((name, sides))
-        if render is None:
-            render = compiled[name, sides] = _compile(templates[name].pattern,
-                                                      name, sides)
-        return render
+    compiled = {name: _compile(t.pattern, name) for name, t in templates.items()}
 
     # (bucket, kind rank, template name, message position, text, consumed),
     # ordered by the first four, stably, so that sentences which tie there
@@ -333,12 +300,13 @@ def render_summary(graph: RelationGraph,
         pool = list(group)              # (axis, name, left, right) edges
         covered = [f"{axis}|{name}|{ref[left]}->{ref[right]}"
                    for _, _, left, right in pool]
-        render = template(name, True)
+        render = compiled[name]
         if axis == DIACHRONIC:
             # one trend sentence per chain, in the bucket where it lands
             for chain in _diachronic_chains(pool):
                 head, tail = pool[chain[0]][2], pool[chain[-1]][3]
-                text = render(nodes[head].source, date[tail], rows[head], rows[tail])
+                text = render({"sources": nodes[head].source, "date": date[tail]},
+                              rows[head], rows[tail])
                 planned.append((bucket[tail], 1, name, tail, text,
                                 list(map(covered.__getitem__, chain))))
             continue
@@ -363,14 +331,16 @@ def render_summary(graph: RelationGraph,
         for root in sorted(components):
             members = sorted({i for c in components[root] for i in pool[c][2:]})
             first = members[0]
-            text = render(_join_sources([nodes[i].source for i in members]),
-                          date[first], rows[first], rows[first])
+            own = {"sources": _join_sources([nodes[i].source for i in members]),
+                   "date": date[first]}
+            text = render(own, rows[first], rows[first])
             planned.append((bucket[first], 0, name, first, text,
                             [covered[c] for c in components[root]]))
         for pair in sorted(pairs):
             _, _, left, right = pool[pairs[pair][0]]
-            text = render(_join_sources([nodes[left].source, nodes[right].source]),
-                          date[left], rows[left], rows[right])
+            own = {"sources": _join_sources([nodes[left].source, nodes[right].source]),
+                   "date": date[left]}
+            text = render(own, rows[left], rows[right])
             planned.append((bucket[left], 0, name, left, text,
                             [covered[c] for c in pairs[pair]]))
 
@@ -383,10 +353,9 @@ def render_summary(graph: RelationGraph,
                 f"{rep.message.sentence_index} names bucket {rep.bucket}, "
                 f"which is not its bucket under this window")
         touched[i] = 1
-        ctx = _row(rep.message, _date_of(rep.message), sources=True)
-        ctx["silent"] = _join_sources(rep.silent_sources)
-        planned.append((bucket[i], 2, "ellipsis", i,
-                        template("ellipsis", False)(ctx), ()))
+        own = {"sources": nodes[i].source, **rows[i],
+               "silent": _join_sources(rep.silent_sources)}
+        planned.append((bucket[i], 2, "ellipsis", i, compiled["ellipsis"](own), ()))
 
     # lone messages: no relation touches them, no ellipsis covers them
     for i, m in enumerate(nodes):
@@ -394,9 +363,8 @@ def render_summary(graph: RelationGraph,
             tname = f"lone-{m.msg_type}"
             if tname not in templates:
                 raise MissingTemplate(tname)
-            planned.append((bucket[i], 3, tname, i,
-                            template(tname, False)(_row(m, date[i], sources=True)),
-                            ()))
+            own = {"sources": m.source, **rows[i]}
+            planned.append((bucket[i], 3, tname, i, compiled[tname](own), ()))
 
     planned.sort(key=itemgetter(0, 1, 2, 3))
     if bucket_budget is not None:

@@ -320,8 +320,9 @@ def read_records_oracle(path):
                 continue
             try:
                 rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"invalid JSON ({exc.msg})", str(path), ln) from None
+            except ValueError as exc:    # JSONDecodeError, or an overlong int
+                raise MalformedRecord(f"invalid JSON ({getattr(exc, 'msg', exc)})",
+                                      str(path), ln) from None
             if not isinstance(rec, dict):
                 raise MalformedRecord("record is not an object", str(path), ln)
             yield ln, rec

@@ -429,6 +429,23 @@ def test_malformed_relate_artifact_exits_2(tmp_path, capsys, artifact, kind):
     assert f"{artifact}:{ln}:" in err["detail"]
 
 
+@pytest.mark.parametrize("artifact", ["messages.jsonl", "relations.jsonl"])
+def test_overlong_integer_exits_2_naming_the_line(tmp_path, capsys, artifact):
+    """A 5,000-digit ``sentence_index``, longer than ``int`` reads, on line
+    1 fails the stage as any malformed record does: one JSON line naming
+    the file and line."""
+    run_pipeline("hostage", tmp_path)
+    capsys.readouterr()
+    path = tmp_path / artifact
+    record = json.loads(path.read_text().splitlines()[0])
+    (record if artifact == "messages.jsonl" else record["left"])["sentence_index"] = "@"
+    replace_first_line(path, json.dumps(record).replace('"@"', "1" + "0" * 4999))
+    assert summarize_hostage(tmp_path) == 2
+    err = one_json_error(capsys, "summarize")
+    assert err["error"] == "MalformedRecord"
+    assert f"{artifact}:1: invalid JSON" in err["detail"]
+
+
 @pytest.mark.parametrize("template", ["agreement", "termination", "ellipsis"])
 def test_unresolvable_placeholder_exits_2(tmp_path, capsys, template):
     """A template naming a placeholder no sentence has a value for fails

@@ -118,10 +118,30 @@ def test_lexicon_last_surface_equal_after_folding_wins(tmp_path):
 
 
 def test_gazetteer_surfaces_keep_their_case(tmp_path):
+    """Of surfaces equal after folding, the last line wins, under its own
+    spelling, as in the lexicon."""
     path = tmp_path / "gazetteer.tsv"
-    path.write_text("Red Cross\tORG\nred cross\tPER\nRed Cross\tLOC\n",
-                    encoding="utf-8")
-    assert load_gazetteer(path) == {"Red Cross": "LOC", "red cross": "PER"}
+    path.write_text("Red Cross\tORG\nred cross\tPER\nRed Cross\tLOC\n"
+                    "Al-Jazeera\tORG\nAL-JAZEERA\tMISC\n", encoding="utf-8")
+    assert load_gazetteer(path) == {"Red Cross": "LOC", "AL-JAZEERA": "MISC"}
+
+
+def test_gazetteer_last_surface_equal_after_folding_wins(tmp_path):
+    path = tmp_path / "gazetteer.tsv"
+    path.write_text("Red Cross\tORG\nred cross\tPER\n", encoding="utf-8")
+    tokens = tokenize("the RED cross",
+                      ne_gazetteer=PhraseIndex(load_gazetteer(path).items()))
+    assert [t.ne for t in tokens] == [None, "PER", "PER"]
+
+
+def test_gazetteer_surfaces_fold_token_by_token(tmp_path):
+    """A surface folds as the tokenizer folds text: "ΣΑΣ" folded whole ends
+    in a final sigma, which no token of "ΣΑΣ" folds to."""
+    path = tmp_path / "gazetteer.tsv"
+    path.write_text("ΣΑΣ\tORG\nİstanbul\tLOC\n", encoding="utf-8")
+    tokens = tokenize("ΣΑΣ in İstanbul",
+                      ne_gazetteer=PhraseIndex(load_gazetteer(path).items()))
+    assert [t.ne for t in tokens] == ["ORG", "ORG", "ORG", None, "LOC", "LOC"]
 
 
 def test_tokenize_gazetteer_label():

@@ -14,6 +14,10 @@ windows from 0 to ``999999999d``, the widest ``timedelta`` holds. It exits
 0 or 2 in the same way, and exits 0 whenever only ``time`` changed, to a
 valid anchor.
 
+``extract`` gets the same mutations of the file its mode reads besides
+the corpus: the gold messages in gold mode, and the ``--train`` records in
+statistical mode. It exits 0 or 2 in the same way.
+
 ``extract`` (rules mode), ``relate``, ``analyze`` and ``summarize`` get
 mutations of one ``corpus.jsonl`` line: its document fields, its
 ``sentences`` list, one sentence, that sentence's ``tokens`` (a string, an
@@ -212,6 +216,39 @@ def test_mutated_relate_input_exits_0_or_2(hostage_run, tmp_path, window):
         assert_exit_0_or_one_error(code, err, "relate")
         if valid_time_only(lines[index], text):
             assert code == 0, err
+
+    check()
+
+
+# per mode, the file ``extract`` reads besides the corpus, and the flags
+# that name it
+EXTRACT_INPUTS = {
+    "gold": ("gold_messages.jsonl", ["--mode", "gold", "--gold"]),
+    "statistical": ("train.jsonl", ["--mode", "statistical",
+                                    "--lexicon", ROOT / "lexicon.tsv",
+                                    "--gazetteer", ROOT / "gazetteer.tsv",
+                                    "--train"]),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(EXTRACT_INPUTS))
+def test_mutated_extract_input_exits_0_or_2(hostage_run, tmp_path, mode):
+    shutil.copy(hostage_run / "corpus.jsonl", tmp_path / "corpus.jsonl")
+    name, flags = EXTRACT_INPUTS[mode]
+    path = tmp_path / name
+    lines = (ROOT / name).read_text().splitlines()
+    argv = ["extract", "--ontology", ROOT / "domain.spec", *flags, path,
+            "--out-dir", tmp_path]
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(mutations(lines), time_mutations(lines))
+           if mode == "gold" else mutations(lines))
+    def check(mutation):
+        index, text = mutation
+        path.write_text("\n".join(lines[:index] + [text] + lines[index + 1:]) + "\n")
+        code, err = run_stage(argv)
+        assert_exit_0_or_one_error(code, err, "extract")
 
     check()
 

@@ -312,7 +312,7 @@ def test_compiled_template_renders_as_substitution(seed):
     patterns += [random_pattern(rng) for _ in range(40)]
     for pattern in patterns:
         ctx = {k: rng.choice(VALUES) for k in PLACEHOLDER_KEYS
-               if k != "nosuch" and rng.random() < 0.8}
+               if k not in ("nosuch", "left.x", "right.x") and rng.random() < 0.8}
         assert outcome(_compile(pattern, "t"), ctx) == \
             outcome(_render, pattern, ctx, "t")
 
@@ -323,10 +323,10 @@ SIDE_KEYS = ["sources", "date", "left.x", "right.x", "left.0", "right.",
 
 @pytest.mark.parametrize("seed", range(0, 60))
 def test_compiled_pair_template_renders_as_substitution(seed):
-    """A relation template compiled with ``sides`` gives, from a sentence's
-    sources, date and two message rows, the text or error that substituting
-    into one context of ``sources``, ``date`` and the rows' keys prefixed
-    ``left.`` and ``right.`` gives."""
+    """A compiled relation template gives, from a sentence's own table of
+    ``sources`` and ``date`` and its two message rows, the text or error
+    that substituting into one context of ``sources``, ``date`` and the
+    rows' keys prefixed ``left.`` and ``right.`` gives."""
     rng = random.Random(seed)
     keys = PLACEHOLDER_KEYS + SIDE_KEYS
     patterns = ["{left.x}{right.x}", "{sources} {date}", "{left.0}", "{right.}",
@@ -341,8 +341,8 @@ def test_compiled_pair_template_renders_as_substitution(seed):
         ctx = {"sources": sources, "date": date}
         for side, row in zip(("left", "right"), rows):
             ctx.update((f"{side}.{k}", v) for k, v in row.items())
-        assert outcome(_compile(pattern, "t", True), sources, date, *rows) == \
-            outcome(_render, pattern, ctx, "t")
+        assert outcome(_compile(pattern, "t"), {"sources": sources, "date": date},
+                       *rows) == outcome(_render, pattern, ctx, "t")
 
 
 @pytest.mark.parametrize("seed", range(0, 60))
