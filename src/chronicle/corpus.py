@@ -13,7 +13,6 @@ token.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import compress, count, repeat
 from json.scanner import make_scanner
@@ -36,9 +35,10 @@ _TOKEN_RE = re.compile(r"[A-Za-z\d]+(?:[-'][A-Za-z\d]+)*|[^\sA-Za-z\d]")
 
 
 class Token(NamedTuple):
-    """One token. A named tuple, not a frozen dataclass: ingest and extract
-    build every token of the corpus, and ``_tokens`` builds a whole
-    sentence's tokens with ``tuple.__new__``, in C."""
+    """One token. A named tuple, under the records rule in README's Layout
+    section, and one on the hot path: ingest and extract build every token
+    of the corpus, and ``_tokens`` builds a whole sentence's tokens with
+    ``tuple.__new__``, in C."""
 
     surface: str
     lemma: str
@@ -47,8 +47,7 @@ class Token(NamedTuple):
     end: int = 0
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     index: int
     text: str
     tokens: tuple[Token, ...]
@@ -60,8 +59,7 @@ class Sentence:
         return {t.ne for t in self.tokens if t.ne is not None}
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     doc_id: str
     source: str
     publish_time: datetime
@@ -69,8 +67,7 @@ class Document:
     report_index: int = 0
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     event_id: str
     documents: tuple[Document, ...]
 

@@ -17,9 +17,9 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Corpus, build_corpus, format_rfc3339, minutes_since_epoch
 from .errors import TooFewPoints
@@ -32,8 +32,7 @@ SYNCHRONOUS = "synchronous"
 ASYNCHRONOUS = "asynchronous"
 
 
-@dataclass(frozen=True)
-class LinearModel:
+class LinearModel(NamedTuple):
     t0: datetime
     period: timedelta
     residual: float     # max |t_n - (t0 + n*period)| / period
@@ -53,8 +52,7 @@ def fit_linear(times: list[datetime]) -> LinearModel:
     return LinearModel(t0=t0, period=period, residual=residual)
 
 
-@dataclass(frozen=True)
-class EmissionProfile:
+class EmissionProfile(NamedTuple):
     """Per-source report timestamps, sorted by source name."""
 
     reports: tuple[tuple[str, tuple[datetime, ...]], ...]
@@ -88,8 +86,7 @@ def classify_emission(profile: EmissionProfile,
     return SYNCHRONOUS
 
 
-@dataclass(frozen=True)
-class EvolutionReport:
+class EvolutionReport(NamedTuple):
     linearity: str
     model: LinearModel | None
     emission: str
@@ -167,20 +164,7 @@ def report_to_json(report: EvolutionReport) -> dict:
 # ---------------------------------------------------------------------------
 # Synthetic streams
 
-@dataclass(frozen=True)
-class StreamParams:
-    """Generator knobs. Linear streams place reports on a jittered grid;
-    non-linear streams draw bursts of short gaps separated by long ones.
-
-    Jitter displaces alternate grid points only: consecutive gaps then pair
-    up symmetrically around the period, so for an odd number of reports the
-    median inter-arrival gap recovers the period exactly and the fit
-    residual never exceeds the jitter fraction. With jitter <= 0.02 a
-    linear stream therefore always classifies linear at the default 0.1
-    threshold; with inter_burst_gap >= 4x intra_burst_gap a bursty stream
-    always classifies non-linear (both checked by tests).
-    """
-
+class _StreamFields(NamedTuple):
     seed: int = 0
     start: datetime = datetime(2004, 1, 3, 12, 0, tzinfo=UTC)
     period: timedelta = timedelta(weeks=1)
@@ -190,7 +174,25 @@ class StreamParams:
     intra_burst_gap: timedelta = timedelta(hours=6)
     inter_burst_gap: timedelta = timedelta(days=4)
 
-    def __post_init__(self):
+
+class StreamParams(_StreamFields):
+    """Generator knobs. Linear streams place reports on a jittered grid;
+    non-linear streams draw bursts of short gaps separated by long ones.
+
+    Jitter displaces alternate grid points only: consecutive gaps then pair
+    up symmetrically around the period, so for an odd number of reports the
+    median inter-arrival gap recovers the period exactly and the fit
+    residual never exceeds the jitter fraction. With jitter <= 0.02 a
+    linear stream therefore always classifies linear at the default 0.1
+    threshold; with inter_burst_gap >= 4x intra_burst_gap a bursty stream
+    always classifies non-linear (both checked by tests). The checks live
+    in ``__new__``, which ``_replace`` and ``_make`` skip.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         low, high = self.burst_size
         if not 1 <= low <= high:
             # a burst of zero reports never advances a non-linear stream
@@ -199,6 +201,7 @@ class StreamParams:
             # NaN fails too; at 1 or above a displaced report can reach its
             # neighbour, and the gaps no longer pair up around the period
             raise ValueError(f"jitter needs 0 <= jitter < 1, got {self.jitter!r}")
+        return self
 
 
 def generate_stream(kind: str, sources: int, params: StreamParams,

@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Corpus, Document, Sentence, read_records
 from .errors import (EmptyTrainingSet, MalformedRecord, SlotTypeViolation,
@@ -34,8 +34,7 @@ log = logging.getLogger("chronicle.extract")
 NONE_LABEL = "none"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A typed incident record, tagged with its source and resolved time."""
 
     msg_type: str
@@ -50,8 +49,7 @@ class Message:
         return (self.doc_id, self.sentence_index)
 
 
-@dataclass(frozen=True)
-class TriggerRule:
+class TriggerRule(NamedTuple):
     msg_type: str
     lemmas: tuple[str, ...]
     requires: tuple[str, ...] = ()

@@ -17,9 +17,9 @@ the remaining statements and reports every syntax error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import PhraseIndex
 from .errors import (CycleInTaxonomy, DslSyntaxError, DuplicateInstance,
@@ -42,12 +42,24 @@ SYNCHRONIC = "synchronic"
 DIACHRONIC = "diachronic"
 
 
-@dataclass(frozen=True, eq=True)
 class Ontology:
-    concepts: frozenset[str]
-    parent: dict[str, str]                         # child -> parent
-    instances: dict[str, str]                      # instance -> concept
-    ordered_scales: dict[str, tuple[str, ...]]     # concept -> values, low first
+    """The concept taxonomy, the instances and the ordered scales. A plain
+    class, not a named tuple: its two ``cached_property``s need a
+    ``__dict__``."""
+
+    def __init__(self, concepts, parent, instances, ordered_scales):
+        self.concepts: frozenset[str] = concepts
+        self.parent: dict[str, str] = parent                 # child -> parent
+        self.instances: dict[str, str] = instances           # instance -> concept
+        # concept -> values, low first
+        self.ordered_scales: dict[str, tuple[str, ...]] = ordered_scales
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.concepts, self.parent, self.instances, self.ordered_scales)
+                == (other.concepts, other.parent, other.instances,
+                    other.ordered_scales))
 
     @cached_property
     def instance_phrases(self) -> PhraseIndex:
@@ -91,8 +103,7 @@ def is_subtype(ontology: Ontology, a: str, b: str) -> bool:
     return b in ontology.ancestors[a]
 
 
-@dataclass(frozen=True)
-class ConditionAtom:
+class ConditionAtom(NamedTuple):
     """One conjunct of a relation rule or message constraint.
 
     op "eq"/"neq"/"lt"/"gt" compare two slots; "const" pins one slot (named
@@ -145,8 +156,7 @@ def constraint_satisfied(atom: ConditionAtom, args: dict[str, str | None]) -> bo
     return evaluate_atom(atom, args, args)
 
 
-@dataclass(frozen=True)
-class MessageTypeSpec:
+class MessageTypeSpec(NamedTuple):
     name: str
     slots: tuple[tuple[str, str], ...]             # (slot_name, concept)
     constraints: tuple[ConditionAtom, ...] = ()
@@ -161,8 +171,7 @@ class MessageTypeSpec:
         raise KeyError(slot)
 
 
-@dataclass(frozen=True)
-class RelationSpec:
+class RelationSpec(NamedTuple):
     name: str
     axis: str                                      # synchronic | diachronic
     left_type: str
@@ -172,8 +181,7 @@ class RelationSpec:
     symmetric: bool = False
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     kind: str     # concept | instance | scale | message | relation | trigger
     line: int
     data: dict
@@ -429,8 +437,8 @@ class ParsedSpec:
     """A spec file's statements, filed by kind, and the path its errors name.
 
     Every loader accepts one in place of a path, so one parse can serve
-    them all, and each reads only its own kind. A plain class: a dataclass
-    would add to every import.
+    them all, and each reads only its own kind. A plain class, under the
+    records rule in README's Layout section.
     """
 
     __slots__ = ("path", "_by_kind")

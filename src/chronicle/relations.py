@@ -74,7 +74,6 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from datetime import timedelta
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
@@ -89,18 +88,23 @@ from .ontology import RelationSpec, SYNCHRONIC, DIACHRONIC, evaluate_atom
 _MINUTE = timedelta(minutes=1)
 
 
-@dataclass(frozen=True)
-class WindowPolicy:
-    """Synchronic tolerance, a whole number of minutes. Two anchors are
-    compatible when their extents, each dilated by width/2, overlap."""
-
+class _WindowFields(NamedTuple):
     width: timedelta
 
-    def __post_init__(self):
-        if self.width < timedelta(0):
+
+class WindowPolicy(_WindowFields):
+    """Synchronic tolerance, a whole number of minutes. Two anchors are
+    compatible when their extents, each dilated by width/2, overlap. The
+    checks live in ``__new__``, which ``_replace`` and ``_make`` skip."""
+
+    __slots__ = ()
+
+    def __new__(cls, width: timedelta):
+        if width < timedelta(0):
             raise ValueError("window width must be >= 0")
-        if self.width % _MINUTE:
+        if width % _MINUTE:
             raise ValueError("window width must be a whole number of minutes")
+        return super().__new__(cls, width)
 
 
 _DURATION_RE = re.compile(r"^(\d+)([dhm])$")
@@ -122,8 +126,7 @@ def parse_window(text: str) -> WindowPolicy:
     return WindowPolicy(parse_duration(text))
 
 
-@dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(NamedTuple):
     name: str
     axis: str
     left: Message
@@ -428,8 +431,7 @@ def bucket_index_of(message: Message, buckets: list[tuple[Message, ...]]) -> int
 # ---------------------------------------------------------------------------
 # Ellipsis: incidents only one source covers in their window
 
-@dataclass(frozen=True)
-class EllipsisReport:
+class EllipsisReport(NamedTuple):
     message: Message
     bucket: int
     silent_sources: tuple[str, ...]

@@ -49,12 +49,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ChronicleError, DslSyntaxError, MissingTemplate
 from .extract import Message
@@ -66,8 +65,7 @@ _TEMPLATE_RE = re.compile(r'^template\s+([A-Za-z_][A-Za-z0-9_-]*)\s*:\s*"(.*)"\s
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z0-9_.]+)\}")
 
 
-@dataclass(frozen=True)
-class SummaryTemplate:
+class SummaryTemplate(NamedTuple):
     name: str          # relation name, "lone-<message type>", or "ellipsis"
     pattern: str
 
@@ -90,8 +88,7 @@ def load_templates(path: str | Path) -> dict[str, SummaryTemplate]:
     return templates
 
 
-@dataclass(frozen=True)
-class RelationGraph:
+class RelationGraph(NamedTuple):
     nodes: tuple[Message, ...]
     edges: tuple[tuple[str, str, int, int], ...]  # (axis, name, left, right position)
     buckets: tuple[tuple[Message, ...], ...]      # runs of consecutive nodes
@@ -115,8 +112,7 @@ def build_graph(messages: list[Message], relations: Iterable[tuple],
     return RelationGraph(nodes=nodes, edges=tuple(edges), buckets=buckets)
 
 
-@dataclass(frozen=True)
-class RenderResult:
+class RenderResult(NamedTuple):
     text: str
     sentences: tuple[str, ...]
     coverage: tuple[tuple[str, int], ...]   # (relation instance key, sentence)

@@ -25,9 +25,9 @@ falls back to the publication day when it has none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from importlib import resources
+from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Sentence, format_rfc3339, parse_rfc3339, to_utc
 from .errors import DslSyntaxError, UnparsableAnchor, UnresolvableExpression
@@ -51,24 +51,29 @@ _RULES = {"dmy", "iso", "days-ago", "weeks-ago",
           "last-weekday", "next-weekday", "on-weekday", "vague"}
 
 
-@dataclass(frozen=True)
-class TimeAnchor:
-    """A resolved point or span on the timeline.
-
-    ``day`` anchors keep start == end (midnight UTC); the day they denote
-    covers [00:00, 24:00), which is what :meth:`extent` reports. The
-    constructors store UTC-aware times and read naive ones as UTC.
-    """
-
+class _AnchorFields(NamedTuple):
     kind: str            # "instant" | "day" | "interval"
     start: datetime
     end: datetime
 
-    def __post_init__(self):
-        if self.kind not in ("instant", "day", "interval"):
-            raise ValueError(f"bad anchor kind {self.kind!r}")
-        if self.start > self.end:
+
+class TimeAnchor(_AnchorFields):
+    """A resolved point or span on the timeline.
+
+    ``day`` anchors keep start == end (midnight UTC); the day they denote
+    covers [00:00, 24:00), which is what :meth:`extent` reports. The
+    constructors store UTC-aware times and read naive ones as UTC. The
+    checks live in ``__new__``, which ``_replace`` and ``_make`` skip.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, start: datetime, end: datetime):
+        if kind not in ("instant", "day", "interval"):
+            raise ValueError(f"bad anchor kind {kind!r}")
+        if start > end:
             raise ValueError("anchor start after end")
+        return super().__new__(cls, kind, start, end)
 
     @classmethod
     def instant(cls, t: datetime) -> "TimeAnchor":
@@ -117,8 +122,7 @@ class TimeAnchor:
             raise UnparsableAnchor(value) from None
 
 
-@dataclass(frozen=True)
-class TemporalExpression:
+class TemporalExpression(NamedTuple):
     sentence_index: int
     token_span: tuple[int, int]   # [start, end) token indices
     pattern_id: str
@@ -133,18 +137,18 @@ class TemporalExpression:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class GrammarPattern:
+class GrammarPattern(NamedTuple):
     pattern_id: str
     elements: tuple[str, ...]
     rule: str
 
 
 def load_grammar() -> tuple[GrammarPattern, ...]:
-    """Load the pattern grammar shipped as package data."""
+    """Load the pattern grammar shipped as package data. It is read beside
+    this file, not through ``importlib.resources``, which imports
+    ``inspect`` from Python 3.12 on."""
     name = "temporal_patterns.txt"
-    text = resources.files("chronicle").joinpath(f"data/{name}").read_text(
-        encoding="utf-8")
+    text = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
     patterns = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

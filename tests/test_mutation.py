@@ -25,12 +25,16 @@ object, a number or null among them) or one token row (replaced, cut or
 grown, or one field replaced). Each stage exits 0 or 2 in the same way;
 the three that read no token exit 0 whenever only tokens changed.
 
-The two text files get line mutations: a line of ``templates.txt`` into
-``summarize``, and a line of ``domain.spec`` into ``extract`` (rules and
-gold mode), ``relate`` and ``summarize``. A line is dropped, doubled, cut,
-swapped with the next, or has one of its words, or one character,
-replaced by a drawn word, punctuation or placeholder; or a drawn line is
-inserted. Each stage exits 0 or 2 with one JSON line.
+The text files get line mutations: a line of ``templates.txt`` into
+``summarize``, a line of ``domain.spec`` into ``extract`` (rules and gold
+mode), ``relate`` and ``summarize``, and a line of the lexicon or of the
+gazetteer into ``ingest``. A line is dropped, doubled, cut, swapped with
+the next, or has one of its words, or one character, replaced by a drawn
+word, punctuation or placeholder; or a drawn line is inserted. Each stage
+exits 0 or 2 with one JSON line.
+
+``ingest`` also gets the record mutations above, of one line of the raw
+corpus it reads, and exits 0 or 2 in the same way.
 """
 
 from __future__ import annotations
@@ -419,3 +423,32 @@ def test_mutated_templates_exit_0_or_2(hostage_run, tmp_path):
             templates, "--window", WINDOW, "--out", tmp_path / "summary.txt",
             "--out-dir", tmp_path]
     mutate_text_file(ROOT / "templates.txt", templates, argv, "summarize")
+
+
+INGEST_INPUTS = {"--corpus": "corpus.jsonl", "--lexicon": "lexicon.tsv",
+                 "--gazetteer": "gazetteer.tsv"}
+
+
+@pytest.mark.parametrize("flag", sorted(INGEST_INPUTS))
+def test_mutated_ingest_input_exits_0_or_2(tmp_path, flag):
+    name = INGEST_INPUTS[flag]
+    path = tmp_path / name
+    argv = ["ingest", "--out-dir", tmp_path]
+    for other, other_name in INGEST_INPUTS.items():
+        argv += [other, path if other == flag else ROOT / other_name]
+    if flag != "--corpus":
+        mutate_text_file(ROOT / name, path, argv, "ingest")
+        return
+    lines = (ROOT / name).read_text(encoding="utf-8").splitlines()
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mutations(lines))
+    def check(mutation):
+        index, text = mutation
+        path.write_text("\n".join(lines[:index] + [text] + lines[index + 1:]) + "\n",
+                        encoding="utf-8")
+        code, err = run_stage(argv)
+        assert_exit_0_or_one_error(code, err, "ingest")
+
+    check()

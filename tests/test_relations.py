@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -348,7 +347,7 @@ def test_minute_spans_match_oracles(seed, window):
 
 
 def shifted(messages, delta: timedelta):
-    return [replace(m, time=TimeAnchor(m.time.kind, m.time.start + delta,
+    return [m._replace(time=TimeAnchor(m.time.kind, m.time.start + delta,
                                        m.time.end + delta))
             for m in messages]
 
@@ -384,6 +383,13 @@ def test_window_must_be_whole_minutes():
     for width in (timedelta(seconds=30), timedelta(minutes=1, microseconds=1)):
         with pytest.raises(ValueError, match="whole number of minutes"):
             WindowPolicy(width)
+
+
+def test_window_must_not_be_negative():
+    assert WindowPolicy(timedelta(0)).width == timedelta(0)
+    with pytest.raises(ValueError) as info:
+        WindowPolicy(timedelta(minutes=-1))
+    assert str(info.value) == "window width must be >= 0"
 
 
 def keyed_trial(seed: int, max_messages=50):

@@ -1,10 +1,13 @@
 """The runtime imports nothing outside the standard library, neither the
-package nor the tests import a name they never use, and everything the
-package defines is read by the package or the benchmark."""
+package nor the tests import a name they never use, everything the
+package defines is read by the package or the benchmark, and importing
+the package loads neither ``dataclasses`` nor ``inspect``."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -101,3 +104,19 @@ def test_package_defines_only_what_the_pipeline_or_benchmark_reads():
     package = sorted(PACKAGE.glob("*.py"))
     readers = package + sorted(BENCHMARKS.glob("*.py"))
     assert list(unreached_definitions(package, readers)) == []
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    """Records are named tuples or plain classes (README, Layout): every
+    stage is its own process, and ``dataclasses`` would add its own import,
+    with ``inspect``, ``ast`` and ``dis``, plus an ``exec`` per decorated
+    class, to each. Run under ``-S``, so that only the package's imports
+    count, not those of ``.pth`` files."""
+    modules = sorted(f"chronicle.{p.stem}" for p in PACKAGE.glob("*.py")
+                     if p.stem != "__init__")
+    code = (f"import sys, {', '.join(modules)}\n"
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []

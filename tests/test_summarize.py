@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -354,9 +353,9 @@ def test_graph_edges_follow_sort_instances_order(seed):
     rng = random.Random(seed)
     # the same anchor in another document of another source, sorting
     # before or after the original by doc_id
-    twins = [replace(m, doc_id=rng.choice(["0-", "z-"]) + m.doc_id,
-                     source=rng.choice([s for s in {"src0", "src1"}
-                                        if s != m.source]))
+    twins = [m._replace(doc_id=rng.choice(["0-", "z-"]) + m.doc_id,
+                        source=rng.choice([s for s in {"src0", "src1"}
+                                           if s != m.source]))
              for m in rng.sample(messages, len(messages) // 3)]
     messages = messages + twins
     starts = [m.time.start for m in messages]
@@ -404,6 +403,6 @@ def test_buckets_are_runs_of_the_time_order(seed):
                for m in graph.nodes]
     assert len(render_summary(graph, templates, reports).sentences) == len(messages)
     for i, rep in enumerate(reports):
-        moved = replace(rep, bucket=rep.bucket + 1)
+        moved = rep._replace(bucket=rep.bucket + 1)
         with pytest.raises(ChronicleError, match="not its bucket"):
             render_summary(graph, templates, reports[:i] + [moved] + reports[i + 1:])

@@ -189,6 +189,21 @@ def test_day_anchor_extent_covers_whole_day():
     assert a.start == a.end
 
 
+def test_anchor_kind_must_be_known():
+    t = pub(2004, 9, 9)
+    with pytest.raises(ValueError) as info:
+        TimeAnchor("week", t, t)
+    assert str(info.value) == "bad anchor kind 'week'"
+
+
+def test_anchor_start_must_not_follow_end():
+    t = pub(2004, 9, 9)
+    assert TimeAnchor("interval", t, t).end == t
+    with pytest.raises(ValueError) as info:
+        TimeAnchor(kind="interval", start=t + timedelta(minutes=1), end=t)
+    assert str(info.value) == "anchor start after end"
+
+
 @pytest.mark.parametrize("year", [1, 999, 1000, 2004, 9999])
 def test_anchor_strings_have_four_digit_years(year):
     """glibc's strftime("%Y") writes year 999 as "999", which
