@@ -6,6 +6,11 @@ given identical inputs and seeds. Failures, a command line the parser
 rejects among them, exit 2 with one machine-readable JSON error object on
 stderr; ``--help`` prints its text and exits 0. The CHRONICLE_LOG
 environment variable (DEBUG/INFO/WARNING/ERROR) controls diagnostics.
+
+Each subcommand imports the stage modules it needs when it runs, so
+``chronicle ingest`` loads none of extraction, relations, evolution and
+the summarizer. The domain loaders stay attributes of this module, where
+``benchmarks/spans.py`` wraps them.
 """
 
 from __future__ import annotations
@@ -19,14 +24,10 @@ from functools import cache
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import evolution as evolution_mod
-from . import extract as extract_mod
-from . import relations as relations_mod
-from . import summarize as summarize_mod
+from .corpus import parse_duration
 from .errors import ChronicleError, MalformedRecord, UsageError
 from .ontology import (ParsedSpec, load_message_specs, load_ontology,
                        load_relation_specs)
-from .relations import parse_duration, parse_window
 
 log = logging.getLogger("chronicle.cli")
 
@@ -85,6 +86,8 @@ def _read_training(path: str, lexicon, gazetteer):
 
 
 def cmd_extract(args) -> int:
+    from . import extract as extract_mod
+
     out = _out_dir(args)
     ontology, message_specs, _, specs = _load_domain(args)
     # gold messages are checked against sentence counts, never tokens
@@ -115,12 +118,15 @@ def cmd_extract(args) -> int:
 
 
 def cmd_relate(args) -> int:
+    from . import extract as extract_mod
+    from . import relations as relations_mod
+
     out = _out_dir(args)
     ontology, message_specs, relation_specs, _ = _load_domain(args)
     corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT, tokens=False)
     messages = extract_mod.load_gold_messages(
         out / MESSAGES_ARTIFACT, message_specs, ontology, corpus)
-    window = parse_window(args.window)
+    window = relations_mod.parse_window(args.window)
     instances = relations_mod.evaluate_relations(messages, relation_specs, window)
     relations_mod.write_relations(instances, out / RELATIONS_ARTIFACT)
     reports = relations_mod.detect_ellipsis(messages, corpus.sources, window)
@@ -131,6 +137,8 @@ def cmd_relate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import evolution as evolution_mod
+
     out = _out_dir(args)
     corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT, tokens=False)
     report = evolution_mod.analyze_corpus(
@@ -148,6 +156,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    from . import extract as extract_mod
+    from . import relations as relations_mod
+    from . import summarize as summarize_mod
+
     out = _out_dir(args)
     ontology, message_specs, relation_specs, _ = _load_domain(args)
     corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT, tokens=False)
@@ -157,7 +169,7 @@ def cmd_summarize(args) -> int:
                                              relation_specs)
     reports = relations_mod.read_ellipsis(out / ELLIPSIS_ARTIFACT, messages,
                                           corpus.sources)
-    window = parse_window(args.window)
+    window = relations_mod.parse_window(args.window)
     templates = summarize_mod.load_templates(args.templates)
     graph = summarize_mod.build_graph(messages, relations, window)
     result = summarize_mod.render_summary(graph, templates, reports,
@@ -172,6 +184,8 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import evolution as evolution_mod
+
     out = _out_dir(args)
     offsets = tuple(int(x) for x in args.offsets.split(",")) if args.offsets else ()
     params = evolution_mod.StreamParams(
@@ -191,6 +205,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import extract as extract_mod
+
     ontology, message_specs, relation_specs, specs = _load_domain(args)
     triggers = extract_mod.load_trigger_rules(specs, message_specs)
     diagnostics = {
@@ -203,6 +219,8 @@ def cmd_validate(args) -> int:
         "triggers": len(triggers),
     }
     if args.templates:
+        from . import summarize as summarize_mod
+
         diagnostics["templates"] = len(summarize_mod.load_templates(args.templates))
     json.dump(diagnostics, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

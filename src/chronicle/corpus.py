@@ -90,6 +90,21 @@ def minutes_since_epoch(t: datetime) -> int:
     return (t - _EPOCH) // _MINUTE
 
 
+_DURATION_RE = re.compile(r"^(\d+)([dhm])$")
+
+
+def parse_duration(text: str) -> timedelta:
+    """Parse a duration: "0", "36h", "2d", "90m"."""
+    text = text.strip()
+    if text == "0":
+        return timedelta(0)
+    m = _DURATION_RE.match(text)
+    if not m:
+        raise ValueError(f"bad duration {text!r} (expected forms: 0, 12h, 2d, 90m)")
+    n, unit = int(m.group(1)), m.group(2)
+    return timedelta(**{{"d": "days", "h": "hours", "m": "minutes"}[unit]: n})
+
+
 def parse_rfc3339(value: str) -> datetime:
     """Parse an RFC 3339 date-time, normalized to UTC at minute precision.
 

@@ -39,11 +39,15 @@ slots and one over the right's; its ``const`` atoms filter each side. The
 right messages are grouped by key, and the sweep or the report index runs
 inside the left message's group only. A message with a null key slot, or
 one that fails a ``const`` atom, joins no group, since no atom matches a
-null slot. The ``neq``, ``lt`` and ``gt`` atoms are tested on each
+null slot. Each side's (message type, key slots, pins) is its plan; the
+groups of a plan are built once per call, and so are the sweep and the
+report index of each group, whichever rules and sides share them. The
+``neq``, ``lt`` and ``gt`` atoms are compiled once per rule into one test,
+``lt`` and ``gt`` comparing places on the scale, and run on each
 candidate. A relation found is the tuple (axis, name, left position, right
 position, distance); the set of them, sorted, is in ``sort_instances``
 order, since positions follow ``_message_sort_key`` and message keys are
-unique. Each is built into a ``RelationInstance`` once.
+unique. The sorted tuples become ``RelationInstance``s in one C-level pass.
 
 ``brute_force_oracle`` re-implements the whole contract literally and
 independently (no shared condition or window helpers) so tests can check
@@ -55,11 +59,14 @@ that feeds the sweeps also gives each message's bucket.
 ``read_relations`` gives each record as its instance key
 (``RelationInstance.key``): the summarizer needs no more of a relation.
 
-``write_relations`` formats each line itself, escaping strings with the
+``write_relations`` formats the lines itself, escaping strings with the
 ``json`` module's ASCII escaper, and writes the bytes that
 ``json.dumps(record, sort_keys=True)`` would (the format in README.md):
 a dense relation set has thousands of instances, and a ``json.dumps``
-call per record takes about twice as long as the formatted line.
+call per record takes about twice as long as the formatted line. Each
+rule's fixed text is formatted once per run of its lines and each message
+key's reference once per file; the lines are joined from those pieces in
+C-level passes and written a chunk at a time.
 ``read_relations`` reads such a line with one compiled pattern, about
 three times as fast as the JSON scanner. Any other line, a record in
 another JSON encoding (key order, whitespace, escapes, non-ASCII) or no
@@ -75,15 +82,17 @@ import json
 import re
 from bisect import bisect_left, bisect_right
 from datetime import timedelta
-from itertools import groupby
+from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, gt, itemgetter, lt, ne
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import minutes_since_epoch, read_records, record_decoder
+from .corpus import (minutes_since_epoch, parse_duration, read_records,
+                     record_decoder)
 from .errors import MalformedRecord
 from .extract import Message
-from .ontology import RelationSpec, SYNCHRONIC, DIACHRONIC, evaluate_atom
+from .ontology import RelationSpec, SYNCHRONIC, DIACHRONIC
 
 _MINUTE = timedelta(minutes=1)
 
@@ -105,21 +114,6 @@ class WindowPolicy(_WindowFields):
         if width % _MINUTE:
             raise ValueError("window width must be a whole number of minutes")
         return super().__new__(cls, width)
-
-
-_DURATION_RE = re.compile(r"^(\d+)([dhm])$")
-
-
-def parse_duration(text: str) -> timedelta:
-    """Parse a duration: "0", "36h", "2d", "90m"."""
-    text = text.strip()
-    if text == "0":
-        return timedelta(0)
-    m = _DURATION_RE.match(text)
-    if not m:
-        raise ValueError(f"bad duration {text!r} (expected forms: 0, 12h, 2d, 90m)")
-    n, unit = int(m.group(1)), m.group(2)
-    return timedelta(**{{"d": "days", "h": "hours", "m": "minutes"}[unit]: n})
 
 
 def parse_window(text: str) -> WindowPolicy:
@@ -187,50 +181,66 @@ class _Sweep:
         # a span that starts before s - lookback ends before s
         self.lookback = max((item.end - item.start for item in items), default=0)
 
+    def near(self, start: int, end: int) -> list[_Item]:
+        """The items whose spans start late enough and early enough to
+        overlap [start, end], in sort order: the overlapping ones, and
+        some that end before ``start``."""
+        return self.items[bisect_left(self.starts, start - self.lookback):
+                          bisect_right(self.starts, end)]
+
     def overlapping(self, start: int, end: int):
         """The items whose spans overlap [start, end], in sort order."""
-        lo = bisect_left(self.starts, start - self.lookback)
-        hi = bisect_right(self.starts, end)
-        for item in self.items[lo:hi]:
+        for item in self.near(start, end):
             if item.end >= start:
                 yield item
 
 
-def _synchronic_candidates(lefts: list[_Item], rights: list[_Item]):
-    """(left, right, None) for each left and each right item of another
-    source whose spans overlap."""
-    sweep = _Sweep(rights)
+_REPORT_INDEX = attrgetter("message.report_index")
+
+
+class _Reports:
+    """Items listed per source in report order, for finding the ones a given
+    report distance after a message."""
+
+    def __init__(self, items):
+        self.lists: dict[str, list[_Item]] = {}
+        for item in sorted(items, key=_REPORT_INDEX):
+            self.lists.setdefault(item.message.source, []).append(item)
+        self.indices = {source: [item.message.report_index for item in items]
+                        for source, items in self.lists.items()}
+
+    def after(self, m: Message, distance: tuple[str, int] | None):
+        """The items of ``m``'s source whose report is ``k`` after ``m``'s
+        for ``("==", k)``, at least ``k`` after for ``(">=", k)``, or
+        anywhere for None, in report order."""
+        items = self.lists.get(m.source)
+        if items is None or distance is None:
+            return items or ()
+        op, k = distance
+        indices = self.indices[m.source]
+        lo = bisect_left(indices, m.report_index + k)
+        hi = bisect_right(indices, m.report_index + k, lo) if op == "==" else len(items)
+        return items[lo:hi]
+
+
+def _synchronic_candidates(lefts: list[_Item], sweep: _Sweep):
+    """(left, right, None) for each left and each right item of the sweep
+    from another source whose spans overlap."""
     for left in lefts:
-        source = left.message.source
-        for right in sweep.overlapping(left.start, left.end):
-            if right.message.source != source:
+        source, start = left.message.source, left.start
+        for right in sweep.near(start, left.end):
+            if right.end >= start and right.message.source != source:
                 yield left, right, None
 
 
-def _diachronic_candidates(lefts: list[_Item], rights: list[_Item],
+def _diachronic_candidates(lefts: list[_Item], reports: _Reports,
                            distance: tuple[str, int] | None = None):
     """(left, right, report distance) for each left and each right item of
-    the same source with a strictly later span start whose report is ``k``
-    after the left's for ``("==", k)``, at least ``k`` after for
-    ``(">=", k)``, or anywhere for None. Each source's rights are listed in
-    report order, so a distance is a range two bisections find."""
-    lists: dict[str, list[_Item]] = {}
-    for item in sorted(rights, key=lambda item: item.message.report_index):
-        lists.setdefault(item.message.source, []).append(item)
-    indices = {source: [item.message.report_index for item in items]
-               for source, items in lists.items()}
+    the same source with a strictly later span start, ``distance`` reports
+    on (see ``_Reports.after``)."""
     for left in lefts:
         m = left.message
-        items = lists.get(m.source)
-        if items is None:
-            continue
-        lo, hi = 0, len(items)
-        if distance is not None:
-            op, k = distance
-            lo = bisect_left(indices[m.source], m.report_index + k)
-            if op == "==":
-                hi = bisect_right(indices[m.source], m.report_index + k, lo)
-        for right in items[lo:hi]:
+        for right in reports.after(m, distance):
             if right.start > left.start:
                 yield left, right, right.message.report_index - m.report_index
 
@@ -240,21 +250,22 @@ def synchronic_pairs(messages: list[Message],
     """All ordered cross-source pairs with window-compatible anchors."""
     items = _by_extent(messages, window)
     return [(left.message, right.message)
-            for left, right, _ in _synchronic_candidates(items, items)]
+            for left, right, _ in _synchronic_candidates(items, _Sweep(items))]
 
 
 def diachronic_pairs(messages: list[Message]) -> list[tuple[Message, Message, int]]:
     """All same-source ordered pairs with strictly increasing anchor start,
     with their report distance (later report_index minus earlier)."""
     items = _by_extent(messages, WindowPolicy(timedelta(0)))
-    return [(left.message, right.message, distance)
-            for left, right, distance in _diachronic_candidates(items, items)]
+    pairs = _diachronic_candidates(items, _Reports(items))
+    return [(left.message, right.message, distance) for left, right, distance in pairs]
 
 
 def _join_plan(spec: RelationSpec):
     """A spec's conditions split for a keyed join: the left and right key
     slots of its ``eq`` atoms in atom order, the (slot, value) pins of its
-    ``const`` atoms on each side, and the atoms left to ``evaluate_atom``."""
+    ``const`` atoms on each side, all as tuples, and the atoms left to
+    ``_residual_test``."""
     left_key, right_key, residual = [], [], []
     pins: dict[str, list[tuple[str, str]]] = {"left": [], "right": []}
     for atom in spec.conditions:
@@ -266,10 +277,43 @@ def _join_plan(spec: RelationSpec):
             pins[atom.side].append((slot, atom.value))
         else:
             residual.append(atom)
-    return left_key, right_key, pins["left"], pins["right"], residual
+    return (tuple(left_key), tuple(right_key), tuple(pins["left"]),
+            tuple(pins["right"]), residual)
 
 
-def _key_groups(items, key_slots: list[str], pins: list[tuple[str, str]]):
+_COMPARE = {"neq": ne, "lt": lt, "gt": gt}
+
+
+def _atom_test(atom):
+    """``evaluate_atom`` for one ``neq``, ``lt`` or ``gt`` atom, as a test
+    of (left args, right args): a null slot fails, and ``lt`` and ``gt``
+    compare the values' first places on the scale, a value off it failing."""
+    left_slot, right_slot, compare = atom.left_slot, atom.right_slot, _COMPARE[atom.op]
+    if atom.op == "neq":
+        def test(left, right):
+            lv, rv = left.get(left_slot), right.get(right_slot)
+            return lv is not None and rv is not None and compare(lv, rv)
+        return test
+    rank: dict[str, int] = {}
+    for place, value in enumerate(atom.scale):
+        rank.setdefault(value, place)
+
+    def test(left, right):
+        li, ri = rank.get(left.get(left_slot)), rank.get(right.get(right_slot))
+        return li is not None and ri is not None and compare(li, ri)
+    return test
+
+
+def _residual_test(residual):
+    """One test of (left args, right args) for a rule's residual atoms, or
+    None when it has none."""
+    tests = [_atom_test(atom) for atom in residual]
+    if len(tests) < 2:
+        return tests[0] if tests else None
+    return lambda left, right: all(test(left, right) for test in tests)
+
+
+def _key_groups(items, key_slots: tuple[str, ...], pins: tuple[tuple[str, str], ...]):
     """_by_extent items grouped by their message's values in ``key_slots``,
     each group in item order. A message with a null key slot, or one whose
     pinned slot is null or holds another value, joins no group: no atom
@@ -277,10 +321,10 @@ def _key_groups(items, key_slots: list[str], pins: list[tuple[str, str]]):
     groups: dict[tuple, list] = {}
     for item in items:
         args = item.message.args
-        if any(args.get(slot) is None or args.get(slot) != value
-               for slot, value in pins):
+        if pins and any(args.get(slot) is None or args.get(slot) != value
+                        for slot, value in pins):
             continue
-        key = tuple(args.get(slot) for slot in key_slots)
+        key = tuple(map(args.get, key_slots))
         if None not in key:
             groups.setdefault(key, []).append(item)
     return groups
@@ -299,34 +343,50 @@ def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpe
     by_type: dict[str, list] = {}
     for item in items:
         by_type.setdefault(item.message.msg_type, []).append(item)
+    plans: dict[tuple, dict] = {}      # (type, key slots, pins) -> key groups
+    indexes: dict[tuple, object] = {}  # (axis, plan, key) -> _Sweep or _Reports
     found: set[tuple] = set()
+    add = found.add
     for spec in relation_specs:
         if spec.left_type not in by_type or spec.right_type not in by_type:
             continue
         left_key, right_key, left_pins, right_pins, residual = _join_plan(spec)
-        right_groups = _key_groups(by_type[spec.right_type], right_key, right_pins)
-        for key, lefts in _key_groups(by_type[spec.left_type], left_key,
-                                      left_pins).items():
+        left_plan = (spec.left_type, left_key, left_pins)
+        right_plan = (spec.right_type, right_key, right_pins)
+        for plan in (left_plan, right_plan):
+            if plan not in plans:
+                msg_type, key_slots, pins = plan
+                plans[plan] = _key_groups(by_type[msg_type], key_slots, pins)
+        axis, name, test = spec.axis, spec.name, _residual_test(residual)
+        mirror = spec.symmetric and axis == SYNCHRONIC
+        right_groups = plans[right_plan]
+        for key, lefts in plans[left_plan].items():
             rights = right_groups.get(key)
             if rights is None:
                 continue
-            if spec.axis == SYNCHRONIC:
-                pairs = _synchronic_candidates(lefts, rights)
+            index = indexes.get((axis, right_plan, key))
+            if index is None:
+                index = indexes[axis, right_plan, key] = (
+                    _Sweep if axis == SYNCHRONIC else _Reports)(rights)
+            if axis == SYNCHRONIC:
+                pairs = _synchronic_candidates(lefts, index)
             else:
-                pairs = _diachronic_candidates(lefts, rights, spec.distance)
+                pairs = _diachronic_candidates(lefts, index, spec.distance)
             for left, right, distance in pairs:
-                if residual and not all(
-                        evaluate_atom(a, left.message.args, right.message.args)
-                        for a in residual):
+                if test is not None and not test(left.message.args, right.message.args):
                     continue
-                found.add((spec.axis, spec.name, left.position, right.position,
-                           distance))
-                if spec.symmetric and spec.axis == SYNCHRONIC:
-                    found.add((SYNCHRONIC, spec.name, right.position,
-                               left.position, None))
-    return [RelationInstance(name, axis, items[left].message, items[right].message,
-                             distance)
-            for axis, name, left, right, distance in sorted(found)]
+                add((axis, name, left.position, right.position, distance))
+                if mirror:
+                    add((axis, name, right.position, left.position, None))
+    # the sorted rows become instances in one C-level pass, as corpus._tokens
+    # builds tokens; the set is dropped first
+    rows = sorted(found)
+    del found, add
+    message_at = [item.message for item in items].__getitem__
+    axes, names, lefts, rights, distances = (map(itemgetter(i), rows) for i in range(5))
+    return list(map(tuple.__new__, repeat(RelationInstance),
+                    zip(names, axes, map(message_at, lefts), map(message_at, rights),
+                        distances)))
 
 
 def brute_force_oracle(messages: list[Message], relation_specs: list[RelationSpec],
@@ -468,9 +528,22 @@ def detect_ellipsis(messages: list[Message], sources: set[str],
 # ---------------------------------------------------------------------------
 # relations-jsonl-v1 artifact
 
-def _message_ref(m: Message) -> str:
-    return (f'{{"doc_id": {encode_basestring_ascii(m.doc_id)}, '
-            f'"sentence_index": {m.sentence_index:d}}}')
+class _References(dict):
+    """Message key -> the message's ``{"doc_id": ..., "sentence_index": ...}``
+    reference, formatted on first use."""
+
+    def __missing__(self, key: tuple[str, int]) -> str:
+        doc_id, sentence_index = key
+        ref = self[key] = (f'{{"doc_id": {encode_basestring_ascii(doc_id)}, '
+                           f'"sentence_index": {sentence_index:d}}}')
+        return ref
+
+
+_RULE = attrgetter("axis", "name")
+_LEFT_KEY = attrgetter("left.doc_id", "left.sentence_index")
+_RIGHT_KEY = attrgetter("right.doc_id", "right.sentence_index")
+_DISTANCE = attrgetter("distance")
+_CHUNK = 4096       # lines joined and written at a time
 
 
 def write_relations(instances: list[RelationInstance], path: str | Path) -> None:
@@ -479,14 +552,29 @@ def write_relations(instances: list[RelationInstance], path: str | Path) -> None
     (diachronic only), ``left``, ``name`` and ``right``, each message given
     by ``doc_id`` and ``sentence_index``. ``evaluate_relations`` returns
     its instances in ``sort_instances`` order, the artifact's order, so
-    they are not sorted again here."""
+    they are not sorted again here.
+
+    A line is its rule's fixed text around the distance and the two
+    message references. Each distinct message key's reference is formatted
+    once, and the lines are joined and written ``_CHUNK`` at a time, so the
+    file is never held whole."""
+    refs = _References()
     with open(path, "w", encoding="utf-8") as fh:
-        for r in instances:
-            distance = f'"distance": {r.distance:d}, ' if r.axis == DIACHRONIC else ""
-            fh.write(f'{{"axis": {encode_basestring_ascii(r.axis)}, {distance}'
-                     f'"left": {_message_ref(r.left)}, '
-                     f'"name": {encode_basestring_ascii(r.name)}, '
-                     f'"right": {_message_ref(r.right)}}}\n')
+        for (axis, name), run in groupby(instances, _RULE):
+            head = f'{{"axis": {encode_basestring_ascii(axis)}, '
+            middle = f', "name": {encode_basestring_ascii(name)}, "right": '
+            while chunk := list(islice(run, _CHUNK)):
+                left_refs = map(refs.__getitem__, map(_LEFT_KEY, chunk))
+                right_refs = map(refs.__getitem__, map(_RIGHT_KEY, chunk))
+                if axis == DIACHRONIC:
+                    # int.__repr__ writes what the format code "d" writes
+                    parts = (repeat(head + '"distance": '),
+                             map(int.__repr__, map(_DISTANCE, chunk)),
+                             repeat(', "left": '), left_refs)
+                else:
+                    parts = (repeat(head + '"left": '), left_refs)
+                fh.write("".join(chain.from_iterable(
+                    zip(*parts, repeat(middle), right_refs, repeat("}\n")))))
 
 
 def _lookup_failure(exc: KeyError) -> str:

@@ -88,6 +88,53 @@ def test_relations_writer_matches_json_dumps_on_engine_output(tmp_path, seed):
             == (tmp_path / "reference.jsonl").read_bytes())
 
 
+def assert_writer_matches_oracle(instances, tmp_path):
+    # the writer keeps the order it is given; the engine gives it sorted
+    instances = sort_instances(instances)
+    write_relations(instances, tmp_path / "fast.jsonl")
+    write_relations_oracle(instances, tmp_path / "reference.jsonl")
+    assert ((tmp_path / "fast.jsonl").read_bytes()
+            == (tmp_path / "reference.jsonl").read_bytes())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relations_writer_on_a_message_in_many_lines(tmp_path, seed):
+    """One ``Message`` object on either end of thousands of lines, over
+    more lines of one rule than the writer joins at a time."""
+    rng = random.Random(seed)
+    hub = random_message(rng)
+    others = [random_message(rng) for _ in range(60)]
+    instances = []
+    for k in range(3 * 4096):
+        axis = rng.choice(["synchronic", "diachronic"])
+        other = others[k % len(others)]
+        left, right = (hub, other) if k % 3 else (other, hub)
+        instances.append(RelationInstance(
+            name="r", axis=axis, left=left, right=right,
+            distance=k if axis == "diachronic" else None))
+    assert_writer_matches_oracle(instances, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_relations_writer_on_distinct_messages_with_one_key(tmp_path, seed):
+    """Two ``Message`` objects with equal keys but other sources, times and
+    args: each line still names its own message's key."""
+    rng = random.Random(seed)
+    first = random_message(rng)
+    twin = first._replace(source=random_string(rng), args={"slot": "value"},
+                          time=random_message(rng).time)
+    pool = [first, twin, *(random_message(rng) for _ in range(4))]
+    ends = [(first, pool[2]), (twin, pool[2]), (pool[3], first), (pool[3], twin)]
+    ends += [(rng.choice(pool), rng.choice(pool)) for _ in range(40)]
+    instances = []
+    for left, right in ends:
+        axis = rng.choice(["synchronic", "diachronic"])
+        instances.append(RelationInstance(
+            name=rng.choice(["r", random_string(rng)]), axis=axis, left=left,
+            right=right, distance=rng.randint(0, 9) if axis == "diachronic" else None))
+    assert_writer_matches_oracle(instances, tmp_path)
+
+
 def random_coverage(rng: random.Random) -> RenderResult:
     sentences = tuple(random_string(rng)
                       for _ in range(rng.choice([0, 1, rng.randint(2, 20)])))

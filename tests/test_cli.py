@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -1070,3 +1074,25 @@ def test_analyze_rejects_threshold_outside_0_to_inf(tmp_path, capsys, threshold)
     assert err["error"] == "ValueError"
     assert "residual threshold" in err["detail"]
     assert not (tmp_path / "evolution.json").exists()
+
+
+def test_ingest_imports_no_later_stage(tmp_path):
+    """Each subcommand imports its stage modules when it runs: a
+    ``chronicle ingest`` process ends without extraction, relations,
+    evolution or the summarizer loaded."""
+    root = FIXTURES / "hostage"
+    argv = ["ingest", "--corpus", root / "corpus.jsonl",
+            "--lexicon", root / "lexicon.tsv",
+            "--gazetteer", root / "gazetteer.tsv", "--out-dir", tmp_path]
+    code = ("import sys\n"
+            "from chronicle import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('chronicle.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    ingest = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                            capture_output=True, text=True, check=True)
+    loaded = set(ingest.stdout.split())
+    assert "chronicle.corpus" in loaded
+    assert loaded.isdisjoint({"chronicle.extract", "chronicle.relations",
+                              "chronicle.summarize", "chronicle.evolution"})
+    assert (tmp_path / "corpus.jsonl").is_file()

@@ -7,7 +7,7 @@ import pytest
 
 from chronicle.extract import Message
 from chronicle.ontology import ConditionAtom, RelationSpec
-from chronicle.relations import (WindowPolicy, brute_force_oracle,
+from chronicle.relations import (WindowPolicy, _join_plan, brute_force_oracle,
                                  bucket_messages, detect_ellipsis,
                                  diachronic_pairs, evaluate_relations,
                                  parse_window, synchronic_pairs)
@@ -475,6 +475,92 @@ def test_keyed_join_matches_oracle(seed):
     oracle = brute_force_oracle(messages, specs, window)
     assert keys(engine) == keys(oracle)
     assert [r.distance for r in engine] == [r.distance for r in oracle]
+
+
+def const(side, slot, value):
+    return ConditionAtom(op="const", side=side, value=value,
+                         left_slot=slot if side == "left" else None,
+                         right_slot=slot if side == "right" else None)
+
+
+def ranked(op, slot):
+    return ConditionAtom(op=op, left_slot=slot, right_slot=slot, scale=DEGREES)
+
+
+# Rules whose join plans, (message type, key slots, pins) per side, collide.
+# ``same_ground`` and ``rise`` share one plan on both sides, across the two
+# axes, and only ``rise`` has a residual ``lt``; so do ``home_fall`` on its
+# left side and ``not_level``. Every rule's left plan equals its right plan
+# except in the three with a ``const`` pin: ``home_echo`` and ``away_echo``
+# differ only in a left pin and share their right plan with ``same_ground``.
+SHARED_PLAN_RULES = [
+    RelationSpec(name="same_ground", axis="synchronic", left_type="performance",
+                 right_type="performance", symmetric=True,
+                 conditions=(eq("entity"), eq("ground"))),
+    RelationSpec(name="rise", axis="diachronic", left_type="performance",
+                 right_type="performance", distance=("==", 1),
+                 conditions=(eq("entity"), eq("ground"), ranked("lt", "value"))),
+    RelationSpec(name="home_echo", axis="synchronic", left_type="performance",
+                 right_type="performance",
+                 conditions=(eq("entity"), eq("ground"), const("left", "ground", "home"))),
+    RelationSpec(name="away_echo", axis="synchronic", left_type="performance",
+                 right_type="performance",
+                 conditions=(eq("entity"), eq("ground"), const("left", "ground", "away"))),
+    RelationSpec(name="home_fall", axis="diachronic", left_type="performance",
+                 right_type="performance", distance=(">=", 1),
+                 conditions=(const("right", "ground", "home"), eq("entity"),
+                             ranked("gt", "value"))),
+    RelationSpec(name="not_level", axis="synchronic", left_type="performance",
+                 right_type="performance", symmetric=True,
+                 conditions=(eq("entity"), ConditionAtom(op="neq", left_slot="value",
+                                                         right_slot="value"))),
+]
+
+
+def shared_plan_trial(seed: int):
+    """Messages for ``SHARED_PLAN_RULES``: two entities, three sources and
+    a few report steps, so that over the seeds every rule relates a pair."""
+    rng = random.Random(seed)
+    messages = []
+    for source in "ABC":
+        for report in range(rng.randint(3, 6)):
+            for sentence in range(rng.randint(1, 3)):
+                messages.append(msg(
+                    source=source, doc=f"{source}{report}", sentence=sentence,
+                    anchor=day(1 + report + rng.choice([0, 0, 1])),
+                    report_index=report,
+                    entity=rng.choice(["Alpha_United", "Beta_Rovers"]),
+                    value=rng.choice([*DEGREES[:2], None]),
+                    ground=rng.choice(["home", "away", None])))
+    return messages
+
+
+def test_shared_plan_rules_share_plans():
+    """(left key, right key, left pins, right pins) of each rule."""
+    plans = {spec.name: _join_plan(spec)[:4] for spec in SHARED_PLAN_RULES}
+    by_ground = ("entity", "ground")
+    assert plans["same_ground"] == plans["rise"] == (by_ground, by_ground, (), ())
+    assert plans["home_echo"] == (by_ground, by_ground, (("ground", "home"),), ())
+    assert plans["away_echo"] == (by_ground, by_ground, (("ground", "away"),), ())
+    assert plans["home_fall"] == (("entity",), ("entity",), (), (("ground", "home"),))
+    assert plans["not_level"] == (("entity",), ("entity",), (), ())
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("width", [timedelta(0), timedelta(days=1)])
+def test_shared_plans_match_oracle(seed, width):
+    messages = shared_plan_trial(seed)
+    window = WindowPolicy(width)
+    engine = evaluate_relations(messages, SHARED_PLAN_RULES, window)
+    assert engine == brute_force_oracle(messages, SHARED_PLAN_RULES, window)
+
+
+def test_shared_plans_relate_under_every_rule():
+    window = WindowPolicy(timedelta(days=1))
+    names = {r.name for seed in range(40)
+             for r in evaluate_relations(shared_plan_trial(seed), SHARED_PLAN_RULES,
+                                         window)}
+    assert names == {spec.name for spec in SHARED_PLAN_RULES}
 
 
 def candidate_oracle(messages, window):

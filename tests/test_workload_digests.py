@@ -1,7 +1,8 @@
 """Byte identity of every stage's artifacts on the benchmark workloads.
 
 Each case builds one workload of ``benchmarks/generate.py`` at a fixed seed
-and scale 1, runs the five stages with the arguments the benchmark's worker
+and scale 1, or relate-dense at scale 4 (about 36,000 relations), runs the
+five stages with the arguments the benchmark's worker
 gives them (``worker.stage_argv``), and compares the sha256 of all eight
 artifacts with the committed table. The benchmark files are loaded by path
 and nothing under ``benchmarks/`` is written to. A refactor that must leave
@@ -44,11 +45,11 @@ def load_benchmark_module(name: str, monkeypatch: pytest.MonkeyPatch):
     return module
 
 
-def digests(workload: str, tmp: Path) -> dict[str, str]:
+def digests(workload: str, tmp: Path, scale: float = 1.0) -> dict[str, str]:
     with pytest.MonkeyPatch.context() as monkeypatch:
         generate = load_benchmark_module("generate", monkeypatch)
         worker = load_benchmark_module("worker", monkeypatch)
-    manifest = generate.generate(workload, SEED, 1.0, tmp / "input")
+    manifest = generate.generate(workload, SEED, scale, tmp / "input")
     out = tmp / "out"
     out.mkdir()
     for stage, argv in worker.stage_argv(manifest, out):
@@ -116,18 +117,51 @@ GOLDEN = {
 }
 
 
+# (workload, scale) -> digests above scale 1
+GOLDEN_SCALED = {
+    ('relate-dense', 4): {
+        'corpus.jsonl':
+            '5456231c179284154b9948d35732afc385c74768709eba60f8b83c98bc80dd7d',
+        'messages.jsonl':
+            '18c61e4d6ca0d45b1d1b2c15b34f562f347c8a72619210930ffb65e7e9201a45',
+        'relations.jsonl':
+            '5f304ba854be7f5f90f74bc31f26d21496b06d4d31699eebbed649aa70cba7b8',
+        'ellipsis.jsonl':
+            '751629d51c74ecc8ee7c374ed96bd191ea28e850ad16b8ac6f307eca54cd9e03',
+        'evolution.json':
+            'b2e9d5abad7f9507c9d4a03cd45b79a8f0f4f4264e40a03622f4057a133d2889',
+        'plot.csv':
+            '393b99400f9a85f38ffab35b6bb0082f157e412c00e0dd1de77c585e1f772615',
+        'summary.txt':
+            'cbd35cc0dee3bb397dcdf874bbcd73ae063893ee636bdca45bc83d1a665bc7e2',
+        'coverage.json':
+            '8203eec2e004a319729e3f1017737b2193dbb427833636ba1a67714edc869f4a',
+    },
+}
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_artifacts_match_golden_digests(tmp_path, workload):
     assert digests(workload, tmp_path) == GOLDEN[workload]
 
 
-if __name__ == "__main__":
-    print("GOLDEN = {")
-    for workload in WORKLOADS:
+@pytest.mark.parametrize("workload, scale", list(GOLDEN_SCALED))
+def test_scaled_workload_artifacts_match_golden_digests(tmp_path, workload, scale):
+    assert digests(workload, tmp_path, scale) == GOLDEN_SCALED[workload, scale]
+
+
+def print_table(title: str, cases: dict) -> None:
+    print(f"{title} = {{")
+    for case, (workload, scale) in cases.items():
         with tempfile.TemporaryDirectory() as tmp:
-            table = digests(workload, Path(tmp))
-        print(f"    {workload!r}: {{")
+            table = digests(workload, Path(tmp), scale)
+        print(f"    {case!r}: {{")
         for name in ARTIFACTS:
             print(f"        {name!r}:\n            {table[name]!r},")
         print("    },")
     print("}")
+
+
+if __name__ == "__main__":
+    print_table("GOLDEN", {workload: (workload, 1.0) for workload in WORKLOADS})
+    print_table("GOLDEN_SCALED", {case: case for case in GOLDEN_SCALED})
