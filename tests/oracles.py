@@ -32,8 +32,10 @@ call, where the package now compiles each template once.
 its concepts' ancestor sets: it walks the parent chain on every call.
 ``message_problem_oracle`` is the whole message predicate extraction
 checked every message against before it checked only the constraints its
-slot filling cannot guarantee, and ``posteriors`` is the classifier's
-normalized class probabilities, which no stage reads. The
+slot filling cannot guarantee. It and ``load_gold_messages_oracle`` check
+constraints with ``validate_message_oracle``, which reads each atom
+literally and shares no evaluator with the package. ``posteriors`` is the
+classifier's normalized class probabilities, which no stage reads. The
 evolution and spec-text helpers at the end have no counterpart in the
 package: the pipeline classifies linearity inside ``analyze_corpus`` and
 never writes a spec file. Last comes the spec line parser from before the
@@ -53,8 +55,7 @@ from chronicle.evolution import LINEAR, NON_LINEAR, fit_linear
 from chronicle.errors import (ChronicleError, DslSyntaxError, MalformedRecord,
                               MissingTemplate, SlotTypeViolation, UnknownConcept,
                               UnknownMessageType, UnknownSlot, UnparsableAnchor)
-from chronicle.extract import (ClassifierModel, Message, sentence_features,
-                               validate_message)
+from chronicle.extract import ClassifierModel, Message, sentence_features
 from chronicle.ontology import (_INSTANCE_RE, _NAME_RE, DIACHRONIC, SYNCHRONIC,
                                 ConditionAtom, MessageTypeSpec, Ontology,
                                 RelationSpec, Statement, _parse_atoms)
@@ -469,7 +470,7 @@ def load_gold_messages_oracle(path, specs: list[MessageTypeSpec],
                 anchor = anchors[time] = TimeAnchor.from_string(time)
             except UnparsableAnchor as exc:
                 raise UnparsableAnchor(exc.value, str(path), ln) from None
-        reason = validate_message(spec, args)
+        reason = validate_message_oracle(spec, args)
         if reason is not None:
             raise MalformedRecord(reason, str(path), ln)
         messages.append(Message(msg_type=msg_type, args=args, time=anchor,
@@ -736,7 +737,39 @@ def message_problem_oracle(msg: Message, specs: list[MessageTypeSpec],
             return f"{slot}: {value!r} is not an ontology instance"
         if not is_subtype_oracle(ontology, got, concept):
             return f"{slot}: {value!r} is not an instance of {concept!r}"
-    return validate_message(spec, msg.args)
+    return validate_message_oracle(spec, msg.args)
+
+
+def constraint_holds_oracle(atom: ConditionAtom, args: dict) -> bool:
+    """A message constraint read literally: it holds when a slot it names is
+    null; otherwise ``eq`` and ``neq`` compare the two values, ``lt`` and
+    ``gt`` their first places on the scale (a value off the scale fails),
+    and ``const`` the slot its side names with the value."""
+    if atom.op == "const":
+        value = args.get(atom.left_slot if atom.side == "left" else atom.right_slot)
+        return value is None or value == atom.value
+    lv, rv = args.get(atom.left_slot), args.get(atom.right_slot)
+    if lv is None or rv is None:
+        return True
+    if atom.op == "eq":
+        return lv == rv
+    if atom.op == "neq":
+        return lv != rv
+    if lv not in atom.scale or rv not in atom.scale:
+        return False
+    if atom.op == "lt":
+        return atom.scale.index(lv) < atom.scale.index(rv)
+    return atom.scale.index(lv) > atom.scale.index(rv)
+
+
+def validate_message_oracle(spec: MessageTypeSpec, args: dict) -> str | None:
+    """``validate_message`` by ``constraint_holds_oracle``: why ``args``
+    break the first constraint of ``spec`` they break, or None."""
+    for atom in spec.constraints:
+        if not constraint_holds_oracle(atom, args):
+            return (f"constraint violated: {atom.op} on "
+                    f"({atom.left_slot}, {atom.right_slot or atom.value})")
+    return None
 
 
 def posteriors(model: ClassifierModel, sentence: Sentence) -> dict[str, float]:

@@ -13,10 +13,12 @@ from chronicle.extract import (Message, TriggerRule, classify_sentence,
                                extract_corpus, extract_messages,
                                fill_arguments, load_gold_messages,
                                load_trigger_rules, train_classifier,
-                               trigger_span_for)
+                               trigger_span_for, validate_message)
+from chronicle.ontology import ConditionAtom, MessageTypeSpec
 from chronicle.temporal import TimeAnchor
 
-from tests.oracles import message_problem_oracle, posteriors
+from tests.oracles import (message_problem_oracle, posteriors,
+                           validate_message_oracle)
 
 
 def sent(text, lexicon=None, gazetteer=None, index=0):
@@ -164,6 +166,38 @@ def test_fill_arguments_leaves_only_constraints_to_check(request, domain):
             filled += sum(v is not None for v in args.values())
             empty += sum(v is None for v in args.values())
     assert filled and empty
+
+
+CONSTRAINT_OPS = ("eq", "neq", "lt", "gt", "const")
+# "off" is on no scale; a scale may miss other values or repeat one
+VALUES = ("a", "b", "c", "d", "off")
+
+
+def random_constraint(rng: random.Random, slots: list[str]) -> ConditionAtom:
+    op = rng.choice(CONSTRAINT_OPS)
+    if op == "const":
+        side, slot = rng.choice(("left", "right")), rng.choice(slots)
+        return ConditionAtom(op="const", side=side, value=rng.choice(VALUES),
+                             left_slot=slot if side == "left" else None,
+                             right_slot=slot if side == "right" else None)
+    scale = None
+    if op in ("lt", "gt"):
+        scale = tuple(rng.choice(VALUES[:4]) for _ in range(rng.randint(1, 5)))
+    return ConditionAtom(op=op, left_slot=rng.choice(slots),
+                         right_slot=rng.choice(slots), scale=scale)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_validate_message_matches_constraint_oracle(seed):
+    # every op, over null, off-scale and repeated-on-scale values, checked
+    # against the literal reading of a constraint, reason string included
+    rng = random.Random(seed)
+    slots = [f"s{i}" for i in range(rng.randint(1, 4))]
+    atoms = tuple(random_constraint(rng, slots) for _ in range(rng.randint(1, 4)))
+    spec = MessageTypeSpec("m", tuple((s, "Thing") for s in slots), atoms)
+    for _ in range(30):
+        args = {s: rng.choice(VALUES + (None,)) for s in slots}
+        assert validate_message(spec, args) == validate_message_oracle(spec, args)
 
 
 # ---------------------------------------------------------------------------
