@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timedelta, timezone
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from json.scanner import make_scanner
 from pathlib import Path
 import re
@@ -205,6 +205,14 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 yield ln, rec
 
 
+def write_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Write a JSON-lines file, one ``json.dumps(record, sort_keys=True)``
+    line per record: the encoding ``read_records`` reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
 def load_lexicon(path: str | Path) -> dict[str, str]:
     """Load a surface<TAB>lemma table. Surfaces are folded to lower case at
     load, since ``tokenize`` looks up the folded surface; among surfaces
@@ -360,24 +368,21 @@ def build_corpus(event_id: str,
 # downstream stages do not need the lexicon/gazetteer again.
 
 def write_corpus_artifact(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"event_id": corpus.event_id}, sort_keys=True) + "\n")
-        for d in corpus.documents:
-            rec = {
-                "doc_id": d.doc_id,
-                "source": d.source,
-                "publish_time": format_rfc3339(d.publish_time),
-                "report_index": d.report_index,
-                "sentences": [
-                    {
-                        "index": s.index,
-                        "text": s.text,
-                        "tokens": s.tokens,   # each Token a JSON list
-                    }
-                    for s in d.sentences
-                ],
+    documents = ({
+        "doc_id": d.doc_id,
+        "source": d.source,
+        "publish_time": format_rfc3339(d.publish_time),
+        "report_index": d.report_index,
+        "sentences": [
+            {
+                "index": s.index,
+                "text": s.text,
+                "tokens": s.tokens,   # each Token a JSON list
             }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            for s in d.sentences
+        ],
+    } for d in corpus.documents)
+    write_records(path, chain(({"event_id": corpus.event_id},), documents))
 
 
 class _TokensNotRead:

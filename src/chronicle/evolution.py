@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import random
 import statistics
@@ -21,7 +20,8 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, build_corpus, format_rfc3339, minutes_since_epoch
+from .corpus import (Corpus, build_corpus, format_rfc3339, minutes_since_epoch,
+                     write_records)
 from .errors import TooFewPoints
 
 UTC = timezone.utc
@@ -136,6 +136,7 @@ def analyze_corpus(corpus: Corpus, residual_threshold: float = 0.1,
 
 
 def report_to_json(report: EvolutionReport) -> dict:
+    lags = report.profile.first_report_lags()
     out = {
         "linearity": report.linearity,
         "emission": report.emission,
@@ -147,7 +148,7 @@ def report_to_json(report: EvolutionReport) -> dict:
                 "count": len(ts),
                 "first_report": format_rfc3339(ts[0]),
                 "first_report_lag_minutes":
-                    int(report.profile.first_report_lags()[s].total_seconds() // 60),
+                    int(lags[s].total_seconds() // 60),
             }
             for s, ts in report.profile.reports
         },
@@ -247,12 +248,10 @@ def generate_stream(kind: str, sources: int, params: StreamParams,
 
 def write_stream(corpus: Corpus, path: str | Path) -> None:
     """Write a generated corpus in the raw jsonl-v1 ingest format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in corpus.documents:
-            rec = {"doc_id": d.doc_id, "source": d.source,
-                   "publish_time": format_rfc3339(d.publish_time),
-                   "text": [s.text for s in d.sentences]}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_records(path, ({"doc_id": d.doc_id, "source": d.source,
+                          "publish_time": format_rfc3339(d.publish_time),
+                          "text": [s.text for s in d.sentences]}
+                         for d in corpus.documents))
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,13 @@ slots come from the spec and its values from fitting ontology instances;
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, Document, Sentence, read_records
+from .corpus import Corpus, Document, Sentence, read_records, write_records
 from .errors import (EmptyTrainingSet, MalformedRecord, SlotTypeViolation,
                      UnknownMessageType, UnknownSlot, UnparsableAnchor)
 from .ontology import (MessageTypeSpec, Ontology, ParsedSpec,
@@ -405,9 +404,6 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
 # Messages artifact (same wire format as gold files)
 
 def write_messages(messages: list[Message], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for m in messages:
-            rec = {"doc_id": m.doc_id, "sentence_index": m.sentence_index,
-                   "type": m.msg_type, "args": m.args,
-                   "time": m.time.to_string()}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_records(path, ({"doc_id": m.doc_id, "sentence_index": m.sentence_index,
+                          "type": m.msg_type, "args": m.args,
+                          "time": m.time.to_string()} for m in messages))

@@ -5,7 +5,10 @@ format (grammar documented in the README): concepts and instances, ordered
 value scales, message signatures with optional cross-slot constraints,
 relation rules over message pairs, and trigger-lemma lines consumed by the
 extraction stage. Relation rules and message constraints share a single
-condition-atom grammar and a single evaluator.
+condition-atom grammar and a single evaluator, ``atom_test``, which
+compiles each distinct atom once into a test of (left args, right args):
+``relations`` composes a rule's tests, and ``constraint_satisfied`` runs a
+constraint's on one message's args, where a null slot makes it hold.
 
 Most lines of a grown domain are ``instance`` and ``concept`` lines, so each
 line is first tried against one whole-line pattern for each of those two
@@ -17,9 +20,10 @@ the remaining statements and reports every syntax error.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cache, cached_property
+from operator import gt, lt
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .corpus import PhraseIndex
 from .errors import (CycleInTaxonomy, DslSyntaxError, DuplicateInstance,
@@ -119,41 +123,52 @@ class ConditionAtom(NamedTuple):
     scale: tuple[str, ...] | None = None
 
 
-def evaluate_atom(atom: ConditionAtom,
-                  left_args: dict[str, str | None],
-                  right_args: dict[str, str | None]) -> bool:
-    """Strict atom evaluation for relation rules: null slots never match."""
-    if atom.op == "const":
-        args = left_args if atom.side == "left" else right_args
-        slot = atom.left_slot if atom.side == "left" else atom.right_slot
-        return args.get(slot) is not None and args.get(slot) == atom.value
-    lv = left_args.get(atom.left_slot)
-    rv = right_args.get(atom.right_slot)
-    if lv is None or rv is None:
-        return False
-    if atom.op == "eq":
-        return lv == rv
-    if atom.op == "neq":
-        return lv != rv
-    if lv not in atom.scale or rv not in atom.scale:
-        return False
-    if atom.op == "lt":
-        return atom.scale.index(lv) < atom.scale.index(rv)
-    if atom.op == "gt":
-        return atom.scale.index(lv) > atom.scale.index(rv)
-    raise ValueError(f"bad atom op {atom.op!r}")
+@cache
+def atom_test(atom: ConditionAtom) -> Callable[[dict, dict], bool]:
+    """The condition grammar's one evaluator: ``atom`` as a test of (left
+    args, right args), compiled once per distinct atom. A null slot never
+    matches, and "lt"/"gt" compare the values' first places on the scale,
+    so a value off the scale fails. A "const" value is an instance name,
+    never None."""
+    op, left_slot, right_slot = atom.op, atom.left_slot, atom.right_slot
+    if op == "const":
+        value = atom.value
+        if atom.side == "left":
+            return lambda left, right: left.get(left_slot) == value
+        return lambda left, right: right.get(right_slot) == value
+    if op == "eq":
+        def test(left, right):
+            lv = left.get(left_slot)
+            return lv is not None and lv == right.get(right_slot)
+    elif op == "neq":
+        def test(left, right):
+            lv, rv = left.get(left_slot), right.get(right_slot)
+            return lv is not None and rv is not None and lv != rv
+    elif op in ("lt", "gt"):
+        rank: dict[str, int] = {}
+        for place, value in enumerate(atom.scale):
+            rank.setdefault(value, place)
+        compare = lt if op == "lt" else gt
+
+        def test(left, right):
+            li, ri = rank.get(left.get(left_slot)), rank.get(right.get(right_slot))
+            return li is not None and ri is not None and compare(li, ri)
+    else:
+        raise ValueError(f"bad atom op {op!r}")
+    return test
 
 
 def constraint_satisfied(atom: ConditionAtom, args: dict[str, str | None]) -> bool:
     """Message constraints are vacuous on unfilled slots.
 
     A constraint only rejects a message when every slot it names is filled
-    and the comparison fails; extraction may legitimately leave slots null.
+    and ``atom_test`` fails on it; extraction may legitimately leave slots
+    null.
     """
-    slots = [s for s in (atom.left_slot, atom.right_slot) if s is not None]
-    if any(args.get(s) is None for s in slots):
+    if any(args.get(s) is None for s in (atom.left_slot, atom.right_slot)
+           if s is not None):
         return True
-    return evaluate_atom(atom, args, args)
+    return atom_test(atom)(args, args)
 
 
 class MessageTypeSpec(NamedTuple):

@@ -42,12 +42,13 @@ one that fails a ``const`` atom, joins no group, since no atom matches a
 null slot. Each side's (message type, key slots, pins) is its plan; the
 groups of a plan are built once per call, and so are the sweep and the
 report index of each group, whichever rules and sides share them. The
-``neq``, ``lt`` and ``gt`` atoms are compiled once per rule into one test,
-``lt`` and ``gt`` comparing places on the scale, and run on each
-candidate. A relation found is the tuple (axis, name, left position, right
-position, distance); the set of them, sorted, is in ``sort_instances``
-order, since positions follow ``_message_sort_key`` and message keys are
-unique. The sorted tuples become ``RelationInstance``s in one C-level pass.
+``neq``, ``lt`` and ``gt`` atoms run through ``ontology.atom_test``, the
+condition grammar's one evaluator, which compiles each distinct atom once;
+a rule's tests are composed into one and run on each candidate. A relation
+found is the tuple (axis, name, left position, right position, distance);
+the set of them, sorted, is in ``sort_instances`` order, since positions
+follow ``_message_sort_key`` and message keys are unique. The sorted
+tuples become ``RelationInstance``s in one C-level pass.
 
 ``brute_force_oracle`` re-implements the whole contract literally and
 independently (no shared condition or window helpers) so tests can check
@@ -78,21 +79,20 @@ the same error on the same line, whichever way it was read.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left, bisect_right
 from datetime import timedelta
 from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, gt, itemgetter, lt, ne
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import (minutes_since_epoch, parse_duration, read_records,
-                     record_decoder)
+                     record_decoder, write_records)
 from .errors import MalformedRecord
 from .extract import Message
-from .ontology import RelationSpec, SYNCHRONIC, DIACHRONIC
+from .ontology import RelationSpec, SYNCHRONIC, DIACHRONIC, atom_test
 
 _MINUTE = timedelta(minutes=1)
 
@@ -281,33 +281,10 @@ def _join_plan(spec: RelationSpec):
             tuple(pins["right"]), residual)
 
 
-_COMPARE = {"neq": ne, "lt": lt, "gt": gt}
-
-
-def _atom_test(atom):
-    """``evaluate_atom`` for one ``neq``, ``lt`` or ``gt`` atom, as a test
-    of (left args, right args): a null slot fails, and ``lt`` and ``gt``
-    compare the values' first places on the scale, a value off it failing."""
-    left_slot, right_slot, compare = atom.left_slot, atom.right_slot, _COMPARE[atom.op]
-    if atom.op == "neq":
-        def test(left, right):
-            lv, rv = left.get(left_slot), right.get(right_slot)
-            return lv is not None and rv is not None and compare(lv, rv)
-        return test
-    rank: dict[str, int] = {}
-    for place, value in enumerate(atom.scale):
-        rank.setdefault(value, place)
-
-    def test(left, right):
-        li, ri = rank.get(left.get(left_slot)), rank.get(right.get(right_slot))
-        return li is not None and ri is not None and compare(li, ri)
-    return test
-
-
 def _residual_test(residual):
     """One test of (left args, right args) for a rule's residual atoms, or
     None when it has none."""
-    tests = [_atom_test(atom) for atom in residual]
+    tests = list(map(atom_test, residual))
     if len(tests) < 2:
         return tests[0] if tests else None
     return lambda left, right: all(test(left, right) for test in tests)
@@ -316,13 +293,12 @@ def _residual_test(residual):
 def _key_groups(items, key_slots: tuple[str, ...], pins: tuple[tuple[str, str], ...]):
     """_by_extent items grouped by their message's values in ``key_slots``,
     each group in item order. A message with a null key slot, or one whose
-    pinned slot is null or holds another value, joins no group: no atom
-    matches a null slot."""
+    pinned slot does not hold the pinned instance name (a null never does),
+    joins no group: no atom matches a null slot."""
     groups: dict[tuple, list] = {}
     for item in items:
         args = item.message.args
-        if pins and any(args.get(slot) is None or args.get(slot) != value
-                        for slot, value in pins):
+        if pins and any(args.get(slot) != value for slot, value in pins):
             continue
         key = tuple(map(args.get, key_slots))
         if None not in key:
@@ -719,13 +695,10 @@ def read_relations(path: str | Path, messages: list[Message],
 
 
 def write_ellipsis(reports: list[EllipsisReport], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in reports:
-            rec = {"doc_id": r.message.doc_id,
-                   "sentence_index": r.message.sentence_index,
-                   "bucket": r.bucket,
-                   "silent_sources": list(r.silent_sources)}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_records(path, ({"doc_id": r.message.doc_id,
+                          "sentence_index": r.message.sentence_index,
+                          "bucket": r.bucket,
+                          "silent_sources": list(r.silent_sources)} for r in reports))
 
 
 def read_ellipsis(path: str | Path, messages: list[Message],

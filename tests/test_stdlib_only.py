@@ -1,7 +1,7 @@
 """The runtime imports nothing outside the standard library, neither the
-package nor the tests import a name they never use, everything the
-package defines is read by the package or the benchmark, and importing
-the package loads neither ``dataclasses`` nor ``inspect``."""
+package, the tests nor the benchmark import a name they never use,
+everything the package defines is read by the package or the benchmark,
+and importing the package loads neither ``dataclasses`` nor ``inspect``."""
 
 from __future__ import annotations
 
@@ -57,14 +57,15 @@ def unused_imports(path: Path):
                 yield node.lineno, name
 
 
+BENCHMARKS = TESTS.parent / "benchmarks"
+
+
 @pytest.mark.parametrize(
-    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    + sorted(BENCHMARKS.glob("*.py")),
     ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert list(unused_imports(path)) == []
-
-
-BENCHMARKS = TESTS.parent / "benchmarks"
 
 
 def unreached_definitions(package_files, reader_files):
