@@ -7,7 +7,9 @@ segmentation, lemmas from a plain-text lexicon, named-entity labels from a
 gazetteer matched greedily longest-first. Gazetteer tagging and instance
 spotting share one phrase scan, ``PhraseIndex.scan``, and the work per token
 runs in C-level loops: ``map`` over parallel lists, not a Python frame per
-token.
+token. ``phrase_key`` folds each gazetteer surface and instance name once,
+and the index takes the folded keys. ``read_timestamp`` reads every input
+timestamp through one pattern, the same on every supported Python.
 """
 
 from __future__ import annotations
@@ -105,21 +107,40 @@ def parse_duration(text: str) -> timedelta:
     return timedelta(**{{"d": "days", "h": "hours", "m": "minutes"}[unit]: n})
 
 
-def parse_rfc3339(value: str) -> datetime:
-    """Parse an RFC 3339 date-time, normalized to UTC at minute precision.
+# A day, YYYY-MM-DD, then optionally "T", "t" or a space and HH:MM, with
+# optional :SS and a 3- or 6-digit fraction, then "Z", "z", ±HH:MM or no
+# zone (UTC). ASCII digits only, and every time field in range.
+_TIMESTAMP = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})"
+    r"(?:[Tt ]((?:[01][0-9]|2[0-3]):[0-5][0-9])(?::[0-5][0-9](?:\.[0-9]{3}(?:[0-9]{3})?)?)?"
+    r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?)?")
 
-    Naive timestamps are taken as UTC. Raises UnparsableTimestamp.
-    """
-    if not isinstance(value, str):
-        raise UnparsableTimestamp(repr(value))
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
+
+def read_timestamp(text: str) -> tuple[datetime, bool] | None:
+    """The package's one reader of input timestamps: (the UTC minute, whether
+    a time of day is given) for ``text`` in the ``_TIMESTAMP`` form, outer
+    whitespace aside. None for other text, a day that does not exist or a
+    moment outside the date range in UTC. ``fromisoformat`` sees only
+    ``YYYY-MM-DDTHH:MM±HH:MM``, which every supported Python reads alike."""
+    m = _TIMESTAMP.fullmatch(text.strip())
+    if m is None:
+        return None
+    day, minute, zone = m.groups()
+    offset = "+00:00" if zone is None or zone in "Zz" else zone
     try:
-        dt = datetime.fromisoformat(text)
-    except ValueError:
-        raise UnparsableTimestamp(value) from None
-    return to_utc(dt).replace(second=0, microsecond=0)
+        moment = datetime.fromisoformat(f"{day}T{minute or '00:00'}{offset}")
+        return moment.astimezone(UTC), minute is not None
+    except (ValueError, OverflowError):
+        return None
+
+
+def parse_rfc3339(value: str) -> datetime:
+    """A day or an instant in ``read_timestamp``'s form, normalized to UTC at
+    minute precision; a day is its midnight. Raises UnparsableTimestamp."""
+    found = read_timestamp(value) if isinstance(value, str) else None
+    if found is None:
+        raise UnparsableTimestamp(value if isinstance(value, str) else repr(value))
+    return found[0]
 
 
 def format_rfc3339(dt: datetime) -> str:
@@ -128,21 +149,22 @@ def format_rfc3339(dt: datetime) -> str:
     return to_utc(dt).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
+def phrase_key(surface: str) -> tuple[str, ...]:
+    """A phrase surface folded as ``tokenize`` folds a sentence: segmented by
+    the corpus tokenizer, each token lowered. The one place a gazetteer
+    surface or an instance name is folded. (Folding a surface whole could
+    segment it otherwise: ``"ΣΑΣ".lower()`` ends in a final sigma.)"""
+    return tuple(map(str.lower, _TOKEN_RE.findall(surface)))
+
+
 class PhraseIndex:
-    """Phrases segmented by the corpus tokenizer, filed under their first
-    folded token.
+    """(key, value) pairs, keys made by ``phrase_key``, filed under their
+    first token; an empty key is left out. Each list holds (key as a list,
+    value) longest first, equal lengths by their tokens, equal keys in input
+    order, none dropped. Build it once per gazetteer or ontology."""
 
-    Each list holds (folded tokens, value) longest first; phrases of equal
-    length are ordered by their tokens, then by input order. Build it once
-    per gazetteer or ontology, not once per sentence.
-    """
-
-    def __init__(self, phrases: Iterable[tuple[str, str]]):
-        entries: list[tuple[list[str], str]] = []
-        for surface, value in phrases:
-            key = list(map(str.lower, _TOKEN_RE.findall(surface)))
-            if key:
-                entries.append((key, value))
+    def __init__(self, phrases: Iterable[tuple[tuple[str, ...], str]]):
+        entries = [(list(key), value) for key, value in phrases if key]
         entries.sort(key=lambda e: (-len(e[0]), e[0]))
         self._by_first: dict[str, list[tuple[list[str], str]]] = {}
         for entry in entries:
@@ -220,15 +242,12 @@ def load_lexicon(path: str | Path) -> dict[str, str]:
     return {surface.lower(): lemma for surface, lemma in _tsv_rows(path)}
 
 
-def load_gazetteer(path: str | Path) -> dict[str, str]:
+def load_gazetteer(path: str | Path) -> dict[tuple[str, ...], str]:
     """Load a surface<TAB>NE-label table; multi-word surfaces are allowed.
-    Surfaces are folded at load as ``tokenize`` folds a sentence, token by
-    token; among surfaces equal after folding, the last in file order wins,
-    under its own spelling. (Folding a surface whole could tokenize it
-    otherwise: ``"ΣΑΣ".lower()`` ends in a final sigma.)"""
-    last = {tuple(map(str.lower, _TOKEN_RE.findall(surface))): (surface, label)
-            for surface, label in _tsv_rows(path)}
-    return dict(last.values())
+    Each surface is folded once, by ``phrase_key``, into the key that
+    ``PhraseIndex`` takes; among lines with equal keys, the last in file
+    order wins, as in the lexicon."""
+    return {phrase_key(surface): label for surface, label in _tsv_rows(path)}
 
 
 def _tsv_rows(path: str | Path) -> Iterator[tuple[str, str]]:
@@ -259,9 +278,9 @@ def tokenize(text: str,
     for the lowercased surface (default: the lowercased surface itself),
     gazetteer entries matched in any case, greedily longest-first with no
     overlaps. ``load_lexicon`` and ``load_gazetteer`` keep one entry per
-    surface equal after folding, the last in the file; of index entries that
-    fold to the same tokens, the first wins. Build the gazetteer's
-    ``PhraseIndex`` once and pass it for every sentence.
+    surface equal after folding, the last in the file; of index entries with
+    equal keys, the first wins. Build the gazetteer's ``PhraseIndex`` once
+    and pass it for every sentence.
 
     The work per token runs in C: surfaces, folded forms, lemmas and
     offsets are parallel lists built by ``map`` over the regex matches; the
@@ -296,14 +315,15 @@ def _split_sentences(text) -> list[str]:
 
 def load_corpus(path: str | Path,
                 lexicon: dict[str, str] | None = None,
-                gazetteer: dict[str, str] | None = None) -> Corpus:
+                gazetteer: dict[tuple[str, ...], str] | None = None) -> Corpus:
     """Load a raw jsonl-v1 corpus file into the canonical model.
 
     One JSON record per line with fields ``doc_id``, ``source``,
-    ``publish_time`` (RFC 3339) and ``text`` (a list of sentence strings, or
-    raw text split one sentence per line). The event id is the file's stem. Records
-    with missing ids, sources or timestamps are rejected, not skipped, and so
-    is a ``doc_id`` holding ``#``, which message references use as a separator.
+    ``publish_time`` (a day or an instant) and ``text`` (a list of sentence
+    strings, or raw text split one sentence per line). The event id is the
+    file's stem. Records with missing ids, sources or timestamps are
+    rejected, not skipped, and so is a ``doc_id`` holding ``#``, which
+    message references use as a separator.
     """
     path = Path(path)
     raw_docs: list[tuple[str, str, datetime, list[str]]] = []
@@ -315,16 +335,18 @@ def load_corpus(path: str | Path,
         if "#" in doc_id:
             raise MalformedRecord(f"doc_id {doc_id!r} contains '#'", str(path), ln)
         if doc_id in seen_ids:
-            raise DuplicateDocId(doc_id)
+            raise DuplicateDocId(doc_id, str(path), ln)
         seen_ids.add(doc_id)
         source = rec.get("source")
         if not source or not isinstance(source, str):
             raise MalformedRecord(f"document {doc_id!r} has no source", str(path), ln)
         if "publish_time" not in rec or rec["publish_time"] in (None, ""):
             raise MalformedRecord(f"document {doc_id!r} has no publish_time", str(path), ln)
-        publish_time = parse_rfc3339(rec["publish_time"])
         try:
+            publish_time = parse_rfc3339(rec["publish_time"])
             sentences = _split_sentences(rec.get("text"))
+        except UnparsableTimestamp as exc:
+            raise UnparsableTimestamp(exc.value, str(path), ln) from None
         except TypeError as exc:
             raise MalformedRecord(str(exc), str(path), ln) from None
         if not sentences:
@@ -337,8 +359,9 @@ def load_corpus(path: str | Path,
 def build_corpus(event_id: str,
                  raw_docs: list[tuple[str, str, datetime, list[str]]],
                  lexicon: dict[str, str] | None = None,
-                 gazetteer: dict[str, str] | None = None) -> Corpus:
-    """Assemble a Corpus from (doc_id, source, publish_time, sentences) rows.
+                 gazetteer: dict[tuple[str, ...], str] | None = None) -> Corpus:
+    """Assemble a Corpus from (doc_id, source, publish_time, sentences) rows;
+    ``gazetteer`` is keyed as ``load_gazetteer`` keys it.
 
     Computes per-source report_index (chronological, ties broken by doc_id)
     and sorts documents by (source, publish_time, doc_id).
@@ -449,13 +472,15 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
             if "#" in doc_id:
                 raise MalformedRecord(f"doc_id {doc_id!r} contains '#'", str(path), ln)
             sentences = tuple(_sentence(s, tokens) for s in rec["sentences"])
+            publish_time = parse_rfc3339(publish_time)
         except KeyError as exc:
             raise MalformedRecord(f"missing {exc.args[0]}", str(path), ln) from None
         except TypeError:
             raise MalformedRecord("record does not have the corpus-artifact shape",
                                   str(path), ln) from None
+        except UnparsableTimestamp as exc:
+            raise UnparsableTimestamp(exc.value, str(path), ln) from None
         documents.append(Document(
-            doc_id=doc_id, source=source,
-            publish_time=parse_rfc3339(publish_time),
+            doc_id=doc_id, source=source, publish_time=publish_time,
             sentences=sentences, report_index=report_index))
     return Corpus(event_id=event_id, documents=tuple(documents))

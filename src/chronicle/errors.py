@@ -11,6 +11,16 @@ class ChronicleError(Exception):
     """Base class for all pipeline errors."""
 
 
+def _located(reason: str, path: str | None, line: int | None,
+             column: int | None = None) -> str:
+    """``reason``, prefixed ``path:line:`` (``path:line:column:`` with a
+    column) when both the path and the line are known."""
+    if path is None or line is None:
+        return reason
+    at = f"{path}:{line}:" if column is None else f"{path}:{line}:{column}:"
+    return f"{at} {reason}"
+
+
 class SpecError(ChronicleError):
     """Error in an ontology / message / relation spec file."""
 
@@ -19,14 +29,7 @@ class SpecError(ChronicleError):
         self.path = path
         self.line = line
         self.column = column
-        loc = ""
-        if path is not None:
-            loc = f"{path}:"
-        if line is not None:
-            loc += f"{line}:"
-            if column is not None:
-                loc += f"{column}:"
-        super().__init__(f"{loc} {message}" if loc else message)
+        super().__init__(_located(message, path, line, column))
 
 
 class DslSyntaxError(SpecError):
@@ -75,32 +78,29 @@ class UsageError(ChronicleError):
 
 
 class CorpusError(ChronicleError):
-    """Error in a corpus file or record."""
+    """Error in a corpus or other record file, prefixed ``path:line:`` when
+    both are known."""
 
-
-def _located(reason: str, path: str | None, line: int | None) -> str:
-    """``reason``, prefixed ``path:line:`` when both are known."""
-    return reason if path is None or line is None else f"{path}:{line}: {reason}"
-
-
-class MalformedRecord(CorpusError):
     def __init__(self, reason: str, path: str | None = None, line: int | None = None):
-        self.reason = reason
         self.path = path
         self.line = line
         super().__init__(_located(reason, path, line))
 
 
+class MalformedRecord(CorpusError):
+    pass
+
+
 class DuplicateDocId(CorpusError):
-    def __init__(self, doc_id: str):
+    def __init__(self, doc_id: str, path: str | None = None, line: int | None = None):
         self.doc_id = doc_id
-        super().__init__(f"duplicate doc_id {doc_id!r}")
+        super().__init__(f"duplicate doc_id {doc_id!r}", path, line)
 
 
 class UnparsableTimestamp(CorpusError):
-    def __init__(self, value: str):
+    def __init__(self, value: str, path: str | None = None, line: int | None = None):
         self.value = value
-        super().__init__(f"unparsable timestamp {value!r}")
+        super().__init__(f"unparsable timestamp {value!r}", path, line)
 
 
 class UnresolvableExpression(ChronicleError):
@@ -112,14 +112,8 @@ class UnresolvableExpression(ChronicleError):
         super().__init__(f"cannot resolve {raw!r} (pattern {pattern_id})")
 
 
-class GoldMessageError(ChronicleError):
-    """Error in a gold-message file, prefixed ``path:line:`` when both are
-    known."""
-
-    def __init__(self, reason: str, path: str | None = None, line: int | None = None):
-        self.path = path
-        self.line = line
-        super().__init__(_located(reason, path, line))
+class GoldMessageError(CorpusError):
+    """Error in a gold-message file."""
 
 
 class SlotTypeViolation(GoldMessageError):

@@ -198,7 +198,7 @@ def fill_arguments(sentence: Sentence, ontology: Ontology, spec: MessageTypeSpec
     a token span fills at most one slot; unfilled slots stay None.
     """
     ancestors = ontology.ancestors
-    mentions = [(instance, span, ancestors[ontology.concept_of(instance)])
+    mentions = [(instance, span, ancestors[ontology.instances[instance]])
                 for instance, span in _instance_spans(sentence, ontology)]
     anchor = trigger_span if trigger_span is not None else (0, 0)
     used: list[tuple[int, int]] = []
@@ -373,7 +373,7 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
                         raise MalformedRecord(
                             f"slot {slot!r} must be an instance name or null",
                             str(path), ln)
-                    got = ontology.concept_of(value)
+                    got = ontology.instances.get(value)
                     if got is None or concept not in ontology.ancestors[got]:
                         raise SlotTypeViolation(msg_type, slot, value, concept,
                                                 str(path), ln)

@@ -10,6 +10,10 @@ compiles each distinct atom once into a test of (left args, right args):
 ``relations`` composes a rule's tests, and ``constraint_satisfied`` runs a
 constraint's on one message's args, where a null slot makes it hold.
 
+Callers read the domain's maps directly: ``Ontology.instances`` says what
+concept an instance is, ``Ontology.ancestors`` whether one concept lies
+under another, and ``MessageTypeSpec.slots`` what concept a slot takes.
+
 Most lines of a grown domain are ``instance`` and ``concept`` lines, so each
 line is first tried against one whole-line pattern for each of those two
 forms (spaces and tabs between tokens). Every other line, and every line
@@ -25,7 +29,7 @@ from operator import gt, lt
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .corpus import PhraseIndex
+from .corpus import PhraseIndex, phrase_key
 from .errors import (CycleInTaxonomy, DslSyntaxError, DuplicateInstance,
                      DuplicateMessageType, ScaleRequired, UnknownConcept,
                      UnknownInstance, UnknownMessageType, UnknownSlot)
@@ -58,18 +62,13 @@ class Ontology:
         # concept -> values, low first
         self.ordered_scales: dict[str, tuple[str, ...]] = ordered_scales
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.concepts, self.parent, self.instances, self.ordered_scales)
-                == (other.concepts, other.parent, other.instances,
-                    other.ordered_scales))
-
     @cached_property
     def instance_phrases(self) -> PhraseIndex:
         """Instance surface forms (the name with underscores as spaces),
-        indexed for spotting in token sequences; built on first use."""
-        return PhraseIndex((i.replace("_", " "), i) for i in self.instances)
+        folded by ``phrase_key`` and indexed for spotting in token
+        sequences; built on first use."""
+        return PhraseIndex((phrase_key(i.replace("_", " ")), i)
+                           for i in self.instances)
 
     @cached_property
     def ancestors(self) -> dict[str, frozenset[str]]:
@@ -86,9 +85,6 @@ class Ontology:
                 above = out[name] = above | {name}
         return out
 
-    def concept_of(self, instance: str) -> str | None:
-        return self.instances.get(instance)
-
     def scale_for(self, concept: str) -> tuple[str, ...] | None:
         """Ordered scale for a concept, inherited from the nearest ancestor."""
         node: str | None = concept
@@ -97,14 +93,6 @@ class Ontology:
                 return self.ordered_scales[node]
             node = self.parent.get(node)
         return None
-
-
-def is_subtype(ontology: Ontology, a: str, b: str) -> bool:
-    """Reflexive-transitive subtype test over the taxonomy forest."""
-    for name in (a, b):
-        if name not in ontology.concepts:
-            raise UnknownConcept(f"unknown concept {name!r}")
-    return b in ontology.ancestors[a]
 
 
 class ConditionAtom(NamedTuple):
@@ -178,12 +166,6 @@ class MessageTypeSpec(NamedTuple):
 
     def slot_names(self) -> list[str]:
         return [s for s, _ in self.slots]
-
-    def concept_for(self, slot: str) -> str:
-        for s, c in self.slots:
-            if s == slot:
-                return c
-        raise KeyError(slot)
 
 
 class RelationSpec(NamedTuple):
@@ -536,7 +518,7 @@ def load_ontology(spec: str | Path | ParsedSpec) -> Ontology:
             if got is None:
                 raise UnknownInstance(f"scale value {v!r} is not an instance",
                                       path, st.line)
-            if not is_subtype(ontology, got, concept):
+            if concept not in ontology.ancestors[got]:
                 raise UnknownInstance(
                     f"scale value {v!r} is not an instance of {concept!r}",
                     path, st.line)
@@ -594,10 +576,8 @@ def _resolve_atom(raw: dict, left_spec: MessageTypeSpec, right_spec: MessageType
 
     scale = None
     if op in ("lt", "gt"):
-        lc = left_spec.concept_for(lslot)
-        rc = right_spec.concept_for(rslot)
-        lscale = ontology.scale_for(lc)
-        rscale = ontology.scale_for(rc)
+        lc, rc = dict(left_spec.slots)[lslot], dict(right_spec.slots)[rslot]
+        lscale, rscale = ontology.scale_for(lc), ontology.scale_for(rc)
         if lscale is None or rscale is None:
             missing = lc if lscale is None else rc
             raise ScaleRequired(

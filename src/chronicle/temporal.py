@@ -29,7 +29,7 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Sentence, format_rfc3339, parse_rfc3339, to_utc
+from .corpus import Sentence, format_rfc3339, read_timestamp, to_utc
 from .errors import DslSyntaxError, UnparsableAnchor, UnresolvableExpression
 
 UTC = timezone.utc
@@ -108,18 +108,17 @@ class TimeAnchor(_AnchorFields):
 
     @classmethod
     def from_string(cls, value: str) -> "TimeAnchor":
+        """A day, an instant, or an interval: two of them joined by "/",
+        the first not after the second; each read by ``read_timestamp``."""
         if not isinstance(value, str) or not value.strip():
             raise UnparsableAnchor(repr(value))
-        text = value.strip()
-        try:
-            if "/" in text:
-                a, b = text.split("/", 1)
-                return cls.interval(parse_rfc3339(a), parse_rfc3339(b))
-            if "T" in text or " " in text:
-                return cls.instant(parse_rfc3339(text))
-            return cls.day(date.fromisoformat(text))
-        except Exception:
-            raise UnparsableAnchor(value) from None
+        ends = list(map(read_timestamp, value.split("/")))
+        if None in ends or len(ends) > 2 or ends[0][0] > ends[-1][0]:
+            raise UnparsableAnchor(value)
+        if len(ends) == 2:
+            return cls.interval(ends[0][0], ends[1][0])
+        moment, timed = ends[0]
+        return cls.instant(moment) if timed else cls.day(moment)
 
 
 class TemporalExpression(NamedTuple):

@@ -455,7 +455,7 @@ def load_gold_messages_oracle(path, specs: list[MessageTypeSpec],
                     raise MalformedRecord(
                         f"slot {slot!r} must be an instance name or null",
                         str(path), ln)
-                got = ontology.concept_of(value)
+                got = ontology.instances.get(value)
                 if got is None or concept not in ontology.ancestors[got]:
                     raise SlotTypeViolation(msg_type, slot, value, concept,
                                             str(path), ln)
@@ -732,7 +732,7 @@ def message_problem_oracle(msg: Message, specs: list[MessageTypeSpec],
         value = msg.args.get(slot)
         if value is None:
             continue
-        got = ontology.concept_of(value)
+        got = ontology.instances.get(value)
         if got is None:
             return f"{slot}: {value!r} is not an ontology instance"
         if not is_subtype_oracle(ontology, got, concept):

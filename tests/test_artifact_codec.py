@@ -169,7 +169,7 @@ def random_corpus(rng: random.Random):
                  base + timedelta(hours=rng.randint(0, 500)),
                  [random_string(rng) + " word" for _ in range(rng.randint(1, 4))])
                 for k in range(rng.randint(1, 6))]
-    gazetteer = {"word": "ORG"} if rng.random() < 0.5 else None
+    gazetteer = {("word",): "ORG"} if rng.random() < 0.5 else None
     return build_corpus(random_string(rng), raw_docs, gazetteer=gazetteer)
 
 

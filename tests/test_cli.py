@@ -697,6 +697,39 @@ def test_corpus_artifact_doc_id_with_hash_exits_2(tmp_path, capsys):
         assert f"corpus.jsonl:{ln}: doc_id 'x#0' contains '#'" in err["detail"]
 
 
+def test_corpus_artifact_bad_publish_time_names_its_line(tmp_path, capsys):
+    ln = break_corpus_record(tmp_path,
+                             lambda record: record.update(publish_time="yesterday"))
+    for stage in ["extract", "analyze", "relate", "summarize"]:
+        assert run(hostage_stage(stage, tmp_path)) == 2, stage
+        err = one_json_error(capsys, stage)
+        assert err["error"] == "UnparsableTimestamp"
+        assert err["detail"] == \
+            f"{tmp_path / 'corpus.jsonl'}:{ln}: unparsable timestamp 'yesterday'"
+
+
+@pytest.mark.parametrize("change, error, reason", [
+    ({"publish_time": "yesterday"}, "UnparsableTimestamp",
+     "unparsable timestamp 'yesterday'"),
+    ({"publish_time": 20040902}, "UnparsableTimestamp",
+     "unparsable timestamp '20040902'"),
+    ({"doc_id": "aegean-01"}, "DuplicateDocId", "duplicate doc_id 'aegean-01'"),
+], ids=["bad-publish-time", "numeric-publish-time", "repeated-doc-id"])
+def test_raw_corpus_record_errors_name_their_line(tmp_path, capsys, change,
+                                                  error, reason):
+    lines = (FIXTURES / "hostage" / "corpus.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    second = json.loads(lines[1])
+    second.update(change)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([lines[0], json.dumps(second), *lines[2:]]) + "\n",
+                      encoding="utf-8")
+    assert run(["ingest", "--corpus", corpus, "--out-dir", tmp_path / "out"]) == 2
+    err = one_json_error(capsys, "ingest")
+    assert err["error"] == error
+    assert err["detail"] == f"{corpus}:2: {reason}"
+
+
 @pytest.mark.parametrize("row", [
     "ab", ["ab", "ab"], ["ab", "ab", None, 0, 2, 0], {"surface": "ab"},
     [5, "ab", None, 0, 2], ["ab", ["ab"], None, 0, 2], ["ab", "ab", 7, 0, 2],

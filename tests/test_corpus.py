@@ -7,8 +7,8 @@ from datetime import timedelta
 import pytest
 
 from chronicle.corpus import (PhraseIndex, load_corpus, load_gazetteer,
-                              load_lexicon, parse_rfc3339, read_records,
-                              tokenize)
+                              load_lexicon, parse_rfc3339, phrase_key,
+                              read_records, tokenize)
 from chronicle.errors import DuplicateDocId, MalformedRecord, UnparsableTimestamp
 from tests.oracles import read_records_oracle
 
@@ -117,13 +117,14 @@ def test_lexicon_last_surface_equal_after_folding_wins(tmp_path):
         ["c", "g"]
 
 
-def test_gazetteer_surfaces_keep_their_case(tmp_path):
-    """Of surfaces equal after folding, the last line wins, under its own
-    spelling, as in the lexicon."""
+def test_gazetteer_keys_are_folded_and_the_last_equal_line_wins(tmp_path):
+    """Each surface is folded once, into its ``phrase_key``; of lines whose
+    keys are equal, the last wins, as in the lexicon."""
     path = tmp_path / "gazetteer.tsv"
     path.write_text("Red Cross\tORG\nred cross\tPER\nRed Cross\tLOC\n"
                     "Al-Jazeera\tORG\nAL-JAZEERA\tMISC\n", encoding="utf-8")
-    assert load_gazetteer(path) == {"Red Cross": "LOC", "AL-JAZEERA": "MISC"}
+    assert load_gazetteer(path) == {("red", "cross"): "LOC", ("al-jazeera",): "MISC"}
+    assert phrase_key("Red  Cross") == ("red", "cross")
 
 
 def test_gazetteer_last_surface_equal_after_folding_wins(tmp_path):
@@ -146,14 +147,14 @@ def test_gazetteer_surfaces_fold_token_by_token(tmp_path):
 
 def test_tokenize_gazetteer_label():
     tokens = tokenize("Al-Jazeera reported",
-                      ne_gazetteer=PhraseIndex([("Al-Jazeera", "ORG")]))
+                      ne_gazetteer=PhraseIndex([(phrase_key("Al-Jazeera"), "ORG")]))
     assert tokens[0].surface == "Al-Jazeera"
     assert tokens[0].ne == "ORG"
     assert tokens[1].ne is None
 
 
 def test_tokenize_multiword_gazetteer_longest_first():
-    gaz = {"Italian government": "ORG", "government": "MISC"}
+    gaz = {("italian", "government"): "ORG", ("government",): "MISC"}
     tokens = tokenize("the Italian government spoke",
                       ne_gazetteer=PhraseIndex(gaz.items()))
     assert [t.ne for t in tokens] == [None, "ORG", "ORG", None]

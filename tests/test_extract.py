@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chronicle.corpus import PhraseIndex, Sentence, tokenize
+from chronicle.corpus import PhraseIndex, Sentence, phrase_key, tokenize
 from chronicle.errors import (EmptyTrainingSet, MalformedRecord,
                               SlotTypeViolation, UnknownMessageType,
                               UnparsableAnchor)
@@ -46,7 +46,7 @@ def test_rules_mode_ne_requirement():
     rules = [TriggerRule("negotiate", ("negotiate",), requires=("PER",))]
     plain = sent("they negotiate tonight")
     tagged = sent("Simona negotiate tonight",
-                  gazetteer=PhraseIndex([("Simona", "PER")]))
+                  gazetteer=PhraseIndex([(phrase_key("Simona"), "PER")]))
     assert classify_sentence(plain, rules) is None
     assert classify_sentence(tagged, rules) == "negotiate"
 

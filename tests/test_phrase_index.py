@@ -5,6 +5,7 @@ temporal spotting has its own grammar index; each looks up only the
 phrases or patterns that can start at a token. On random inputs and on
 hand-picked edge cases they must give exactly what the old scans
 (``tests/oracles.py``), which try every entry at every token, give. The
+index takes keys that ``phrase_key`` folded, the oracles the surfaces. The
 tokens that ``tokenize`` and ``read_corpus_artifact`` build in bulk must be
 real ``Token``s.
 """
@@ -16,7 +17,7 @@ import random
 import pytest
 
 from chronicle.corpus import (PhraseIndex, Sentence, Token, load_corpus,
-                              load_gazetteer, load_lexicon,
+                              load_gazetteer, load_lexicon, phrase_key,
                               read_corpus_artifact, tokenize,
                               write_corpus_artifact)
 from chronicle.extract import _instance_spans
@@ -48,6 +49,12 @@ def random_text(rng: random.Random, words: list[str], length: int) -> str:
     return " ".join(parts)
 
 
+def surface_index(phrases) -> PhraseIndex:
+    """The index of (surface, value) pairs, each surface folded by
+    ``phrase_key``."""
+    return PhraseIndex([(phrase_key(surface), value) for surface, value in phrases])
+
+
 def random_gazetteer(rng: random.Random) -> dict[str, str]:
     # Fixed entries first: case variants with different labels (the first
     # in file order must win), a prefix of a longer entry and two entries
@@ -68,7 +75,7 @@ def test_gazetteer_tagging_matches_oracle(seed):
     rng = random.Random(seed)
     gazetteer = random_gazetteer(rng)
     lexicon = {"times": "time", "cities": "city"}
-    phrases = PhraseIndex(gazetteer.items())
+    phrases = surface_index(gazetteer.items())
     for _ in range(20):
         text = random_text(rng, WORDS, rng.randint(0, 14))
         expected = tokenize_oracle(text, lexicon, gazetteer)
@@ -130,7 +137,7 @@ EDGE_CASES = [
 def test_gazetteer_edge_cases_match_oracle(text, phrases):
     gazetteer = {p: LABELS[k % len(LABELS)] for k, p in enumerate(phrases)}
     lexicon = {"times": "time"}
-    assert tokenize(text, lexicon, PhraseIndex(gazetteer.items())) == \
+    assert tokenize(text, lexicon, surface_index(gazetteer.items())) == \
         tokenize_oracle(text, lexicon, gazetteer)
 
 
@@ -146,8 +153,8 @@ def test_instance_spotting_edge_cases_match_oracle(text, phrases):
 
 
 def test_scan_gives_every_occurrence_by_start_longest_first():
-    index = PhraseIndex([("New York", "a"), ("new york times", "b"),
-                         ("York", "c"), ("NEW YORK", "d"), ("times square", "e")])
+    index = surface_index([("New York", "a"), ("new york times", "b"), ("York", "c"),
+                           ("NEW YORK", "d"), ("times square", "e")])
     assert index.scan(["new", "york", "times", "york"]) == [
         (0, 3, "b"), (0, 2, "a"), (0, 2, "d"), (1, 2, "c"), (3, 4, "c")]
     assert index.scan([]) == []
@@ -156,7 +163,7 @@ def test_scan_gives_every_occurrence_by_start_longest_first():
 
 def test_tokenize_builds_tokens():
     tokens = tokenize("The Red Cross freed them", {"freed": "free"},
-                      PhraseIndex([("red cross", "ORG")]))
+                      surface_index([("red cross", "ORG")]))
     assert all(type(t) is Token for t in tokens)
     freed = tokens[3]
     assert (freed.surface, freed.lemma, freed.ne, freed.start, freed.end) == \

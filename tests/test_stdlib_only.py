@@ -1,7 +1,8 @@
 """The runtime imports nothing outside the standard library, neither the
 package, the tests nor the benchmark import a name they never use,
 everything the package defines is read by the package or the benchmark,
-and importing the package loads neither ``dataclasses`` nor ``inspect``."""
+importing the package loads neither ``dataclasses`` nor ``inspect``, and
+only two functions call ``fromisoformat``."""
 
 from __future__ import annotations
 
@@ -121,3 +122,27 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.split() == []
+
+
+def fromisoformat_users(path: Path):
+    """(file name, innermost enclosing function or None) for every use of
+    an attribute named ``fromisoformat`` in a file."""
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "fromisoformat":
+            yield path.name, function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), None)
+
+
+def test_fromisoformat_reads_only_checked_text():
+    """``fromisoformat`` accepts more formats from Python 3.11 on, so input
+    text reaches it only through ``corpus.read_timestamp``, behind the one
+    timestamp pattern. ``temporal.resolve`` hands it an ``<isodate>``
+    capture, YYYY-MM-DD in decimal digits, which Python 3.10 to 3.13 read
+    alike: each rejects the digits that are not ASCII."""
+    users = {use for path in sorted(PACKAGE.glob("*.py"))
+             for use in fromisoformat_users(path)}
+    assert users <= {("corpus.py", "read_timestamp"), ("temporal.py", "resolve")}
