@@ -12,7 +12,13 @@ phrase indexes, kept as they were: they try every gazetteer entry,
 instance or grammar pattern at every token. The artifact writers after
 them are the library's writers from before it formatted records itself:
 one ``json.dumps``/``json.dump`` call per record or document, and the
-JSON-lines reader from before it called the JSON scanner itself. The two
+JSON-lines reader from before it called the JSON scanner itself.
+``token_rows_ok_oracle`` is the corpus reader's token-row check from before
+it checked rows column by column: each row's field types as a tuple, looked
+up among the accepted ones. ``classify_sentence_rules_oracle`` and
+``trigger_span_for_oracle`` are rules-mode typing and trigger search from
+before they ran as set tests and a C-level search: a Python test per rule
+lemma and a Python step per token. The two
 artifact loaders after them are the library's from before they took
 shortcuts: ``read_relations_oracle`` decodes every line as JSON, where the
 package reads a line in ``write_relations``' own format with one pattern,
@@ -49,6 +55,7 @@ import json
 import math
 import re
 from collections import Counter
+from itertools import repeat
 
 from chronicle.corpus import _TOKEN_RE, Sentence, Token, format_rfc3339
 from chronicle.evolution import LINEAR, NON_LINEAR, fit_linear
@@ -313,6 +320,15 @@ def write_corpus_artifact_oracle(corpus, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def write_messages_oracle(messages, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for m in messages:
+            rec = {"doc_id": m.doc_id, "sentence_index": m.sentence_index,
+                   "type": m.msg_type, "args": m.args,
+                   "time": m.time.to_string()}
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
 def read_records_oracle(path):
     """``read_records`` as it was before it called the JSON scanner."""
     with open(path, encoding="utf-8") as fh:
@@ -327,6 +343,45 @@ def read_records_oracle(path):
             if not isinstance(rec, dict):
                 raise MalformedRecord("record is not an object", str(path), ln)
             yield ln, rec
+
+
+# The field types of a token row: surface, lemma, label or null, offsets.
+_ROW_TYPES = {(str, str, label, int, int) for label in (str, type(None))}
+
+
+def token_rows_ok_oracle(rows) -> bool:
+    """Whether ``read_corpus_artifact`` takes the decoded ``tokens`` value
+    ``rows``: every row iterates to a surface, a lemma, a label or null and
+    two offsets, by the exact types."""
+    try:
+        return _ROW_TYPES.issuperset(map(tuple, map(map, repeat(type), rows)))
+    except TypeError:
+        return False
+
+
+def classify_sentence_rules_oracle(sentence: Sentence, rules) -> str | None:
+    """The first rule, in spec-file order, whose trigger lemma occurs and
+    whose NE requirements are all present."""
+    lemmas = {t.lemma for t in sentence.tokens}
+    labels = {t.ne for t in sentence.tokens if t.ne is not None}
+    for rule in rules:
+        if any(l in lemmas for l in rule.lemmas) \
+                and all(r in labels for r in rule.requires):
+            return rule.msg_type
+    return None
+
+
+def trigger_span_for_oracle(sentence: Sentence, msg_type: str,
+                            rules) -> tuple[int, int] | None:
+    """The first token whose lemma a rule of ``msg_type`` lists."""
+    wanted = set()
+    for rule in rules:
+        if rule.msg_type == msg_type:
+            wanted.update(rule.lemmas)
+    for i, token in enumerate(sentence.tokens):
+        if token.lemma in wanted:
+            return (i, i + 1)
+    return None
 
 
 def _relation_lookup_failure(exc: KeyError) -> str:

@@ -1,30 +1,33 @@
 """The artifact writers against the encoder calls they replaced.
 
-``write_relations`` and ``write_coverage`` format their records directly,
-and ``write_corpus_artifact`` hands the encoder ``Token`` tuples instead of
-lists. On random records, with strings that need every kind of escape,
-each must write exactly the bytes of the old writers in
-``tests/oracles.py``: sorted keys, ASCII escapes, ``", "`` and ``": "``
+``write_relations``, ``write_coverage``, ``write_messages`` and
+``write_corpus_artifact`` format their records directly, and
+``write_records`` encodes every record of a file with one encoder. On
+random records, with strings that need every kind of escape, each must
+write exactly the bytes of the old writers in ``tests/oracles.py``, or of
+``json.dumps``: sorted keys, ASCII escapes, ``", "`` and ``": "``
 separators, and for ``coverage.json`` an indent of 2 plus a newline.
 ``Token`` keeps the contract of the frozen dataclass it replaced.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from chronicle.corpus import (Token, build_corpus, read_corpus_artifact,
-                              write_corpus_artifact)
-from chronicle.extract import Message
+from chronicle.corpus import (Corpus, Document, Sentence, Token, build_corpus,
+                              read_corpus_artifact, write_corpus_artifact,
+                              write_records)
+from chronicle.extract import Message, write_messages
 from chronicle.relations import (RelationInstance, evaluate_relations,
                                  sort_instances, write_relations)
 from chronicle.summarize import RenderResult, write_coverage
 from chronicle.temporal import TimeAnchor
 from tests.oracles import (write_corpus_artifact_oracle, write_coverage_oracle,
-                           write_relations_oracle)
+                           write_messages_oracle, write_relations_oracle)
 from tests.test_relations import random_trial
 
 UTC = timezone.utc
@@ -180,6 +183,96 @@ def test_corpus_writer_matches_json_dumps(tmp_path, seed):
     write_corpus_artifact_oracle(corpus, tmp_path / "reference.jsonl")
     assert ((tmp_path / "fast.jsonl").read_bytes()
             == (tmp_path / "reference.jsonl").read_bytes())
+
+
+def random_tokens(rng: random.Random) -> tuple[Token, ...]:
+    return tuple(
+        Token(random_string(rng), random_string(rng),
+              rng.choice([None, "ORG", random_string(rng)]),
+              rng.choice([0, rng.randint(1, 10**6)]),
+              rng.choice([0, rng.randint(1, 10**12)]))
+        for _ in range(rng.choice([0, 1, rng.randint(2, 30)])))
+
+
+def random_token_corpus(rng: random.Random) -> Corpus:
+    """Documents, sentences and tokens of any strings, built directly: null
+    and escaped labels, documents with no sentence and sentences with no
+    token."""
+    base = datetime(2004, 9, 1, tzinfo=UTC)
+    documents = tuple(
+        Document(doc_id=random_string(rng), source=random_string(rng),
+                 publish_time=base + timedelta(minutes=rng.randint(0, 10**6)),
+                 sentences=tuple(
+                     Sentence(index=rng.choice([k, rng.randint(0, 10**6)]),
+                              text=random_string(rng), tokens=random_tokens(rng))
+                     for k in range(rng.choice([0, 1, rng.randint(2, 6)]))),
+                 report_index=rng.choice([0, rng.randint(1, 10**6)]))
+        for _ in range(rng.choice([0, 1, rng.randint(2, 6)])))
+    return Corpus(event_id=random_string(rng), documents=documents)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_corpus_writer_matches_json_dumps_on_any_tokens(tmp_path, seed):
+    corpus = random_token_corpus(random.Random(seed))
+    write_corpus_artifact(corpus, tmp_path / "fast.jsonl")
+    write_corpus_artifact_oracle(corpus, tmp_path / "reference.jsonl")
+    written = (tmp_path / "fast.jsonl").read_bytes()
+    assert written == (tmp_path / "reference.jsonl").read_bytes()
+    assert written.isascii()
+
+
+def random_anchor(rng: random.Random) -> TimeAnchor:
+    start = datetime(2004, 9, 1, tzinfo=UTC) + timedelta(minutes=rng.randint(0, 10**6))
+    kind = rng.choice(["day", "instant", "interval"])
+    if kind == "day":
+        return TimeAnchor.day(start)
+    if kind == "instant":
+        return TimeAnchor.instant(start)
+    return TimeAnchor.interval(start, start + timedelta(minutes=rng.randint(0, 10**4)))
+
+
+def random_messages(rng: random.Random) -> list[Message]:
+    return [Message(msg_type=random_string(rng),
+                    args={random_string(rng): rng.choice([None, "Red_Cross",
+                                                          random_string(rng)])
+                          for _ in range(rng.choice([0, 1, rng.randint(2, 5)]))},
+                    time=random_anchor(rng), source=random_string(rng),
+                    doc_id=random_string(rng),
+                    sentence_index=rng.choice([0, rng.randint(1, 10**6)]))
+            for _ in range(rng.choice([0, 1, rng.randint(2, 40)]))]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_messages_writer_matches_json_dumps(tmp_path, seed):
+    messages = random_messages(random.Random(seed))
+    write_messages(messages, tmp_path / "fast.jsonl")
+    write_messages_oracle(messages, tmp_path / "reference.jsonl")
+    written = (tmp_path / "fast.jsonl").read_bytes()
+    assert written == (tmp_path / "reference.jsonl").read_bytes()
+    assert written.isascii()
+
+
+def random_value(rng: random.Random, depth: int = 0):
+    kind = rng.choice(["str", "int", "none", "bool", "float"]
+                      + (["list", "dict"] if depth < 2 else []))
+    if kind == "list":
+        return [random_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    if kind == "dict":
+        return {random_string(rng): random_value(rng, depth + 1)
+                for _ in range(rng.randint(0, 3))}
+    return {"str": random_string(rng), "int": rng.randint(-10**6, 10**6),
+            "none": None, "bool": rng.random() < 0.5,
+            "float": rng.uniform(-1e6, 1e6)}[kind]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_write_records_matches_json_dumps(tmp_path, seed):
+    rng = random.Random(seed)
+    records = [{random_string(rng): random_value(rng) for _ in range(rng.randint(0, 5))}
+               for _ in range(rng.randint(0, 20))]
+    write_records(tmp_path / "fast.jsonl", records)
+    assert (tmp_path / "fast.jsonl").read_text(encoding="utf-8") == "".join(
+        json.dumps(rec, sort_keys=True) + "\n" for rec in records)
 
 
 @pytest.mark.parametrize("domain", ["football", "hostage"])
