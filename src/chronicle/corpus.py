@@ -10,6 +10,13 @@ runs in C-level loops: ``map`` over parallel lists, not a Python frame per
 token. ``phrase_key`` folds each gazetteer surface and instance name once,
 and the index takes the folded keys. ``read_timestamp`` reads every input
 timestamp through one pattern, the same on every supported Python.
+
+The ingest artifact carries every token as a JSON row. Its writer formats
+each document line itself, a sentence's rows column by column, with the
+bytes ``json.dumps(record, sort_keys=True)`` writes; its reader checks the
+rows column by column too, in C-level passes over the row lengths and the
+columns' field types. ``write_records`` encodes each record of a
+JSON-lines file with one encoder per file.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import json
 from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, count, repeat
+from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from pathlib import Path
 import re
@@ -53,12 +61,6 @@ class Sentence(NamedTuple):
     index: int
     text: str
     tokens: tuple[Token, ...]
-
-    def lemmas(self) -> list[str]:
-        return [t.lemma for t in self.tokens]
-
-    def ne_labels(self) -> set[str]:
-        return {t.ne for t in self.tokens if t.ne is not None}
 
 
 class Document(NamedTuple):
@@ -159,12 +161,20 @@ def phrase_key(surface: str) -> tuple[str, ...]:
 
 class PhraseIndex:
     """(key, value) pairs, keys made by ``phrase_key``, filed under their
-    first token; an empty key is left out. Each list holds (key as a list,
-    value) longest first, equal lengths by their tokens, equal keys in input
-    order, none dropped. Build it once per gazetteer or ontology."""
+    first token; an empty key is left out, and a key that is a string
+    raises TypeError. Each list holds (key as a list, value) longest first,
+    equal lengths by their tokens, equal keys in input order, none dropped.
+    Build it once per gazetteer or ontology."""
 
     def __init__(self, phrases: Iterable[tuple[tuple[str, ...], str]]):
-        entries = [(list(key), value) for key, value in phrases if key]
+        entries = []
+        for key, value in phrases:
+            if isinstance(key, str):
+                # list(key) would be a key of single characters
+                raise TypeError(f"phrase key {key!r} is a string, not a "
+                                f"sequence of tokens folded by phrase_key")
+            if key:
+                entries.append((list(key), value))
         entries.sort(key=lambda e: (-len(e[0]), e[0]))
         self._by_first: dict[str, list[tuple[list[str], str]]] = {}
         for entry in entries:
@@ -228,11 +238,14 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 def write_records(path: str | Path, records: Iterable[dict]) -> None:
-    """Write a JSON-lines file, one ``json.dumps(record, sort_keys=True)``
-    line per record: the encoding ``read_records`` reads back."""
+    """Write a JSON-lines file, one line per record with the bytes of
+    ``json.dumps(record, sort_keys=True)``: the encoding ``read_records``
+    reads back. One encoder serves every record of the file, where each
+    ``json.dumps`` call with ``sort_keys`` would build its own."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(encode(rec) + "\n")
 
 
 def load_lexicon(path: str | Path) -> dict[str, str]:
@@ -390,22 +403,46 @@ def build_corpus(event_id: str,
 # Normalized corpus artifact (the ingest stage output): carries tokens so
 # downstream stages do not need the lexicon/gazetteer again.
 
+# A document line of the artifact and its parts, keys in sorted order, as
+# ``json.dumps(record, sort_keys=True)`` writes them.
+_DOCUMENT = ('{"doc_id": %s, "publish_time": %s, "report_index": %d, '
+             '"sentences": [%s], "source": %s}\n')
+_SENTENCE = '{"index": %d, "text": %s, "tokens": [%s]}'
+_ROW = "[%s, %s, %s, %d, %d]"
+
+
 def write_corpus_artifact(corpus: Corpus, path: str | Path) -> None:
-    documents = ({
-        "doc_id": d.doc_id,
-        "source": d.source,
-        "publish_time": format_rfc3339(d.publish_time),
-        "report_index": d.report_index,
-        "sentences": [
-            {
-                "index": s.index,
-                "text": s.text,
-                "tokens": s.tokens,   # each Token a JSON list
-            }
-            for s in d.sentences
-        ],
-    } for d in corpus.documents)
-    write_records(path, chain(({"event_id": corpus.event_id},), documents))
+    """Write the ingest stage's artifact: an ``event_id`` line, then one
+    line per document with the bytes of ``json.dumps(record,
+    sort_keys=True)``, each token a row [surface, lemma, label or null,
+    start, end].
+
+    A sentence's tokens are encoded column by column: the string columns by
+    ``encode_basestring_ascii`` in C-level passes, each distinct label once
+    per file, and the rows by one ``%``-format per sentence."""
+    labels: dict[str | None, str] = {None: "null"}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"event_id": corpus.event_id}, sort_keys=True) + "\n")
+        for d in corpus.documents:
+            sentences = []
+            for s in d.sentences:
+                rows = ""
+                if s.tokens:
+                    surfaces, lemmas, ne, starts, ends = zip(*s.tokens)
+                    for label in set(ne).difference(labels):
+                        labels[label] = encode_basestring_ascii(label)
+                    fields = chain.from_iterable(zip(
+                        map(encode_basestring_ascii, surfaces),
+                        map(encode_basestring_ascii, lemmas),
+                        map(labels.__getitem__, ne), starts, ends))
+                    rows = ", ".join(repeat(_ROW, len(surfaces))) % tuple(fields)
+                sentences.append(_SENTENCE % (s.index, encode_basestring_ascii(s.text),
+                                              rows))
+            fh.write(_DOCUMENT % (
+                encode_basestring_ascii(d.doc_id),
+                encode_basestring_ascii(format_rfc3339(d.publish_time)),
+                d.report_index, ", ".join(sentences),
+                encode_basestring_ascii(d.source)))
 
 
 class _TokensNotRead:
@@ -421,23 +458,33 @@ class _TokensNotRead:
 _TOKENS_NOT_READ = _TokensNotRead()
 
 
-# The field types of a token row: surface, lemma, label or null, offsets.
-_ROW_TYPES = {(str, str, label, int, int) for label in (str, type(None))}
+# A token row: surface, lemma, label or null, and two offsets.
+_ROW_LENGTH = {5}
+_LABEL_TYPES = {str, type(None)}
+_OFFSET_TYPES = {int}
 
 
 def _sentence(rec, tokens: bool) -> Sentence:
     """A sentence from its record; a non-int ``index``, a non-str ``text`` or
     (with tokens) a token row that is not an array of a surface, a lemma, a
-    label or null and two offsets raises TypeError. The rows are checked and
-    built in C-level passes, with no Python frame per token."""
+    label or null and two offsets raises TypeError. The rows are checked
+    column by column, each check a C-level pass: one over the row lengths,
+    then one over the surface and lemma columns, one over the labels and
+    one over the offsets. They are built in one more."""
     index, text = rec["index"], rec["text"]
     if type(index) is not int or type(text) is not str:
         raise TypeError
     if not tokens:
         return Sentence(index=index, text=text, tokens=_TOKENS_NOT_READ)
     rows = rec["tokens"]
-    if not _ROW_TYPES.issuperset(map(tuple, map(map, repeat(type), rows))):
+    if not _ROW_LENGTH.issuperset(map(len, rows)):
         raise TypeError
+    if rows:
+        surfaces, lemmas, labels, starts, ends = zip(*rows)
+        "".join(surfaces + lemmas)    # a TypeError unless all are strings
+        if not (_LABEL_TYPES.issuperset(map(type, labels))
+                and _OFFSET_TYPES.issuperset(map(type, starts + ends))):
+            raise TypeError
     return Sentence(index=index, text=text, tokens=_tokens(rows))
 
 

@@ -11,17 +11,23 @@ and ``extract_corpus`` take the same ``rules`` and ``model``. Extraction checks
 an emitted message against its type's constraints only, since its type and
 slots come from the spec and its values from fitting ontology instances;
 ``load_gold_messages`` checks every invariant on outside input.
+
+Rules-mode typing reads a sentence's lemma and label sets in C-level
+passes and tests each rule with two set operations. ``write_messages``
+formats each line itself, with the bytes of ``json.dumps(record,
+sort_keys=True)``, as ``write_relations`` does.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, Document, Sentence, read_records, write_records
+from .corpus import Corpus, Document, Sentence, read_records
 from .errors import (EmptyTrainingSet, MalformedRecord, SlotTypeViolation,
                      UnknownMessageType, UnknownSlot, UnparsableAnchor)
 from .ontology import (MessageTypeSpec, Ontology, ParsedSpec,
@@ -29,6 +35,9 @@ from .ontology import (MessageTypeSpec, Ontology, ParsedSpec,
 from .temporal import TimeAnchor, _span_distance, message_time
 
 log = logging.getLogger("chronicle.extract")
+
+# The fields of a token row (``corpus.Token``), read in C-level passes.
+_SURFACE, _LEMMA, _LABEL = itemgetter(0), itemgetter(1), itemgetter(2)
 
 NONE_LABEL = "none"
 
@@ -151,15 +160,16 @@ def classify_sentence(sentence: Sentence, rules: list[TriggerRule],
     """Predict the message type of a sentence, or None.
 
     Without a model: the first rule (spec-file order) whose trigger lemma
-    occurs and whose NE requirements are all present wins. With a model:
-    argmax smoothed log score; ties break by class order with ``none`` last.
+    occurs and whose NE requirements are all present wins; the sentence's
+    lemma and label sets are built in C-level passes, and each rule is two
+    set tests. With a model: argmax smoothed log score; ties break by class
+    order with ``none`` last.
     """
     if model is None:
-        lemmas = set(sentence.lemmas())
-        labels = sentence.ne_labels()
+        lemmas = set(map(_LEMMA, sentence.tokens))
+        labels = set(map(_LABEL, sentence.tokens))
         for rule in rules:
-            if any(l in lemmas for l in rule.lemmas) \
-                    and all(r in labels for r in rule.requires):
+            if not lemmas.isdisjoint(rule.lemmas) and labels.issuperset(rule.requires):
                 return rule.msg_type
         return None
     features = sentence_features(sentence)
@@ -181,7 +191,7 @@ def _instance_spans(sentence: Sentence, ontology: Ontology) -> list[tuple[str, t
     segmented by the corpus tokenizer and matched case-insensitively. Every
     occurrence the ontology's ``PhraseIndex.scan`` finds is kept.
     """
-    folded = list(map(str.lower, map(itemgetter(0), sentence.tokens)))
+    folded = list(map(str.lower, map(_SURFACE, sentence.tokens)))
     out = [(instance, (start, end)) for start, end, instance
            in ontology.instance_phrases.scan(folded)]
     out.sort()
@@ -403,7 +413,28 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
 # ---------------------------------------------------------------------------
 # Messages artifact (same wire format as gold files)
 
+# A message line, keys in sorted order, as ``json.dumps(record,
+# sort_keys=True)`` writes it.
+_MESSAGE = ('{"args": {%s}, "doc_id": %s, "sentence_index": %d, "time": %s, '
+            '"type": %s}\n')
+
+
 def write_messages(messages: list[Message], path: str | Path) -> None:
-    write_records(path, ({"doc_id": m.doc_id, "sentence_index": m.sentence_index,
-                          "type": m.msg_type, "args": m.args,
-                          "time": m.time.to_string()} for m in messages))
+    """One line per message, in the order given, with the bytes of
+    ``json.dumps(record, sort_keys=True)``: keys ``args`` (slot to instance
+    or null, by slot name), ``doc_id``, ``sentence_index``, ``time`` and
+    ``type``. Each line is formatted here, its strings escaped by the
+    ``json`` module's ASCII escaper, as ``write_relations`` does."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_MESSAGE % (_args_text(m.args), encode_basestring_ascii(m.doc_id),
+                                  m.sentence_index,
+                                  encode_basestring_ascii(m.time.to_string()),
+                                  encode_basestring_ascii(m.msg_type))
+                      for m in messages)
+
+
+def _args_text(args: dict[str, str | None]) -> str:
+    """The members of a message's ``args`` object, by slot name."""
+    return ", ".join([f"{encode_basestring_ascii(slot)}: "
+                      f"{'null' if value is None else encode_basestring_ascii(value)}"
+                      for slot, value in sorted(args.items())])

@@ -15,7 +15,11 @@ matched case-insensitively, or an element class matching one token:
 
 So a pattern can start only at a token equal to its literal first word,
 at a month or weekday name, or at a token whose first character is a
-decimal digit; spotting tries no pattern anywhere else.
+decimal digit; spotting tries no pattern anywhere else. It folds a
+sentence's surfaces in one C-level pass and builds each match with
+``tuple.__new__``. The token walk itself stays a Python loop: with the
+dozen tokens of a typical sentence, setting up C-level passes to find the
+openers costs more than the loop they would replace.
 
 Resolution is day-granular. An expression whose date is out of range
 ("31 February 2004", "1000000 days ago") is unresolvable, like "recently".
@@ -26,6 +30,7 @@ falls back to the publication day when it has none.
 from __future__ import annotations
 
 from datetime import date, datetime, timedelta, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -216,6 +221,7 @@ _MATCHERS = {"<num>": _match_num, "<day>": _match_day, "<year>": _match_year,
              "<weekday>": _match_weekday}
 _DIGIT_CLASSES = {"<num>", "<day>", "<year>", "<isodate>"}
 _NAMES = {"<month>": _MONTHS, "<weekday>": _WEEKDAYS}
+_SURFACE = itemgetter(0)
 
 # A pattern with each literal element folded and each class its matcher.
 _Compiled = tuple[GrammarPattern, tuple]
@@ -268,14 +274,16 @@ def find_temporal_expressions(
     """Scan a tokenized sentence for grammar matches.
 
     Matches are non-overlapping; at each position the longest matching
-    pattern wins (grammar file order breaks length ties).
+    pattern wins (grammar file order breaks length ties). Surfaces are
+    folded in one C-level pass, and each match is built with
+    ``tuple.__new__``, with no Python frame of its own.
     """
     if grammar is None:
         grammar = default_grammar()
     by_token, by_digit = (_DEFAULT_INDEX if grammar is _DEFAULT_GRAMMAR
                           else _index_grammar(grammar))
     tokens = sentence.tokens
-    folded = [t.surface.lower() for t in tokens]
+    folded = list(map(str.lower, map(_SURFACE, tokens)))
     found: list[TemporalExpression] = []
     end = 0  # tokens before ``end`` lie inside a match
     for i, token in enumerate(folded):
@@ -302,11 +310,10 @@ def find_temporal_expressions(
                     captures.append(capture)
             else:
                 end = i + n
-                raw = sentence.text[tokens[i].start:tokens[end - 1].end]
-                found.append(TemporalExpression(
-                    sentence_index=sentence.index, token_span=(i, end),
-                    pattern_id=pat.pattern_id, raw=raw, rule=pat.rule,
-                    captures=tuple(captures)))
+                found.append(tuple.__new__(TemporalExpression, (
+                    sentence.index, (i, end), pat.pattern_id,
+                    sentence.text[tokens[i].start:tokens[end - 1].end],
+                    pat.rule, tuple(captures))))
                 break
     return found
 

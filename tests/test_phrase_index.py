@@ -161,6 +161,14 @@ def test_scan_gives_every_occurrence_by_start_longest_first():
     assert index.scan(["times"]) == []
 
 
+@pytest.mark.parametrize("key", ["rome", "red cross", ""])
+def test_index_refuses_a_string_key(key):
+    # list("rome") would be a key of four one-letter tokens that no
+    # folded sentence matches, and nothing would say why
+    with pytest.raises(TypeError, match=repr(key)):
+        PhraseIndex([(("new", "york"), "GPE"), (key, "LOC")])
+
+
 def test_tokenize_builds_tokens():
     tokens = tokenize("The Red Cross freed them", {"freed": "free"},
                       surface_index([("red cross", "ORG")]))
