@@ -112,11 +112,7 @@ class UnresolvableExpression(ChronicleError):
         super().__init__(f"cannot resolve {raw!r} (pattern {pattern_id})")
 
 
-class GoldMessageError(CorpusError):
-    """Error in a gold-message file."""
-
-
-class SlotTypeViolation(GoldMessageError):
+class SlotTypeViolation(CorpusError):
     def __init__(self, msg_type: str, slot: str, value: str, expected: str,
                  path: str | None = None, line: int | None = None):
         self.msg_type = msg_type
@@ -128,7 +124,7 @@ class SlotTypeViolation(GoldMessageError):
             path, line)
 
 
-class UnparsableAnchor(GoldMessageError):
+class UnparsableAnchor(CorpusError):
     def __init__(self, value: str, path: str | None = None, line: int | None = None):
         self.value = value
         super().__init__(f"unparsable time anchor {value!r}", path, line)

@@ -6,10 +6,11 @@ lemma and named-entity features when a trained ``model`` is given. Stage two,
 ``fill_arguments(sentence, ontology, spec, trigger_span)``, fills the slots of
 ``spec`` with ontology instances mentioned in the sentence: type-compatible
 candidates, nearest to the trigger, leftmost on ties, no token reuse. The rules
-locate the trigger whichever classifier typed the sentence. ``extract_messages``
-and ``extract_corpus`` take the same ``rules`` and ``model``. Extraction checks
-an emitted message against its type's constraints only, since its type and
-slots come from the spec and its values from fitting ontology instances;
+locate the trigger whichever classifier typed the sentence. ``extract_corpus``
+is the one extraction loop, over documents and then sentences; it builds its
+spec-name map and each type's trigger-lemma set once per call. Extraction
+checks an emitted message against its type's constraints only, since its type
+and slots come from the spec and its values from fitting ontology instances;
 ``load_gold_messages`` checks every invariant on outside input.
 
 Rules-mode typing reads a sentence's lemma and label sets in C-level
@@ -27,7 +28,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, Document, Sentence, read_records
+from .corpus import Corpus, Sentence, read_records
 from .errors import (EmptyTrainingSet, MalformedRecord, SlotTypeViolation,
                      UnknownMessageType, UnknownSlot, UnparsableAnchor)
 from .ontology import (MessageTypeSpec, Ontology, ParsedSpec,
@@ -234,16 +235,12 @@ def fill_arguments(sentence: Sentence, ontology: Ontology, spec: MessageTypeSpec
 # ---------------------------------------------------------------------------
 # Pipeline
 
-def trigger_span_for(sentence: Sentence, msg_type: str,
-                     rules: list[TriggerRule]) -> tuple[int, int] | None:
-    """First token whose lemma triggers ``msg_type``, whichever classifier
-    typed the sentence."""
-    wanted = set()
-    for rule in rules:
-        if rule.msg_type == msg_type:
-            wanted.update(rule.lemmas)
-    for i, token in enumerate(sentence.tokens):
-        if token.lemma in wanted:
+def trigger_span_for(sentence: Sentence,
+                     lemmas: set[str]) -> tuple[int, int] | None:
+    """First token whose lemma is one of ``lemmas``, the trigger lemmas of
+    the sentence's type, whichever classifier typed the sentence."""
+    for i, lemma in enumerate(map(_LEMMA, sentence.tokens)):
+        if lemma in lemmas:
             return (i, i + 1)
     return None
 
@@ -260,47 +257,43 @@ def validate_message(spec: MessageTypeSpec,
     return None
 
 
-def extract_messages(document: Document, specs: list[MessageTypeSpec],
-                     ontology: Ontology, rules: list[TriggerRule],
-                     model: ClassifierModel | None = None) -> list[Message]:
-    """Run both stages over a document; at most one message per sentence.
+def extract_corpus(corpus: Corpus, specs: list[MessageTypeSpec],
+                   ontology: Ontology, rules: list[TriggerRule],
+                   model: ClassifierModel | None = None) -> list[Message]:
+    """Run both stages over every sentence; at most one message per sentence.
 
     Sentences are typed by ``model`` when one is given, else by ``rules``.
     Messages that violate their type's cross-slot constraints are discarded
     (with a logged reason), not repaired.
     """
     by_name = {m.name: m for m in specs}
+    triggers: dict[str, set[str]] = {name: set() for name in by_name}
+    for rule in rules:
+        triggers.setdefault(rule.msg_type, set()).update(rule.lemmas)
     out: list[Message] = []
-    for sentence in document.sentences:
-        msg_type = classify_sentence(sentence, rules, model)
-        if msg_type is None:
-            continue
-        if msg_type not in by_name:
-            log.info("skip %s#%d: predicted unknown type %r",
-                     document.doc_id, sentence.index, msg_type)
-            continue
-        spec = by_name[msg_type]
-        trigger = trigger_span_for(sentence, msg_type, rules)
-        args = fill_arguments(sentence, ontology, spec, trigger)
-        anchor = message_time(sentence, document.publish_time, trigger)
-        reason = validate_message(spec, args)
-        if reason is not None:
-            log.info("discard %s#%d (%s): %s",
-                     document.doc_id, sentence.index, msg_type, reason)
-            continue
-        out.append(Message(msg_type=msg_type, args=args, time=anchor,
-                           source=document.source, doc_id=document.doc_id,
-                           sentence_index=sentence.index, report_index=document.report_index))
+    for document in corpus.documents:
+        for sentence in document.sentences:
+            msg_type = classify_sentence(sentence, rules, model)
+            if msg_type is None:
+                continue
+            spec = by_name.get(msg_type)
+            if spec is None:
+                log.info("skip %s#%d: predicted unknown type %r",
+                         document.doc_id, sentence.index, msg_type)
+                continue
+            trigger = trigger_span_for(sentence, triggers[msg_type])
+            args = fill_arguments(sentence, ontology, spec, trigger)
+            anchor = message_time(sentence, document.publish_time, trigger)
+            reason = validate_message(spec, args)
+            if reason is not None:
+                log.info("discard %s#%d (%s): %s",
+                         document.doc_id, sentence.index, msg_type, reason)
+                continue
+            out.append(Message(msg_type=msg_type, args=args, time=anchor,
+                               source=document.source, doc_id=document.doc_id,
+                               sentence_index=sentence.index,
+                               report_index=document.report_index))
     return out
-
-
-def extract_corpus(corpus: Corpus, specs: list[MessageTypeSpec],
-                   ontology: Ontology, rules: list[TriggerRule],
-                   model: ClassifierModel | None = None) -> list[Message]:
-    messages: list[Message] = []
-    for doc in corpus.documents:
-        messages.extend(extract_messages(doc, specs, ontology, rules, model))
-    return messages
 
 
 # ---------------------------------------------------------------------------

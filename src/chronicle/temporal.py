@@ -2,7 +2,9 @@
 
 The pattern grammar is data, not code: each grammar line pairs a token
 pattern with a resolution rule id, so new domains or languages extend the
-set without touching this module. A pattern element is a literal word,
+set without touching this module. The loader admits exactly the rules
+``resolve`` reads, each only in a pattern with the element classes whose
+captures it reads. A pattern element is a literal word,
 matched case-insensitively, or an element class matching one token:
 
 - ``<num>``: decimal digits (``str.isdecimal``, so "²" is no number and
@@ -29,7 +31,9 @@ falls back to the publication day when it has none.
 
 from __future__ import annotations
 
+import re
 from datetime import date, datetime, timedelta, timezone
+from functools import cache
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -52,8 +56,14 @@ _WEEKDAYS = {
     "mon": 0, "tue": 1, "wed": 2, "thu": 3, "fri": 4, "sat": 5, "sun": 6,
 }
 
-_RULES = {"dmy", "iso", "days-ago", "weeks-ago",
-          "last-weekday", "next-weekday", "on-weekday", "vague"}
+# Resolution rule -> the element classes whose captures ``resolve`` reads.
+_RULES = {"dmy": {"<day>", "<month>", "<year>"}, "iso": {"<isodate>"},
+          "days-ago": {"<num>"}, "weeks-ago": {"<num>"},
+          "last-weekday": {"<weekday>"}, "next-weekday": {"<weekday>"},
+          "on-weekday": {"<weekday>"}, "vague": set()}
+# Exactly the rules ``resolve`` reads: a rule name, or a day offset in ASCII
+# digits.
+_RULE = re.compile("|".join(_RULES) + "|day-offset:-?[0-9]+")
 
 
 class _AnchorFields(NamedTuple):
@@ -147,10 +157,11 @@ class GrammarPattern(NamedTuple):
     rule: str
 
 
+@cache
 def load_grammar() -> tuple[GrammarPattern, ...]:
-    """Load the pattern grammar shipped as package data. It is read beside
-    this file, not through ``importlib.resources``, which imports
-    ``inspect`` from Python 3.12 on."""
+    """The pattern grammar shipped as package data, read once per process.
+    It is read beside this file, not through ``importlib.resources``, which
+    imports ``inspect`` from Python 3.12 on."""
     name = "temporal_patterns.txt"
     text = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
     patterns = []
@@ -167,16 +178,19 @@ def load_grammar() -> tuple[GrammarPattern, ...]:
             if el.startswith("<") and el not in _MATCHERS:
                 raise DslSyntaxError(f"unknown pattern element {el!r}", name, ln,
                                      raw.index(el) + 1)
-        base = rule.split(":", 1)[0]
-        if base not in _RULES and base != "day-offset":
+        if not _RULE.fullmatch(rule):
             raise DslSyntaxError(f"unknown resolution rule {rule!r}", name, ln)
+        missing = _RULES.get(rule, set()).difference(elements)
+        if missing:
+            raise DslSyntaxError(f"rule {rule!r} reads {min(missing)}, which "
+                                 "the pattern lacks", name, ln)
         patterns.append(GrammarPattern(pattern_id, elements, rule))
     return tuple(patterns)
 
 
 def _decimal(folded: str) -> int | None:
-    """The value of a string of decimal digits, or None when it has more
-    digits than ``int`` reads (``sys.get_int_max_str_digits``)."""
+    """The value of a string of decimal digits, signed or not, or None when
+    it has more digits than ``int`` reads (``sys.get_int_max_str_digits``)."""
     try:
         return int(folded)
     except ValueError:
@@ -228,9 +242,11 @@ _Compiled = tuple[GrammarPattern, tuple]
 _GrammarIndex = tuple[dict[str, list[_Compiled]], list[_Compiled]]
 
 
+@cache
 def _index_grammar(grammar: tuple[GrammarPattern, ...]) -> _GrammarIndex:
     """Compiled patterns by the tokens they can start at, each list in match
-    priority: longest first, then grammar file order.
+    priority: longest first, then grammar file order; built once per grammar
+    in a process.
 
     The dict maps a folded literal first element, and each month or weekday
     name when a pattern opens with that class, to exactly the patterns
@@ -256,18 +272,6 @@ def _index_grammar(grammar: tuple[GrammarPattern, ...]) -> _GrammarIndex:
     return by_token, [c for c in compiled if c[0].elements[0] in _DIGIT_CLASSES]
 
 
-_DEFAULT_GRAMMAR: tuple[GrammarPattern, ...] | None = None
-_DEFAULT_INDEX: _GrammarIndex | None = None
-
-
-def default_grammar() -> tuple[GrammarPattern, ...]:
-    global _DEFAULT_GRAMMAR, _DEFAULT_INDEX
-    if _DEFAULT_GRAMMAR is None:
-        _DEFAULT_GRAMMAR = load_grammar()
-        _DEFAULT_INDEX = _index_grammar(_DEFAULT_GRAMMAR)
-    return _DEFAULT_GRAMMAR
-
-
 def find_temporal_expressions(
         sentence: Sentence,
         grammar: tuple[GrammarPattern, ...] | None = None) -> list[TemporalExpression]:
@@ -278,10 +282,7 @@ def find_temporal_expressions(
     folded in one C-level pass, and each match is built with
     ``tuple.__new__``, with no Python frame of its own.
     """
-    if grammar is None:
-        grammar = default_grammar()
-    by_token, by_digit = (_DEFAULT_INDEX if grammar is _DEFAULT_GRAMMAR
-                          else _index_grammar(grammar))
+    by_token, by_digit = _index_grammar(load_grammar() if grammar is None else grammar)
     tokens = sentence.tokens
     folded = list(map(str.lower, map(_SURFACE, tokens)))
     found: list[TemporalExpression] = []
@@ -337,7 +338,10 @@ def resolve(expr: TemporalExpression, publish_time: datetime) -> TimeAnchor:
     pub = to_utc(publish_time).date()
     rule = expr.rule
     if rule.startswith("day-offset:"):
-        return _day_after(pub, int(rule.split(":", 1)[1]), expr)
+        days = _decimal(rule.split(":", 1)[1])
+        if days is None:
+            raise UnresolvableExpression(expr.raw, expr.pattern_id)
+        return _day_after(pub, days, expr)
     if rule in ("days-ago", "weeks-ago"):
         num = expr.capture("num")
         if num is None:
@@ -378,7 +382,8 @@ def _span_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 def message_time(msg_sentence: Sentence, publish_time: datetime,
                  trigger_span: tuple[int, int] | None = None) -> TimeAnchor:
-    """Anchor for a message found in ``msg_sentence``. Never fails.
+    """Anchor for a message found in ``msg_sentence``. Never fails once the
+    grammar has loaded: an expression ``resolve`` cannot anchor is skipped.
 
     If the sentence carries at least one resolvable temporal expression the
     anchor of the one nearest the trigger span is used (leftmost on ties,

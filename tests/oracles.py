@@ -71,7 +71,7 @@ from chronicle.relations import (RelationInstance, _message_sort_key,
 from chronicle.summarize import (RenderResult, _date_of, _join_sources,
                                  _pretty, _UnionFind)
 from chronicle.temporal import (_MONTHS, _WEEKDAYS, GrammarPattern,
-                                TemporalExpression, TimeAnchor, default_grammar)
+                                TemporalExpression, TimeAnchor, load_grammar)
 
 
 def _sort_key(m):
@@ -262,7 +262,7 @@ def find_temporal_expressions_oracle(
     Matches are non-overlapping; at each position the longest matching
     pattern wins (grammar file order breaks length ties).
     """
-    grammar = grammar if grammar is not None else default_grammar()
+    grammar = grammar if grammar is not None else load_grammar()
     ordered = sorted(range(len(grammar)), key=lambda i: (-len(grammar[i].elements), i))
     tokens = sentence.tokens
     found: list[TemporalExpression] = []

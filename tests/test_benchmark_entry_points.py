@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
@@ -72,6 +73,50 @@ def test_traced_pipeline_reaches_every_patch_point(monkeypatch, tmp_path):
     recorded = {name for _, _, name, _, _ in tracer.spans}
     expected = {name for _, _, name, _ in spans.patch_points(MODULES)}
     assert expected - recorded == set()
+
+
+def test_traced_counts_equal_artifact_counts(monkeypatch, tmp_path):
+    """The figures the traced benchmark counts from call results agree with
+    the artifacts the same run writes (hostage fixture, rules mode, ``1d``)."""
+    spans = load_benchmark_module("spans", monkeypatch)
+    root = FIXTURES / "hostage"
+    domain = ["--ontology", str(root / "domain.spec")]
+    out = ["--out-dir", str(tmp_path)]
+    tracer = spans.Tracer()
+    tracer.install(MODULES)
+    try:
+        for argv in (
+                ["ingest", "--corpus", str(root / "corpus.jsonl"),
+                 "--lexicon", str(root / "lexicon.tsv"),
+                 "--gazetteer", str(root / "gazetteer.tsv")],
+                ["extract", *domain],
+                ["relate", *domain, "--window", "1d"],
+                ["analyze"],
+                ["summarize", *domain, "--templates", str(root / "templates.txt"),
+                 "--window", "1d", "--out", str(tmp_path / "summary.txt")]):
+            assert cli.main(argv + out) == 0, argv[0]
+    finally:
+        tracer.uninstall()
+
+    def lines(name):
+        return (tmp_path / name).read_text(encoding="utf-8").splitlines()
+
+    counts = tracer.counts
+    messages = len(lines("messages.jsonl"))
+    assert counts["extract.messages"] == messages
+    assert counts["extract.typed_sentences"] - counts["extract.discarded"] == messages
+    axes = [json.loads(line)["axis"] for line in lines("relations.jsonl")]
+    assert counts["relations.sync_instances"] == axes.count("synchronic")
+    assert counts["relations.dia_instances"] == axes.count("diachronic")
+    assert counts["relations.ellipsis_reports"] == len(lines("ellipsis.jsonl"))
+    assert counts["summarize.sentences"] == len(lines("summary.txt"))
+    rows = [row for line in lines("corpus.jsonl")[1:]
+            for sentence in json.loads(line)["sentences"]
+            for row in sentence["tokens"]]
+    assert counts["corpus.tokens"] == len(rows)
+    assert counts["corpus.ne_tokens"] == sum(1 for row in rows if row[2] is not None)
+    # one parse of the domain file per stage that reads it
+    assert counts["ontology.spec_parses"] == 3
 
 
 def chronicle_imports(path):

@@ -10,8 +10,8 @@ from chronicle.errors import (EmptyTrainingSet, MalformedRecord,
                               SlotTypeViolation, UnknownMessageType,
                               UnparsableAnchor)
 from chronicle.extract import (Message, TriggerRule, classify_sentence,
-                               extract_corpus, extract_messages,
-                               fill_arguments, load_gold_messages,
+                               extract_corpus, fill_arguments,
+                               load_gold_messages,
                                load_trigger_rules, train_classifier,
                                trigger_span_for, validate_message)
 from chronicle.ontology import ConditionAtom, MessageTypeSpec
@@ -112,9 +112,9 @@ def test_fill_arguments_nearest_to_trigger(hostage):
     spec = {m.name: m for m in hostage.message_specs}["negotiate"]
     s = sent("The Italian government negotiated with the captors about the release",
              lexicon=hostage.lexicon)
-    trigger = trigger_span_for(s, "negotiate",
-                               load_trigger_rules(hostage.spec_path,
-                                                  hostage.message_specs))
+    rules = load_trigger_rules(hostage.spec_path, hostage.message_specs)
+    trigger = trigger_span_for(s, {lemma for rule in rules if rule.msg_type == "negotiate"
+                                   for lemma in rule.lemmas})
     args = fill_arguments(s, hostage.ontology, spec, trigger)
     assert args == {"entity_1": "Italian_government", "entity_2": "captors",
                     "about": "release"}
@@ -206,8 +206,8 @@ def test_validate_message_matches_constraint_oracle(seed):
 def test_single_trigger_document(hostage):
     doc = next(d for d in hostage.corpus.documents if d.doc_id == "aegean-03")
     rules = load_trigger_rules(hostage.spec_path, hostage.message_specs)
-    messages = extract_messages(doc, hostage.message_specs, hostage.ontology,
-                                rules)
+    messages = extract_corpus(hostage.corpus._replace(documents=(doc,)),
+                              hostage.message_specs, hostage.ontology, rules)
     assert len(messages) == 1
     assert messages[0].source == doc.source == "aegean_news"
     assert messages[0].msg_type == "demand"
@@ -216,8 +216,8 @@ def test_single_trigger_document(hostage):
 def test_yesterday_shifts_message_time(hostage):
     doc = next(d for d in hostage.corpus.documents if d.doc_id == "tribune-01")
     rules = load_trigger_rules(hostage.spec_path, hostage.message_specs)
-    messages = extract_messages(doc, hostage.message_specs, hostage.ontology,
-                                rules)
+    messages = extract_corpus(hostage.corpus._replace(documents=(doc,)),
+                              hostage.message_specs, hostage.ontology, rules)
     assert messages[0].time == TimeAnchor.from_string("2004-09-01")
 
 

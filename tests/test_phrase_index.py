@@ -22,8 +22,8 @@ from chronicle.corpus import (PhraseIndex, Sentence, Token, load_corpus,
                               write_corpus_artifact)
 from chronicle.extract import _instance_spans
 from chronicle.ontology import Ontology
-from chronicle.temporal import (GrammarPattern, default_grammar,
-                                find_temporal_expressions)
+from chronicle.temporal import (GrammarPattern, find_temporal_expressions,
+                                load_grammar)
 from tests.conftest import FIXTURES
 from tests.oracles import (find_temporal_expressions_oracle,
                            instance_spans_oracle, tokenize_oracle)
@@ -226,7 +226,7 @@ def test_temporal_spotting_matches_oracle(seed):
         assert find_temporal_expressions(sentence, grammar) == \
             find_temporal_expressions_oracle(sentence, grammar)
         assert find_temporal_expressions(sentence) == \
-            find_temporal_expressions_oracle(sentence, default_grammar())
+            find_temporal_expressions_oracle(sentence, load_grammar())
 
 
 # Tokens at the edges of the check that lets a class-opened pattern start:
@@ -256,4 +256,4 @@ def test_temporal_spotting_at_opener_edges_matches_oracle(seed):
         assert find_temporal_expressions(sentence, grammar) == \
             find_temporal_expressions_oracle(sentence, grammar)
         assert find_temporal_expressions(sentence) == \
-            find_temporal_expressions_oracle(sentence, default_grammar())
+            find_temporal_expressions_oracle(sentence, load_grammar())

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import json
 import random
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from chronicle import cli, temporal
 from chronicle.corpus import Sentence, tokenize
-from chronicle.errors import UnresolvableExpression
+from chronicle.errors import DslSyntaxError, UnresolvableExpression
 from chronicle.temporal import (TimeAnchor, find_temporal_expressions,
-                                message_time, resolve)
+                                load_grammar, message_time, resolve)
+from tests.conftest import FIXTURES
 
 UTC = timezone.utc
 
@@ -217,3 +223,88 @@ def test_anchor_strings_have_four_digit_years(year):
         f"{year:04d}-09-18T10:00:00Z/{year:04d}-09-18T11:00:00Z"
     for anchor in (day, instant, interval):
         assert TimeAnchor.from_string(anchor.to_string()) == anchor
+
+
+# ---------------------------------------------------------------------------
+# the grammar file: each rule is one that ``resolve`` reads
+
+
+def load_grammar_text(tmp_path, text):
+    """``load_grammar`` run past its cache on ``text``, written where it
+    looks for the package's grammar file."""
+    data = tmp_path / "data"
+    data.mkdir(exist_ok=True)
+    (data / "temporal_patterns.txt").write_text(text, encoding="utf-8")
+    with mock.patch.object(temporal, "__file__", str(tmp_path / "temporal.py")):
+        return load_grammar.__wrapped__()
+
+
+@pytest.mark.parametrize("pattern, rule", [
+    ("the", "day-offset:x"), ("the", "dmy:junk"), ("the", "vague:1"),
+    ("the", "day-offset"), ("the", "day-offset:"), ("the", "day-offset:-"),
+    ("the", "day-offset:+1"), ("the", "day-offset:1.5"), ("the", "day-offset:٣"),
+    ("the", "DMY"), ("the", "dmy"), ("<day> <month>", "dmy"),
+    ("<num> days", "iso"), ("last", "last-weekday"), ("<num>", "on-weekday")])
+def test_grammar_refuses_a_rule_resolve_cannot_read(tmp_path, pattern, rule):
+    text = f"# header\nok\ttoday\tday-offset:0\nodd\t{pattern}\t{rule}\n"
+    with pytest.raises(DslSyntaxError) as err:
+        load_grammar_text(tmp_path, text)
+    assert (err.value.path, err.value.line) == ("temporal_patterns.txt", 3)
+    assert str(err.value).startswith("temporal_patterns.txt:3: ")
+
+
+def test_extract_names_the_grammar_line_it_refuses(tmp_path, monkeypatch, capsys):
+    root = FIXTURES / "hostage"
+    out = ["--out-dir", str(tmp_path / "out")]
+    assert cli.main(["ingest", "--corpus", str(root / "corpus.jsonl"),
+                     "--lexicon", str(root / "lexicon.tsv"), *out]) == 0
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "temporal_patterns.txt").write_text("odd\tthe\tday-offset:x\n",
+                                                encoding="utf-8")
+    monkeypatch.setattr(temporal, "__file__", str(tmp_path / "temporal.py"))
+    load_grammar.cache_clear()
+    try:
+        code = cli.main(["extract", "--ontology", str(root / "domain.spec"), *out])
+    finally:
+        load_grammar.cache_clear()
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "DslSyntaxError"
+    assert error["detail"].startswith("temporal_patterns.txt:1: ")
+
+
+# Per pattern element, tokens that it matches, at the edges of what
+# ``resolve`` can read: non-ASCII and over-long numbers, impossible dates.
+TOKENS = {"<num>": ["0", "3", "٣", "9" * 5000], "<day>": ["1", "29", "31"],
+          "<year>": ["0000", "2004", "9999"], "<month>": ["february", "sept"],
+          "<weekday>": ["mon", "sunday"],
+          "<isodate>": ["2004-02-29", "2004-02-31", "0000-01-01"],
+          "the": ["the"], "ago": ["ago"]}
+RULE = (st.sampled_from(["dmy", "iso", "days-ago", "weeks-ago", "last-weekday",
+                         "next-weekday", "on-weekday", "vague", "day-offset:x",
+                         "day-offset:" + "9" * 5000, "day-offset:-" + "9" * 5000])
+        | st.integers().map("day-offset:{}".format)
+        | st.text("day-offset:0123456789+x٣", max_size=14))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(elements=st.lists(st.sampled_from(sorted(TOKENS)), min_size=1, max_size=4),
+       rule=RULE, publish=st.sampled_from([datetime(1, 1, 1, tzinfo=UTC),
+                                           pub(2004, 9, 10),
+                                           datetime(9999, 12, 31, 23, 59, tzinfo=UTC)]),
+       data=st.data())
+def test_every_admitted_rule_resolves_or_is_unresolvable(tmp_path, elements, rule,
+                                                         publish, data):
+    try:
+        grammar = load_grammar_text(tmp_path, f"p\t{' '.join(elements)}\t{rule}\n")
+    except DslSyntaxError:
+        return
+    text = " ".join(data.draw(st.sampled_from(TOKENS[el])) for el in elements)
+    found = find_temporal_expressions(sent(text), grammar)
+    assert [e.token_span for e in found] == [(0, len(elements))]
+    try:
+        assert isinstance(resolve(found[0], publish), TimeAnchor)
+    except UnresolvableExpression:
+        pass

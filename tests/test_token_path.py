@@ -136,5 +136,7 @@ def test_rules_mode_typing_and_trigger_match_oracles(tokens, rules):
     assert classify_sentence(sentence, rules) == \
         classify_sentence_rules_oracle(sentence, rules)
     for msg_type in ["a", "b", "c", "unknown"]:
-        assert trigger_span_for(sentence, msg_type, rules) == \
+        lemmas = {lemma for rule in rules if rule.msg_type == msg_type
+                  for lemma in rule.lemmas}
+        assert trigger_span_for(sentence, lemmas) == \
             trigger_span_for_oracle(sentence, msg_type, rules)
