@@ -18,7 +18,12 @@ it checked rows column by column: each row's field types as a tuple, looked
 up among the accepted ones. ``classify_sentence_rules_oracle`` and
 ``trigger_span_for_oracle`` are rules-mode typing and trigger search from
 before they ran as set tests and a C-level search: a Python test per rule
-lemma and a Python step per token. The two
+lemma and a Python step per token. ``fill_arguments_oracle`` and
+``message_time_oracle`` are argument filling and message time from before
+they shared one nearness key: the first computes a full key for every
+fitting mention once per slot and keeps the least, the second sorts its
+resolvable candidates and takes the first; both measure with
+``_span_distance``, the package's token distance as it was. The two
 artifact loaders after them are the library's from before they took
 shortcuts: ``read_relations_oracle`` decodes every line as JSON, where the
 package reads a line in ``write_relations``' own format with one pattern,
@@ -55,14 +60,17 @@ import json
 import math
 import re
 from collections import Counter
+from datetime import datetime
 from itertools import repeat
 
 from chronicle.corpus import _TOKEN_RE, Sentence, Token, format_rfc3339
 from chronicle.evolution import LINEAR, NON_LINEAR, fit_linear
 from chronicle.errors import (ChronicleError, DslSyntaxError, MalformedRecord,
                               MissingTemplate, SlotTypeViolation, UnknownConcept,
-                              UnknownMessageType, UnknownSlot, UnparsableAnchor)
-from chronicle.extract import ClassifierModel, Message, sentence_features
+                              UnknownMessageType, UnknownSlot, UnparsableAnchor,
+                              UnresolvableExpression)
+from chronicle.extract import (ClassifierModel, Message, _instance_spans,
+                               sentence_features)
 from chronicle.ontology import (_INSTANCE_RE, _NAME_RE, DIACHRONIC, SYNCHRONIC,
                                 ConditionAtom, MessageTypeSpec, Ontology,
                                 RelationSpec, Statement, _parse_atoms)
@@ -71,7 +79,9 @@ from chronicle.relations import (RelationInstance, _message_sort_key,
 from chronicle.summarize import (RenderResult, _date_of, _join_sources,
                                  _pretty, _UnionFind)
 from chronicle.temporal import (_MONTHS, _WEEKDAYS, GrammarPattern,
-                                TemporalExpression, TimeAnchor, load_grammar)
+                                TemporalExpression, TimeAnchor,
+                                find_temporal_expressions, load_grammar,
+                                resolve)
 
 
 def _sort_key(m):
@@ -382,6 +392,72 @@ def trigger_span_for_oracle(sentence: Sentence, msg_type: str,
         if token.lemma in wanted:
             return (i, i + 1)
     return None
+
+
+def _span_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
+    if a[1] <= b[0]:
+        return b[0] - a[1]
+    if b[1] <= a[0]:
+        return a[0] - b[1]
+    return 0
+
+
+def fill_arguments_oracle(sentence: Sentence, ontology: Ontology, spec: MessageTypeSpec,
+                          trigger_span: tuple[int, int] | None = None) -> dict[str, str | None]:
+    """Heuristic filling of the slots of ``spec``.
+
+    Slots are filled in spec order. Candidates are instance mentions whose
+    concept is a subtype of the slot constraint; the mention nearest the
+    trigger wins (leftmost on ties, longer span preferred at equal start);
+    a token span fills at most one slot; unfilled slots stay None.
+    """
+    ancestors = ontology.ancestors
+    mentions = [(instance, span, ancestors[ontology.instances[instance]])
+                for instance, span in _instance_spans(sentence, ontology)]
+    anchor = trigger_span if trigger_span is not None else (0, 0)
+    used: list[tuple[int, int]] = []
+    args: dict[str, str | None] = {}
+    for slot, concept in spec.slots:
+        best = None
+        for instance, span, above in mentions:
+            if concept not in above:
+                continue
+            if any(span[0] < u[1] and u[0] < span[1] for u in used):
+                continue
+            key = (_span_distance(span, anchor), span[0], -(span[1] - span[0]), instance)
+            if best is None or key < best[0]:
+                best = (key, instance, span)
+        if best is None:
+            args[slot] = None
+        else:
+            args[slot] = best[1]
+            used.append(best[2])
+    return args
+
+
+def message_time_oracle(msg_sentence: Sentence, publish_time: datetime,
+                        trigger_span: tuple[int, int] | None = None) -> TimeAnchor:
+    """Anchor for a message found in ``msg_sentence``. Never fails once the
+    grammar has loaded: an expression ``resolve`` cannot anchor is skipped.
+
+    If the sentence carries at least one resolvable temporal expression the
+    anchor of the one nearest the trigger span is used (leftmost on ties,
+    leftmost overall when no trigger is known); otherwise the anchor is the
+    publication day.
+    """
+    candidates: list[tuple[int, int, TimeAnchor]] = []
+    for expr in find_temporal_expressions(msg_sentence):
+        try:
+            anchor = resolve(expr, publish_time)
+        except UnresolvableExpression:
+            continue
+        dist = (_span_distance(expr.token_span, trigger_span)
+                if trigger_span is not None else expr.token_span[0])
+        candidates.append((dist, expr.token_span[0], anchor))
+    if not candidates:
+        return TimeAnchor.day(publish_time)
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    return candidates[0][2]
 
 
 def _relation_lookup_failure(exc: KeyError) -> str:
