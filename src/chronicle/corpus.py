@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timedelta, timezone
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
+from operator import itemgetter
 from pathlib import Path
 import re
 from re import Match
@@ -376,26 +377,20 @@ def build_corpus(event_id: str,
     """Assemble a Corpus from (doc_id, source, publish_time, sentences) rows;
     ``gazetteer`` is keyed as ``load_gazetteer`` keys it.
 
-    Computes per-source report_index (chronological, ties broken by doc_id)
-    and sorts documents by (source, publish_time, doc_id).
+    The rows are sorted once, by (source, publish_time, doc_id), and each
+    source's documents are numbered in that order: report_index is
+    chronological within a source, ties broken by doc_id.
     """
     phrases = PhraseIndex(gazetteer.items()) if gazetteer else None
     documents = []
-    by_source: dict[str, list[tuple[datetime, str]]] = {}
-    for doc_id, source, publish_time, _ in raw_docs:
-        by_source.setdefault(source, []).append((publish_time, doc_id))
-    rank: dict[str, int] = {}
-    for source, rows in by_source.items():
-        for i, (_, doc_id) in enumerate(sorted(rows)):
-            rank[doc_id] = i
-    for doc_id, source, publish_time, sentence_texts in raw_docs:
-        sentences = tuple(
-            Sentence(index=i, text=t, tokens=tokenize(t, lexicon, phrases))
-            for i, t in enumerate(sentence_texts))
-        documents.append(Document(
-            doc_id=doc_id, source=source, publish_time=publish_time,
-            sentences=sentences, report_index=rank[doc_id]))
-    documents.sort(key=lambda d: (d.source, d.publish_time, d.doc_id))
+    for _, rows in groupby(sorted(raw_docs, key=itemgetter(1, 2, 0)), itemgetter(1)):
+        for report_index, (doc_id, source, publish_time, sentence_texts) in enumerate(rows):
+            sentences = tuple(
+                Sentence(index=i, text=t, tokens=tokenize(t, lexicon, phrases))
+                for i, t in enumerate(sentence_texts))
+            documents.append(Document(
+                doc_id=doc_id, source=source, publish_time=publish_time,
+                sentences=sentences, report_index=report_index))
     return Corpus(event_id=event_id, documents=tuple(documents))
 
 

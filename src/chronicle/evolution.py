@@ -47,7 +47,8 @@ def fit_linear(times: list[datetime]) -> LinearModel:
     gaps = [b - a for a, b in zip(times, times[1:])]
     period = statistics.median(gaps)
     t0 = times[0]
-    residual = max(abs(t - (t0 + n * period)) / period
+    # never t0 + n*period: a grid point can lie past year 9999
+    residual = max(abs((t - t0) - n * period) / period
                    for n, t in enumerate(times))
     return LinearModel(t0=t0, period=period, residual=residual)
 
@@ -99,11 +100,13 @@ def analyze_corpus(corpus: Corpus, residual_threshold: float = 0.1,
                    alignment_tolerance: timedelta = timedelta(hours=1)) -> EvolutionReport:
     """Classify the event behind a corpus.
 
-    The event is linear when every source with >= 3 reports publishes on a
-    fixed-period grid; the aggregate model takes the earliest first report,
-    the median per-source period and the worst per-source residual. A
-    single-source corpus is vacuously synchronous. The residual threshold
-    must be finite and not negative, and so must the alignment tolerance.
+    The event is linear when every source with >= 3 distinct report times
+    publishes on a fixed-period grid; the aggregate model takes the earliest
+    first report, the median per-source period and the worst per-source
+    residual. With no such source it raises TooFewPoints with the largest
+    number of distinct times any source has. A single-source corpus is
+    vacuously synchronous. The residual threshold must be finite and not
+    negative, and so must the alignment tolerance.
     """
     if not 0 <= residual_threshold < math.inf:
         raise ValueError(f"residual threshold must be finite and >= 0, "
@@ -112,13 +115,10 @@ def analyze_corpus(corpus: Corpus, residual_threshold: float = 0.1,
         raise ValueError(f"alignment tolerance must be >= 0, "
                          f"got {alignment_tolerance}")
     profile = EmissionProfile.from_corpus(corpus)
-    fits = []
-    for _, times in profile.reports:
-        distinct = sorted(set(times))
-        if len(distinct) >= 3:
-            fits.append(fit_linear(distinct))
+    distinct = [tuple(dict.fromkeys(times)) for _, times in profile.reports]
+    fits = [fit_linear(times) for times in distinct if len(times) >= 3]
     if not fits:
-        raise TooFewPoints(max((len(ts) for _, ts in profile.reports), default=0))
+        raise TooFewPoints(max(map(len, distinct), default=0))
     residual = max(f.residual for f in fits)
     linearity = LINEAR if residual <= residual_threshold else NON_LINEAR
     model = None

@@ -5,7 +5,8 @@ sentence by trigger-lemma rules, or by a smoothed count-based classifier over
 lemma and named-entity features when a trained ``model`` is given. Stage two,
 ``fill_arguments(sentence, ontology, spec, trigger_span)``, fills the slots of
 ``spec`` with ontology instances mentioned in the sentence: type-compatible
-candidates, nearest to the trigger, leftmost on ties, no token reuse. The rules
+candidates, least by ``temporal.nearness`` (nearest the trigger, leftmost on
+ties), no token reuse. The rules
 locate the trigger whichever classifier typed the sentence. ``extract_corpus``
 is the one extraction loop, over documents and then sentences; it builds its
 spec-name map and each type's trigger-lemma set once per call. Extraction
@@ -33,7 +34,7 @@ from .errors import (EmptyTrainingSet, MalformedRecord, SlotTypeViolation,
                      UnknownMessageType, UnknownSlot, UnparsableAnchor)
 from .ontology import (MessageTypeSpec, Ontology, ParsedSpec,
                        constraint_satisfied)
-from .temporal import TimeAnchor, _span_distance, message_time
+from .temporal import TimeAnchor, message_time, nearness
 
 log = logging.getLogger("chronicle.extract")
 
@@ -174,61 +175,49 @@ def classify_sentence(sentence: Sentence, rules: list[TriggerRule],
                 return rule.msg_type
         return None
     features = sentence_features(sentence)
-    best_cls, best_score = None, None
-    for cls in model.classes:
-        score = model.log_score(cls, features)
-        if best_score is None or score > best_score:
-            best_cls, best_score = cls, score
-    return None if best_cls == NONE_LABEL else best_cls
+    best = max(model.classes, key=lambda cls: model.log_score(cls, features))
+    return None if best == NONE_LABEL else best
 
 
 # ---------------------------------------------------------------------------
 # Stage two: argument filling
 
 def _instance_spans(sentence: Sentence, ontology: Ontology) -> list[tuple[str, tuple[int, int]]]:
-    """All (instance, token_span) occurrences in the sentence, sorted.
+    """All (instance, token_span) occurrences in the sentence, in the order
+    the ontology's ``PhraseIndex.scan`` finds them.
 
     An instance's surface form is its name with underscores as spaces,
-    segmented by the corpus tokenizer and matched case-insensitively. Every
-    occurrence the ontology's ``PhraseIndex.scan`` finds is kept.
+    segmented by the corpus tokenizer and matched case-insensitively.
     """
     folded = list(map(str.lower, map(_SURFACE, sentence.tokens)))
-    out = [(instance, (start, end)) for start, end, instance
-           in ontology.instance_phrases.scan(folded)]
-    out.sort()
-    return out
+    return [(instance, (start, end)) for start, end, instance
+            in ontology.instance_phrases.scan(folded)]
 
 
 def fill_arguments(sentence: Sentence, ontology: Ontology, spec: MessageTypeSpec,
                    trigger_span: tuple[int, int] | None = None) -> dict[str, str | None]:
     """Heuristic filling of the slots of ``spec``.
 
-    Slots are filled in spec order. Candidates are instance mentions whose
-    concept is a subtype of the slot constraint; the mention nearest the
-    trigger wins (leftmost on ties, longer span preferred at equal start);
-    a token span fills at most one slot; unfilled slots stay None.
+    The instance mentions are ranked once: by ``nearness`` to the trigger,
+    then the longer span, then the instance name. Each slot, in spec order,
+    takes the first ranked mention whose concept is a subtype of the slot
+    constraint and whose span overlaps no span already taken; a slot with
+    no such mention stays None.
     """
-    ancestors = ontology.ancestors
-    mentions = [(instance, span, ancestors[ontology.instances[instance]])
-                for instance, span in _instance_spans(sentence, ontology)]
-    anchor = trigger_span if trigger_span is not None else (0, 0)
+    ancestors, concept_of = ontology.ancestors, ontology.instances
+    ranked = sorted((nearness(span, trigger_span), span[0] - span[1], instance, span)
+                    for instance, span in _instance_spans(sentence, ontology))
     used: list[tuple[int, int]] = []
     args: dict[str, str | None] = {}
     for slot, concept in spec.slots:
-        best = None
-        for instance, span, above in mentions:
-            if concept not in above:
-                continue
-            if any(span[0] < u[1] and u[0] < span[1] for u in used):
-                continue
-            key = (_span_distance(span, anchor), span[0], -(span[1] - span[0]), instance)
-            if best is None or key < best[0]:
-                best = (key, instance, span)
-        if best is None:
-            args[slot] = None
+        for _, _, instance, span in ranked:
+            if concept in ancestors[concept_of[instance]] and \
+                    not any(span[0] < end and start < span[1] for start, end in used):
+                used.append(span)
+                break
         else:
-            args[slot] = best[1]
-            used.append(best[2])
+            instance = None
+        args[slot] = instance
     return args
 
 

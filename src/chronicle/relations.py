@@ -188,12 +188,6 @@ class _Sweep:
         return self.items[bisect_left(self.starts, start - self.lookback):
                           bisect_right(self.starts, end)]
 
-    def overlapping(self, start: int, end: int):
-        """The items whose spans overlap [start, end], in sort order."""
-        for item in self.near(start, end):
-            if item.end >= start:
-                yield item
-
 
 _REPORT_INDEX = attrgetter("message.report_index")
 
@@ -492,7 +486,8 @@ def detect_ellipsis(messages: list[Message], sources: set[str],
             if source == m.source:
                 continue
             sweep = sweeps.get((m.msg_type, source))
-            if sweep is None or next(sweep.overlapping(start, end), None) is None:
+            if sweep is None or not any(item.end >= start
+                                        for item in sweep.near(start, end)):
                 silent.append(source)
         if silent:
             reports.append(EllipsisReport(

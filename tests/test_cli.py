@@ -1109,6 +1109,40 @@ def test_analyze_rejects_threshold_outside_0_to_inf(tmp_path, capsys, threshold)
     assert not (tmp_path / "evolution.json").exists()
 
 
+def analyze_times(tmp_path, capsys, times):
+    """``ingest``, which must exit 0, then ``analyze`` on one source that
+    publishes at ``times``; the exit code of ``analyze``."""
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps({"doc_id": f"d{k}", "source": "s",
+                                       "publish_time": t, "text": ["x"]}) + "\n"
+                           for k, t in enumerate(times)))
+    assert run(["ingest", "--corpus", raw, "--out-dir", tmp_path]) == 0
+    capsys.readouterr()
+    return run(["analyze", "--out-dir", tmp_path])
+
+
+def test_analyze_fits_far_future_dates(tmp_path, capsys):
+    """The gaps' median period puts the last grid point past year 9999;
+    the residual is measured without building that date."""
+    times = ["5000-01-01T00:00:00Z", "7000-01-01T00:00:00Z",
+             "9000-01-01T00:00:00Z", "9999-01-01T00:00:00Z"]
+    assert analyze_times(tmp_path, capsys, times) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "evolution.json").read_text())
+    assert report["linearity"] == "non-linear"
+
+
+def test_too_few_points_counts_distinct_times(tmp_path, capsys):
+    """Four reports at two times are two points of the fit, not four."""
+    times = ["2004-09-01T00:00:00Z", "2004-09-01T00:00:00Z",
+             "2004-09-08T00:00:00Z", "2004-09-08T00:00:00Z"]
+    assert analyze_times(tmp_path, capsys, times) == 2
+    err = one_json_error(capsys, "analyze")
+    assert err["error"] == "TooFewPoints"
+    assert err["detail"] == "need at least 3 timestamps, got 2"
+    assert not (tmp_path / "evolution.json").exists()
+
+
 def test_ingest_imports_no_later_stage(tmp_path):
     """Each subcommand imports its stage modules when it runs: a
     ``chronicle ingest`` process ends without extraction, relations,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from datetime import timedelta
 
 import pytest
 
@@ -9,9 +10,11 @@ from chronicle.errors import (CycleInTaxonomy, DslSyntaxError, DuplicateInstance
                               DuplicateMessageType, ScaleRequired,
                               UnknownConcept, UnknownInstance,
                               UnknownMessageType, UnknownSlot)
-from chronicle.extract import load_trigger_rules
+from chronicle.extract import load_gold_messages, load_trigger_rules
 from chronicle.ontology import (ConditionAtom, Ontology, load_message_specs,
                                 load_ontology, load_relation_specs)
+from chronicle.relations import (WindowPolicy, brute_force_oracle,
+                                 evaluate_relations)
 from tests.oracles import dump_domain, is_subtype_oracle
 
 
@@ -267,3 +270,102 @@ def test_round_trip_serialization(tmp_path, football, hostage):
         assert specs == bundle.message_specs
         assert rels == bundle.relation_specs
         assert load_trigger_rules(path, specs) == triggers
+
+
+# The hostage domain with the rule forms its own spec leaves out: a scale,
+# a diachronic rule pinned by constants on both sides, rules written
+# right-side first (loaded as left-side first, an ordered comparison
+# flipped) and a trigger that requires an NE label.
+HOSTAGE_VARIANT = """
+scale Activity = occupation < ransom < ceasefire
+relation occupation_ended axis=diachronic left=start right=end distance>=1 where left.activity == "occupation" && right.activity == "occupation" && right.entity == left.entity
+relation escalation axis=synchronic left=demand right=demand where right.about > left.about
+relation shift axis=diachronic left=negotiate right=demand distance==1 where right.about < left.about
+trigger negotiate on [talk] requires [ORG]
+"""
+
+
+def load_domain(path):
+    onto = load_ontology(path)
+    specs = load_message_specs(path, onto)
+    return (onto, specs, load_relation_specs(path, specs, onto),
+            load_trigger_rules(path, specs))
+
+
+def test_hostage_variant_round_trips_and_relates(tmp_path, hostage):
+    text = hostage.spec_path.read_text() + HOSTAGE_VARIANT
+    onto, specs, rels, triggers = load_domain(write_spec(tmp_path, text))
+    rules = {r.name: r for r in rels}
+    assert rules["occupation_ended"].conditions == (
+        ConditionAtom(op="const", side="left", value="occupation", left_slot="activity"),
+        ConditionAtom(op="const", side="right", value="occupation", right_slot="activity"),
+        ConditionAtom(op="eq", left_slot="entity", right_slot="entity"))
+    scale = ("occupation", "ransom", "ceasefire")
+    assert rules["escalation"].conditions == (
+        ConditionAtom(op="lt", left_slot="about", right_slot="about", scale=scale),)
+    assert rules["shift"].conditions == (
+        ConditionAtom(op="gt", left_slot="about", right_slot="about", scale=scale),)
+    assert triggers[-1] == ("negotiate", ("talk",), ("ORG",))
+
+    dumped = load_domain(write_spec(tmp_path, dump_domain(onto, specs, rels, triggers),
+                                    name="dumped.spec"))
+    assert (dumped[0].concepts, dumped[0].parent, dumped[0].instances,
+            dumped[0].ordered_scales) == (onto.concepts, onto.parent,
+                                          onto.instances, onto.ordered_scales)
+    assert dumped[1:] == (specs, rels, triggers)
+
+    messages = load_gold_messages(hostage.root / "gold_messages.jsonl", specs,
+                                  onto, hostage.corpus)
+    for days in (0, 1, 3):
+        window = WindowPolicy(timedelta(days=days))
+        related = evaluate_relations(messages, rels, window)
+        assert related == brute_force_oracle(messages, rels, window)
+        assert {r.name for r in related} >= {"occupation_ended", "escalation", "shift"}
+
+
+BASE = "concept A\ninstance a : A\ninstance b : A\nmessage m(x: A, y: A)\n"
+
+
+@pytest.mark.parametrize("text, error, detail", [
+    (BASE + 'relation r axis=synchronic left=m right=m where left.x == "c"',
+     UnknownInstance, "constant 'c' is not an ontology instance"),
+    (BASE + "relation r axis=synchronic left=m right=m where left == right.x",
+     DslSyntaxError, "expected '.' after side qualifier"),
+    (BASE + 'relation r axis=synchronic left=m right=m where left.x != "a"',
+     DslSyntaxError, "constant comparisons support == only"),
+    (BASE + 'relation r axis=synchronic left=m right=m where left.x == "a',
+     DslSyntaxError, "unterminated quote"),
+    (BASE + "relation r axis=diachronic left=m right=m distance>=k",
+     DslSyntaxError, "expected integer"),
+    (BASE + "relation r axis=sideways left=m right=m",
+     DslSyntaxError, "axis must be synchronic or diachronic"),
+    (BASE + "relation r axis=diachronic left=m right=m distance<2",
+     DslSyntaxError, "expected distance==k or distance>=k"),
+    (BASE + "scale A = a < b\nscale A = b < a",
+     DslSyntaxError, "scale for 'A' redeclared"),
+    (BASE + "scale A = a < b < a",
+     DslSyntaxError, "scale values must be distinct"),
+    (BASE + "message n(x: A, y: A) where left.x != y",
+     DslSyntaxError, "message constraints use bare slot names"),
+    (BASE + "relation r axis=synchronic left=m right=m where x == right.x",
+     DslSyntaxError, "relation conditions must qualify 'x' with left./right."),
+    (BASE + "relation r axis=synchronic left=m right=m where left.x == left.y",
+     DslSyntaxError, "relation conditions compare left.* against right.*"),
+    ("concept A\nconcept B\ninstance a : A\ninstance b : B\n"
+     "scale A = a\nscale B = b\nmessage m(x: A, y: B)\n"
+     "relation r axis=synchronic left=m right=m where left.x < right.y",
+     ScaleRequired, "slots 'x' and 'y' are on different scales"),
+    (BASE + "message n(x: A, x: A)",
+     DslSyntaxError, "duplicate slot 'x'"),
+    (BASE + "trigger n on [go]",
+     UnknownMessageType, "trigger references unknown message type 'n'"),
+], ids=["const-unknown-instance", "side-without-dot", "const-not-eq",
+        "unterminated-quote", "distance-not-integer", "axis", "distance-op",
+        "scale-redeclared", "scale-repeats", "constraint-qualified",
+        "condition-bare", "condition-one-side", "different-scales",
+        "duplicate-slot", "trigger-unknown-type"])
+def test_spec_errors_name_their_line(tmp_path, text, error, detail):
+    with pytest.raises(error) as err:
+        load_domain(write_spec(tmp_path, text + "\n"))
+    assert detail in str(err.value)
+    assert err.value.line == text.count("\n") + 1
