@@ -1,7 +1,8 @@
 """Byte identity of every stage's artifacts on the benchmark workloads.
 
 Each case builds one workload of ``benchmarks/generate.py`` at a fixed seed
-and scale 1, or relate-dense at scale 4 (about 36,000 relations), runs the
+and scale 1, relate-dense at scale 4 (about 36,000 relations), or
+lexicon-wide at seed 1 as well (it draws its domain per seed), runs the
 five stages with the arguments the benchmark's worker
 gives them (``worker.stage_argv``), and compares the sha256 of all eight
 artifacts with the committed table. The benchmark files are loaded by path
@@ -45,11 +46,12 @@ def load_benchmark_module(name: str, monkeypatch: pytest.MonkeyPatch):
     return module
 
 
-def digests(workload: str, tmp: Path, scale: float = 1.0) -> dict[str, str]:
+def digests(workload: str, tmp: Path, scale: float = 1.0,
+            seed: int = SEED) -> dict[str, str]:
     with pytest.MonkeyPatch.context() as monkeypatch:
         generate = load_benchmark_module("generate", monkeypatch)
         worker = load_benchmark_module("worker", monkeypatch)
-    manifest = generate.generate(workload, SEED, scale, tmp / "input")
+    manifest = generate.generate(workload, seed, scale, tmp / "input")
     out = tmp / "out"
     out.mkdir()
     for stage, argv in worker.stage_argv(manifest, out):
@@ -140,6 +142,29 @@ GOLDEN_SCALED = {
 }
 
 
+# (workload, seed) -> digests at scale 1 for seeds other than SEED
+GOLDEN_SEEDED = {
+    ('lexicon-wide', 1): {
+        'corpus.jsonl':
+            'c55c9963a5d57dc9012436ad9334346ac3d554ab3690f89300f3a2cd6da2c9fd',
+        'messages.jsonl':
+            'a5fded760c883b2b7ed6b7bdb8673222c3661353648286c1be1fa139292a621f',
+        'relations.jsonl':
+            '01a12f847bd68073632783d30714a39dbdf4237442a47370507e06f72b8ead02',
+        'ellipsis.jsonl':
+            '2d0805c67a96a0a15c26ec112a88535ce7eb9aee680730da42e9c3e0dffd9d18',
+        'evolution.json':
+            '7c027799df5c8e57a219a74f0f8923eeb8ba7420b8eb5f776013cf4c936c4653',
+        'plot.csv':
+            '595a3d2d55011244623dc0fa63aeda12beac8ddd37604a0ef0a27aeec5fff1ca',
+        'summary.txt':
+            '7593fa4385d0134050362162cb2da82dc55f9f75e799dcae2834e27959f39cf8',
+        'coverage.json':
+            '6a9187e11dad968e1cbfd99460241bda712500463548ec0d2072a99446bd5416',
+    },
+}
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_artifacts_match_golden_digests(tmp_path, workload):
     assert digests(workload, tmp_path) == GOLDEN[workload]
@@ -150,11 +175,16 @@ def test_scaled_workload_artifacts_match_golden_digests(tmp_path, workload, scal
     assert digests(workload, tmp_path, scale) == GOLDEN_SCALED[workload, scale]
 
 
+@pytest.mark.parametrize("workload, seed", list(GOLDEN_SEEDED))
+def test_seeded_workload_artifacts_match_golden_digests(tmp_path, workload, seed):
+    assert digests(workload, tmp_path, seed=seed) == GOLDEN_SEEDED[workload, seed]
+
+
 def print_table(title: str, cases: dict) -> None:
     print(f"{title} = {{")
-    for case, (workload, scale) in cases.items():
+    for case, (workload, scale, seed) in cases.items():
         with tempfile.TemporaryDirectory() as tmp:
-            table = digests(workload, Path(tmp), scale)
+            table = digests(workload, Path(tmp), scale, seed)
         print(f"    {case!r}: {{")
         for name in ARTIFACTS:
             print(f"        {name!r}:\n            {table[name]!r},")
@@ -163,5 +193,6 @@ def print_table(title: str, cases: dict) -> None:
 
 
 if __name__ == "__main__":
-    print_table("GOLDEN", {workload: (workload, 1.0) for workload in WORKLOADS})
-    print_table("GOLDEN_SCALED", {case: case for case in GOLDEN_SCALED})
+    print_table("GOLDEN", {workload: (workload, 1.0, SEED) for workload in WORKLOADS})
+    print_table("GOLDEN_SCALED", {case: (*case, SEED) for case in GOLDEN_SCALED})
+    print_table("GOLDEN_SEEDED", {case: (case[0], 1.0, case[1]) for case in GOLDEN_SEEDED})
