@@ -25,7 +25,8 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .corpus import parse_duration
-from .errors import ChronicleError, MalformedRecord, UsageError
+from .errors import (ChronicleError, MalformedRecord, UnknownMessageType,
+                     UsageError)
 from .ontology import (ParsedSpec, load_message_specs, load_ontology,
                        load_relation_specs)
 
@@ -70,7 +71,9 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _read_training(path: str, lexicon, gazetteer):
+def _read_training(path: str, lexicon, gazetteer, types: list[str]):
+    """(sentence, label) per training record; a label is one of the
+    domain's message ``types`` or null."""
     phrases = corpus_mod.PhraseIndex(gazetteer.items()) if gazetteer else None
     labeled = []
     for ln, rec in corpus_mod.read_records(path):
@@ -79,6 +82,8 @@ def _read_training(path: str, lexicon, gazetteer):
             raise MalformedRecord("text must be a string", path, ln)
         if label is not None and not isinstance(label, str):
             raise MalformedRecord("type must be a string or null", path, ln)
+        if label is not None and label not in types:
+            raise UnknownMessageType(f"unknown message type {label!r}", path, ln)
         tokens = corpus_mod.tokenize(text, lexicon, phrases)
         sentence = corpus_mod.Sentence(index=0, text=text, tokens=tokens)
         labeled.append((sentence, label))
@@ -107,9 +112,9 @@ def cmd_extract(args) -> int:
             lexicon = corpus_mod.load_lexicon(args.lexicon) if args.lexicon else None
             gazetteer = (corpus_mod.load_gazetteer(args.gazetteer)
                          if args.gazetteer else None)
-            labeled = _read_training(args.train, lexicon, gazetteer)
-            model = extract_mod.train_classifier(
-                labeled, type_order=[m.name for m in message_specs])
+            types = [m.name for m in message_specs]
+            labeled = _read_training(args.train, lexicon, gazetteer, types)
+            model = extract_mod.train_classifier(labeled, type_order=types)
         messages = extract_mod.extract_corpus(corpus, message_specs, ontology,
                                               rules, model)
     extract_mod.write_messages(messages, out / MESSAGES_ARTIFACT)

@@ -265,11 +265,7 @@ def extract_corpus(corpus: Corpus, specs: list[MessageTypeSpec],
             msg_type = classify_sentence(sentence, rules, model)
             if msg_type is None:
                 continue
-            spec = by_name.get(msg_type)
-            if spec is None:
-                log.info("skip %s#%d: predicted unknown type %r",
-                         document.doc_id, sentence.index, msg_type)
-                continue
+            spec = by_name[msg_type]
             trigger = trigger_span_for(sentence, triggers[msg_type])
             args = fill_arguments(sentence, ontology, spec, trigger)
             anchor = message_time(sentence, document.publish_time, trigger)

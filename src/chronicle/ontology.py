@@ -235,9 +235,7 @@ class _Cursor:
         return self.name(what, _INSTANCE_RE)
 
     def quoted(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != '"':
-            self.error("expected quoted value")
+        """The quoted value at the cursor, which the caller has seen start."""
         end = self.text.find('"', self.pos + 1)
         if end < 0:
             self.error("unterminated quote")
@@ -415,7 +413,6 @@ def _parse_line(line: str, ln: int, path: str) -> Statement | None:
                                          "requires": requires})
 
     cur.error(f"unknown statement {keyword!r}", 0)
-    return None
 
 
 def parse_spec_file(path: str | Path) -> list[Statement]:

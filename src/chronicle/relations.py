@@ -23,14 +23,16 @@ window the grammar reads relate like any other.
 Candidates are found without testing every pair. Synchronic ones come from
 a sweep over spans sorted by start: a message can only overlap spans that
 start between its own start minus the longest span among the candidates
-and its own end, a range two bisections find. Ellipsis runs the same sweep
-on per-(type, source) lists. Diachronic ones come from per-source lists in
-report order, where a rule's distance is a range of report indices that
-two bisections find (``==k`` one index, ``>=k`` every index from ``+k``
-on, no distance the whole source). Report order follows publish time, but
-anchors come from the text, so each candidate in the range is still tested
-for a strictly later span start. Both generators yield (left, right,
-distance) triples, the distance None on the synchronic axis.
+and its own end, a range two bisections find. Ellipsis is the keyless
+synchronic join: the same candidates, drawn per message type, and a source
+none of a message's candidates comes from is silent. Diachronic ones come
+from per-source lists in report order, where a rule's distance is a range
+of report indices that two bisections find (``==k`` one index, ``>=k``
+every index from ``+k`` on, no distance the whole source). Report order
+follows publish time, but anchors come from the text, so each candidate in
+the range is still tested for a strictly later span start. Both generators
+yield (left, right, distance) triples, the distance None on the synchronic
+axis.
 
 ``evaluate_relations`` runs each rule as a keyed join, since a rule's
 conditions are a conjunction of slot equalities plus a few other atoms.
@@ -284,6 +286,14 @@ def _residual_test(residual):
     return lambda left, right: all(test(left, right) for test in tests)
 
 
+def _by_type(items) -> dict[str, list[_Item]]:
+    """_by_extent items per message type, each list in item order."""
+    by_type = {}
+    for item in items:
+        by_type.setdefault(item.message.msg_type, []).append(item)
+    return by_type
+
+
 def _key_groups(items, key_slots: tuple[str, ...], pins: tuple[tuple[str, str], ...]):
     """_by_extent items grouped by their message's values in ``key_slots``,
     each group in item order. A message with a null key slot, or one whose
@@ -310,9 +320,7 @@ def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpe
     and deterministically sorted by (axis, name, left anchor, doc, sentence).
     """
     items = _by_extent(messages, window)
-    by_type: dict[str, list] = {}
-    for item in items:
-        by_type.setdefault(item.message.msg_type, []).append(item)
+    by_type = _by_type(items)
     plans: dict[tuple, dict] = {}      # (type, key slots, pins) -> key groups
     indexes: dict[tuple, object] = {}  # (axis, plan, key) -> _Sweep or _Reports
     found: set[tuple] = set()
@@ -470,29 +478,20 @@ class EllipsisReport(NamedTuple):
 def detect_ellipsis(messages: list[Message], sources: set[str],
                     window: WindowPolicy) -> list[EllipsisReport]:
     """One report per message that some other source never echoes: the
-    report lists every source with no window-compatible message of the
-    same type."""
+    report lists, in name order, every source with no window-compatible
+    message of the same type. A message is heard from its own source and
+    from the sources of its synchronic candidates among its type."""
     items = _by_extent(messages, window)
-    partitions: dict[tuple[str, str], list] = {}
-    for item in items:
-        partitions.setdefault((item.message.msg_type, item.message.source),
-                              []).append(item)
-    sweeps = {part: _Sweep(part_items) for part, part_items in partitions.items()}
+    heard = [{item.message.source} for item in items]
+    for typed in _by_type(items).values():
+        for left, right, _ in _synchronic_candidates(typed, _Sweep(typed)):
+            heard[left.position].add(right.message.source)
     ordered_sources = sorted(sources)
     reports = []
-    for _, m, start, end, bucket in items:
-        silent = []
-        for source in ordered_sources:
-            if source == m.source:
-                continue
-            sweep = sweeps.get((m.msg_type, source))
-            if sweep is None or not any(item.end >= start
-                                        for item in sweep.near(start, end)):
-                silent.append(source)
+    for item, item_heard in zip(items, heard):
+        silent = tuple(source for source in ordered_sources if source not in item_heard)
         if silent:
-            reports.append(EllipsisReport(
-                message=m, bucket=bucket,
-                silent_sources=tuple(silent)))
+            reports.append(EllipsisReport(item.message, item.bucket, silent))
     return reports
 
 

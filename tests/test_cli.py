@@ -144,6 +144,16 @@ def test_simulated_corpus_is_ingestable(tmp_path):
     assert report["linearity"] == "non-linear"
 
 
+@pytest.mark.parametrize("flag", ["--sources", "--horizon"])
+def test_simulate_without_sources_or_reports_exits_2(tmp_path, capsys, flag):
+    assert run(["simulate", "--kind", "linear", flag, "0",
+                "--out-dir", tmp_path]) == 2
+    assert one_json_error(capsys, "simulate") == {
+        "stage": "simulate", "error": "ValueError",
+        "detail": "need at least one source and one report"}
+    assert not (tmp_path / "simulated.jsonl").exists()
+
+
 def test_parser_is_built_once_and_serves_every_stage(tmp_path):
     assert cli.build_parser() is cli.build_parser()
     assert run(["simulate", "--kind", "linear", "--seed", "7", "--sources", "2",
@@ -490,6 +500,25 @@ def test_malformed_training_record_exits_2(tmp_path, capsys, line):
     err = one_json_error(capsys, "extract")
     assert err["error"] == "MalformedRecord"
     assert "train.jsonl:1:" in err["detail"]
+
+
+def test_training_label_that_is_no_message_type_exits_2(tmp_path, capsys):
+    """A misspelt label is refused at its line, not trained on and then
+    every sentence the model gives it dropped."""
+    root = FIXTURES / "hostage"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--lexicon", root / "lexicon.tsv", "--out-dir", tmp_path]) == 0
+    train = tmp_path / "train.jsonl"
+    train.write_text((root / "train.jsonl").read_text()
+                     .replace('"negotiate"', '"negotiat"'))
+    code = run(["extract", "--ontology", root / "domain.spec",
+                "--mode", "statistical", "--train", train,
+                "--lexicon", root / "lexicon.tsv", "--out-dir", tmp_path])
+    assert code == 2
+    err = one_json_error(capsys, "extract")
+    assert err["error"] == "UnknownMessageType"
+    assert err["detail"] == f"{train}:1: unknown message type 'negotiat'"
+    assert not (tmp_path / "messages.jsonl").exists()
 
 
 def test_each_stage_parses_the_spec_once(tmp_path, monkeypatch, capsys):

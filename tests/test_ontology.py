@@ -326,6 +326,12 @@ def test_hostage_variant_round_trips_and_relates(tmp_path, hostage):
 BASE = "concept A\ninstance a : A\ninstance b : A\nmessage m(x: A, y: A)\n"
 
 
+def test_trigger_requires_every_listed_label(tmp_path):
+    _, _, _, triggers = load_domain(write_spec(
+        tmp_path, BASE + "trigger m on [go, went] requires [ORG, PER]\n"))
+    assert triggers == [("m", ("go", "went"), ("ORG", "PER"))]
+
+
 @pytest.mark.parametrize("text, error, detail", [
     (BASE + 'relation r axis=synchronic left=m right=m where left.x == "c"',
      UnknownInstance, "constant 'c' is not an ontology instance"),
@@ -359,11 +365,16 @@ BASE = "concept A\ninstance a : A\ninstance b : A\nmessage m(x: A, y: A)\n"
      DslSyntaxError, "duplicate slot 'x'"),
     (BASE + "trigger n on [go]",
      UnknownMessageType, "trigger references unknown message type 'n'"),
+    (BASE + "relation r axis=synchronic left=m right=m where left.x ~ right.x",
+     DslSyntaxError, "expected one of ==, !=, <, >"),
+    (BASE + "scale Nope = a < b",
+     UnknownConcept, "scale names unknown concept 'Nope'"),
 ], ids=["const-unknown-instance", "side-without-dot", "const-not-eq",
         "unterminated-quote", "distance-not-integer", "axis", "distance-op",
         "scale-redeclared", "scale-repeats", "constraint-qualified",
         "condition-bare", "condition-one-side", "different-scales",
-        "duplicate-slot", "trigger-unknown-type"])
+        "duplicate-slot", "trigger-unknown-type", "condition-operator",
+        "scale-unknown-concept"])
 def test_spec_errors_name_their_line(tmp_path, text, error, detail):
     with pytest.raises(error) as err:
         load_domain(write_spec(tmp_path, text + "\n"))
