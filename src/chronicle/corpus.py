@@ -220,9 +220,9 @@ def record_decoder(path: str | Path) -> Callable[[str, int], dict | None]:
                 rec = json.loads(raw)
             except ValueError as exc:    # JSONDecodeError, or an overlong int
                 raise MalformedRecord(f"invalid JSON ({getattr(exc, 'msg', exc)})",
-                                      str(path), ln) from None
+                                      path, ln) from None
         if not isinstance(rec, dict):
-            raise MalformedRecord("record is not an object", str(path), ln)
+            raise MalformedRecord("record is not an object", path, ln)
         return rec
     return decode
 
@@ -272,7 +272,7 @@ def _tsv_rows(path: str | Path) -> Iterator[tuple[str, str]]:
                 continue
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise MalformedRecord("expected surface<TAB>value", str(path), ln)
+                raise MalformedRecord("expected surface<TAB>value", path, ln)
             yield parts[0].strip(), parts[1].strip()
 
 
@@ -345,26 +345,26 @@ def load_corpus(path: str | Path,
     for ln, rec in read_records(path):
         doc_id = rec.get("doc_id")
         if not doc_id or not isinstance(doc_id, str):
-            raise MalformedRecord("missing doc_id", str(path), ln)
+            raise MalformedRecord("missing doc_id", path, ln)
         if "#" in doc_id:
-            raise MalformedRecord(f"doc_id {doc_id!r} contains '#'", str(path), ln)
+            raise MalformedRecord(f"doc_id {doc_id!r} contains '#'", path, ln)
         if doc_id in seen_ids:
-            raise DuplicateDocId(doc_id, str(path), ln)
+            raise DuplicateDocId(doc_id, path, ln)
         seen_ids.add(doc_id)
         source = rec.get("source")
         if not source or not isinstance(source, str):
-            raise MalformedRecord(f"document {doc_id!r} has no source", str(path), ln)
+            raise MalformedRecord(f"document {doc_id!r} has no source", path, ln)
         if "publish_time" not in rec or rec["publish_time"] in (None, ""):
-            raise MalformedRecord(f"document {doc_id!r} has no publish_time", str(path), ln)
+            raise MalformedRecord(f"document {doc_id!r} has no publish_time", path, ln)
         try:
             publish_time = parse_rfc3339(rec["publish_time"])
             sentences = _split_sentences(rec.get("text"))
         except UnparsableTimestamp as exc:
-            raise UnparsableTimestamp(exc.value, str(path), ln) from None
+            raise UnparsableTimestamp(exc.value, path, ln) from None
         except TypeError as exc:
-            raise MalformedRecord(str(exc), str(path), ln) from None
+            raise MalformedRecord(str(exc), path, ln) from None
         if not sentences:
-            raise MalformedRecord(f"document {doc_id!r} has no sentences", str(path), ln)
+            raise MalformedRecord(f"document {doc_id!r} has no sentences", path, ln)
         raw_docs.append((doc_id, source, publish_time, sentences))
 
     return build_corpus(path.stem, raw_docs, lexicon=lexicon, gazetteer=gazetteer)
@@ -512,16 +512,16 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
                     or not isinstance(rec["sentences"], list)):
                 raise TypeError
             if "#" in doc_id:
-                raise MalformedRecord(f"doc_id {doc_id!r} contains '#'", str(path), ln)
+                raise MalformedRecord(f"doc_id {doc_id!r} contains '#'", path, ln)
             sentences = tuple(_sentence(s, tokens) for s in rec["sentences"])
             publish_time = parse_rfc3339(publish_time)
         except KeyError as exc:
-            raise MalformedRecord(f"missing {exc.args[0]}", str(path), ln) from None
+            raise MalformedRecord(f"missing {exc.args[0]}", path, ln) from None
         except TypeError:
             raise MalformedRecord("record does not have the corpus-artifact shape",
-                                  str(path), ln) from None
+                                  path, ln) from None
         except UnparsableTimestamp as exc:
-            raise UnparsableTimestamp(exc.value, str(path), ln) from None
+            raise UnparsableTimestamp(exc.value, path, ln) from None
         documents.append(Document(
             doc_id=doc_id, source=source, publish_time=publish_time,
             sentences=sentences, report_index=report_index))

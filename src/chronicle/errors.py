@@ -6,65 +6,63 @@ column, record id) so CLI stages can surface machine-readable diagnostics.
 
 from __future__ import annotations
 
+from os import PathLike
+
 
 class ChronicleError(Exception):
     """Base class for all pipeline errors."""
 
 
-def _located(reason: str, path: str | None, line: int | None,
-             column: int | None = None) -> str:
-    """``reason``, prefixed ``path:line:`` (``path:line:column:`` with a
-    column) when both the path and the line are known."""
-    if path is None or line is None:
-        return reason
-    at = f"{path}:{line}:" if column is None else f"{path}:{line}:{column}:"
-    return f"{at} {reason}"
+class LocatedError(ChronicleError):
+    """Error in an input file: a spec, corpus or other record file. The
+    message is ``reason``, prefixed ``path:line:`` (``path:line:column:``
+    with a column) when both the path and the line are known; ``path`` is
+    kept as a string."""
 
-
-class SpecError(ChronicleError):
-    """Error in an ontology / message / relation spec file."""
-
-    def __init__(self, message: str, path: str | None = None,
+    def __init__(self, reason: str, path: str | PathLike | None = None,
                  line: int | None = None, column: int | None = None):
-        self.path = path
+        self.path = path = None if path is None else str(path)
         self.line = line
         self.column = column
-        super().__init__(_located(message, path, line, column))
+        if path is not None and line is not None:
+            at = f"{path}:{line}:" if column is None else f"{path}:{line}:{column}:"
+            reason = f"{at} {reason}"
+        super().__init__(reason)
 
 
-class DslSyntaxError(SpecError):
+class DslSyntaxError(LocatedError):
     pass
 
 
-class CycleInTaxonomy(SpecError):
+class CycleInTaxonomy(LocatedError):
     pass
 
 
-class UnknownConcept(SpecError):
+class UnknownConcept(LocatedError):
     pass
 
 
-class UnknownInstance(SpecError):
+class UnknownInstance(LocatedError):
     pass
 
 
-class DuplicateInstance(SpecError):
+class DuplicateInstance(LocatedError):
     pass
 
 
-class DuplicateMessageType(SpecError):
+class DuplicateMessageType(LocatedError):
     pass
 
 
-class UnknownMessageType(SpecError):
+class UnknownMessageType(LocatedError):
     pass
 
 
-class UnknownSlot(SpecError):
+class UnknownSlot(LocatedError):
     pass
 
 
-class ScaleRequired(SpecError):
+class ScaleRequired(LocatedError):
     """Ordered comparison requested on a concept without an ordered scale."""
 
 
@@ -77,27 +75,17 @@ class UsageError(ChronicleError):
         super().__init__(message)
 
 
-class CorpusError(ChronicleError):
-    """Error in a corpus or other record file, prefixed ``path:line:`` when
-    both are known."""
-
-    def __init__(self, reason: str, path: str | None = None, line: int | None = None):
-        self.path = path
-        self.line = line
-        super().__init__(_located(reason, path, line))
-
-
-class MalformedRecord(CorpusError):
+class MalformedRecord(LocatedError):
     pass
 
 
-class DuplicateDocId(CorpusError):
+class DuplicateDocId(LocatedError):
     def __init__(self, doc_id: str, path: str | None = None, line: int | None = None):
         self.doc_id = doc_id
         super().__init__(f"duplicate doc_id {doc_id!r}", path, line)
 
 
-class UnparsableTimestamp(CorpusError):
+class UnparsableTimestamp(LocatedError):
     def __init__(self, value: str, path: str | None = None, line: int | None = None):
         self.value = value
         super().__init__(f"unparsable timestamp {value!r}", path, line)
@@ -112,7 +100,7 @@ class UnresolvableExpression(ChronicleError):
         super().__init__(f"cannot resolve {raw!r} (pattern {pattern_id})")
 
 
-class SlotTypeViolation(CorpusError):
+class SlotTypeViolation(LocatedError):
     def __init__(self, msg_type: str, slot: str, value: str, expected: str,
                  path: str | None = None, line: int | None = None):
         self.msg_type = msg_type
@@ -124,7 +112,7 @@ class SlotTypeViolation(CorpusError):
             path, line)
 
 
-class UnparsableAnchor(CorpusError):
+class UnparsableAnchor(LocatedError):
     def __init__(self, value: str, path: str | None = None, line: int | None = None):
         self.value = value
         super().__init__(f"unparsable time anchor {value!r}", path, line)

@@ -123,35 +123,31 @@ def sentence_features(sentence: Sentence) -> list[str]:
 
 
 def train_classifier(labeled: list[tuple[Sentence, str | None]],
-                     type_order: list[str] | None = None) -> ClassifierModel:
+                     type_order: list[str]) -> ClassifierModel:
     """Train the count model; None labels stand for the ``none`` class.
 
     Deterministic and order-independent: only feature/class counts matter.
-    ``type_order`` (normally spec-file order) fixes the tie-break order;
-    by default classes are ordered by first appearance in the data.
+    ``type_order`` (normally spec-file order) fixes the tie-break order; a
+    label outside it raises ValueError.
     """
     if not labeled:
         raise EmptyTrainingSet("no labeled sentences")
     class_counts: dict[str, int] = {}
     feature_counts: dict[str, dict[str, int]] = {}
     vocabulary: set[str] = set()
-    first_seen: list[str] = []
     for sentence, label in labeled:
         cls = NONE_LABEL if label is None else label
         if cls not in class_counts:
+            if label is not None and label not in type_order:
+                raise ValueError(f"label {label!r} is not in the type order")
             class_counts[cls] = 0
             feature_counts[cls] = {}
-            first_seen.append(cls)
         class_counts[cls] += 1
         for f in sentence_features(sentence):
             vocabulary.add(f)
             feature_counts[cls][f] = feature_counts[cls].get(f, 0) + 1
 
-    if type_order is not None:
-        order = [c for c in type_order if c in class_counts]
-        order += [c for c in first_seen if c not in order and c != NONE_LABEL]
-    else:
-        order = [c for c in first_seen if c != NONE_LABEL]
+    order = [c for c in type_order if c in class_counts]
     if NONE_LABEL in class_counts:
         order.append(NONE_LABEL)
     return ClassifierModel(order, class_counts, feature_counts, vocabulary)
@@ -315,23 +311,22 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
         try:
             doc_id, sidx, msg_type = rec["doc_id"], rec["sentence_index"], rec["type"]
         except KeyError as exc:
-            raise MalformedRecord(f"missing {exc.args[0]}", str(path), ln) from None
+            raise MalformedRecord(f"missing {exc.args[0]}", path, ln) from None
         if not isinstance(doc_id, str):
-            raise MalformedRecord("doc_id must be a string", str(path), ln)
+            raise MalformedRecord("doc_id must be a string", path, ln)
         if not isinstance(msg_type, str):
-            raise MalformedRecord("type must be a string", str(path), ln)
+            raise MalformedRecord("type must be a string", path, ln)
         doc = docs.get(doc_id)
         if doc is None:
-            raise MalformedRecord(f"unknown doc_id {doc_id!r}", str(path), ln)
+            raise MalformedRecord(f"unknown doc_id {doc_id!r}", path, ln)
         if (isinstance(sidx, bool) or not isinstance(sidx, int)
                 or not 0 <= sidx < len(doc.sentences)):
-            raise MalformedRecord(f"sentence_index {sidx!r} out of range",
-                                  str(path), ln)
+            raise MalformedRecord(f"sentence_index {sidx!r} out of range", path, ln)
         count = len(seen)
         seen.add((doc_id, sidx))
         if len(seen) == count:
             raise MalformedRecord(f"second message for sentence {doc_id}#{sidx}",
-                                  str(path), ln)
+                                  path, ln)
         raw_args = rec.get("args", {})
         try:
             pair = (msg_type, *raw_args, *raw_args.values())
@@ -343,28 +338,24 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
         if fresh:
             spec = by_name.get(msg_type)
             if spec is None:
-                raise UnknownMessageType(f"unknown message type {msg_type!r}",
-                                         str(path), ln)
+                raise UnknownMessageType(f"unknown message type {msg_type!r}", path, ln)
             if not isinstance(raw_args, dict):
-                raise MalformedRecord("args must be an object of slot values",
-                                      str(path), ln)
+                raise MalformedRecord("args must be an object of slot values", path, ln)
             for slot in raw_args:
                 if slot not in slot_names[msg_type]:
                     raise UnknownSlot(
-                        f"message type {msg_type!r} has no slot {slot!r}",
-                        str(path), ln)
+                        f"message type {msg_type!r} has no slot {slot!r}", path, ln)
             args = {}
             for slot, concept in spec.slots:
                 value = raw_args.get(slot)
                 if value is not None:
                     if not isinstance(value, str):
                         raise MalformedRecord(
-                            f"slot {slot!r} must be an instance name or null",
-                            str(path), ln)
+                            f"slot {slot!r} must be an instance name or null", path, ln)
                     got = ontology.instances.get(value)
                     if got is None or concept not in ontology.ancestors[got]:
                         raise SlotTypeViolation(msg_type, slot, value, concept,
-                                                str(path), ln)
+                                                path, ln)
                 args[slot] = value
         time = rec.get("time")
         if time is None:
@@ -376,11 +367,11 @@ def load_gold_messages(path: str | Path, specs: list[MessageTypeSpec],
                 # only a string parses, so ``time`` is one from here on
                 anchor = anchors[time] = TimeAnchor.from_string(time)
             except UnparsableAnchor as exc:
-                raise UnparsableAnchor(exc.value, str(path), ln) from None
+                raise UnparsableAnchor(exc.value, path, ln) from None
         if fresh:
             reason = validate_message(spec, args)
             if reason is not None:
-                raise MalformedRecord(reason, str(path), ln)
+                raise MalformedRecord(reason, path, ln)
             checked[pair] = args
         messages.append(Message(msg_type=msg_type, args=args, time=anchor,
                                 source=doc.source, doc_id=doc.doc_id,

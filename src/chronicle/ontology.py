@@ -190,7 +190,7 @@ class Statement(NamedTuple):
 class _Cursor:
     """Single-line scanner that reports 1-based columns on error."""
 
-    def __init__(self, text: str, path: str, line: int):
+    def __init__(self, text: str, path: str | Path, line: int):
         self.text = text
         self.pos = 0
         self.path = path
@@ -292,7 +292,7 @@ def _parse_atoms(cur: _Cursor) -> list[dict]:
     return atoms
 
 
-def _parse_line(line: str, ln: int, path: str) -> Statement | None:
+def _parse_line(line: str, ln: int, path: str | Path) -> Statement | None:
     m = _INSTANCE_LINE.fullmatch(line)
     if m:
         return Statement("instance", ln, {"name": m[1], "concept": m[2]})
@@ -418,10 +418,9 @@ def _parse_line(line: str, ln: int, path: str) -> Statement | None:
 def parse_spec_file(path: str | Path) -> list[Statement]:
     """Parse a spec file into raw statements (no semantic validation)."""
     statements = []
-    name = str(path)
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
-            stmt = _parse_line(raw.rstrip("\n"), ln, name)
+            stmt = _parse_line(raw.rstrip("\n"), ln, path)
             if stmt is not None:
                 statements.append(stmt)
     return statements

@@ -86,6 +86,7 @@ from bisect import bisect_left, bisect_right
 from datetime import timedelta
 from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
+from math import inf
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -557,8 +558,7 @@ def _key_at(ref: dict, path: str | Path, ln: int) -> tuple[str, int]:
     """The message key that a record's ``doc_id`` and ``sentence_index`` give."""
     sidx = ref["sentence_index"]
     if isinstance(sidx, bool) or not isinstance(sidx, int):
-        raise MalformedRecord(f"sentence_index {sidx!r} is not an integer",
-                              str(path), ln)
+        raise MalformedRecord(f"sentence_index {sidx!r} is not an integer", path, ln)
     return (ref["doc_id"], sidx)
 
 
@@ -597,29 +597,6 @@ _CANONICAL_RELATION = re.compile(
     rf'"name": {_JSON_STR}, "right": {_JSON_REF}\}}\n?')
 
 
-def _record_fields(rec: dict, by_key: dict, path: str | Path,
-                   ln: int) -> tuple[object, object, tuple, tuple]:
-    """The name, axis and left and right message keys of a relation record
-    decoded as JSON. A missing field, a ref that is not an object, and a
-    ``sentence_index`` that is not an integer raise MalformedRecord, in
-    field order: when the right ref is malformed and the left message is
-    unknown, the unknown message is named."""
-    try:
-        name, axis = rec["name"], rec["axis"]
-        left_key = _key_at(rec["left"], path, ln)
-        try:
-            right_key = _key_at(rec["right"], path, ln)
-        except (KeyError, TypeError, MalformedRecord):
-            by_key[left_key]        # raises first for an unknown left message
-            raise
-    except KeyError as exc:
-        raise MalformedRecord(_lookup_failure(exc), str(path), ln) from None
-    except TypeError:
-        raise MalformedRecord("record does not have the relations-artifact shape",
-                              str(path), ln) from None
-    return name, axis, left_key, right_key
-
-
 def read_relations(path: str | Path, messages: list[Message],
                    relation_specs: list[RelationSpec]) -> list[tuple]:
     """Load a relations artifact as instance keys, ``(axis, name, left
@@ -627,19 +604,32 @@ def read_relations(path: str | Path, messages: list[Message],
     them, in file order. Each instance may occur once. Each must be one
     ``evaluate_relations`` can emit on its axis (see ``_axis_problem``),
     from a rule of ``relation_specs`` with that name and axis between its
-    messages' types; a symmetric rule also relates them the other way. A
-    rule's conditions and the window are not checked again.
+    messages' types, whose distance gate admits a diachronic record's
+    distance; a symmetric rule also relates them the other way. A rule's
+    conditions and the window are not checked again.
 
     A line with the bytes ``write_relations`` writes is read with one
     pattern; any other line, in another JSON encoding of a record or not
-    JSON at all, goes through ``record_decoder``. Both give the same
-    fields, and one check runs on them."""
+    JSON at all, goes through ``record_decoder`` and is read field by
+    field: name, axis, left ref, left message, right ref, right message.
+    Both give the same fields, and one check runs on them."""
     # each key maps to its message and to one tuple that every record of
     # the message shares, so a record keeps one new tuple, not three
     by_key = {key: (m, key) for m, key in zip(messages, map(Message.key, messages))}
-    rules = {(s.name, s.axis, s.left_type, s.right_type) for s in relation_specs}
-    rules.update((s.name, s.axis, s.right_type, s.left_type)
-                 for s in relation_specs if s.symmetric)
+    # (name, axis, left type, right type) -> [least ">=" bound, "==" values]
+    # over every rule of that name: two rules may share one
+    gates: dict[tuple, list] = {}
+    for s in relation_specs:
+        op, k = s.distance or (">=", -inf)
+        ends = [(s.left_type, s.right_type)]
+        if s.symmetric:
+            ends.append((s.right_type, s.left_type))
+        for left_type, right_type in ends:
+            gate = gates.setdefault((s.name, s.axis, left_type, right_type), [inf, set()])
+            if op == "==":
+                gate[1].add(k)
+            else:
+                gate[0] = min(gate[0], k)
     canonical = _CANONICAL_RELATION.fullmatch
     decode = record_decoder(path)
     out = []
@@ -647,43 +637,50 @@ def read_relations(path: str | Path, messages: list[Message],
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
             match = canonical(raw)
-            if match is not None:
-                axis, distance, left_doc, left_index, name, right_doc, right_index \
-                    = match.groups()
-                left_key = (left_doc, int(left_index))
-                right_key = (right_doc, int(right_index))
-                has_distance = distance is not None
-                if has_distance:
-                    distance = int(distance)
-            else:
-                rec = decode(raw, ln)
-                if rec is None:
-                    continue
-                name, axis, left_key, right_key = _record_fields(rec, by_key, path, ln)
-                has_distance = "distance" in rec
-                distance = rec.get("distance")
             try:
-                (left, left_key), (right, right_key) = by_key[left_key], by_key[right_key]
+                if match is not None:
+                    axis, distance, left_doc, left_index, name, right_doc, right_index \
+                        = match.groups()
+                    left, left_key = by_key[left_doc, int(left_index)]
+                    right, right_key = by_key[right_doc, int(right_index)]
+                    has_distance = distance is not None
+                    if has_distance:
+                        distance = int(distance)
+                else:
+                    rec = decode(raw, ln)
+                    if rec is None:
+                        continue
+                    name, axis = rec["name"], rec["axis"]
+                    left, left_key = by_key[_key_at(rec["left"], path, ln)]
+                    right, right_key = by_key[_key_at(rec["right"], path, ln)]
+                    has_distance = "distance" in rec
+                    distance = rec.get("distance")
             except KeyError as exc:
-                raise MalformedRecord(_lookup_failure(exc), str(path), ln) from None
+                raise MalformedRecord(_lookup_failure(exc), path, ln) from None
             except TypeError:
                 raise MalformedRecord("record does not have the relations-artifact shape",
-                                      str(path), ln) from None
+                                      path, ln) from None
             if not isinstance(name, str) or axis not in (SYNCHRONIC, DIACHRONIC):
                 raise MalformedRecord("relation needs a string name and a known axis",
-                                      str(path), ln)
-            if (name, axis, left.msg_type, right.msg_type) not in rules:
+                                      path, ln)
+            gate = gates.get((name, axis, left.msg_type, right.msg_type))
+            if gate is None:
                 raise MalformedRecord(
                     f"no {axis} rule {name!r} relates a {left.msg_type!r} message "
-                    f"to a {right.msg_type!r} one", str(path), ln)
+                    f"to a {right.msg_type!r} one", path, ln)
             problem = _axis_problem(axis, has_distance, distance, left, right)
             if problem is not None:
-                raise MalformedRecord(problem, str(path), ln)
+                raise MalformedRecord(problem, path, ln)
+            # past the axis check, only a diachronic record has a distance
+            if has_distance and distance < gate[0] and distance not in gate[1]:
+                raise MalformedRecord(
+                    f"no {axis} rule {name!r} relates a {left.msg_type!r} message "
+                    f"to a {right.msg_type!r} one at distance {distance}", path, ln)
             key = (axis, name, left_key, right_key)
             count = len(seen)
             seen.add(key)
             if len(seen) == count:
-                raise MalformedRecord(f"duplicate relation {key!r}", str(path), ln)
+                raise MalformedRecord(f"duplicate relation {key!r}", path, ln)
             out.append(key)
     return out
 
@@ -707,16 +704,16 @@ def read_ellipsis(path: str | Path, messages: list[Message],
             message = by_key[_key_at(rec, path, ln)]
             bucket, silent = rec["bucket"], rec["silent_sources"]
         except KeyError as exc:
-            raise MalformedRecord(_lookup_failure(exc), str(path), ln) from None
+            raise MalformedRecord(_lookup_failure(exc), path, ln) from None
         except TypeError:
             raise MalformedRecord("record does not have the ellipsis-artifact shape",
-                                  str(path), ln) from None
+                                  path, ln) from None
         if (isinstance(bucket, bool) or not isinstance(bucket, int)
                 or not isinstance(silent, list) or not silent
                 or not all(isinstance(s, str) for s in silent)):
             raise MalformedRecord(
                 "ellipsis needs an integer bucket and a non-empty list of silent sources",
-                str(path), ln)
+                path, ln)
         for i, source in enumerate(silent):
             if source == message.source:
                 problem = "is the reporting source"
@@ -726,11 +723,10 @@ def read_ellipsis(path: str | Path, messages: list[Message],
                 problem = "is repeated"
             else:
                 continue
-            raise MalformedRecord(f"silent source {source!r} {problem}",
-                                  str(path), ln)
+            raise MalformedRecord(f"silent source {source!r} {problem}", path, ln)
         if message.key() in seen:
             raise MalformedRecord(f"second ellipsis report for {message.key()!r}",
-                                  str(path), ln)
+                                  path, ln)
         seen.add(message.key())
         out.append(EllipsisReport(message=message, bucket=bucket,
                                   silent_sources=tuple(silent)))

@@ -80,10 +80,10 @@ def load_templates(path: str | Path) -> dict[str, SummaryTemplate]:
             m = _TEMPLATE_RE.match(line)
             if not m:
                 raise DslSyntaxError('expected: template <name>: "<pattern>"',
-                                     str(path), ln, 1)
+                                     path, ln, 1)
             name, pattern = m.group(1), m.group(2)
             if name in templates:
-                raise DslSyntaxError(f"template {name!r} redeclared", str(path), ln)
+                raise DslSyntaxError(f"template {name!r} redeclared", path, ln)
             templates[name] = SummaryTemplate(name, pattern)
     return templates
 

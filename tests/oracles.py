@@ -495,7 +495,8 @@ def read_relations_oracle(path, messages: list[Message],
                           relation_specs: list[RelationSpec]) -> list[tuple]:
     """``read_relations`` as it was before it read canonical lines with a
     pattern: every line decoded as JSON, each record then checked field by
-    field."""
+    field, a diachronic record's distance against every rule it could
+    come from."""
     by_key = {m.key(): m for m in messages}
     rules = {(s.name, s.axis, s.left_type, s.right_type) for s in relation_specs}
     rules.update((s.name, s.axis, s.right_type, s.left_type)
@@ -522,6 +523,17 @@ def read_relations_oracle(path, messages: list[Message],
                 f"no {axis} rule {name!r} relates a {left.msg_type!r} message "
                 f"to a {right.msg_type!r} one", str(path), ln)
         problem = _relation_axis_problem(rec, left, right)
+        if problem is None and axis == DIACHRONIC and not any(
+                s.name == name and s.axis == axis
+                and ((s.left_type, s.right_type) == (left.msg_type, right.msg_type)
+                     or s.symmetric
+                     and (s.right_type, s.left_type) == (left.msg_type, right.msg_type))
+                and (s.distance is None
+                     or s.distance[0] == "==" and rec["distance"] == s.distance[1]
+                     or s.distance[0] == ">=" and rec["distance"] >= s.distance[1])
+                for s in relation_specs):
+            problem = (f"no {axis} rule {name!r} relates a {left.msg_type!r} message "
+                       f"to a {right.msg_type!r} one at distance {rec['distance']}")
         if problem is not None:
             raise MalformedRecord(problem, str(path), ln)
         key = (axis, name, left_key, right_key)

@@ -272,7 +272,7 @@ def test_criterion_6_extraction_and_classifier(hostage):
         (s("rebels seize embassy"), "start"),
         (s("attackers seize station"), "start"),
     ]
-    model = train_classifier(train)
+    model = train_classifier(train, type_order=["negotiate", "start"])
     got = posteriors(model, s("gunmen seize again"))
     # by hand: priors 3/6; add-one smoothing over 9 tokens/class, |V| = 14:
     #   negotiate ~ 1/2 * 1/23 * 1/23 * 2/23, start ~ 1/2 * 2/23 * 4/23 * 1/23

@@ -126,6 +126,41 @@ def test_summarize_without_ellipsis_artifact_exits_2(tmp_path, capsys):
     assert not (tmp_path / "summary.txt").exists()
 
 
+def test_summarize_without_out_writes_the_summary_and_stdout(tmp_path, capsys):
+    run_pipeline("football", tmp_path, window="1d")
+    expected = (tmp_path / "summary.txt").read_bytes()
+    (tmp_path / "summary.txt").unlink()
+    capsys.readouterr()
+    root = FIXTURES / "football"
+    assert run(["summarize", "--ontology", root / "domain.spec",
+                "--templates", root / "templates.txt", "--window", "1d",
+                "--out-dir", tmp_path]) == 0
+    assert (tmp_path / "summary.txt").read_bytes() == expected
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def test_relation_outside_its_rules_distance_exits_2(tmp_path, capsys):
+    """Football's line 8, a distance-2 ``stability`` record, renamed to
+    ``positive_graduation``, a ``distance==1`` rule between the same types:
+    the rule's distance gate refuses it."""
+    run_pipeline("football", tmp_path, window="1d")
+    capsys.readouterr()
+    path = tmp_path / "relations.jsonl"
+    lines = path.read_text().splitlines(True)
+    assert '"distance": 2' in lines[7] and '"name": "stability"' in lines[7]
+    lines[7] = lines[7].replace('"stability"', '"positive_graduation"')
+    path.write_text("".join(lines))
+    root = FIXTURES / "football"
+    assert run(["summarize", "--ontology", root / "domain.spec",
+                "--templates", root / "templates.txt", "--window", "1d",
+                "--out", tmp_path / "s.txt", "--out-dir", tmp_path]) == 2
+    err = one_json_error(capsys, "summarize")
+    assert err["error"] == "MalformedRecord"
+    assert err["detail"] == (
+        f"{path}:8: no diachronic rule 'positive_graduation' relates a "
+        "'performance' message to a 'performance' one at distance 2")
+
+
 def test_simulate_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -185,6 +220,17 @@ def test_validate_prints_diagnostics(tmp_path, capsys):
     assert run(["validate", "--ontology", root / "domain.spec",
                 "--templates", root / "templates.txt"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True
+    assert doc["message_types"] == ["demand", "end", "negotiate", "start"]
+
+
+def test_validate_runs_as_a_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-m", "chronicle.cli", "validate",
+                           "--ontology", str(FIXTURES / "hostage" / "domain.spec")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
     assert doc["ok"] is True
     assert doc["message_types"] == ["demand", "end", "negotiate", "start"]
 

@@ -119,6 +119,11 @@ def test_generated_bursty_round_trip():
     assert report.linearity == "non-linear"
 
 
+def test_unknown_stream_kind_rejected():
+    with pytest.raises(ValueError, match="unknown stream kind 'bogus'"):
+        generate_stream("bogus", 3, StreamParams(seed=11), horizon=10)
+
+
 @pytest.mark.parametrize("burst_size", [(0, 0), (0, 3), (3, 2), (-1, 1)])
 def test_degenerate_burst_size_rejected(burst_size):
     with pytest.raises(ValueError, match="burst size"):

@@ -74,12 +74,12 @@ def hand_posteriors():
 
 
 def test_classifier_held_out_prediction():
-    model = train_classifier(TRAIN)
+    model = train_classifier(TRAIN, type_order=["negotiate", "start"])
     assert classify_sentence(HELD_OUT, [], model) == "start"
 
 
 def test_classifier_posteriors_match_hand_computation():
-    model = train_classifier(TRAIN)
+    model = train_classifier(TRAIN, type_order=["negotiate", "start"])
     got = posteriors(model, HELD_OUT)
     expected = hand_posteriors()
     assert expected == {"negotiate": Fraction(1, 5), "start": Fraction(4, 5)}
@@ -89,20 +89,36 @@ def test_classifier_posteriors_match_hand_computation():
 
 def test_classifier_memorizes_disjoint_single_examples():
     train = [(sent("alpha beta"), "t1"), (sent("gamma delta"), "t2")]
-    model = train_classifier(train)
+    model = train_classifier(train, type_order=["t1", "t2"])
     assert classify_sentence(sent("alpha beta"), [], model) == "t1"
     assert classify_sentence(sent("gamma delta"), [], model) == "t2"
 
 
 def test_classifier_empty_training_set():
     with pytest.raises(EmptyTrainingSet):
-        train_classifier([])
+        train_classifier([], type_order=["t1"])
 
 
 def test_classifier_is_order_independent():
     a = train_classifier(TRAIN, type_order=["negotiate", "start"])
     b = train_classifier(list(reversed(TRAIN)), type_order=["negotiate", "start"])
     assert posteriors(a, HELD_OUT) == posteriors(b, HELD_OUT)
+
+
+def test_classifier_ties_follow_the_type_order_not_the_data():
+    """Two classes with the same counts tie: the type order breaks the tie,
+    whichever label the data gives first."""
+    train = [(sent("alpha beta"), "t1"), (sent("alpha beta"), "t2")]
+    for data in (train, train[::-1]):
+        for order in (["t1", "t2"], ["t2", "t1"]):
+            model = train_classifier(data, type_order=order)
+            assert classify_sentence(sent("alpha beta"), [], model) == order[0]
+
+
+def test_classifier_refuses_a_label_outside_the_type_order():
+    with pytest.raises(ValueError, match="'t3'"):
+        train_classifier([(sent("alpha beta"), "t1"), (sent("gamma"), "t3")],
+                         type_order=["t1", "t2"])
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +277,7 @@ def test_modes_share_argument_filling(hostage):
     model = train_classifier(
         [(sent(text, lexicon=hostage.lexicon), "negotiate"),
          (sent("the captors seized the compound", lexicon=hostage.lexicon),
-          "start")])
+          "start")], type_order=["negotiate", "start"])
     rules_out = extract_corpus(corpus, hostage.message_specs, hostage.ontology,
                                rules)
     stat_out = extract_corpus(corpus, hostage.message_specs, hostage.ontology,

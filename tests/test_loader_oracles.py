@@ -8,8 +8,8 @@ line (other key orders, separators, ``indent``, ``ensure_ascii=False``,
 ``\\u``-escaped doc ids, blank lines, padding) and mutated (leading zeros,
 a 5,000-digit index, ``-0``, a distance on a synchronic record, a boolean
 distance, a duplicate, an unknown message, one next to a malformed ref, a
-missing field). Both loaders
-must return the same keys, or raise the same exception with the same text.
+missing field, another rule's name). Both loaders must return the same
+keys, or raise the same exception with the same text.
 
 ``load_gold_messages`` checks each distinct (type, args) pair once per
 call; ``load_gold_messages_oracle`` checks every record. Records that
@@ -124,7 +124,16 @@ def encode(line: str, how: str, rnd: random.Random) -> list[str]:
     if how == "swapped":
         rec["left"], rec["right"] = rec["right"], rec["left"]
         return [json.dumps(rec, sort_keys=True)]
+    if how == "renamed":
+        rec["name"] = rnd.choice(RULE_NAMES)
+        return [json.dumps(rec, sort_keys=True)]
     raise AssertionError(how)
+
+
+# the names of both fixtures' rules: a record renamed to one of another
+# distance gate or pair of types is refused
+RULE_NAMES = ["agreement", "disagreement", "negative_graduation",
+              "positive_graduation", "repetition", "stability", "termination"]
 
 
 ENCODINGS = ["canonical", "shuffled", "compact", "wide", "indent", "unicode",
@@ -132,7 +141,7 @@ ENCODINGS = ["canonical", "shuffled", "compact", "wide", "indent", "unicode",
 MUTATIONS = ["leading zero", "huge index", "minus zero", "negative",
              "synchronic distance", "boolean distance", "duplicate",
              "unknown message", "unknown left, bad right", "missing field",
-             "swapped"]
+             "swapped", "renamed"]
 
 
 @st.composite

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from chronicle.errors import ChronicleError, MissingTemplate
+from chronicle.errors import ChronicleError, MalformedRecord, MissingTemplate
 from chronicle.extract import Message
 from chronicle.ontology import ConditionAtom, RelationSpec
 from chronicle.relations import (EllipsisReport, WindowPolicy, _message_sort_key,
@@ -386,6 +387,36 @@ def test_relations_artifact_reads_back_as_keys(tmp_path, seed):
     path.write_text("".join(lines))
     assert build_graph(messages, read_relations(path, messages, specs), window) == \
         build_graph(messages, keys, window)
+
+
+def test_same_named_rules_admit_the_union_of_their_distances(tmp_path):
+    """Rules that share a name and types admit every distance one of them
+    admits; ``read_relations`` refuses a record at any other, naming its
+    line and distance."""
+    messages = [perf("s1", f"w{i}", day(i + 1), "good", report_index=i)
+                for i in range(7)]
+    specs = [POSITIVE, POSITIVE._replace(distance=("==", 3)),
+             POSITIVE._replace(distance=(">=", 5))]
+    path = tmp_path / "relations.jsonl"
+
+    def record(right):
+        return json.dumps({"axis": "diachronic", "distance": right,
+                           "left": {"doc_id": "w0", "sentence_index": 0},
+                           "name": "positive_graduation",
+                           "right": {"doc_id": f"w{right}", "sentence_index": 0}},
+                          sort_keys=True) + "\n"
+
+    admitted = [1, 3, 5, 6]
+    path.write_text("".join(map(record, admitted)))
+    assert [key[3] for key in read_relations(path, messages, specs)] == \
+        [(f"w{right}", 0) for right in admitted]
+    for refused in (2, 4):
+        path.write_text(record(1) + record(refused))
+        with pytest.raises(MalformedRecord) as err:
+            read_relations(path, messages, specs)
+        assert str(err.value) == (
+            f"{path}:2: no diachronic rule 'positive_graduation' relates a "
+            f"'performance' message to a 'performance' one at distance {refused}")
 
 
 @pytest.mark.parametrize("seed", range(0, 60))

@@ -253,6 +253,16 @@ def test_grammar_refuses_a_rule_resolve_cannot_read(tmp_path, pattern, rule):
     assert str(err.value).startswith("temporal_patterns.txt:3: ")
 
 
+def test_grammar_refuses_an_unknown_pattern_element(tmp_path):
+    text = "ok\ttoday\tday-offset:0\nodd\tlast <weekday2>\tlast-weekday\n"
+    with pytest.raises(DslSyntaxError) as err:
+        load_grammar_text(tmp_path, text)
+    assert (err.value.path, err.value.line, err.value.column) == \
+        ("temporal_patterns.txt", 2, 10)
+    assert str(err.value) == \
+        "temporal_patterns.txt:2:10: unknown pattern element '<weekday2>'"
+
+
 def test_extract_names_the_grammar_line_it_refuses(tmp_path, monkeypatch, capsys):
     root = FIXTURES / "hostage"
     out = ["--out-dir", str(tmp_path / "out")]
