@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from datetime import timedelta
 from functools import cache
 from pathlib import Path
 
@@ -146,10 +147,13 @@ def cmd_analyze(args) -> int:
 
     out = _out_dir(args)
     corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT, tokens=False)
-    report = evolution_mod.analyze_corpus(
-        corpus,
-        residual_threshold=args.residual_threshold,
-        alignment_tolerance=parse_duration(args.emission_tolerance))
+    # only the flags given: analyze_corpus states the other defaults
+    given = {}
+    if args.residual_threshold is not None:
+        given["residual_threshold"] = args.residual_threshold
+    if args.emission_tolerance is not None:
+        given["alignment_tolerance"] = parse_duration(args.emission_tolerance)
+    report = evolution_mod.analyze_corpus(corpus, **given)
     with open(out / EVOLUTION_ARTIFACT, "w", encoding="utf-8") as fh:
         json.dump(evolution_mod.report_to_json(report), fh, indent=2,
                   sort_keys=True)
@@ -170,13 +174,12 @@ def cmd_summarize(args) -> int:
     corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT, tokens=False)
     messages = extract_mod.load_gold_messages(
         out / MESSAGES_ARTIFACT, message_specs, ontology, corpus)
-    relations = relations_mod.read_relations(out / RELATIONS_ARTIFACT, messages,
-                                             relation_specs)
-    reports = relations_mod.read_ellipsis(out / ELLIPSIS_ARTIFACT, messages,
-                                          corpus.sources)
     window = relations_mod.parse_window(args.window)
     templates = summarize_mod.load_templates(args.templates)
-    graph = summarize_mod.build_graph(messages, relations, window)
+    graph = summarize_mod.build_graph(messages, relation_specs, window)
+    # the core, not detect_ellipsis: relate calls that one, and a tracer
+    # wrapping it would count each report once per stage
+    reports = relations_mod.ellipsis_reports(messages, corpus.sources, window)
     result = summarize_mod.render_summary(graph, templates, reports,
                                           bucket_budget=args.bucket_budget)
     target = Path(args.out) if args.out else out / SUMMARY_ARTIFACT
@@ -192,21 +195,46 @@ def cmd_simulate(args) -> int:
     from . import evolution as evolution_mod
 
     out = _out_dir(args)
-    offsets = tuple(int(x) for x in args.offsets.split(",")) if args.offsets else ()
-    params = evolution_mod.StreamParams(
-        seed=args.seed,
-        period=parse_duration(args.period),
-        jitter=args.jitter,
-        source_offsets=offsets,
-        burst_size=(args.burst_min, args.burst_max),
-        intra_burst_gap=parse_duration(args.intra_gap),
-        inter_burst_gap=parse_duration(args.inter_gap))
+    # only the flags given: StreamParams states the other defaults
+    given = ((args.seed, "seed", int), (args.period, "period", parse_duration),
+             (args.jitter, "jitter", float),
+             (args.offsets, "source_offsets", lambda text: _offsets(text, args.sources)),
+             (args.intra_gap, "intra_burst_gap", parse_duration),
+             (args.inter_gap, "inter_burst_gap", parse_duration))
+    fields = {field: read(value) for value, field, read in given if value is not None}
+    if args.burst_min is not None or args.burst_max is not None:
+        low, high = evolution_mod.StreamParams().burst_size
+        fields["burst_size"] = (low if args.burst_min is None else args.burst_min,
+                                high if args.burst_max is None else args.burst_max)
+    params = evolution_mod.StreamParams(**fields)
     corpus = evolution_mod.generate_stream(args.kind, args.sources, params,
                                            args.horizon)
     target = Path(args.out) if args.out else out / SIMULATED_ARTIFACT
     evolution_mod.write_stream(corpus, target)
     log.info("simulated %d documents", len(corpus.documents))
     return 0
+
+
+def _offsets(text: str, sources: int) -> tuple[int, ...]:
+    """``--offsets``: comma-separated whole minutes that a ``timedelta``
+    holds, at most one per source."""
+    if not text:
+        return ()
+    offsets = []
+    for field in text.split(","):
+        try:
+            minutes = int(field)
+            timedelta(minutes=minutes)
+        except ValueError:
+            raise ValueError(f"--offsets: {field!r} is not a whole number of minutes") \
+                from None
+        except OverflowError:
+            raise ValueError(f"--offsets: {minutes} minutes is more than a timedelta holds") \
+                from None
+        offsets.append(minutes)
+    if len(offsets) > sources:
+        raise ValueError(f"--offsets gives {len(offsets)} offsets for {sources} sources")
+    return tuple(offsets)
 
 
 def cmd_validate(args) -> int:
@@ -286,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_relate)
 
     p = add_stage("analyze", "classify evolution and emission")
-    p.add_argument("--residual-threshold", type=float, default=0.1)
-    p.add_argument("--emission-tolerance", default="1h")
+    p.add_argument("--residual-threshold", type=float)
+    p.add_argument("--emission-tolerance")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_analyze)
 
@@ -303,16 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_stage("simulate", "generate a synthetic corpus")
     p.add_argument("--kind", choices=["linear", "non-linear"], required=True)
     p.add_argument("--sources", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--horizon", type=int, default=10,
                    help="reports per source")
-    p.add_argument("--period", default="7d")
-    p.add_argument("--jitter", type=float, default=0.0)
+    p.add_argument("--period")
+    p.add_argument("--jitter", type=float)
     p.add_argument("--offsets", help="per-source offsets in minutes, comma-separated")
-    p.add_argument("--intra-gap", default="6h")
-    p.add_argument("--inter-gap", default="4d")
-    p.add_argument("--burst-min", type=int, default=2)
-    p.add_argument("--burst-max", type=int, default=5)
+    p.add_argument("--intra-gap")
+    p.add_argument("--inter-gap")
+    p.add_argument("--burst-min", type=int)
+    p.add_argument("--burst-max", type=int)
     p.add_argument("--out", help="write the corpus here")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)

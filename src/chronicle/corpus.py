@@ -30,7 +30,7 @@ from operator import itemgetter
 from pathlib import Path
 import re
 from re import Match
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DuplicateDocId, MalformedRecord, UnparsableTimestamp
 
@@ -194,10 +194,8 @@ class PhraseIndex:
         return found
 
 
-def record_decoder(path: str | Path) -> Callable[[str, int], dict | None]:
-    """The decoder ``read_records`` applies to each line of the JSON-lines
-    file ``path``: given a line and its number, the record on it, or None
-    for a blank line.
+def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSON-lines file.
 
     A line that is not valid JSON, holds an integer longer than ``int``
     reads, or is not a JSON object, raises MalformedRecord naming the file
@@ -207,35 +205,23 @@ def record_decoder(path: str | Path) -> Callable[[str, int], dict | None]:
     decoding errors read as they did.
     """
     scan = make_scanner(json.JSONDecoder())
-
-    def decode(raw: str, ln: int) -> dict | None:
-        try:
-            rec, end = scan(raw, 0)
-        except (StopIteration, ValueError):
-            end = -1
-        if end < 0 or raw[end:].strip(" \t\n\r"):
-            if not raw.strip():
-                return None
-            try:
-                rec = json.loads(raw)
-            except ValueError as exc:    # JSONDecodeError, or an overlong int
-                raise MalformedRecord(f"invalid JSON ({getattr(exc, 'msg', exc)})",
-                                      path, ln) from None
-        if not isinstance(rec, dict):
-            raise MalformedRecord("record is not an object", path, ln)
-        return rec
-    return decode
-
-
-def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(line number, record) for each non-blank line of a JSON-lines file,
-    each line read by ``record_decoder``."""
-    decode = record_decoder(path)
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
-            rec = decode(raw, ln)
-            if rec is not None:
-                yield ln, rec
+            try:
+                rec, end = scan(raw, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end < 0 or raw[end:].strip(" \t\n\r"):
+                if not raw.strip():
+                    continue
+                try:
+                    rec = json.loads(raw)
+                except ValueError as exc:    # JSONDecodeError, or an overlong int
+                    raise MalformedRecord(f"invalid JSON ({getattr(exc, 'msg', exc)})",
+                                          path, ln) from None
+            if not isinstance(rec, dict):
+                raise MalformedRecord("record is not an object", path, ln)
+            yield ln, rec
 
 
 def write_records(path: str | Path, records: Iterable[dict]) -> None:

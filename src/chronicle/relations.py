@@ -34,7 +34,7 @@ the range is still tested for a strictly later span start. Both generators
 yield (left, right, distance) triples, the distance None on the synchronic
 axis.
 
-``evaluate_relations`` runs each rule as a keyed join, since a rule's
+``relation_rows`` runs each rule as a keyed join, since a rule's
 conditions are a conjunction of slot equalities plus a few other atoms.
 The rule's ``eq`` atoms, in order, give a key over the left message's
 slots and one over the right's; its ``const`` atoms filter each side. The
@@ -47,10 +47,18 @@ report index of each group, whichever rules and sides share them. The
 ``neq``, ``lt`` and ``gt`` atoms run through ``ontology.atom_test``, the
 condition grammar's one evaluator, which compiles each distinct atom once;
 a rule's tests are composed into one and run on each candidate. A relation
-found is the tuple (axis, name, left position, right position, distance);
+found is the row (axis, name, left position, right position, distance);
 the set of them, sorted, is in ``sort_instances`` order, since positions
-follow ``_message_sort_key`` and message keys are unique. The sorted
-tuples become ``RelationInstance``s in one C-level pass.
+follow ``_message_sort_key`` and message keys are unique.
+
+Two cores compute what the rules give: ``relation_rows`` returns the
+sorted rows and ``ellipsis_reports`` the ellipsis reports. ``relate``
+calls them through ``evaluate_relations``, which turns the rows into
+``RelationInstance``s in one C-level pass, and ``detect_ellipsis``.
+``summarize`` calls the cores themselves, on the messages and its own
+window, and reads back neither of ``relate``'s artifacts. The two
+wrappers are the names ``benchmarks/spans.py`` traces, so each runs once
+per pipeline.
 
 ``brute_force_oracle`` re-implements the whole contract literally and
 independently (no shared condition or window helpers) so tests can check
@@ -59,8 +67,6 @@ the engine against it on randomized inputs.
 A bucket is a run of messages in ``_message_sort_key`` order, the tuple of
 its members, and its index is its place in the bucket list. The one walk
 that feeds the sweeps also gives each message's bucket.
-``read_relations`` gives each record as its instance key
-(``RelationInstance.key``): the summarizer needs no more of a relation.
 
 ``write_relations`` formats the lines itself, escaping strings with the
 ``json`` module's ASCII escaper, and writes the bytes that
@@ -70,30 +76,19 @@ call per record takes about twice as long as the formatted line. Each
 rule's fixed text is formatted once per run of its lines and each message
 key's reference once per file; the lines are joined from those pieces in
 C-level passes and written a chunk at a time.
-``read_relations`` reads such a line with one compiled pattern, about
-three times as fast as the JSON scanner. Any other line, a record in
-another JSON encoding (key order, whitespace, escapes, non-ASCII) or no
-record at all, goes through the JSON-lines decoder that every artifact
-reader uses. Both give a record's name, axis, message keys and distance,
-and one check runs on them, so a record reads the same, or fails with
-the same error on the same line, whichever way it was read.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right
 from datetime import timedelta
 from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
-from math import inf
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import (minutes_since_epoch, parse_duration, read_records,
-                     record_decoder, write_records)
-from .errors import MalformedRecord
+from .corpus import minutes_since_epoch, parse_duration, write_records
 from .extract import Message
 from .ontology import RelationSpec, SYNCHRONIC, DIACHRONIC, atom_test
 
@@ -311,17 +306,18 @@ def _key_groups(items, key_slots: tuple[str, ...], pins: tuple[tuple[str, str], 
     return groups
 
 
-def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpec],
-                       window: WindowPolicy) -> list[RelationInstance]:
+def relation_rows(messages: list[Message], relation_specs: list[RelationSpec],
+                  window: WindowPolicy) -> list[tuple]:
     """Match every relation spec against its axis candidates, as a keyed
     join: candidates are drawn only from the right messages that share the
     left message's ``eq`` key and pass the ``const`` pins.
 
-    Symmetric synchronic specs emit both directions. Output is deduplicated
-    and deterministically sorted by (axis, name, left anchor, doc, sentence).
+    Each relation is the row (axis, name, left position, right position,
+    distance), a position indexing the messages in ``_message_sort_key``
+    order. Symmetric synchronic specs emit both directions. The rows are
+    distinct and sorted, so in ``sort_instances`` order.
     """
-    items = _by_extent(messages, window)
-    by_type = _by_type(items)
+    by_type = _by_type(_by_extent(messages, window))
     plans: dict[tuple, dict] = {}      # (type, key slots, pins) -> key groups
     indexes: dict[tuple, object] = {}  # (axis, plan, key) -> _Sweep or _Reports
     found: set[tuple] = set()
@@ -357,11 +353,16 @@ def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpe
                 add((axis, name, left.position, right.position, distance))
                 if mirror:
                     add((axis, name, right.position, left.position, None))
-    # the sorted rows become instances in one C-level pass, as corpus._tokens
-    # builds tokens; the set is dropped first
-    rows = sorted(found)
-    del found, add
-    message_at = [item.message for item in items].__getitem__
+    return sorted(found)
+
+
+def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpec],
+                       window: WindowPolicy) -> list[RelationInstance]:
+    """``relation_rows`` as ``RelationInstance``s, for ``relate``: the sorted
+    rows become instances in one C-level pass, as corpus._tokens builds
+    tokens."""
+    rows = relation_rows(messages, relation_specs, window)
+    message_at = sorted(messages, key=_message_sort_key).__getitem__
     axes, names, lefts, rights, distances = (map(itemgetter(i), rows) for i in range(5))
     return list(map(tuple.__new__, repeat(RelationInstance),
                     zip(names, axes, map(message_at, lefts), map(message_at, rights),
@@ -476,12 +477,13 @@ class EllipsisReport(NamedTuple):
     silent_sources: tuple[str, ...]
 
 
-def detect_ellipsis(messages: list[Message], sources: set[str],
-                    window: WindowPolicy) -> list[EllipsisReport]:
-    """One report per message that some other source never echoes: the
-    report lists, in name order, every source with no window-compatible
-    message of the same type. A message is heard from its own source and
-    from the sources of its synchronic candidates among its type."""
+def ellipsis_reports(messages: list[Message], sources: set[str],
+                     window: WindowPolicy) -> list[EllipsisReport]:
+    """One report per message that some other source never echoes, in
+    ``_message_sort_key`` order: the report lists, in name order, every
+    source with no window-compatible message of the same type. A message is
+    heard from its own source and from the sources of its synchronic
+    candidates among its type."""
     items = _by_extent(messages, window)
     heard = [{item.message.source} for item in items]
     for typed in _by_type(items).values():
@@ -494,6 +496,12 @@ def detect_ellipsis(messages: list[Message], sources: set[str],
         if silent:
             reports.append(EllipsisReport(item.message, item.bucket, silent))
     return reports
+
+
+def detect_ellipsis(messages: list[Message], sources: set[str],
+                    window: WindowPolicy) -> list[EllipsisReport]:
+    """``ellipsis_reports``, for ``relate`` (see the module docstring)."""
+    return ellipsis_reports(messages, sources, window)
 
 
 # ---------------------------------------------------------------------------
@@ -548,186 +556,9 @@ def write_relations(instances: list[RelationInstance], path: str | Path) -> None
                     zip(*parts, repeat(middle), right_refs, repeat("}\n")))))
 
 
-def _lookup_failure(exc: KeyError) -> str:
-    """The reason for a failed field or message lookup in an artifact record."""
-    key = exc.args[0]
-    return f"missing {key}" if isinstance(key, str) else f"unknown message {key!r}"
-
-
-def _key_at(ref: dict, path: str | Path, ln: int) -> tuple[str, int]:
-    """The message key that a record's ``doc_id`` and ``sentence_index`` give."""
-    sidx = ref["sentence_index"]
-    if isinstance(sidx, bool) or not isinstance(sidx, int):
-        raise MalformedRecord(f"sentence_index {sidx!r} is not an integer", path, ln)
-    return (ref["doc_id"], sidx)
-
-
-def _axis_problem(axis: str, has_distance: bool, distance, left: Message,
-                  right: Message) -> str | None:
-    """Why a relation record on a known axis is not one ``evaluate_relations``
-    can emit, or None. A synchronic record relates messages of two sources
-    and has no ``distance``; a diachronic one relates two messages of one
-    source whose anchors start in order, and its ``distance`` is their
-    report distance."""
-    if axis == SYNCHRONIC:
-        if has_distance:
-            return "synchronic relation carries a distance"
-        if left.source == right.source:
-            return "synchronic relation needs messages from two sources"
-        return None
-    if left.source != right.source:
-        return "diachronic relation needs messages from one source"
-    if not left.time.start < right.time.start:
-        return "diachronic relation needs a left anchor that starts before the right one"
-    expected = right.report_index - left.report_index
-    if isinstance(distance, bool) or not isinstance(distance, int) or distance != expected:
-        return f"diachronic distance {distance!r} is not the report distance {expected}"
-    return None
-
-
-# A relations line with the bytes ``write_relations`` writes: strings of
-# printable ASCII with nothing escaped, integers as ``json.dumps`` writes
-# them and at most 18 digits long, which ``int`` reads as the JSON scanner
-# does.
-_JSON_STR = r'"([ !#-\[\]-~]*)"'
-_JSON_INT = r"(-?[1-9][0-9]{0,17}|0)"
-_JSON_REF = rf'\{{"doc_id": {_JSON_STR}, "sentence_index": {_JSON_INT}\}}'
-_CANONICAL_RELATION = re.compile(
-    rf'\{{"axis": {_JSON_STR}, (?:"distance": {_JSON_INT}, )?"left": {_JSON_REF}, '
-    rf'"name": {_JSON_STR}, "right": {_JSON_REF}\}}\n?')
-
-
-def read_relations(path: str | Path, messages: list[Message],
-                   relation_specs: list[RelationSpec]) -> list[tuple]:
-    """Load a relations artifact as instance keys, ``(axis, name, left
-    message key, right message key)`` as ``RelationInstance.key`` gives
-    them, in file order. Each instance may occur once. Each must be one
-    ``evaluate_relations`` can emit on its axis (see ``_axis_problem``),
-    from a rule of ``relation_specs`` with that name and axis between its
-    messages' types, whose distance gate admits a diachronic record's
-    distance; a symmetric rule also relates them the other way. A rule's
-    conditions and the window are not checked again.
-
-    A line with the bytes ``write_relations`` writes is read with one
-    pattern; any other line, in another JSON encoding of a record or not
-    JSON at all, goes through ``record_decoder`` and is read field by
-    field: name, axis, left ref, left message, right ref, right message.
-    Both give the same fields, and one check runs on them."""
-    # each key maps to its message and to one tuple that every record of
-    # the message shares, so a record keeps one new tuple, not three
-    by_key = {key: (m, key) for m, key in zip(messages, map(Message.key, messages))}
-    # (name, axis, left type, right type) -> [least ">=" bound, "==" values]
-    # over every rule of that name: two rules may share one
-    gates: dict[tuple, list] = {}
-    for s in relation_specs:
-        op, k = s.distance or (">=", -inf)
-        ends = [(s.left_type, s.right_type)]
-        if s.symmetric:
-            ends.append((s.right_type, s.left_type))
-        for left_type, right_type in ends:
-            gate = gates.setdefault((s.name, s.axis, left_type, right_type), [inf, set()])
-            if op == "==":
-                gate[1].add(k)
-            else:
-                gate[0] = min(gate[0], k)
-    canonical = _CANONICAL_RELATION.fullmatch
-    decode = record_decoder(path)
-    out = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            match = canonical(raw)
-            try:
-                if match is not None:
-                    axis, distance, left_doc, left_index, name, right_doc, right_index \
-                        = match.groups()
-                    left, left_key = by_key[left_doc, int(left_index)]
-                    right, right_key = by_key[right_doc, int(right_index)]
-                    has_distance = distance is not None
-                    if has_distance:
-                        distance = int(distance)
-                else:
-                    rec = decode(raw, ln)
-                    if rec is None:
-                        continue
-                    name, axis = rec["name"], rec["axis"]
-                    left, left_key = by_key[_key_at(rec["left"], path, ln)]
-                    right, right_key = by_key[_key_at(rec["right"], path, ln)]
-                    has_distance = "distance" in rec
-                    distance = rec.get("distance")
-            except KeyError as exc:
-                raise MalformedRecord(_lookup_failure(exc), path, ln) from None
-            except TypeError:
-                raise MalformedRecord("record does not have the relations-artifact shape",
-                                      path, ln) from None
-            if not isinstance(name, str) or axis not in (SYNCHRONIC, DIACHRONIC):
-                raise MalformedRecord("relation needs a string name and a known axis",
-                                      path, ln)
-            gate = gates.get((name, axis, left.msg_type, right.msg_type))
-            if gate is None:
-                raise MalformedRecord(
-                    f"no {axis} rule {name!r} relates a {left.msg_type!r} message "
-                    f"to a {right.msg_type!r} one", path, ln)
-            problem = _axis_problem(axis, has_distance, distance, left, right)
-            if problem is not None:
-                raise MalformedRecord(problem, path, ln)
-            # past the axis check, only a diachronic record has a distance
-            if has_distance and distance < gate[0] and distance not in gate[1]:
-                raise MalformedRecord(
-                    f"no {axis} rule {name!r} relates a {left.msg_type!r} message "
-                    f"to a {right.msg_type!r} one at distance {distance}", path, ln)
-            key = (axis, name, left_key, right_key)
-            count = len(seen)
-            seen.add(key)
-            if len(seen) == count:
-                raise MalformedRecord(f"duplicate relation {key!r}", path, ln)
-            out.append(key)
-    return out
-
-
 def write_ellipsis(reports: list[EllipsisReport], path: str | Path) -> None:
     write_records(path, ({"doc_id": r.message.doc_id,
                           "sentence_index": r.message.sentence_index,
                           "bucket": r.bucket,
                           "silent_sources": list(r.silent_sources)} for r in reports))
 
-
-def read_ellipsis(path: str | Path, messages: list[Message],
-                  sources: set[str]) -> list[EllipsisReport]:
-    """Load an ellipsis artifact; each message may have one report, whose
-    silent sources are distinct corpus ``sources`` other than its own."""
-    by_key = {m.key(): m for m in messages}
-    out = []
-    seen = set()
-    for ln, rec in read_records(path):
-        try:
-            message = by_key[_key_at(rec, path, ln)]
-            bucket, silent = rec["bucket"], rec["silent_sources"]
-        except KeyError as exc:
-            raise MalformedRecord(_lookup_failure(exc), path, ln) from None
-        except TypeError:
-            raise MalformedRecord("record does not have the ellipsis-artifact shape",
-                                  path, ln) from None
-        if (isinstance(bucket, bool) or not isinstance(bucket, int)
-                or not isinstance(silent, list) or not silent
-                or not all(isinstance(s, str) for s in silent)):
-            raise MalformedRecord(
-                "ellipsis needs an integer bucket and a non-empty list of silent sources",
-                path, ln)
-        for i, source in enumerate(silent):
-            if source == message.source:
-                problem = "is the reporting source"
-            elif source not in sources:
-                problem = "has no document in the corpus"
-            elif source in silent[:i]:
-                problem = "is repeated"
-            else:
-                continue
-            raise MalformedRecord(f"silent source {source!r} {problem}", path, ln)
-        if message.key() in seen:
-            raise MalformedRecord(f"second ellipsis report for {message.key()!r}",
-                                  path, ln)
-        seen.add(message.key())
-        out.append(EllipsisReport(message=message, bucket=bucket,
-                                  silent_sources=tuple(silent)))
-    return out

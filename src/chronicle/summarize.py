@@ -14,10 +14,16 @@ formats that trace itself, with the bytes of ``json.dump(doc, indent=2,
 sort_keys=True)`` plus a newline; an indented ``json.dump`` always runs the
 encoder's pure-Python path.
 
+The relations and ellipsis reports rendered are the ones the rules give
+on the messages at the summary's own window: ``build_graph`` and the CLI
+call ``relations``' two cores, the ones ``relate`` calls, and read neither
+of ``relate``'s artifacts back. So every rendered relation holds by its
+rule, whatever those files say.
+
 Within the graph a message is its position in the time-ordered nodes. An
 edge is a relation instance as (axis, name, left position, right
-position): ``build_graph`` resolves each instance key once, and holds the
-edges in ``sort_instances`` order, so grouping them by (axis, name) yields
+position), a row of ``relation_rows`` without its distance, and the edges
+come in ``sort_instances`` order, so grouping them by (axis, name) yields
 each relation's pool with no regrouping or re-sort. A bucket is a run of
 consecutive nodes, its index its place in the bucket list. Sentences are
 planned in one walk over the edges. ``render_summary`` keeps one table per
@@ -57,8 +63,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ChronicleError, DslSyntaxError, MissingTemplate
 from .extract import Message
-from .ontology import DIACHRONIC
-from .relations import EllipsisReport, WindowPolicy, bucket_messages
+from .ontology import DIACHRONIC, RelationSpec
+from .relations import EllipsisReport, WindowPolicy, bucket_messages, relation_rows
 from .relations import bucket_index_of  # noqa: F401  (re-exported)
 
 _TEMPLATE_RE = re.compile(r'^template\s+([A-Za-z_][A-Za-z0-9_-]*)\s*:\s*"(.*)"\s*$')
@@ -94,22 +100,20 @@ class RelationGraph(NamedTuple):
     buckets: tuple[tuple[Message, ...], ...]      # runs of consecutive nodes
 
 
-def build_graph(messages: list[Message], relations: Iterable[tuple],
+def build_graph(messages: list[Message], relation_specs: list[RelationSpec],
                 window: WindowPolicy) -> RelationGraph:
-    """Messages in time order, and relations, given as instance keys
-    (``RelationInstance.key``), as edges between node positions in
-    ``sort_instances`` order, so that no summary depends on the order its
-    artifacts were read in.
+    """Messages in time order, and the relations the rules find among them
+    at ``window``, as edges between node positions in ``sort_instances``
+    order.
 
-    ``nodes`` joins the buckets, runs of the order ``sort_instances``
-    compares messages by; as message keys are unique, sorting the edges by
-    (axis, name, left position, right position) gives that order."""
+    ``nodes`` joins the buckets, runs of the order ``relation_rows`` numbers
+    messages in, so a row's positions are node positions as they stand."""
     buckets = tuple(bucket_messages(messages, window))
     nodes = tuple(m for members in buckets for m in members)
-    position = {m.key(): i for i, m in enumerate(nodes)}
-    edges = sorted((axis, name, position[left], position[right])
-                   for axis, name, left, right in relations)
-    return RelationGraph(nodes=nodes, edges=tuple(edges), buckets=buckets)
+    # relation_rows, not evaluate_relations: relate calls that one, and a
+    # tracer wrapping it would count each instance once per stage
+    edges = tuple(row[:4] for row in relation_rows(messages, relation_specs, window))
+    return RelationGraph(nodes=nodes, edges=edges, buckets=buckets)
 
 
 class RenderResult(NamedTuple):
@@ -255,10 +259,8 @@ def render_summary(graph: RelationGraph,
     "ellipsis" template, or a needed "lone-<type>" template is absent. The
     per-bucket budget only trims lone-message sentences; relation-driven
     and ellipsis sentences always render so coverage stays exact. Raises
-    ValueError for a negative budget, and ChronicleError when an ellipsis
-    report's bucket is not the one the graph's window puts its message in
-    (the relate window differed), or when a template names a placeholder
-    its sentence has no value for.
+    ValueError for a negative budget, and ChronicleError when a template
+    names a placeholder its sentence has no value for.
     """
     if bucket_budget is not None and bucket_budget < 0:
         raise ValueError(f"bucket budget must be at least 0, got {bucket_budget}")
@@ -342,12 +344,7 @@ def render_summary(graph: RelationGraph,
 
     position = {k: i for i, k in enumerate(keys)}
     for rep in ellipsis:
-        i = position.get(rep.message.key())
-        if i is None or bucket[i] != rep.bucket:
-            raise ChronicleError(
-                f"ellipsis report for {rep.message.doc_id}#"
-                f"{rep.message.sentence_index} names bucket {rep.bucket}, "
-                f"which is not its bucket under this window")
+        i = position[rep.message.key()]
         touched[i] = 1
         own = {"sources": nodes[i].source, **rows[i],
                "silent": _join_sources(rep.silent_sources)}

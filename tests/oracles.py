@@ -23,13 +23,10 @@ lemma and a Python step per token. ``fill_arguments_oracle`` and
 they shared one nearness key: the first computes a full key for every
 fitting mention once per slot and keeps the least, the second sorts its
 resolvable candidates and takes the first; both measure with
-``_span_distance``, the package's token distance as it was. The two
-artifact loaders after them are the library's from before they took
-shortcuts: ``read_relations_oracle`` decodes every line as JSON, where the
-package reads a line in ``write_relations``' own format with one pattern,
-and ``load_gold_messages_oracle`` checks every record's type, slots and
-constraints, where the package checks each distinct (type, args) pair
-once per call.
+``_span_distance``, the package's token distance as it was.
+``load_gold_messages_oracle`` is the gold-message loader from before it
+took a shortcut: it checks every record's type, slots and constraints,
+where the package checks each distinct (type, args) pair once per call.
 ``render_summary_oracle`` is the summarizer from before it planned every
 sentence in one walk over the sorted relation list: it splits the edges by
 axis, regroups each axis by name, re-sorts each diachronic pool, and trims
@@ -460,90 +457,6 @@ def message_time_oracle(msg_sentence: Sentence, publish_time: datetime,
     return candidates[0][2]
 
 
-def _relation_lookup_failure(exc: KeyError) -> str:
-    key = exc.args[0]
-    return f"missing {key}" if isinstance(key, str) else f"unknown message {key!r}"
-
-
-def _relation_key_at(ref: dict, path, ln: int) -> tuple[str, int]:
-    sidx = ref["sentence_index"]
-    if isinstance(sidx, bool) or not isinstance(sidx, int):
-        raise MalformedRecord(f"sentence_index {sidx!r} is not an integer",
-                              str(path), ln)
-    return (ref["doc_id"], sidx)
-
-
-def _relation_axis_problem(rec: dict, left: Message, right: Message) -> str | None:
-    if rec["axis"] == SYNCHRONIC:
-        if "distance" in rec:
-            return "synchronic relation carries a distance"
-        if left.source == right.source:
-            return "synchronic relation needs messages from two sources"
-        return None
-    if left.source != right.source:
-        return "diachronic relation needs messages from one source"
-    if not left.time.start < right.time.start:
-        return "diachronic relation needs a left anchor that starts before the right one"
-    distance = rec.get("distance")
-    expected = right.report_index - left.report_index
-    if isinstance(distance, bool) or not isinstance(distance, int) or distance != expected:
-        return f"diachronic distance {distance!r} is not the report distance {expected}"
-    return None
-
-
-def read_relations_oracle(path, messages: list[Message],
-                          relation_specs: list[RelationSpec]) -> list[tuple]:
-    """``read_relations`` as it was before it read canonical lines with a
-    pattern: every line decoded as JSON, each record then checked field by
-    field, a diachronic record's distance against every rule it could
-    come from."""
-    by_key = {m.key(): m for m in messages}
-    rules = {(s.name, s.axis, s.left_type, s.right_type) for s in relation_specs}
-    rules.update((s.name, s.axis, s.right_type, s.left_type)
-                 for s in relation_specs if s.symmetric)
-    out = []
-    seen = set()
-    for ln, rec in read_records_oracle(path):
-        try:
-            name, axis = rec["name"], rec["axis"]
-            left_key = _relation_key_at(rec["left"], path, ln)
-            left = by_key[left_key]
-            right_key = _relation_key_at(rec["right"], path, ln)
-            right = by_key[right_key]
-        except KeyError as exc:
-            raise MalformedRecord(_relation_lookup_failure(exc), str(path), ln) from None
-        except TypeError:
-            raise MalformedRecord("record does not have the relations-artifact shape",
-                                  str(path), ln) from None
-        if not isinstance(name, str) or axis not in (SYNCHRONIC, DIACHRONIC):
-            raise MalformedRecord("relation needs a string name and a known axis",
-                                  str(path), ln)
-        if (name, axis, left.msg_type, right.msg_type) not in rules:
-            raise MalformedRecord(
-                f"no {axis} rule {name!r} relates a {left.msg_type!r} message "
-                f"to a {right.msg_type!r} one", str(path), ln)
-        problem = _relation_axis_problem(rec, left, right)
-        if problem is None and axis == DIACHRONIC and not any(
-                s.name == name and s.axis == axis
-                and ((s.left_type, s.right_type) == (left.msg_type, right.msg_type)
-                     or s.symmetric
-                     and (s.right_type, s.left_type) == (left.msg_type, right.msg_type))
-                and (s.distance is None
-                     or s.distance[0] == "==" and rec["distance"] == s.distance[1]
-                     or s.distance[0] == ">=" and rec["distance"] >= s.distance[1])
-                for s in relation_specs):
-            problem = (f"no {axis} rule {name!r} relates a {left.msg_type!r} message "
-                       f"to a {right.msg_type!r} one at distance {rec['distance']}")
-        if problem is not None:
-            raise MalformedRecord(problem, str(path), ln)
-        key = (axis, name, left_key, right_key)
-        if key in seen:
-            raise MalformedRecord(f"duplicate relation {key!r}", str(path), ln)
-        seen.add(key)
-        out.append(key)
-    return out
-
-
 def load_gold_messages_oracle(path, specs: list[MessageTypeSpec],
                               ontology: Ontology, corpus) -> list[Message]:
     """``load_gold_messages`` as it was before it checked each distinct
@@ -793,16 +706,12 @@ def render_summary_oracle(graph, templates, ellipsis=(), bucket_budget=None) -> 
     # --- ellipsis reports
     reported: set[tuple[str, int]] = set()
     for rep in ellipsis:
-        if bucket_of.get(rep.message.key()) != rep.bucket:
-            raise ChronicleError(
-                f"ellipsis report for {rep.message.doc_id}#"
-                f"{rep.message.sentence_index} names bucket {rep.bucket}, "
-                f"which is not its bucket under this window")
         reported.add(rep.message.key())
         ctx = _single_context(rep.message)
         ctx["silent"] = _join_sources(rep.silent_sources)
         text = _render(templates["ellipsis"].pattern, ctx, "ellipsis")
-        order = (rep.bucket, 2, "ellipsis", _message_sort_key(rep.message))
+        order = (bucket_of[rep.message.key()], 2, "ellipsis",
+                 _message_sort_key(rep.message))
         planned.append((order, text, []))
 
     # --- lone messages: no relation touches them, no ellipsis covers them

@@ -293,7 +293,7 @@ def test_criterion_7_summary_coverage(football, hostage):
         edges = evaluate_relations(bundle.gold, bundle.relation_specs, W0)
         reports = detect_ellipsis(bundle.gold, bundle.corpus.sources, W0)
         templates = load_templates(bundle.templates_path)
-        graph = build_graph(bundle.gold, [r.key() for r in edges], W0)
+        graph = build_graph(bundle.gold, bundle.relation_specs, W0)
         first = render_summary(graph, templates, reports)
         second = render_summary(graph, templates, reports)
         assert first.text.encode() == second.text.encode()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import json
 import os
 import random
@@ -14,8 +15,7 @@ from chronicle import corpus as corpus_mod
 from chronicle import ontology as ontology_mod
 from chronicle.corpus import read_corpus_artifact
 from chronicle.extract import load_gold_messages
-from chronicle.relations import (WindowPolicy, brute_force_oracle,
-                                 read_relations)
+from chronicle.relations import WindowPolicy, brute_force_oracle
 from tests.conftest import FIXTURES
 
 
@@ -93,11 +93,13 @@ def test_relate_on_gold_messages_matches_oracle(tmp_path, hostage):
     messages = load_gold_messages(root / "gold_messages.jsonl",
                                   hostage.message_specs, hostage.ontology,
                                   corpus)
-    got = read_relations(tmp_path / "relations.jsonl", messages,
-                         hostage.relation_specs)
+    got = [json.loads(line) for line in
+           (tmp_path / "relations.jsonl").read_text().splitlines()]
     expected = brute_force_oracle(messages, hostage.relation_specs,
                                   WindowPolicy(cli.parse_duration("0")))
-    assert sorted(got) == sorted(r.key() for r in expected)
+    assert sorted((r["axis"], r["name"], (r["left"]["doc_id"], r["left"]["sentence_index"]),
+                   (r["right"]["doc_id"], r["right"]["sentence_index"])) for r in got) \
+        == sorted(r.key() for r in expected)
 
 
 def test_stage_isolation_relate_rerun_is_byte_identical(tmp_path):
@@ -111,19 +113,30 @@ def test_stage_isolation_relate_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "relations.jsonl").read_bytes() == before
 
 
-def test_summarize_without_ellipsis_artifact_exits_2(tmp_path, capsys):
-    run_pipeline("hostage", tmp_path, window="1d")
-    (tmp_path / "ellipsis.jsonl").unlink()
-    (tmp_path / "summary.txt").unlink()
-    capsys.readouterr()
-    root = FIXTURES / "hostage"
-    assert run(["summarize", "--ontology", root / "domain.spec",
+def summarize_football(out_dir):
+    root = FIXTURES / "football"
+    return run(["summarize", "--ontology", root / "domain.spec",
                 "--templates", root / "templates.txt", "--window", "1d",
-                "--out", tmp_path / "summary.txt", "--out-dir", tmp_path]) == 2
-    err = one_json_error(capsys, "summarize")
-    assert err["error"] == "FileNotFoundError"
-    assert "ellipsis.jsonl" in err["detail"]
-    assert not (tmp_path / "summary.txt").exists()
+                "--out", out_dir / "summary.txt", "--out-dir", out_dir])
+
+
+SUMMARY_ARTIFACTS = ("summary.txt", "coverage.json")
+
+
+def summary_bytes(out_dir):
+    return {name: (out_dir / name).read_bytes() for name in SUMMARY_ARTIFACTS}
+
+
+def test_summarize_without_relate_artifacts_renders_the_same_summary(tmp_path):
+    """``summarize`` derives its relations and ellipsis reports from the
+    messages: with ``relations.jsonl`` and ``ellipsis.jsonl`` gone it
+    writes the summary and coverage it wrote with them."""
+    run_pipeline("football", tmp_path, window="1d")
+    expected = summary_bytes(tmp_path)
+    for name in ("relations.jsonl", "ellipsis.jsonl", *SUMMARY_ARTIFACTS):
+        (tmp_path / name).unlink()
+    assert summarize_football(tmp_path) == 0
+    assert summary_bytes(tmp_path) == expected
 
 
 def test_summarize_without_out_writes_the_summary_and_stdout(tmp_path, capsys):
@@ -139,26 +152,34 @@ def test_summarize_without_out_writes_the_summary_and_stdout(tmp_path, capsys):
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 
-def test_relation_outside_its_rules_distance_exits_2(tmp_path, capsys):
-    """Football's line 8, a distance-2 ``stability`` record, renamed to
-    ``positive_graduation``, a ``distance==1`` rule between the same types:
-    the rule's distance gate refuses it."""
+def test_renamed_relation_leaves_the_summary_unchanged(tmp_path):
+    """Football's line 9, a distance-1 ``stability`` record, renamed to
+    ``positive_graduation``, a rule between the same types whose
+    conditions the two messages do not meet: the summary still renders
+    what the rules give, as if the file were untouched."""
     run_pipeline("football", tmp_path, window="1d")
-    capsys.readouterr()
+    expected = summary_bytes(tmp_path)
     path = tmp_path / "relations.jsonl"
     lines = path.read_text().splitlines(True)
-    assert '"distance": 2' in lines[7] and '"name": "stability"' in lines[7]
-    lines[7] = lines[7].replace('"stability"', '"positive_graduation"')
+    assert '"distance": 1' in lines[8] and '"name": "stability"' in lines[8]
+    lines[8] = lines[8].replace('"stability"', '"positive_graduation"')
     path.write_text("".join(lines))
-    root = FIXTURES / "football"
+    assert summarize_football(tmp_path) == 0
+    assert summary_bytes(tmp_path) == expected
+
+
+@pytest.mark.parametrize("domain", ["football", "hostage"])
+def test_relate_window_does_not_steer_the_summary(tmp_path, domain):
+    """``relate --window 1d`` then ``summarize --window 7d`` gives the
+    summary that ``relate`` and ``summarize`` both at ``7d`` give."""
+    root = FIXTURES / domain
+    both, mixed = tmp_path / "both", tmp_path / "mixed"
+    run_pipeline(domain, both, window="7d")
+    run_pipeline(domain, mixed, window="1d")
     assert run(["summarize", "--ontology", root / "domain.spec",
-                "--templates", root / "templates.txt", "--window", "1d",
-                "--out", tmp_path / "s.txt", "--out-dir", tmp_path]) == 2
-    err = one_json_error(capsys, "summarize")
-    assert err["error"] == "MalformedRecord"
-    assert err["detail"] == (
-        f"{path}:8: no diachronic rule 'positive_graduation' relates a "
-        "'performance' message to a 'performance' one at distance 2")
+                "--templates", root / "templates.txt", "--window", "7d",
+                "--out", mixed / "summary.txt", "--out-dir", mixed]) == 0
+    assert summary_bytes(mixed) == summary_bytes(both)
 
 
 def test_simulate_deterministic(tmp_path):
@@ -199,7 +220,7 @@ def test_parser_is_built_once_and_serves_every_stage(tmp_path):
     parse = cli.build_parser().parse_args
     assert parse(["analyze", "--residual-threshold", "0.5",
                   "--out-dir", "a"]).residual_threshold == 0.5
-    assert parse(["analyze", "--out-dir", "b"]).residual_threshold == 0.1
+    assert parse(["analyze", "--out-dir", "b"]).residual_threshold is None
 
 
 def test_statistical_mode_via_cli(tmp_path):
@@ -379,8 +400,7 @@ def test_non_object_gold_record_exits_2(tmp_path, capsys):
 
 def broken_record(path, kind):
     """Rewrite the first record of a JSON-lines artifact, or with a
-    ``sync-`` kind its first synchronic relation; return the number of the
-    line that is now malformed."""
+    ``sync-`` kind its first synchronic relation."""
     lines = path.read_text().splitlines()
     at = 0
     if kind.startswith("sync-"):
@@ -390,7 +410,7 @@ def broken_record(path, kind):
     if kind == "duplicate":
         lines.append(lines[at])
         path.write_text("\n".join(lines) + "\n")
-        return len(lines)
+        return
     if kind == "not-object":
         record = [record]
     elif kind.startswith("missing-"):
@@ -435,7 +455,6 @@ def broken_record(path, kind):
         record[side] = record[side]["doc_id"]
     lines[at] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
-    return at + 1
 
 
 @pytest.mark.parametrize("artifact,kind", [
@@ -475,21 +494,20 @@ def broken_record(path, kind):
     ("ellipsis.jsonl", "true-bucket"),
     ("ellipsis.jsonl", "duplicate"),
 ])
-def test_malformed_relate_artifact_exits_2(tmp_path, capsys, artifact, kind):
+def test_malformed_relate_artifact_leaves_summary_unchanged(tmp_path, artifact, kind):
+    """``summarize`` reads neither of ``relate``'s artifacts, so a broken
+    record in one changes nothing it writes."""
     run_pipeline("hostage", tmp_path)
-    capsys.readouterr()
-    ln = broken_record(tmp_path / artifact, kind)
+    expected = summary_bytes(tmp_path)
+    broken_record(tmp_path / artifact, kind)
     root = FIXTURES / "hostage"
-    code = run(["summarize", "--ontology", root / "domain.spec",
+    assert run(["summarize", "--ontology", root / "domain.spec",
                 "--templates", root / "templates.txt", "--window", "0",
-                "--out", tmp_path / "s.txt", "--out-dir", tmp_path])
-    assert code == 2
-    err = one_json_error(capsys, "summarize")
-    assert err["error"] == "MalformedRecord"
-    assert f"{artifact}:{ln}:" in err["detail"]
+                "--out", tmp_path / "summary.txt", "--out-dir", tmp_path]) == 0
+    assert summary_bytes(tmp_path) == expected
 
 
-@pytest.mark.parametrize("artifact", ["messages.jsonl", "relations.jsonl"])
+@pytest.mark.parametrize("artifact", ["messages.jsonl"])
 def test_overlong_integer_exits_2_naming_the_line(tmp_path, capsys, artifact):
     """A 5,000-digit ``sentence_index``, longer than ``int`` reads, on line
     1 fails the stage as any malformed record does: one JSON line naming
@@ -498,7 +516,7 @@ def test_overlong_integer_exits_2_naming_the_line(tmp_path, capsys, artifact):
     capsys.readouterr()
     path = tmp_path / artifact
     record = json.loads(path.read_text().splitlines()[0])
-    (record if artifact == "messages.jsonl" else record["left"])["sentence_index"] = "@"
+    record["sentence_index"] = "@"
     replace_first_line(path, json.dumps(record).replace('"@"', "1" + "0" * 4999))
     assert summarize_hostage(tmp_path) == 2
     err = one_json_error(capsys, "summarize")
@@ -1097,6 +1115,55 @@ def test_simulate_rejects_non_finite_jitter(tmp_path, capsys, kind, jitter):
     assert not (tmp_path / "simulated.jsonl").exists()
 
 
+@pytest.mark.parametrize("flags,fields", [
+    ([], {}),
+    (["--burst-min", "3"], {"burst_size": (3, 5)}),
+    (["--burst-max", "3"], {"burst_size": (2, 3)}),
+    (["--offsets", "0,90,-45", "--seed", "4"],
+     {"source_offsets": (0, 90, -45), "seed": 4}),
+], ids=["no-flags", "burst-min", "burst-max", "offsets"])
+@pytest.mark.parametrize("kind", ["linear", "non-linear"])
+def test_simulate_leaves_flags_not_given_to_stream_params(tmp_path, kind, flags,
+                                                          fields):
+    """``simulate`` passes only the flags given: the corpus equals the one
+    ``generate_stream`` draws with ``StreamParams``' own defaults for the
+    rest (3 sources and 10 reports are the command's own)."""
+    from chronicle import evolution
+
+    assert run(["simulate", "--kind", kind, *flags, "--out-dir", tmp_path]) == 0
+    expected = tmp_path / "expected.jsonl"
+    evolution.write_stream(evolution.generate_stream(
+        kind, 3, evolution.StreamParams(**fields), 10), expected)
+    assert (tmp_path / "simulated.jsonl").read_bytes() == expected.read_bytes()
+
+
+def test_analyze_leaves_flags_not_given_to_analyze_corpus(tmp_path):
+    from chronicle import evolution
+
+    root = FIXTURES / "hostage"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl",
+                "--out-dir", tmp_path]) == 0
+    assert run(["analyze", "--out-dir", tmp_path]) == 0
+    corpus = read_corpus_artifact(tmp_path / "corpus.jsonl", tokens=False)
+    report = evolution.report_to_json(evolution.analyze_corpus(corpus))
+    assert (tmp_path / "evolution.json").read_text() == \
+        json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("offsets,detail", [
+    ("1,2,3", "--offsets gives 3 offsets for 2 sources"),
+    ("1,x", "--offsets: 'x' is not a whole number of minutes"),
+    ("1" + "0" * 20,
+     "--offsets: 100000000000000000000 minutes is more than a timedelta holds"),
+], ids=["more-than-sources", "not-an-integer", "out-of-range"])
+def test_simulate_rejects_bad_offsets(tmp_path, capsys, offsets, detail):
+    assert run(["simulate", "--kind", "linear", "--sources", "2",
+                "--offsets", offsets, "--out-dir", tmp_path]) == 2
+    assert one_json_error(capsys, "simulate") == {
+        "stage": "simulate", "error": "ValueError", "detail": detail}
+    assert not (tmp_path / "simulated.jsonl").exists()
+
+
 def summarize_hostage(out_dir, window="0"):
     root = FIXTURES / "hostage"
     return run(["summarize", "--ontology", root / "domain.spec",
@@ -1116,28 +1183,6 @@ def test_negative_bucket_budget_exits_2(tmp_path, capsys):
     assert err["error"] == "ValueError"
     assert "-5" in err["detail"]
     assert not (tmp_path / "s.txt").exists()
-
-
-def test_summarize_rejects_ellipsis_from_another_window(tmp_path, capsys):
-    run_pipeline("hostage", tmp_path, window="1d")
-    capsys.readouterr()
-    assert summarize_hostage(tmp_path, window="0") == 2
-    err = one_json_error(capsys, "summarize")
-    assert err["error"] == "ChronicleError"
-    assert "bucket" in err["detail"]
-
-
-def test_summarize_rejects_out_of_range_ellipsis_bucket(tmp_path, capsys):
-    run_pipeline("hostage", tmp_path)
-    capsys.readouterr()
-    ellipsis = tmp_path / "ellipsis.jsonl"
-    record = json.loads(ellipsis.read_text().splitlines()[0])
-    record["bucket"] = 999
-    replace_first_line(ellipsis, json.dumps(record))
-    assert summarize_hostage(tmp_path) == 2
-    err = one_json_error(capsys, "summarize")
-    assert err["error"] == "ChronicleError"
-    assert "bucket 999" in err["detail"]
 
 
 @pytest.mark.parametrize("stage,flags", [
@@ -1216,6 +1261,65 @@ def test_too_few_points_counts_distinct_times(tmp_path, capsys):
     assert err["error"] == "TooFewPoints"
     assert err["detail"] == "need at least 3 timestamps, got 2"
     assert not (tmp_path / "evolution.json").exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def stage_table() -> dict[str, tuple[list[str], list[str]]]:
+    """README's stage table: stage -> (what it reads, what it writes), each
+    cell split at its commas."""
+    table = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`") and cells[0] != "`stage`":
+            stage, reads, writes = cells
+            table[stage.strip("`")] = ([r.strip() for r in reads.split(",")],
+                                       [w.strip() for w in writes.split(",")])
+    return table
+
+
+def test_each_stage_opens_the_files_the_stage_table_lists(tmp_path, monkeypatch):
+    """Every stage reads and writes only its declared artifacts: ``open`` is
+    watched while each stage runs on the hostage fixture, and the files it
+    opens to read, and to write, are exactly those README's stage table
+    lists. ``summarize`` opens neither of ``relate``'s artifacts."""
+    root = FIXTURES / "hostage"
+    inputs = {"raw corpus (`--corpus`)": root / "corpus.jsonl",
+              "lexicon": root / "lexicon.tsv", "gazetteer": root / "gazetteer.tsv",
+              "domain": root / "domain.spec", "templates": root / "templates.txt"}
+
+    def path_of(entry):
+        return inputs[entry] if entry in inputs else tmp_path / entry.strip("`")
+
+    flags = {
+        "ingest": ["--corpus", inputs["raw corpus (`--corpus`)"],
+                   "--lexicon", inputs["lexicon"], "--gazetteer", inputs["gazetteer"]],
+        "extract": ["--ontology", inputs["domain"]],
+        "relate": ["--ontology", inputs["domain"], "--window", "1d"],
+        "analyze": [],
+        "summarize": ["--ontology", inputs["domain"], "--templates",
+                      inputs["templates"], "--window", "1d",
+                      "--out", tmp_path / "summary.txt"],
+    }
+    table = stage_table()
+    assert sorted(table) == sorted(flags)
+    opened = []
+    real_open = builtins.open
+
+    def watched(file, mode="r", *args, **kwargs):
+        opened.append((Path(file), bool(set(mode) & set("wax+"))))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", watched)
+    for stage, argv in flags.items():
+        opened.clear()
+        assert run([stage, *argv, "--out-dir", tmp_path]) == 0, stage
+        reads, writes = table[stage]
+        assert {path for path, write in opened if not write} == \
+            set(map(path_of, reads)), stage
+        assert {path for path, write in opened if write} == \
+            set(map(path_of, writes)), stage
 
 
 def test_ingest_imports_no_later_stage(tmp_path):

@@ -1,11 +1,14 @@
-"""Mutation test over the artifacts ``relate`` and ``summarize`` read.
+"""Mutation test over the artifacts of a hostage run.
 
 One line of ``messages.jsonl``, ``relations.jsonl`` or ``ellipsis.jsonl``
 from a hostage run is mutated: a field (at the top level or one level down)
 is replaced by a drawn JSON value or dropped, or the whole line is replaced
-by drawn JSON. Whatever the mutation, ``summarize`` exits 0, or exits 2
-with exactly one JSON error line on stderr; an exception escaping
-``chronicle.cli.main`` is a traceback and fails the test.
+by drawn JSON. Whatever the mutation of ``messages.jsonl``, ``summarize``
+exits 0, or exits 2 with exactly one JSON error line on stderr; an
+exception escaping ``chronicle.cli.main`` is a traceback and fails the
+test. ``summarize`` derives its relations and ellipsis reports from the
+messages and reads neither of the other two, so whatever the mutation of
+those, it exits 0 and writes the summary and coverage it wrote before.
 
 ``relate`` gets the same mutations of ``messages.jsonl``, and mutations that
 set one message's ``time`` to a day, an instant or an interval anywhere in
@@ -172,6 +175,9 @@ def test_mutated_summarize_input_exits_0_or_2(hostage_run, artifact):
     path = hostage_run / artifact
     original = path.read_text()
     lines = original.splitlines()
+    assert summarize(hostage_run) == (0, "")
+    written = {name: (hostage_run / name).read_bytes()
+               for name in ("summary.txt", "coverage.json")}
 
     @settings(derandomize=True, deadline=None, max_examples=60, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -184,6 +190,10 @@ def test_mutated_summarize_input_exits_0_or_2(hostage_run, artifact):
         finally:
             path.write_text(original)
         assert_exit_0_or_one_error(code, err, "summarize")
+        if artifact != "messages.jsonl":
+            assert code == 0, err
+            for name, data in written.items():
+                assert (hostage_run / name).read_bytes() == data, name
 
     check()
 

@@ -6,14 +6,13 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from chronicle.errors import ChronicleError, MalformedRecord, MissingTemplate
+from chronicle.errors import ChronicleError, MissingTemplate
 from chronicle.extract import Message
 from chronicle.ontology import ConditionAtom, RelationSpec
 from chronicle.relations import (EllipsisReport, WindowPolicy, _message_sort_key,
                                  bucket_index_of, bucket_messages,
                                  detect_ellipsis, evaluate_relations,
-                                 read_relations, sort_instances,
-                                 write_relations)
+                                 sort_instances, write_relations)
 from chronicle.summarize import (SummaryTemplate, _compile, _diachronic_chains,
                                  build_graph, load_templates, render_summary)
 from chronicle.temporal import TimeAnchor
@@ -74,8 +73,7 @@ def test_graph_with_no_relations_has_isolated_nodes():
 
 def test_agreement_pair_lands_in_one_bucket():
     ms = [perf("A", "a0", day(1), "good"), perf("B", "b0", day(1), "good")]
-    edges = evaluate_relations(ms, [AGREEMENT], W0)
-    graph = build_graph(ms, [r.key() for r in edges], W0)
+    graph = build_graph(ms, [AGREEMENT], W0)
     assert len(graph.buckets) == 1
     assert len(graph.buckets[0]) == 2
 
@@ -84,8 +82,7 @@ def test_graduation_chain_spans_three_buckets():
     ms = [perf("A", "a0", day(1), "poor", 0),
           perf("A", "a1", day(3), "good", 1),
           perf("A", "a2", day(5), "excellent", 2)]
-    edges = evaluate_relations(ms, [POSITIVE], W0)
-    graph = build_graph(ms, [r.key() for r in edges], W0)
+    graph = build_graph(ms, [POSITIVE], W0)
     assert len(graph.buckets) == 3
     assert len(graph.edges) == 2
 
@@ -95,7 +92,7 @@ def test_agreement_collapses_to_one_sentence_listing_sources():
           perf("C", "c0", day(1), "good")]
     edges = evaluate_relations(ms, [AGREEMENT], W0)
     assert len(edges) == 6
-    result = render_summary(build_graph(ms, [r.key() for r in edges], W0), TEMPLATES)
+    result = render_summary(build_graph(ms, [AGREEMENT], W0), TEMPLATES)
     assert result.sentences == (
         "On 2004-09-01, A, B and C agreed on Alpha United: good.",)
     assert len(result.coverage) == 6
@@ -105,9 +102,9 @@ def test_agreement_collapses_to_one_sentence_listing_sources():
 def test_duplicated_edge_is_not_consumed_exactly_once(relation):
     ms = [perf("A", "a0", day(1), "poor", 0), perf("A", "a1", day(3), "good", 1),
           perf("B", "b0", day(1), "poor", 0)]
-    edges = evaluate_relations(ms, [relation], W0)
-    assert edges
-    graph = build_graph(ms, [r.key() for r in edges + edges[:1]], W0)
+    graph = build_graph(ms, [relation], W0)
+    assert graph.edges
+    graph = graph._replace(edges=tuple(sorted(graph.edges + graph.edges[:1])))
     with pytest.raises(ChronicleError, match="exactly once"):
         render_summary(graph, TEMPLATES)
 
@@ -118,7 +115,7 @@ def test_graduation_chain_renders_single_trend_sentence():
           perf("A", "a2", day(5), "excellent", 2)]
     edges = evaluate_relations(ms, [POSITIVE], W0)
     assert len(edges) == 2
-    result = render_summary(build_graph(ms, [r.key() for r in edges], W0), TEMPLATES)
+    result = render_summary(build_graph(ms, [POSITIVE], W0), TEMPLATES)
     assert result.sentences == (
         "Alpha United improved from poor to excellent.",)
 
@@ -132,8 +129,7 @@ def test_empty_graph_renders_empty_summary():
 
 def test_missing_template_is_an_error():
     ms = [perf("A", "a0", day(1), "good"), perf("B", "b0", day(1), "good")]
-    edges = evaluate_relations(ms, [AGREEMENT], W0)
-    graph = build_graph(ms, [r.key() for r in edges], W0)
+    graph = build_graph(ms, [AGREEMENT], W0)
     templates = {k: v for k, v in TEMPLATES.items() if k != "agreement"}
     with pytest.raises(MissingTemplate) as err:
         render_summary(graph, templates)
@@ -166,7 +162,7 @@ def test_bucket_budget_trims_lone_sentences_only():
     ms = [perf("A", "a0", day(1), "good"), perf("B", "b0", day(1), "good"),
           perf("C", "c0", day(1), "poor")]
     edges = evaluate_relations(ms, [AGREEMENT], W0)
-    graph = build_graph(ms, [r.key() for r in edges], W0)
+    graph = build_graph(ms, [AGREEMENT], W0)
     unbudgeted = render_summary(graph, TEMPLATES)
     assert len(unbudgeted.sentences) == 2
     budgeted = render_summary(graph, TEMPLATES, bucket_budget=1)
@@ -175,10 +171,9 @@ def test_bucket_budget_trims_lone_sentences_only():
 
 
 def test_rendering_deterministic_on_fixture(hostage):
-    edges = evaluate_relations(hostage.gold, hostage.relation_specs, W0)
     reports = detect_ellipsis(hostage.gold, hostage.corpus.sources, W0)
     templates = load_templates(hostage.templates_path)
-    graph = build_graph(hostage.gold, [r.key() for r in edges], W0)
+    graph = build_graph(hostage.gold, hostage.relation_specs, W0)
     a = render_summary(graph, templates, reports)
     b = render_summary(graph, templates, reports)
     assert a == b
@@ -189,7 +184,7 @@ def test_every_instance_consumed_exactly_once_on_fixtures(football, hostage):
         edges = evaluate_relations(bundle.gold, bundle.relation_specs, W0)
         reports = detect_ellipsis(bundle.gold, bundle.corpus.sources, W0)
         templates = load_templates(bundle.templates_path)
-        graph = build_graph(bundle.gold, [r.key() for r in edges], W0)
+        graph = build_graph(bundle.gold, bundle.relation_specs, W0)
         result = render_summary(graph, templates, reports)
         consumed = [key for key, _ in result.coverage]
         assert len(consumed) == len(set(consumed)) == len(edges)
@@ -200,7 +195,7 @@ def test_every_instance_consumed_exactly_once_on_fixtures(football, hostage):
 def test_collapse_keeps_distinct_argument_tuples(football):
     edges = evaluate_relations(football.gold, football.relation_specs, W0)
     templates = load_templates(football.templates_path)
-    graph = build_graph(football.gold, [r.key() for r in edges], W0)
+    graph = build_graph(football.gold, football.relation_specs, W0)
     result = render_summary(graph, templates)
     # every distinct value mentioned by a collapsed agreement appears somewhere
     sync_values = {r.left.args["value"] for r in edges if r.axis == "synchronic"}
@@ -270,14 +265,14 @@ def test_render_matches_oracle(seed):
     duplicated edge fails the same way in both."""
     messages, specs, window = random_trial(seed)
     rng = random.Random(seed)
-    edges = evaluate_relations(messages, specs, window)
-    if edges and rng.random() < 0.1:
-        edges.append(rng.choice(edges))
+    graph = build_graph(messages, specs, window)
+    if graph.edges and rng.random() < 0.1:
+        duplicate = rng.choice(graph.edges)
+        graph = graph._replace(edges=tuple(sorted(graph.edges + (duplicate,))))
     reports = detect_ellipsis(messages, {m.source for m in messages}, window)
     templates = trial_templates(specs, messages)
     if rng.random() < 0.1:
         del templates[rng.choice(sorted(templates))]
-    graph = build_graph(messages, [r.key() for r in edges], window)
     for budget in (None, 0, 1, 2):
         assert outcome(render_summary, graph, templates, reports, budget) == \
             outcome(render_summary_oracle, graph, templates, reports, budget)
@@ -347,9 +342,10 @@ def test_compiled_pair_template_renders_as_substitution(seed):
 
 @pytest.mark.parametrize("seed", range(0, 60))
 def test_graph_edges_follow_sort_instances_order(seed):
-    """Edges sorted by their messages' positions in ``nodes`` come out in
-    ``sort_instances`` order, whatever order they arrive in, also when
-    messages of different documents share an anchor start."""
+    """The graph's edges, between their messages' positions in ``nodes``,
+    come out in ``sort_instances`` order, whatever order the messages
+    arrive in, also when messages of different documents share an anchor
+    start."""
     messages, specs, window = random_trial(seed)
     rng = random.Random(seed)
     # the same anchor in another document of another source, sorting
@@ -362,69 +358,42 @@ def test_graph_edges_follow_sort_instances_order(seed):
     starts = [m.time.start for m in messages]
     assert len(set(starts)) < len(starts)
     edges = evaluate_relations(messages, specs, window)
-    rng.shuffle(edges)
     rng.shuffle(messages)
-    graph = build_graph(messages, [r.key() for r in edges], window)
+    graph = build_graph(messages, specs, window)
     assert [(axis, name, graph.nodes[left].key(), graph.nodes[right].key())
             for axis, name, left, right in graph.edges] == \
         [e.key() for e in sort_instances(edges)]
 
 
+def _artifact_key(line: str) -> tuple:
+    """A relations-artifact line as its instance key."""
+    record = json.loads(line)
+    return (record["axis"], record["name"],
+            (record["left"]["doc_id"], record["left"]["sentence_index"]),
+            (record["right"]["doc_id"], record["right"]["sentence_index"]))
+
+
 @pytest.mark.parametrize("seed", range(0, 60))
-def test_relations_artifact_reads_back_as_keys(tmp_path, seed):
-    """``read_relations`` accepts every record ``write_relations`` writes,
-    also those of symmetric rules between two message types, and gives back
-    their instance keys in file order. With the lines shuffled, the graph
-    built from what it reads is the graph built from the instances."""
+def test_graph_edges_are_the_relations_relate_writes(tmp_path, seed):
+    """``summarize`` derives its relations itself: the graph's edges, as
+    instance keys, are the records ``relate`` writes for the same messages
+    and window, also those of symmetric rules between two message types,
+    in file order."""
     messages, specs, window = random_trial(seed)
-    instances = evaluate_relations(messages, specs, window)
-    keys = [r.key() for r in instances]
     path = tmp_path / "relations.jsonl"
-    write_relations(instances, path)
-    assert read_relations(path, messages, specs) == keys
-    lines = path.read_text().splitlines(True)
-    random.Random(seed).shuffle(lines)
-    path.write_text("".join(lines))
-    assert build_graph(messages, read_relations(path, messages, specs), window) == \
-        build_graph(messages, keys, window)
-
-
-def test_same_named_rules_admit_the_union_of_their_distances(tmp_path):
-    """Rules that share a name and types admit every distance one of them
-    admits; ``read_relations`` refuses a record at any other, naming its
-    line and distance."""
-    messages = [perf("s1", f"w{i}", day(i + 1), "good", report_index=i)
-                for i in range(7)]
-    specs = [POSITIVE, POSITIVE._replace(distance=("==", 3)),
-             POSITIVE._replace(distance=(">=", 5))]
-    path = tmp_path / "relations.jsonl"
-
-    def record(right):
-        return json.dumps({"axis": "diachronic", "distance": right,
-                           "left": {"doc_id": "w0", "sentence_index": 0},
-                           "name": "positive_graduation",
-                           "right": {"doc_id": f"w{right}", "sentence_index": 0}},
-                          sort_keys=True) + "\n"
-
-    admitted = [1, 3, 5, 6]
-    path.write_text("".join(map(record, admitted)))
-    assert [key[3] for key in read_relations(path, messages, specs)] == \
-        [(f"w{right}", 0) for right in admitted]
-    for refused in (2, 4):
-        path.write_text(record(1) + record(refused))
-        with pytest.raises(MalformedRecord) as err:
-            read_relations(path, messages, specs)
-        assert str(err.value) == (
-            f"{path}:2: no diachronic rule 'positive_graduation' relates a "
-            f"'performance' message to a 'performance' one at distance {refused}")
+    write_relations(evaluate_relations(messages, specs, window), path)
+    graph = build_graph(messages, specs, window)
+    assert [(axis, name, graph.nodes[left].key(), graph.nodes[right].key())
+            for axis, name, left, right in graph.edges] == \
+        list(map(_artifact_key, path.read_text().splitlines()))
 
 
 @pytest.mark.parametrize("seed", range(0, 60))
 def test_buckets_are_runs_of_the_time_order(seed):
     """The buckets, joined, are the messages in time order. So the bucket
     ``render_summary`` gives each node by its position is the one
-    ``bucket_index_of`` finds by a scan: an ellipsis report naming that
-    bucket renders, one naming the next bucket does not."""
+    ``bucket_index_of`` finds by a scan, and an ellipsis report naming
+    that bucket renders."""
     messages, _, window = random_trial(seed)
     buckets = bucket_messages(messages, window)
     assert [m for b in buckets for m in b] == sorted(messages, key=_message_sort_key)
@@ -433,7 +402,3 @@ def test_buckets_are_runs_of_the_time_order(seed):
     reports = [EllipsisReport(m, bucket_index_of(m, graph.buckets), ("elsewhere",))
                for m in graph.nodes]
     assert len(render_summary(graph, templates, reports).sentences) == len(messages)
-    for i, rep in enumerate(reports):
-        moved = rep._replace(bucket=rep.bucket + 1)
-        with pytest.raises(ChronicleError, match="not its bucket"):
-            render_summary(graph, templates, reports[:i] + [moved] + reports[i + 1:])
