@@ -174,12 +174,12 @@ def cmd_summarize(args) -> int:
     corpus = corpus_mod.read_corpus_artifact(out / CORPUS_ARTIFACT, tokens=False)
     messages = extract_mod.load_gold_messages(
         out / MESSAGES_ARTIFACT, message_specs, ontology, corpus)
-    window = relations_mod.parse_window(args.window)
+    order = relations_mod.time_order(messages, relations_mod.parse_window(args.window))
     templates = summarize_mod.load_templates(args.templates)
-    graph = summarize_mod.build_graph(messages, relation_specs, window)
+    graph = summarize_mod.build_graph(order, relation_specs)
     # the core, not detect_ellipsis: relate calls that one, and a tracer
     # wrapping it would count each report once per stage
-    reports = relations_mod.ellipsis_reports(messages, corpus.sources, window)
+    reports = relations_mod.ellipsis_reports(order, corpus.sources)
     result = summarize_mod.render_summary(graph, templates, reports,
                                           bucket_budget=args.bucket_budget)
     target = Path(args.out) if args.out else out / SUMMARY_ARTIFACT

@@ -218,26 +218,32 @@ def generate_stream(kind: str, sources: int, params: StreamParams,
         source = f"source-{si + 1}"
         rng = random.Random(params.seed * 1_000_003 + si * 7_919
                             + (0 if kind == LINEAR else 1))
-        offset = timedelta(minutes=params.source_offsets[si]
-                           if si < len(params.source_offsets) else 0)
+        minutes = params.source_offsets[si] if si < len(params.source_offsets) else 0
         times: list[datetime] = []
-        if kind == LINEAR:
-            for n in range(horizon):
-                wobble = rng.uniform(-params.jitter, params.jitter)
-                if n % 2 == 0:
-                    wobble = 0.0
-                times.append(params.start + offset + n * params.period
-                             + wobble * params.period)
-        else:
-            t = params.start + offset
-            while len(times) < horizon:
-                burst = rng.randint(*params.burst_size)
-                for _ in range(burst):
-                    if len(times) >= horizon:
-                        break
+        try:
+            t = params.start + timedelta(minutes=minutes)
+            if kind == LINEAR:
+                for n in range(horizon):
+                    # a draw for every report; the even ones stay on the grid
+                    wobble = (n % 2) * rng.uniform(-params.jitter, params.jitter)
+                    times.append(t + n * params.period + wobble * params.period)
+            else:
+                left = 0            # reports left in the burst
+                for n in range(horizon):
+                    if n:           # a gap is drawn only before a report
+                        t = t + params.intra_burst_gap * rng.uniform(0.5, 1.5)
+                        if not left:
+                            t = t + params.inter_burst_gap * rng.uniform(0.8, 1.6)
+                    if not left:
+                        left = rng.randint(*params.burst_size)
                     times.append(t)
-                    t = t + params.intra_burst_gap * rng.uniform(0.5, 1.5)
-                t = t + params.inter_burst_gap * rng.uniform(0.8, 1.6)
+                    left -= 1
+        except OverflowError:
+            placed = (f"period {params.period}" if kind == LINEAR else
+                      f"intra gap {params.intra_burst_gap}, inter gap {params.inter_burst_gap}")
+            raise OverflowError(f"{source} report {len(times)} leaves the date range: start "
+                                f"{params.start:%Y-%m-%d %H:%M}, offset {minutes} minutes, "
+                                f"{placed}") from None
         for n, t in enumerate(times):
             raw_docs.append((
                 f"{source}-{n:03d}", source,

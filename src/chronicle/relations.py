@@ -8,17 +8,17 @@ degenerates to exact time equality. Diachronic candidates are same-source
 pairs at strictly increasing anchors, their distance counted in per-source
 report steps.
 
-The engine works in the time order alone. Messages are walked once in
-``_message_sort_key`` order, and a message is its position in that walk.
-Its span is two integers, minutes since the epoch with both ends included:
-an instant is one minute, an interval runs from its start to its end, and
-a day from 00:00 to 23:59. The window is a whole number of minutes (the
-duration grammar reads no finer one), and the span's end is pushed out by
-the whole width. Every anchor lies on the minute grid, so two spans
-overlap, ``a.start <= b.end and b.start <= a.end``, exactly when the two
-anchors' extents, each dilated by half the width, overlap. No date is
-computed, so an anchor at either end of the date range and the widest
-window the grammar reads relate like any other.
+The engine works in the time order alone. ``time_order`` walks the
+messages once in ``_message_sort_key`` order, and a message is its
+position in that walk. Its span is two integers, minutes since the epoch
+with both ends included: an instant is one minute, an interval runs from
+its start to its end, and a day from 00:00 to 23:59. The window is a
+whole number of minutes (the duration grammar reads no finer one), and
+the span's end is pushed out by the whole width. Every anchor lies on the
+minute grid, so two spans overlap, ``a.start <= b.end and b.start <=
+a.end``, exactly when the two anchors' extents, each dilated by half the
+width, overlap. No date is computed, so an anchor at either end of the
+date range and the widest window the grammar reads relate like any other.
 
 Candidates are found without testing every pair. Synchronic ones come from
 a sweep over spans sorted by start: a message can only overlap spans that
@@ -51,22 +51,21 @@ found is the row (axis, name, left position, right position, distance);
 the set of them, sorted, is in ``sort_instances`` order, since positions
 follow ``_message_sort_key`` and message keys are unique.
 
-Two cores compute what the rules give: ``relation_rows`` returns the
-sorted rows and ``ellipsis_reports`` the ellipsis reports. ``relate``
-calls them through ``evaluate_relations``, which turns the rows into
-``RelationInstance``s in one C-level pass, and ``detect_ellipsis``.
-``summarize`` calls the cores themselves, on the messages and its own
-window, and reads back neither of ``relate``'s artifacts. The two
-wrappers are the names ``benchmarks/spans.py`` traces, so each runs once
-per pipeline.
+Two cores compute what the rules give from a walk: ``relation_rows``
+returns the sorted rows and ``ellipsis_reports`` the ellipsis reports.
+``relate`` calls them through ``evaluate_relations``, which turns the rows
+into ``RelationInstance``s in one C-level pass, and ``detect_ellipsis``;
+each wrapper walks once. ``summarize`` walks once and hands the walk to
+both cores and to ``bucket_messages``. The two wrappers are the names
+``benchmarks/spans.py`` traces, so each runs once per pipeline.
 
 ``brute_force_oracle`` re-implements the whole contract literally and
 independently (no shared condition or window helpers) so tests can check
 the engine against it on randomized inputs.
 
-A bucket is a run of messages in ``_message_sort_key`` order, the tuple of
-its members, and its index is its place in the bucket list. The one walk
-that feeds the sweeps also gives each message's bucket.
+A bucket is a run of the walk, the tuple of its members' messages, and
+its index is its place in the bucket list: the walk that feeds the sweeps
+also gives each message's bucket.
 
 ``write_relations`` formats the lines itself, escaping strings with the
 ``json`` module's ASCII escaper, and writes the bytes that
@@ -138,10 +137,10 @@ def sort_instances(instances) -> list[RelationInstance]:
         r.axis, r.name, _message_sort_key(r.left), _message_sort_key(r.right)))
 
 
-class _Item(NamedTuple):
+class TimedMessage(NamedTuple):
     """A message at its position in the time order, with its span: minutes
     since the epoch, both ends included, the end pushed out by the window
-    width."""
+    width, and the index of its bucket."""
 
     position: int
     message: Message
@@ -150,7 +149,7 @@ class _Item(NamedTuple):
     bucket: int
 
 
-def _by_extent(messages: list[Message], window: WindowPolicy) -> list[_Item]:
+def time_order(messages: list[Message], window: WindowPolicy) -> list[TimedMessage]:
     """An item per message in ``_message_sort_key`` order, which is also the
     order of span starts. A bucket closes at the first span that starts
     after every earlier member's end, so buckets are the connected
@@ -166,7 +165,7 @@ def _by_extent(messages: list[Message], window: WindowPolicy) -> list[_Item]:
             bucket, reach = bucket + 1, end
         elif end > reach:
             reach = end
-        items.append(_Item(position, m, start, end, bucket))
+        items.append(TimedMessage(position, m, start, end, bucket))
     return items
 
 
@@ -174,12 +173,12 @@ class _Sweep:
     """Start-sorted spans, for finding the ones that overlap a given span."""
 
     def __init__(self, items):
-        self.items = items              # from _by_extent
+        self.items = items              # from time_order
         self.starts = [item.start for item in items]
         # a span that starts before s - lookback ends before s
         self.lookback = max((item.end - item.start for item in items), default=0)
 
-    def near(self, start: int, end: int) -> list[_Item]:
+    def near(self, start: int, end: int) -> list[TimedMessage]:
         """The items whose spans start late enough and early enough to
         overlap [start, end], in sort order: the overlapping ones, and
         some that end before ``start``."""
@@ -195,7 +194,7 @@ class _Reports:
     report distance after a message."""
 
     def __init__(self, items):
-        self.lists: dict[str, list[_Item]] = {}
+        self.lists: dict[str, list[TimedMessage]] = {}
         for item in sorted(items, key=_REPORT_INDEX):
             self.lists.setdefault(item.message.source, []).append(item)
         self.indices = {source: [item.message.report_index for item in items]
@@ -215,7 +214,7 @@ class _Reports:
         return items[lo:hi]
 
 
-def _synchronic_candidates(lefts: list[_Item], sweep: _Sweep):
+def _synchronic_candidates(lefts: list[TimedMessage], sweep: _Sweep):
     """(left, right, None) for each left and each right item of the sweep
     from another source whose spans overlap."""
     for left in lefts:
@@ -225,7 +224,7 @@ def _synchronic_candidates(lefts: list[_Item], sweep: _Sweep):
                 yield left, right, None
 
 
-def _diachronic_candidates(lefts: list[_Item], reports: _Reports,
+def _diachronic_candidates(lefts: list[TimedMessage], reports: _Reports,
                            distance: tuple[str, int] | None = None):
     """(left, right, report distance) for each left and each right item of
     the same source with a strictly later span start, ``distance`` reports
@@ -240,7 +239,7 @@ def _diachronic_candidates(lefts: list[_Item], reports: _Reports,
 def synchronic_pairs(messages: list[Message],
                      window: WindowPolicy) -> list[tuple[Message, Message]]:
     """All ordered cross-source pairs with window-compatible anchors."""
-    items = _by_extent(messages, window)
+    items = time_order(messages, window)
     return [(left.message, right.message)
             for left, right, _ in _synchronic_candidates(items, _Sweep(items))]
 
@@ -248,7 +247,7 @@ def synchronic_pairs(messages: list[Message],
 def diachronic_pairs(messages: list[Message]) -> list[tuple[Message, Message, int]]:
     """All same-source ordered pairs with strictly increasing anchor start,
     with their report distance (later report_index minus earlier)."""
-    items = _by_extent(messages, WindowPolicy(timedelta(0)))
+    items = time_order(messages, WindowPolicy(timedelta(0)))
     pairs = _diachronic_candidates(items, _Reports(items))
     return [(left.message, right.message, distance) for left, right, distance in pairs]
 
@@ -282,8 +281,8 @@ def _residual_test(residual):
     return lambda left, right: all(test(left, right) for test in tests)
 
 
-def _by_type(items) -> dict[str, list[_Item]]:
-    """_by_extent items per message type, each list in item order."""
+def _by_type(items) -> dict[str, list[TimedMessage]]:
+    """time_order items per message type, each list in item order."""
     by_type = {}
     for item in items:
         by_type.setdefault(item.message.msg_type, []).append(item)
@@ -291,7 +290,7 @@ def _by_type(items) -> dict[str, list[_Item]]:
 
 
 def _key_groups(items, key_slots: tuple[str, ...], pins: tuple[tuple[str, str], ...]):
-    """_by_extent items grouped by their message's values in ``key_slots``,
+    """time_order items grouped by their message's values in ``key_slots``,
     each group in item order. A message with a null key slot, or one whose
     pinned slot does not hold the pinned instance name (a null never does),
     joins no group: no atom matches a null slot."""
@@ -306,18 +305,17 @@ def _key_groups(items, key_slots: tuple[str, ...], pins: tuple[tuple[str, str], 
     return groups
 
 
-def relation_rows(messages: list[Message], relation_specs: list[RelationSpec],
-                  window: WindowPolicy) -> list[tuple]:
-    """Match every relation spec against its axis candidates, as a keyed
-    join: candidates are drawn only from the right messages that share the
-    left message's ``eq`` key and pass the ``const`` pins.
+def relation_rows(order: list[TimedMessage],
+                  relation_specs: list[RelationSpec]) -> list[tuple]:
+    """Match every relation spec against its axis candidates in ``order``,
+    a ``time_order`` walk, as a keyed join: candidates are drawn only from
+    the right messages that share the left message's ``eq`` key and pass
+    the ``const`` pins.
 
     Each relation is the row (axis, name, left position, right position,
-    distance), a position indexing the messages in ``_message_sort_key``
-    order. Symmetric synchronic specs emit both directions. The rows are
-    distinct and sorted, so in ``sort_instances`` order.
-    """
-    by_type = _by_type(_by_extent(messages, window))
+    distance). Symmetric synchronic specs emit both directions. The rows
+    are distinct and sorted, so in ``sort_instances`` order."""
+    by_type = _by_type(order)
     plans: dict[tuple, dict] = {}      # (type, key slots, pins) -> key groups
     indexes: dict[tuple, object] = {}  # (axis, plan, key) -> _Sweep or _Reports
     found: set[tuple] = set()
@@ -361,8 +359,9 @@ def evaluate_relations(messages: list[Message], relation_specs: list[RelationSpe
     """``relation_rows`` as ``RelationInstance``s, for ``relate``: the sorted
     rows become instances in one C-level pass, as corpus._tokens builds
     tokens."""
-    rows = relation_rows(messages, relation_specs, window)
-    message_at = sorted(messages, key=_message_sort_key).__getitem__
+    order = time_order(messages, window)
+    rows = relation_rows(order, relation_specs)
+    message_at = [item.message for item in order].__getitem__
     axes, names, lefts, rights, distances = (map(itemgetter(i), rows) for i in range(5))
     return list(map(tuple.__new__, repeat(RelationInstance),
                     zip(names, axes, map(message_at, lefts), map(message_at, rights),
@@ -448,15 +447,11 @@ def brute_force_oracle(messages: list[Message], relation_specs: list[RelationSpe
 # ---------------------------------------------------------------------------
 # Window-aligned time buckets (shared with the summarizer)
 
-def bucket_messages(messages: list[Message],
-                    window: WindowPolicy) -> list[tuple[Message, ...]]:
-    """Partition messages into chronological groups of compatible anchors.
-
-    Buckets are the connected components of the anchor-compatibility graph,
-    the runs of ``_by_extent``'s walk.
-    """
+def bucket_messages(order: list[TimedMessage]) -> list[tuple[Message, ...]]:
+    """The runs of a ``time_order`` walk, each the tuple of its messages: the
+    connected components of the anchor-compatibility graph, in time order."""
     return [tuple(item.message for item in run)
-            for _, run in groupby(_by_extent(messages, window), lambda item: item.bucket)]
+            for _, run in groupby(order, lambda item: item.bucket)]
 
 
 def bucket_index_of(message: Message, buckets: list[tuple[Message, ...]]) -> int:
@@ -477,21 +472,19 @@ class EllipsisReport(NamedTuple):
     silent_sources: tuple[str, ...]
 
 
-def ellipsis_reports(messages: list[Message], sources: set[str],
-                     window: WindowPolicy) -> list[EllipsisReport]:
-    """One report per message that some other source never echoes, in
-    ``_message_sort_key`` order: the report lists, in name order, every
-    source with no window-compatible message of the same type. A message is
-    heard from its own source and from the sources of its synchronic
-    candidates among its type."""
-    items = _by_extent(messages, window)
-    heard = [{item.message.source} for item in items]
-    for typed in _by_type(items).values():
+def ellipsis_reports(order: list[TimedMessage], sources: set[str]) -> list[EllipsisReport]:
+    """One report per message of ``order``, a ``time_order`` walk, that some
+    other source never echoes, in walk order: the report lists, in name
+    order, every source with no window-compatible message of the same type.
+    A message is heard from its own source and from the sources of its
+    synchronic candidates among its type."""
+    heard = [{item.message.source} for item in order]
+    for typed in _by_type(order).values():
         for left, right, _ in _synchronic_candidates(typed, _Sweep(typed)):
             heard[left.position].add(right.message.source)
     ordered_sources = sorted(sources)
     reports = []
-    for item, item_heard in zip(items, heard):
+    for item, item_heard in zip(order, heard):
         silent = tuple(source for source in ordered_sources if source not in item_heard)
         if silent:
             reports.append(EllipsisReport(item.message, item.bucket, silent))
@@ -501,7 +494,9 @@ def ellipsis_reports(messages: list[Message], sources: set[str],
 def detect_ellipsis(messages: list[Message], sources: set[str],
                     window: WindowPolicy) -> list[EllipsisReport]:
     """``ellipsis_reports``, for ``relate`` (see the module docstring)."""
-    return ellipsis_reports(messages, sources, window)
+    # relate walks twice, here and in evaluate_relations: the benchmark traces
+    # both and replays the latter's arguments, so one walk waits (ROADMAP 13)
+    return ellipsis_reports(time_order(messages, window), sources)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ sort_keys=True)`` plus a newline; an indented ``json.dump`` always runs the
 encoder's pure-Python path.
 
 The relations and ellipsis reports rendered are the ones the rules give
-on the messages at the summary's own window: ``build_graph`` and the CLI
-call ``relations``' two cores, the ones ``relate`` calls, and read neither
-of ``relate``'s artifacts back. So every rendered relation holds by its
-rule, whatever those files say.
+on one ``relations.time_order`` walk, which the CLI takes at the summary's
+window and hands to ``build_graph`` and to the two cores ``relate`` calls.
+This module reads no window, and neither of ``relate``'s artifacts: every
+rendered relation holds by its rule, whatever those files say.
 
-Within the graph a message is its position in the time-ordered nodes. An
+Within the graph a message is its position in the walk, the nodes. An
 edge is a relation instance as (axis, name, left position, right
 position), a row of ``relation_rows`` without its distance, and the edges
 come in ``sort_instances`` order, so grouping them by (axis, name) yields
@@ -64,7 +64,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .errors import ChronicleError, DslSyntaxError, MissingTemplate
 from .extract import Message
 from .ontology import DIACHRONIC, RelationSpec
-from .relations import EllipsisReport, WindowPolicy, bucket_messages, relation_rows
+from .relations import EllipsisReport, TimedMessage, bucket_messages, relation_rows
 from .relations import bucket_index_of  # noqa: F401  (re-exported)
 
 _TEMPLATE_RE = re.compile(r'^template\s+([A-Za-z_][A-Za-z0-9_-]*)\s*:\s*"(.*)"\s*$')
@@ -100,19 +100,18 @@ class RelationGraph(NamedTuple):
     buckets: tuple[tuple[Message, ...], ...]      # runs of consecutive nodes
 
 
-def build_graph(messages: list[Message], relation_specs: list[RelationSpec],
-                window: WindowPolicy) -> RelationGraph:
-    """Messages in time order, and the relations the rules find among them
-    at ``window``, as edges between node positions in ``sort_instances``
-    order.
-
-    ``nodes`` joins the buckets, runs of the order ``relation_rows`` numbers
-    messages in, so a row's positions are node positions as they stand."""
-    buckets = tuple(bucket_messages(messages, window))
-    nodes = tuple(m for members in buckets for m in members)
+def build_graph(order: list[TimedMessage],
+                relation_specs: list[RelationSpec]) -> RelationGraph:
+    """The messages of ``order``, a ``relations.time_order`` walk, and the
+    relations the rules find among them, as edges between node positions
+    in ``sort_instances`` order. The nodes are the walk's messages, which
+    ``relation_rows`` numbers, so rows name nodes by construction. The
+    window is in the walk's spans; none is read here."""
+    buckets = tuple(bucket_messages(order))
+    nodes = tuple(item.message for item in order)
     # relation_rows, not evaluate_relations: relate calls that one, and a
     # tracer wrapping it would count each instance once per stage
-    edges = tuple(row[:4] for row in relation_rows(messages, relation_specs, window))
+    edges = tuple(row[:4] for row in relation_rows(order, relation_specs))
     return RelationGraph(nodes=nodes, edges=edges, buckets=buckets)
 
 

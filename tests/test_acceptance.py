@@ -19,7 +19,7 @@ from chronicle.evolution import (StreamParams, analyze_corpus, generate_stream)
 from chronicle.extract import (extract_corpus, load_gold_messages,
                                load_trigger_rules, train_classifier)
 from chronicle.relations import (WindowPolicy, brute_force_oracle,
-                                 detect_ellipsis, evaluate_relations)
+                                 detect_ellipsis, evaluate_relations, time_order)
 from chronicle.summarize import build_graph, load_templates, render_summary
 from chronicle.temporal import TimeAnchor, find_temporal_expressions, message_time, resolve
 
@@ -293,7 +293,7 @@ def test_criterion_7_summary_coverage(football, hostage):
         edges = evaluate_relations(bundle.gold, bundle.relation_specs, W0)
         reports = detect_ellipsis(bundle.gold, bundle.corpus.sources, W0)
         templates = load_templates(bundle.templates_path)
-        graph = build_graph(bundle.gold, bundle.relation_specs, W0)
+        graph = build_graph(time_order(bundle.gold, W0), bundle.relation_specs)
         first = render_summary(graph, templates, reports)
         second = render_summary(graph, templates, reports)
         assert first.text.encode() == second.text.encode()

@@ -13,6 +13,7 @@ import pytest
 from chronicle import cli
 from chronicle import corpus as corpus_mod
 from chronicle import ontology as ontology_mod
+from chronicle import relations as relations_mod
 from chronicle.corpus import read_corpus_artifact
 from chronicle.extract import load_gold_messages
 from chronicle.relations import WindowPolicy, brute_force_oracle
@@ -1164,6 +1165,35 @@ def test_simulate_rejects_bad_offsets(tmp_path, capsys, offsets, detail):
     assert not (tmp_path / "simulated.jsonl").exists()
 
 
+@pytest.mark.parametrize("flags,detail", [
+    (["--kind", "linear", "--offsets", "5000000000"],
+     "source-1 report 0 leaves the date range: start 2004-01-03 12:00, "
+     "offset 5000000000 minutes, period 7 days, 0:00:00"),
+    (["--kind", "non-linear", "--inter-gap", "99999999d"],
+     "source-1 report 3 leaves the date range: start 2004-01-03 12:00, "
+     "offset 0 minutes, intra gap 6:00:00, inter gap 99999999 days, 0:00:00"),
+    (["--kind", "linear", "--period", "9999999d"],
+     "source-1 report 1 leaves the date range: start 2004-01-03 12:00, "
+     "offset 0 minutes, period 9999999 days, 0:00:00"),
+], ids=["offsets", "inter-gap", "period"])
+def test_simulate_names_the_report_that_leaves_the_date_range(tmp_path, capsys, flags,
+                                                              detail):
+    assert run(["simulate", *flags, "--out-dir", tmp_path]) == 2
+    assert one_json_error(capsys, "simulate") == {
+        "stage": "simulate", "error": "OverflowError", "detail": detail}
+    assert not (tmp_path / "simulated.jsonl").exists()
+
+
+def test_simulate_draws_no_gap_past_the_last_report(tmp_path):
+    """A gap between bursts that would leave the date range is drawn only
+    when a report follows it."""
+    assert run(["simulate", "--kind", "non-linear", "--horizon", "1",
+                "--inter-gap", "5000000d", "--out-dir", tmp_path]) == 0
+    published = [json.loads(line)["publish_time"]
+                 for line in (tmp_path / "simulated.jsonl").read_text().splitlines()]
+    assert published == ["2004-01-03T12:00:00Z"] * 3
+
+
 def summarize_hostage(out_dir, window="0"):
     root = FIXTURES / "hostage"
     return run(["summarize", "--ontology", root / "domain.spec",
@@ -1320,6 +1350,33 @@ def test_each_stage_opens_the_files_the_stage_table_lists(tmp_path, monkeypatch)
             set(map(path_of, reads)), stage
         assert {path for path, write in opened if write} == \
             set(map(path_of, writes)), stage
+
+
+def test_each_stage_walks_the_messages_once_per_entry_point(tmp_path, monkeypatch):
+    """The time order is computed once per consumer: ``summarize`` walks the
+    messages once and hands that walk to the graph, the relation rows and
+    the ellipsis reports; ``relate`` walks once in each of its two traced
+    wrappers, ``evaluate_relations`` and ``detect_ellipsis``. No other
+    stage walks them."""
+    root = FIXTURES / "hostage"
+    domain = ["--ontology", root / "domain.spec"]
+    real = relations_mod.time_order
+    walks = []
+    monkeypatch.setattr(relations_mod, "time_order",
+                        lambda *args: walks.append(args) or real(*args))
+    counted = {}
+    for argv in (["ingest", "--corpus", root / "corpus.jsonl",
+                  "--lexicon", root / "lexicon.tsv", "--gazetteer", root / "gazetteer.tsv"],
+                 ["extract", *domain],
+                 ["relate", *domain, "--window", "1d"],
+                 ["analyze"],
+                 ["summarize", *domain, "--templates", root / "templates.txt",
+                  "--window", "1d", "--out", tmp_path / "summary.txt"]):
+        walks.clear()
+        assert run([*argv, "--out-dir", tmp_path]) == 0, argv[0]
+        counted[argv[0]] = len(walks)
+    assert counted == {"ingest": 0, "extract": 0, "relate": 2, "analyze": 0,
+                       "summarize": 1}
 
 
 def test_ingest_imports_no_later_stage(tmp_path):

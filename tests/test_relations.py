@@ -10,7 +10,7 @@ from chronicle.ontology import ConditionAtom, RelationSpec
 from chronicle.relations import (WindowPolicy, _join_plan, brute_force_oracle,
                                  bucket_messages, detect_ellipsis,
                                  diachronic_pairs, evaluate_relations,
-                                 parse_window, synchronic_pairs)
+                                 parse_window, synchronic_pairs, time_order)
 from chronicle.temporal import TimeAnchor
 from tests.oracles import anchors_compatible, bucket_oracle, ellipsis_oracle
 
@@ -181,14 +181,14 @@ def test_late_starter_reported_silent(hostage):
 def test_buckets_partition_by_anchor():
     ms = [msg(doc="a0", anchor=day(1)), msg(doc="a1", anchor=day(1)),
           msg(doc="a2", anchor=day(3), source="B")]
-    buckets = bucket_messages(ms, WindowPolicy(timedelta(0)))
+    buckets = bucket_messages(time_order(ms, WindowPolicy(timedelta(0))))
     assert [[m.doc_id for m in b] for b in buckets] == [["a0", "a1"], ["a2"]]
 
 
 def test_buckets_merge_under_wide_window():
     ms = [msg(doc="a0", anchor=day(1)), msg(doc="a1", anchor=day(2), source="B")]
-    assert len(bucket_messages(ms, WindowPolicy(timedelta(0)))) == 2
-    assert len(bucket_messages(ms, WindowPolicy(timedelta(days=2)))) == 1
+    assert len(bucket_messages(time_order(ms, WindowPolicy(timedelta(0))))) == 2
+    assert len(bucket_messages(time_order(ms, WindowPolicy(timedelta(days=2))))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +328,7 @@ def engine_outputs(messages, specs, sources, window):
     return ([(*r.key(), r.distance) for r in relations],
             [(r.message.key(), r.bucket, r.silent_sources)
              for r in detect_ellipsis(messages, sources, window)],
-            [[m.key() for m in b] for b in bucket_messages(messages, window)])
+            [[m.key() for m in b] for b in bucket_messages(time_order(messages, window))])
 
 
 def assert_matches_oracles(messages, specs, sources, window):
@@ -594,7 +594,7 @@ def test_candidate_pairs_match_double_loop(seed):
 @pytest.mark.parametrize("seed", range(0, 60))
 def test_buckets_match_oracle(seed):
     messages, _, window = random_trial(seed)
-    buckets = bucket_messages(messages, window)
+    buckets = bucket_messages(time_order(messages, window))
     assert [[m.key() for m in b] for b in buckets] == \
         [keys for _, keys in bucket_oracle(messages, window)]
 

@@ -12,7 +12,7 @@ from chronicle.ontology import ConditionAtom, RelationSpec
 from chronicle.relations import (EllipsisReport, WindowPolicy, _message_sort_key,
                                  bucket_index_of, bucket_messages,
                                  detect_ellipsis, evaluate_relations,
-                                 sort_instances, write_relations)
+                                 sort_instances, time_order, write_relations)
 from chronicle.summarize import (SummaryTemplate, _compile, _diachronic_chains,
                                  build_graph, load_templates, render_summary)
 from chronicle.temporal import TimeAnchor
@@ -65,7 +65,7 @@ TEMPLATES = {
 
 def test_graph_with_no_relations_has_isolated_nodes():
     ms = [perf("A", "a0", day(1), "good")]
-    graph = build_graph(ms, [], W0)
+    graph = build_graph(time_order(ms, W0), [])
     assert graph.edges == ()
     assert len(graph.nodes) == 1
     assert len(graph.buckets) == 1
@@ -73,7 +73,7 @@ def test_graph_with_no_relations_has_isolated_nodes():
 
 def test_agreement_pair_lands_in_one_bucket():
     ms = [perf("A", "a0", day(1), "good"), perf("B", "b0", day(1), "good")]
-    graph = build_graph(ms, [AGREEMENT], W0)
+    graph = build_graph(time_order(ms, W0), [AGREEMENT])
     assert len(graph.buckets) == 1
     assert len(graph.buckets[0]) == 2
 
@@ -82,7 +82,7 @@ def test_graduation_chain_spans_three_buckets():
     ms = [perf("A", "a0", day(1), "poor", 0),
           perf("A", "a1", day(3), "good", 1),
           perf("A", "a2", day(5), "excellent", 2)]
-    graph = build_graph(ms, [POSITIVE], W0)
+    graph = build_graph(time_order(ms, W0), [POSITIVE])
     assert len(graph.buckets) == 3
     assert len(graph.edges) == 2
 
@@ -92,7 +92,7 @@ def test_agreement_collapses_to_one_sentence_listing_sources():
           perf("C", "c0", day(1), "good")]
     edges = evaluate_relations(ms, [AGREEMENT], W0)
     assert len(edges) == 6
-    result = render_summary(build_graph(ms, [AGREEMENT], W0), TEMPLATES)
+    result = render_summary(build_graph(time_order(ms, W0), [AGREEMENT]), TEMPLATES)
     assert result.sentences == (
         "On 2004-09-01, A, B and C agreed on Alpha United: good.",)
     assert len(result.coverage) == 6
@@ -102,7 +102,7 @@ def test_agreement_collapses_to_one_sentence_listing_sources():
 def test_duplicated_edge_is_not_consumed_exactly_once(relation):
     ms = [perf("A", "a0", day(1), "poor", 0), perf("A", "a1", day(3), "good", 1),
           perf("B", "b0", day(1), "poor", 0)]
-    graph = build_graph(ms, [relation], W0)
+    graph = build_graph(time_order(ms, W0), [relation])
     assert graph.edges
     graph = graph._replace(edges=tuple(sorted(graph.edges + graph.edges[:1])))
     with pytest.raises(ChronicleError, match="exactly once"):
@@ -115,13 +115,13 @@ def test_graduation_chain_renders_single_trend_sentence():
           perf("A", "a2", day(5), "excellent", 2)]
     edges = evaluate_relations(ms, [POSITIVE], W0)
     assert len(edges) == 2
-    result = render_summary(build_graph(ms, [POSITIVE], W0), TEMPLATES)
+    result = render_summary(build_graph(time_order(ms, W0), [POSITIVE]), TEMPLATES)
     assert result.sentences == (
         "Alpha United improved from poor to excellent.",)
 
 
 def test_empty_graph_renders_empty_summary():
-    result = render_summary(build_graph([], [], W0), TEMPLATES)
+    result = render_summary(build_graph(time_order([], W0), []), TEMPLATES)
     assert result.text == ""
     assert result.sentences == ()
     assert result.coverage == ()
@@ -129,7 +129,7 @@ def test_empty_graph_renders_empty_summary():
 
 def test_missing_template_is_an_error():
     ms = [perf("A", "a0", day(1), "good"), perf("B", "b0", day(1), "good")]
-    graph = build_graph(ms, [AGREEMENT], W0)
+    graph = build_graph(time_order(ms, W0), [AGREEMENT])
     templates = {k: v for k, v in TEMPLATES.items() if k != "agreement"}
     with pytest.raises(MissingTemplate) as err:
         render_summary(graph, templates)
@@ -138,7 +138,7 @@ def test_missing_template_is_an_error():
 
 def test_missing_lone_template_is_an_error():
     ms = [perf("A", "a0", day(1), "good")]
-    graph = build_graph(ms, [], W0)
+    graph = build_graph(time_order(ms, W0), [])
     with pytest.raises(MissingTemplate) as err:
         render_summary(graph, {k: v for k, v in TEMPLATES.items()
                                if k != "lone-performance"})
@@ -147,14 +147,14 @@ def test_missing_lone_template_is_an_error():
 
 def test_lone_message_uses_per_type_template():
     ms = [perf("A", "a0", day(1), "good")]
-    result = render_summary(build_graph(ms, [], W0), TEMPLATES)
+    result = render_summary(build_graph(time_order(ms, W0), []), TEMPLATES)
     assert result.sentences == ("A: Alpha United was good on 2004-09-01.",)
 
 
 def test_ellipsis_sentence_rendered():
     ms = [perf("A", "a0", day(1), "good")]
     reports = detect_ellipsis(ms, {"A", "B"}, W0)
-    result = render_summary(build_graph(ms, [], W0), TEMPLATES, reports)
+    result = render_summary(build_graph(time_order(ms, W0), []), TEMPLATES, reports)
     assert result.sentences == ("Only A reported performance on 2004-09-01.",)
 
 
@@ -162,7 +162,7 @@ def test_bucket_budget_trims_lone_sentences_only():
     ms = [perf("A", "a0", day(1), "good"), perf("B", "b0", day(1), "good"),
           perf("C", "c0", day(1), "poor")]
     edges = evaluate_relations(ms, [AGREEMENT], W0)
-    graph = build_graph(ms, [AGREEMENT], W0)
+    graph = build_graph(time_order(ms, W0), [AGREEMENT])
     unbudgeted = render_summary(graph, TEMPLATES)
     assert len(unbudgeted.sentences) == 2
     budgeted = render_summary(graph, TEMPLATES, bucket_budget=1)
@@ -173,7 +173,7 @@ def test_bucket_budget_trims_lone_sentences_only():
 def test_rendering_deterministic_on_fixture(hostage):
     reports = detect_ellipsis(hostage.gold, hostage.corpus.sources, W0)
     templates = load_templates(hostage.templates_path)
-    graph = build_graph(hostage.gold, hostage.relation_specs, W0)
+    graph = build_graph(time_order(hostage.gold, W0), hostage.relation_specs)
     a = render_summary(graph, templates, reports)
     b = render_summary(graph, templates, reports)
     assert a == b
@@ -184,7 +184,7 @@ def test_every_instance_consumed_exactly_once_on_fixtures(football, hostage):
         edges = evaluate_relations(bundle.gold, bundle.relation_specs, W0)
         reports = detect_ellipsis(bundle.gold, bundle.corpus.sources, W0)
         templates = load_templates(bundle.templates_path)
-        graph = build_graph(bundle.gold, bundle.relation_specs, W0)
+        graph = build_graph(time_order(bundle.gold, W0), bundle.relation_specs)
         result = render_summary(graph, templates, reports)
         consumed = [key for key, _ in result.coverage]
         assert len(consumed) == len(set(consumed)) == len(edges)
@@ -195,7 +195,7 @@ def test_every_instance_consumed_exactly_once_on_fixtures(football, hostage):
 def test_collapse_keeps_distinct_argument_tuples(football):
     edges = evaluate_relations(football.gold, football.relation_specs, W0)
     templates = load_templates(football.templates_path)
-    graph = build_graph(football.gold, football.relation_specs, W0)
+    graph = build_graph(time_order(football.gold, W0), football.relation_specs)
     result = render_summary(graph, templates)
     # every distinct value mentioned by a collapsed agreement appears somewhere
     sync_values = {r.left.args["value"] for r in edges if r.axis == "synchronic"}
@@ -265,7 +265,7 @@ def test_render_matches_oracle(seed):
     duplicated edge fails the same way in both."""
     messages, specs, window = random_trial(seed)
     rng = random.Random(seed)
-    graph = build_graph(messages, specs, window)
+    graph = build_graph(time_order(messages, window), specs)
     if graph.edges and rng.random() < 0.1:
         duplicate = rng.choice(graph.edges)
         graph = graph._replace(edges=tuple(sorted(graph.edges + (duplicate,))))
@@ -359,7 +359,7 @@ def test_graph_edges_follow_sort_instances_order(seed):
     assert len(set(starts)) < len(starts)
     edges = evaluate_relations(messages, specs, window)
     rng.shuffle(messages)
-    graph = build_graph(messages, specs, window)
+    graph = build_graph(time_order(messages, window), specs)
     assert [(axis, name, graph.nodes[left].key(), graph.nodes[right].key())
             for axis, name, left, right in graph.edges] == \
         [e.key() for e in sort_instances(edges)]
@@ -382,7 +382,7 @@ def test_graph_edges_are_the_relations_relate_writes(tmp_path, seed):
     messages, specs, window = random_trial(seed)
     path = tmp_path / "relations.jsonl"
     write_relations(evaluate_relations(messages, specs, window), path)
-    graph = build_graph(messages, specs, window)
+    graph = build_graph(time_order(messages, window), specs)
     assert [(axis, name, graph.nodes[left].key(), graph.nodes[right].key())
             for axis, name, left, right in graph.edges] == \
         list(map(_artifact_key, path.read_text().splitlines()))
@@ -395,9 +395,9 @@ def test_buckets_are_runs_of_the_time_order(seed):
     ``bucket_index_of`` finds by a scan, and an ellipsis report naming
     that bucket renders."""
     messages, _, window = random_trial(seed)
-    buckets = bucket_messages(messages, window)
+    buckets = bucket_messages(time_order(messages, window))
     assert [m for b in buckets for m in b] == sorted(messages, key=_message_sort_key)
-    graph = build_graph(messages, [], window)
+    graph = build_graph(time_order(messages, window), [])
     templates = {"ellipsis": SummaryTemplate("ellipsis", "{source} {date}")}
     reports = [EllipsisReport(m, bucket_index_of(m, graph.buckets), ("elsewhere",))
                for m in graph.nodes]
