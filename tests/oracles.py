@@ -24,6 +24,9 @@ they shared one nearness key: the first computes a full key for every
 fitting mention once per slot and keeps the least, the second sorts its
 resolvable candidates and takes the first; both measure with
 ``_span_distance``, the package's token distance as it was.
+``resolve_oracle`` is ``temporal.resolve`` from before it had one
+unresolvable path: each rule's branch raises on its own, through
+``_day_after`` for the relative ones.
 ``load_gold_messages_oracle`` is the gold-message loader from before it
 took a shortcut: it checks every record's type, slots and constraints,
 where the package checks each distinct (type, args) pair once per call.
@@ -57,10 +60,10 @@ import json
 import math
 import re
 from collections import Counter
-from datetime import datetime
+from datetime import date, datetime, timedelta
 from itertools import repeat
 
-from chronicle.corpus import _TOKEN_RE, Sentence, Token, format_rfc3339
+from chronicle.corpus import _TOKEN_RE, Sentence, Token, format_rfc3339, to_utc
 from chronicle.evolution import LINEAR, NON_LINEAR, fit_linear
 from chronicle.errors import (ChronicleError, DslSyntaxError, MalformedRecord,
                               MissingTemplate, SlotTypeViolation, UnknownConcept,
@@ -75,7 +78,7 @@ from chronicle.relations import (RelationInstance, _message_sort_key,
                                  sort_instances)
 from chronicle.summarize import (RenderResult, _date_of, _join_sources,
                                  _pretty, _UnionFind)
-from chronicle.temporal import (_MONTHS, _WEEKDAYS, GrammarPattern,
+from chronicle.temporal import (_MONTHS, _WEEKDAYS, GrammarPattern, _decimal,
                                 TemporalExpression, TimeAnchor,
                                 find_temporal_expressions, load_grammar,
                                 resolve)
@@ -455,6 +458,59 @@ def message_time_oracle(msg_sentence: Sentence, publish_time: datetime,
         return TimeAnchor.day(publish_time)
     candidates.sort(key=lambda c: (c[0], c[1]))
     return candidates[0][2]
+
+
+def _day_after(pub: date, days: int, expr: TemporalExpression) -> TimeAnchor:
+    """The day ``days`` days after ``pub``; unresolvable when that day is
+    outside the ``date`` range."""
+    try:
+        return TimeAnchor.day(pub + timedelta(days=days))
+    except OverflowError:
+        raise UnresolvableExpression(expr.raw, expr.pattern_id) from None
+
+
+def resolve_oracle(expr: TemporalExpression, publish_time: datetime) -> TimeAnchor:
+    """Resolve an expression to a day anchor relative to the publication time.
+
+    "last <weekday>" is the latest such weekday strictly before publication;
+    "next <weekday>" the earliest strictly after; "on <weekday>" the nearest
+    occurrence not after publication.
+    """
+    pub = to_utc(publish_time).date()
+    rule = expr.rule
+    if rule.startswith("day-offset:"):
+        days = _decimal(rule.split(":", 1)[1])
+        if days is None:
+            raise UnresolvableExpression(expr.raw, expr.pattern_id)
+        return _day_after(pub, days, expr)
+    if rule in ("days-ago", "weeks-ago"):
+        num = expr.capture("num")
+        if num is None:
+            raise UnresolvableExpression(expr.raw, expr.pattern_id)
+        days = 7 * num if rule == "weeks-ago" else num
+        return _day_after(pub, -days, expr)
+    if rule == "dmy":
+        try:
+            d = date(expr.capture("year"), expr.capture("month"), expr.capture("day"))
+        except ValueError:
+            raise UnresolvableExpression(expr.raw, expr.pattern_id) from None
+        return TimeAnchor.day(d)
+    if rule == "iso":
+        try:
+            d = date.fromisoformat(expr.capture("isodate"))
+        except ValueError:
+            raise UnresolvableExpression(expr.raw, expr.pattern_id) from None
+        return TimeAnchor.day(d)
+    if rule == "last-weekday":
+        back = (pub.weekday() - expr.capture("weekday") - 1) % 7 + 1
+        return _day_after(pub, -back, expr)
+    if rule == "next-weekday":
+        fwd = (expr.capture("weekday") - pub.weekday() - 1) % 7 + 1
+        return _day_after(pub, fwd, expr)
+    if rule == "on-weekday":
+        back = (pub.weekday() - expr.capture("weekday")) % 7
+        return _day_after(pub, -back, expr)
+    raise UnresolvableExpression(expr.raw, expr.pattern_id)
 
 
 def load_gold_messages_oracle(path, specs: list[MessageTypeSpec],

@@ -15,6 +15,7 @@ from chronicle.errors import DslSyntaxError, UnresolvableExpression
 from chronicle.temporal import (TimeAnchor, find_temporal_expressions,
                                 load_grammar, message_time, resolve)
 from tests.conftest import FIXTURES
+from tests.oracles import resolve_oracle
 
 UTC = timezone.utc
 
@@ -318,3 +319,48 @@ def test_every_admitted_rule_resolves_or_is_unresolvable(tmp_path, elements, rul
         assert isinstance(resolve(found[0], publish), TimeAnchor)
     except UnresolvableExpression:
         pass
+
+
+# Captures per element class, the matcher's own values and the edges
+# ``resolve`` reads: a ``None`` number has more digits than ``int`` reads.
+CAPTURES = {"num": st.sampled_from([None, 0, 1, 3, 10**9, 10**20])
+            | st.integers(0, 10**6),
+            "day": st.integers(1, 31), "month": st.integers(1, 12),
+            "year": st.sampled_from([0, 1, 2004, 9999]) | st.integers(0, 9999),
+            "weekday": st.integers(0, 6),
+            "isodate": st.sampled_from(["2004-02-29", "2004-02-31", "0000-01-01",
+                                        "9999-12-31", "2004-13-01", "٢٠٠٤-01-01"])}
+RESOLVE_RULES = (st.sampled_from([*temporal._RULES, "day-offset:0", "day-offset:1",
+                                  "day-offset:-1", "day-offset:" + "9" * 5000,
+                                  "day-offset:-" + "9" * 5000, "day-offset",
+                                  "dmy:x", "nosuch"])
+                 | st.integers(-4 * 10**6, 4 * 10**6).map("day-offset:{}".format))
+
+
+def resolve_outcome(resolver, expr, publish):
+    try:
+        return resolver(expr, publish)
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500, database=None)
+@given(rule=RESOLVE_RULES,
+       classes=st.lists(st.sampled_from(sorted(CAPTURES)), max_size=4),
+       drop=st.booleans() | st.just(False),
+       publish=st.sampled_from([datetime(1, 1, 1, tzinfo=UTC),
+                                datetime(9999, 12, 31, 23, 59, tzinfo=UTC),
+                                datetime(2004, 9, 10, 23, 30),
+                                pub(2004, 2, 29)]),
+       data=st.data())
+def test_resolve_agrees_with_its_oracle(rule, classes, drop, publish, data):
+    """``resolve`` gives the anchor, or raises the exception, that
+    ``resolve_oracle`` does, on every rule the grammar admits and some it
+    refuses, with the rule's own captures, others it does not read, and,
+    when ``drop`` is drawn, without the ones it reads."""
+    own = sorted(c.strip("<>") for c in temporal._RULES.get(rule, ()))
+    names = classes if drop else own + classes
+    captures = tuple((name, data.draw(CAPTURES[name])) for name in names)
+    expr = temporal.TemporalExpression(0, (0, 1), "p", "raw text", rule, captures)
+    assert resolve_outcome(resolve, expr, publish) == \
+        resolve_outcome(resolve_oracle, expr, publish)
