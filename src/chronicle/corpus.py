@@ -477,8 +477,9 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
     sentence's ``tokens`` raises RuntimeError. Either way a record that lacks
     ``doc_id``, ``source``, ``publish_time``, ``report_index`` or
     ``sentences``, or a sentence's ``index`` or ``text``, or holds one of the
-    wrong type, or a ``doc_id`` holding ``#``, raises MalformedRecord with
-    the line; with tokens, so does a token row that is not an array of a
+    wrong type, a ``doc_id`` holding ``#``, or a sentence whose ``index`` is
+    not its place in the document, raises MalformedRecord with the line;
+    with tokens, so does a token row that is not an array of a
     surface and a lemma (strings), a label (a string or null) and two
     integer offsets.
     """
@@ -500,6 +501,10 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
             if "#" in doc_id:
                 raise MalformedRecord(f"doc_id {doc_id!r} contains '#'", path, ln)
             sentences = tuple(_sentence(s, tokens) for s in rec["sentences"])
+            for place, sentence in enumerate(sentences):
+                if sentence.index != place:
+                    raise MalformedRecord(f"sentence {place} has index {sentence.index}",
+                                          path, ln)
             publish_time = parse_rfc3339(publish_time)
         except KeyError as exc:
             raise MalformedRecord(f"missing {exc.args[0]}", path, ln) from None

@@ -20,19 +20,19 @@ a.end``, exactly when the two anchors' extents, each dilated by half the
 width, overlap. No date is computed, so an anchor at either end of the
 date range and the widest window the grammar reads relate like any other.
 
-Candidates are found without testing every pair. Synchronic ones come from
-a sweep over spans sorted by start: a message can only overlap spans that
-start between its own start minus the longest span among the candidates
-and its own end, a range two bisections find. Ellipsis is the keyless
-synchronic join: the same candidates, drawn per message type, and a source
-none of a message's candidates comes from is silent. Diachronic ones come
-from per-source lists in report order, where a rule's distance is a range
-of report indices that two bisections find (``==k`` one index, ``>=k``
-every index from ``+k`` on, no distance the whole source). Report order
+Candidates are found without testing every pair. Each axis has an index,
+and its ``pairs(lefts, distance)`` method yields the (left, right,
+distance) triples of the left items given. ``_Sweep.pairs`` sweeps spans
+sorted by start: a message can only overlap spans that start between its
+own start minus the longest span among the candidates and its own end, a
+range two bisections find; the distance is None. Ellipsis is the keyless
+synchronic join: the same pairs, drawn per message type, and a source
+none of a message's candidates comes from is silent. ``_Reports.pairs``
+reads per-source lists in report order, where a rule's distance is a
+range of report indices that two bisections find (``==k`` one index,
+``>=k`` every index from ``+k`` on, None the whole source). Report order
 follows publish time, but anchors come from the text, so each candidate in
-the range is still tested for a strictly later span start. Both generators
-yield (left, right, distance) triples, the distance None on the synchronic
-axis.
+the range is still tested for a strictly later span start.
 
 ``relation_rows`` runs each rule as a keyed join, since a rule's
 conditions are a conjunction of slot equalities plus a few other atoms.
@@ -170,7 +170,8 @@ def time_order(messages: list[Message], window: WindowPolicy) -> list[TimedMessa
 
 
 class _Sweep:
-    """Start-sorted spans, for finding the ones that overlap a given span."""
+    """Start-sorted spans, for finding the cross-source pairs whose spans
+    overlap."""
 
     def __init__(self, items):
         self.items = items              # from time_order
@@ -178,20 +179,25 @@ class _Sweep:
         # a span that starts before s - lookback ends before s
         self.lookback = max((item.end - item.start for item in items), default=0)
 
-    def near(self, start: int, end: int) -> list[TimedMessage]:
-        """The items whose spans start late enough and early enough to
-        overlap [start, end], in sort order: the overlapping ones, and
-        some that end before ``start``."""
-        return self.items[bisect_left(self.starts, start - self.lookback):
-                          bisect_right(self.starts, end)]
+    def pairs(self, lefts: list[TimedMessage], distance: tuple[str, int] | None):
+        """(left, right, None) for each left and each item of the sweep from
+        another source whose span overlaps the left's, in sort order. The
+        loader refuses a distance on a synchronic rule, so none is read."""
+        items, starts, lookback = self.items, self.starts, self.lookback
+        for left in lefts:
+            source, start = left.message.source, left.start
+            for right in items[bisect_left(starts, start - lookback):
+                               bisect_right(starts, left.end)]:
+                if right.end >= start and right.message.source != source:
+                    yield left, right, None
 
 
 _REPORT_INDEX = attrgetter("message.report_index")
 
 
 class _Reports:
-    """Items listed per source in report order, for finding the ones a given
-    report distance after a message."""
+    """Items listed per source in report order, for finding the same-source
+    pairs at a report distance."""
 
     def __init__(self, items):
         self.lists: dict[str, list[TimedMessage]] = {}
@@ -200,40 +206,22 @@ class _Reports:
         self.indices = {source: [item.message.report_index for item in items]
                         for source, items in self.lists.items()}
 
-    def after(self, m: Message, distance: tuple[str, int] | None):
-        """The items of ``m``'s source whose report is ``k`` after ``m``'s
-        for ``("==", k)``, at least ``k`` after for ``(">=", k)``, or
-        anywhere for None, in report order."""
-        items = self.lists.get(m.source)
-        if items is None or distance is None:
-            return items or ()
-        op, k = distance
-        indices = self.indices[m.source]
-        lo = bisect_left(indices, m.report_index + k)
-        hi = bisect_right(indices, m.report_index + k, lo) if op == "==" else len(items)
-        return items[lo:hi]
-
-
-def _synchronic_candidates(lefts: list[TimedMessage], sweep: _Sweep):
-    """(left, right, None) for each left and each right item of the sweep
-    from another source whose spans overlap."""
-    for left in lefts:
-        source, start = left.message.source, left.start
-        for right in sweep.near(start, left.end):
-            if right.end >= start and right.message.source != source:
-                yield left, right, None
-
-
-def _diachronic_candidates(lefts: list[TimedMessage], reports: _Reports,
-                           distance: tuple[str, int] | None = None):
-    """(left, right, report distance) for each left and each right item of
-    the same source with a strictly later span start, ``distance`` reports
-    on (see ``_Reports.after``)."""
-    for left in lefts:
-        m = left.message
-        for right in reports.after(m, distance):
-            if right.start > left.start:
-                yield left, right, right.message.report_index - m.report_index
+    def pairs(self, lefts: list[TimedMessage], distance: tuple[str, int] | None):
+        """(left, right, report distance) for each left and each item of its
+        source with a strictly later span start, in report order: ``k``
+        reports on for ``("==", k)``, ``k`` or more for ``(">=", k)``, any for None."""
+        for left in lefts:
+            m = left.message
+            items = self.lists.get(m.source, ())
+            if distance is not None and items:
+                op, k = distance
+                indices = self.indices[m.source]
+                lo = bisect_left(indices, m.report_index + k)
+                hi = bisect_right(indices, m.report_index + k, lo) if op == "==" else len(items)
+                items = items[lo:hi]
+            for right in items:
+                if right.start > left.start:
+                    yield left, right, right.message.report_index - m.report_index
 
 
 def synchronic_pairs(messages: list[Message],
@@ -241,14 +229,14 @@ def synchronic_pairs(messages: list[Message],
     """All ordered cross-source pairs with window-compatible anchors."""
     items = time_order(messages, window)
     return [(left.message, right.message)
-            for left, right, _ in _synchronic_candidates(items, _Sweep(items))]
+            for left, right, _ in _Sweep(items).pairs(items, None)]
 
 
 def diachronic_pairs(messages: list[Message]) -> list[tuple[Message, Message, int]]:
     """All same-source ordered pairs with strictly increasing anchor start,
     with their report distance (later report_index minus earlier)."""
     items = time_order(messages, WindowPolicy(timedelta(0)))
-    pairs = _diachronic_candidates(items, _Reports(items))
+    pairs = _Reports(items).pairs(items, None)
     return [(left.message, right.message, distance) for left, right, distance in pairs]
 
 
@@ -331,7 +319,8 @@ def relation_rows(order: list[TimedMessage],
                 msg_type, key_slots, pins = plan
                 plans[plan] = _key_groups(by_type[msg_type], key_slots, pins)
         axis, name, test = spec.axis, spec.name, _residual_test(residual)
-        mirror = spec.symmetric and axis == SYNCHRONIC
+        index_class = _Sweep if axis == SYNCHRONIC else _Reports
+        mirror = spec.symmetric     # the loader refuses a symmetric diachronic rule
         right_groups = plans[right_plan]
         for key, lefts in plans[left_plan].items():
             rights = right_groups.get(key)
@@ -339,13 +328,8 @@ def relation_rows(order: list[TimedMessage],
                 continue
             index = indexes.get((axis, right_plan, key))
             if index is None:
-                index = indexes[axis, right_plan, key] = (
-                    _Sweep if axis == SYNCHRONIC else _Reports)(rights)
-            if axis == SYNCHRONIC:
-                pairs = _synchronic_candidates(lefts, index)
-            else:
-                pairs = _diachronic_candidates(lefts, index, spec.distance)
-            for left, right, distance in pairs:
+                index = indexes[axis, right_plan, key] = index_class(rights)
+            for left, right, distance in index.pairs(lefts, spec.distance):
                 if test is not None and not test(left.message.args, right.message.args):
                     continue
                 add((axis, name, left.position, right.position, distance))
@@ -480,7 +464,7 @@ def ellipsis_reports(order: list[TimedMessage], sources: set[str]) -> list[Ellip
     synchronic candidates among its type."""
     heard = [{item.message.source} for item in order]
     for typed in _by_type(order).values():
-        for left, right, _ in _synchronic_candidates(typed, _Sweep(typed)):
+        for left, right, _ in _Sweep(typed).pairs(typed, None):
             heard[left.position].add(right.message.source)
     ordered_sources = sorted(sources)
     reports = []

@@ -321,57 +321,42 @@ def find_temporal_expressions(
     return found
 
 
-def _day_after(pub: date, days: int, expr: TemporalExpression) -> TimeAnchor:
-    """The day ``days`` days after ``pub``; unresolvable when that day is
-    outside the ``date`` range."""
-    try:
-        return TimeAnchor.day(pub + timedelta(days=days))
-    except OverflowError:
-        raise UnresolvableExpression(expr.raw, expr.pattern_id) from None
-
-
 def resolve(expr: TemporalExpression, publish_time: datetime) -> TimeAnchor:
     """Resolve an expression to a day anchor relative to the publication time.
 
     "last <weekday>" is the latest such weekday strictly before publication;
     "next <weekday>" the earliest strictly after; "on <weekday>" the nearest
     occurrence not after publication.
+
+    Unresolvable: a rule none of these, a number or day offset of more
+    digits than ``int`` reads, and a date impossible or outside the ``date``
+    range. A capture the rule reads and the expression lacks is a KeyError.
     """
     pub = to_utc(publish_time).date()
     rule = expr.rule
-    if rule.startswith("day-offset:"):
-        days = _decimal(rule.split(":", 1)[1])
-        if days is None:
-            raise UnresolvableExpression(expr.raw, expr.pattern_id)
-        return _day_after(pub, days, expr)
-    if rule in ("days-ago", "weeks-ago"):
-        num = expr.capture("num")
-        if num is None:
-            raise UnresolvableExpression(expr.raw, expr.pattern_id)
-        days = 7 * num if rule == "weeks-ago" else num
-        return _day_after(pub, -days, expr)
-    if rule == "dmy":
-        try:
+    try:
+        if rule.startswith("day-offset:"):
+            d = pub + timedelta(days=int(rule.split(":", 1)[1]))
+        elif rule in ("days-ago", "weeks-ago"):
+            num = expr.capture("num")
+            if num is None:
+                raise ValueError("more digits than int reads")
+            d = pub - timedelta(days=7 * num if rule == "weeks-ago" else num)
+        elif rule == "dmy":
             d = date(expr.capture("year"), expr.capture("month"), expr.capture("day"))
-        except ValueError:
-            raise UnresolvableExpression(expr.raw, expr.pattern_id) from None
-        return TimeAnchor.day(d)
-    if rule == "iso":
-        try:
+        elif rule == "iso":
             d = date.fromisoformat(expr.capture("isodate"))
-        except ValueError:
-            raise UnresolvableExpression(expr.raw, expr.pattern_id) from None
-        return TimeAnchor.day(d)
-    if rule == "last-weekday":
-        back = (pub.weekday() - expr.capture("weekday") - 1) % 7 + 1
-        return _day_after(pub, -back, expr)
-    if rule == "next-weekday":
-        fwd = (expr.capture("weekday") - pub.weekday() - 1) % 7 + 1
-        return _day_after(pub, fwd, expr)
-    if rule == "on-weekday":
-        back = (pub.weekday() - expr.capture("weekday")) % 7
-        return _day_after(pub, -back, expr)
-    raise UnresolvableExpression(expr.raw, expr.pattern_id)
+        elif rule == "last-weekday":
+            d = pub - timedelta(days=(pub.weekday() - expr.capture("weekday") - 1) % 7 + 1)
+        elif rule == "next-weekday":
+            d = pub + timedelta(days=(expr.capture("weekday") - pub.weekday() - 1) % 7 + 1)
+        elif rule == "on-weekday":
+            d = pub - timedelta(days=(pub.weekday() - expr.capture("weekday")) % 7)
+        else:
+            raise ValueError(f"no resolution rule {rule!r}")
+    except (ValueError, OverflowError):
+        raise UnresolvableExpression(expr.raw, expr.pattern_id) from None
+    return TimeAnchor.day(d)
 
 
 def nearness(span: tuple[int, int],

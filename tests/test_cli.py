@@ -763,6 +763,24 @@ def test_wrong_typed_corpus_sentence_field_exits_2(tmp_path, capsys, key, value)
     assert not (tmp_path / "messages.jsonl").exists()
 
 
+@pytest.mark.parametrize("indices", [[7, 8], [1, 0]], ids=["shifted", "swapped"])
+def test_corpus_sentence_index_off_its_place_exits_2(tmp_path, capsys, indices):
+    """A sentence's ``index`` is its place in the document: every stage that
+    reads the artifact refuses another, at the artifact's line, before a
+    message can carry it."""
+    def renumber(record):
+        for sentence, index in zip(record["sentences"], indices, strict=True):
+            sentence["index"] = index
+
+    ln = break_corpus_record(tmp_path, renumber)
+    for stage in ["extract", "analyze", "relate", "summarize"]:
+        assert run(hostage_stage(stage, tmp_path)) == 2, stage
+        err = one_json_error(capsys, stage)
+        assert err["error"] == "MalformedRecord"
+        assert f"corpus.jsonl:{ln}: sentence 0 has index {indices[0]}" in err["detail"]
+    assert not (tmp_path / "messages.jsonl").exists()
+
+
 def test_raw_doc_id_with_hash_exits_2(tmp_path, capsys):
     """Coverage keys render a message as DOC#SENTENCE, so these four ids
     would give two relation instances one key; ingest refuses the first
@@ -1122,7 +1140,8 @@ def test_simulate_rejects_non_finite_jitter(tmp_path, capsys, kind, jitter):
     (["--burst-max", "3"], {"burst_size": (2, 3)}),
     (["--offsets", "0,90,-45", "--seed", "4"],
      {"source_offsets": (0, 90, -45), "seed": 4}),
-], ids=["no-flags", "burst-min", "burst-max", "offsets"])
+    (["--offsets", ""], {}),
+], ids=["no-flags", "burst-min", "burst-max", "offsets", "empty-offsets"])
 @pytest.mark.parametrize("kind", ["linear", "non-linear"])
 def test_simulate_leaves_flags_not_given_to_stream_params(tmp_path, kind, flags,
                                                           fields):
