@@ -46,7 +46,11 @@ checked every message against before it checked only the constraints its
 slot filling cannot guarantee. It and ``load_gold_messages_oracle`` check
 constraints with ``validate_message_oracle``, which reads each atom
 literally and shares no evaluator with the package. ``posteriors`` is the
-classifier's normalized class probabilities, which no stage reads. The
+classifier's normalized class probabilities, which no stage reads.
+``ClassifierModelOracle`` and ``train_classifier_oracle`` are the
+statistical classifier from before it was a table of log-probabilities: the
+model keeps raw counts and two totals derived from them, and computes each
+smoothed log-likelihood anew for every feature it scores. The
 evolution and spec-text helpers at the end have no counterpart in the
 package: the pipeline classifies linearity inside ``analyze_corpus`` and
 never writes a spec file. Last comes the spec line parser from before the
@@ -65,12 +69,12 @@ from itertools import repeat
 
 from chronicle.corpus import _TOKEN_RE, Sentence, Token, format_rfc3339, to_utc
 from chronicle.evolution import LINEAR, NON_LINEAR, fit_linear
-from chronicle.errors import (ChronicleError, DslSyntaxError, MalformedRecord,
-                              MissingTemplate, SlotTypeViolation, UnknownConcept,
-                              UnknownMessageType, UnknownSlot, UnparsableAnchor,
-                              UnresolvableExpression)
-from chronicle.extract import (ClassifierModel, Message, _instance_spans,
-                               sentence_features)
+from chronicle.errors import (ChronicleError, DslSyntaxError, EmptyTrainingSet,
+                              MalformedRecord, MissingTemplate, SlotTypeViolation,
+                              UnknownConcept, UnknownMessageType, UnknownSlot,
+                              UnparsableAnchor, UnresolvableExpression)
+from chronicle.extract import (NONE_LABEL, ClassifierModel, Message,
+                               _instance_spans, sentence_features)
 from chronicle.ontology import (_INSTANCE_RE, _NAME_RE, DIACHRONIC, SYNCHRONIC,
                                 ConditionAtom, MessageTypeSpec, Ontology,
                                 RelationSpec, Statement, _parse_atoms)
@@ -888,6 +892,67 @@ def posteriors(model: ClassifierModel, sentence: Sentence) -> dict[str, float]:
     norm = sum(expd.values())
     return {c: v / norm for c, v in expd.items()}
 
+
+class ClassifierModelOracle:
+    """Multinomial count model with add-one smoothing over lemma + NE features.
+
+    Classes are the message types plus the reserved ``none`` label; scores
+    are smoothed log posteriors. The class order is kept for tie-breaking
+    (first match wins, ``none`` always last).
+    """
+
+    def __init__(self, classes: list[str], class_counts: dict[str, int],
+                 feature_counts: dict[str, dict[str, int]],
+                 vocabulary: set[str]):
+        self.classes = list(classes)
+        self.class_counts = dict(class_counts)
+        self.feature_counts = {c: dict(fc) for c, fc in feature_counts.items()}
+        self.vocabulary = set(vocabulary)
+        self.total_examples = sum(class_counts.values())
+        self.feature_totals = {c: sum(fc.values())
+                               for c, fc in self.feature_counts.items()}
+
+    def log_score(self, cls: str, features: list[str]) -> float:
+        prior = self.class_counts[cls] / self.total_examples
+        score = math.log(prior)
+        denom = self.feature_totals[cls] + len(self.vocabulary)
+        counts = self.feature_counts[cls]
+        for f in features:
+            if f not in self.vocabulary:
+                continue
+            score += math.log((counts.get(f, 0) + 1) / denom)
+        return score
+
+
+def train_classifier_oracle(labeled: list[tuple[Sentence, str | None]],
+                            type_order: list[str]) -> ClassifierModelOracle:
+    """Train the count model; None labels stand for the ``none`` class.
+
+    Deterministic and order-independent: only feature/class counts matter.
+    ``type_order`` (normally spec-file order) fixes the tie-break order; a
+    label outside it raises ValueError.
+    """
+    if not labeled:
+        raise EmptyTrainingSet("no labeled sentences")
+    class_counts: dict[str, int] = {}
+    feature_counts: dict[str, dict[str, int]] = {}
+    vocabulary: set[str] = set()
+    for sentence, label in labeled:
+        cls = NONE_LABEL if label is None else label
+        if cls not in class_counts:
+            if label is not None and label not in type_order:
+                raise ValueError(f"label {label!r} is not in the type order")
+            class_counts[cls] = 0
+            feature_counts[cls] = {}
+        class_counts[cls] += 1
+        for f in sentence_features(sentence):
+            vocabulary.add(f)
+            feature_counts[cls][f] = feature_counts[cls].get(f, 0) + 1
+
+    order = [c for c in type_order if c in class_counts]
+    if NONE_LABEL in class_counts:
+        order.append(NONE_LABEL)
+    return ClassifierModelOracle(order, class_counts, feature_counts, vocabulary)
 
 def classify_linearity(timestamps, residual_threshold: float = 0.1) -> str:
     model = fit_linear(timestamps)

@@ -4,21 +4,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chronicle.corpus import PhraseIndex, Sentence, phrase_key, tokenize
+from chronicle.corpus import PhraseIndex, Sentence, Token, phrase_key, tokenize
 from chronicle.errors import (EmptyTrainingSet, MalformedRecord,
                               SlotTypeViolation, UnknownMessageType,
                               UnparsableAnchor)
 from chronicle.extract import (Message, TriggerRule, classify_sentence,
                                extract_corpus, fill_arguments,
                                load_gold_messages,
-                               load_trigger_rules, train_classifier,
-                               trigger_span_for, validate_message)
+                               load_trigger_rules, sentence_features,
+                               train_classifier, trigger_span_for,
+                               validate_message)
 from chronicle.ontology import ConditionAtom, MessageTypeSpec
 from chronicle.temporal import TimeAnchor
 
 from tests.oracles import (message_problem_oracle, posteriors,
-                           validate_message_oracle)
+                           train_classifier_oracle, validate_message_oracle)
 
 
 def sent(text, lexicon=None, gazetteer=None, index=0):
@@ -120,6 +123,57 @@ def test_classifier_refuses_a_label_outside_the_type_order():
         train_classifier([(sent("alpha beta"), "t1"), (sent("gamma"), "t3")],
                          type_order=["t1", "t2"])
 
+
+
+def token_sentence(pairs):
+    """A sentence of one token per (lemma, NE label or None) pair."""
+    return Sentence(index=0, text="",
+                    tokens=tuple(Token(lemma, lemma, ne) for lemma, ne in pairs))
+
+
+# Training sentences repeat features from a small vocabulary; held-out ones
+# also draw lemmas and an NE label that no training sentence holds.
+TRAINING_SENTENCES = st.lists(
+    st.tuples(st.sampled_from(["alpha", "beta", "gamma", "delta"]),
+              st.sampled_from([None, None, "PER", "ORG"])),
+    max_size=6).map(token_sentence)
+HELD_OUT_SENTENCES = st.lists(
+    st.tuples(st.sampled_from(["alpha", "beta", "gamma", "delta", "omega", "zeta"]),
+              st.sampled_from([None, "PER", "ORG", "LOC"])),
+    max_size=8).map(token_sentence)
+CLASSIFIER_TYPES = ["t1", "t2", "t3", "none"]
+
+
+def train_outcome(trainer, labeled, type_order):
+    try:
+        return trainer(labeled, type_order)
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+@settings(derandomize=True, deadline=None, max_examples=600, database=None)
+@given(type_order=st.permutations(CLASSIFIER_TYPES).flatmap(
+           lambda types: st.integers(0, len(types)).map(lambda n: types[:n])),
+       strays=st.integers(0, 3), data=st.data())
+def test_classifier_agrees_with_its_oracle(type_order, strays, data):
+    """The model scores every class of every held-out sentence with the very
+    float the count model does, and so types it alike; training on no
+    sentences, or on a label outside ``type_order``, raises alike."""
+    labels = [*type_order, None, *(CLASSIFIER_TYPES if strays == 0 else [])]
+    labeled = data.draw(st.lists(st.tuples(TRAINING_SENTENCES, st.sampled_from(labels)),
+                                 max_size=8))
+    got = train_outcome(train_classifier, labeled, type_order)
+    want = train_outcome(train_classifier_oracle, labeled, type_order)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert list(got.classes) == want.classes
+    for sentence in data.draw(st.lists(HELD_OUT_SENTENCES, min_size=1, max_size=4)):
+        features = sentence_features(sentence)
+        assert [got.log_score(c, features) for c in got.classes] == \
+            [want.log_score(c, features) for c in want.classes]
+        assert classify_sentence(sentence, [], got) == \
+            classify_sentence(sentence, [], want)
 
 # ---------------------------------------------------------------------------
 # stage two: argument filling
