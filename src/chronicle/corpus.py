@@ -356,6 +356,11 @@ def load_corpus(path: str | Path,
     return build_corpus(path.stem, raw_docs, lexicon=lexicon, gazetteer=gazetteer)
 
 
+# The order documents are numbered in: (source, publish_time, doc_id), the
+# first three fields of both a ``build_corpus`` row and a ``Document``.
+_REPORT_ORDER = itemgetter(1, 2, 0)
+
+
 def build_corpus(event_id: str,
                  raw_docs: list[tuple[str, str, datetime, list[str]]],
                  lexicon: dict[str, str] | None = None,
@@ -369,7 +374,7 @@ def build_corpus(event_id: str,
     """
     phrases = PhraseIndex(gazetteer.items()) if gazetteer else None
     documents = []
-    for _, rows in groupby(sorted(raw_docs, key=itemgetter(1, 2, 0)), itemgetter(1)):
+    for _, rows in groupby(sorted(raw_docs, key=_REPORT_ORDER), itemgetter(1)):
         for report_index, (doc_id, source, publish_time, sentence_texts) in enumerate(rows):
             sentences = tuple(
                 Sentence(index=i, text=t, tokens=tokenize(t, lexicon, phrases))
@@ -477,13 +482,16 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
     sentence's ``tokens`` raises RuntimeError. Either way a record that lacks
     ``doc_id``, ``source``, ``publish_time``, ``report_index`` or
     ``sentences``, or a sentence's ``index`` or ``text``, or holds one of the
-    wrong type, a ``doc_id`` holding ``#``, or a sentence whose ``index`` is
-    not its place in the document, raises MalformedRecord with the line;
-    with tokens, so does a token row that is not an array of a
-    surface and a lemma (strings), a label (a string or null) and two
-    integer offsets.
+    wrong type, a ``doc_id`` holding ``#``, a sentence whose ``index`` is
+    not its place in the document, or a ``report_index`` that is not the
+    document's rank in its source as ``build_corpus`` numbers them, raises
+    MalformedRecord with the line; with tokens, so does a token row that is
+    not an array of a surface and a lemma (strings), a label (a string or
+    null) and two integer offsets. A ``doc_id`` seen on an earlier line
+    raises DuplicateDocId. The ranks are checked in one sort.
     """
     documents = []
+    lines: dict[str, int] = {}     # doc_id -> its line
     event_id = Path(path).stem
     for ln, rec in read_records(path):
         if "event_id" in rec and "doc_id" not in rec:
@@ -500,6 +508,9 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
                 raise TypeError
             if "#" in doc_id:
                 raise MalformedRecord(f"doc_id {doc_id!r} contains '#'", path, ln)
+            if doc_id in lines:
+                raise DuplicateDocId(doc_id, path, ln)
+            lines[doc_id] = ln
             sentences = tuple(_sentence(s, tokens) for s in rec["sentences"])
             for place, sentence in enumerate(sentences):
                 if sentence.index != place:
@@ -516,4 +527,10 @@ def read_corpus_artifact(path: str | Path, tokens: bool = True) -> Corpus:
         documents.append(Document(
             doc_id=doc_id, source=source, publish_time=publish_time,
             sentences=sentences, report_index=report_index))
+    for source, ranked in groupby(sorted(documents, key=_REPORT_ORDER), itemgetter(1)):
+        for rank, d in enumerate(ranked):
+            if d.report_index != rank:
+                raise MalformedRecord(
+                    f"document {d.doc_id!r} has report_index {d.report_index}, "
+                    f"but is report {rank} of source {source!r}", path, lines[d.doc_id])
     return Corpus(event_id=event_id, documents=tuple(documents))

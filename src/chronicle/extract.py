@@ -1,8 +1,8 @@
 """Two-stage message extraction.
 
 Stage one, ``classify_sentence(sentence, rules, model=None)``, types a
-sentence by trigger-lemma rules, or by a smoothed count-based classifier over
-lemma and named-entity features when a trained ``model`` is given. Stage two,
+sentence by trigger-lemma rules, or, given a trained ``model``, by a table of
+smoothed log-probabilities over lemma and named-entity features. Stage two,
 ``fill_arguments(sentence, ontology, spec, trigger_span)``, fills the slots of
 ``spec`` with ontology instances mentioned in the sentence: type-compatible
 candidates, least by ``temporal.nearness`` (nearest the trigger, leftmost on
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -85,34 +86,24 @@ def load_trigger_rules(spec: str | Path | ParsedSpec,
 # ---------------------------------------------------------------------------
 # Stage one: type classification
 
-class ClassifierModel:
-    """Multinomial count model with add-one smoothing over lemma + NE features.
+class ClassifierModel(NamedTuple):
+    """A multinomial model with add-one smoothing, computed once by
+    ``train_classifier``: the class order (the message types, then ``none``;
+    the first wins a tie), each class's log prior, and each class's table of
+    smoothed log-likelihoods over the training vocabulary."""
 
-    Classes are the message types plus the reserved ``none`` label; scores
-    are smoothed log posteriors. The class order is kept for tie-breaking
-    (first match wins, ``none`` always last).
-    """
-
-    def __init__(self, classes: list[str], class_counts: dict[str, int],
-                 feature_counts: dict[str, dict[str, int]],
-                 vocabulary: set[str]):
-        self.classes = list(classes)
-        self.class_counts = dict(class_counts)
-        self.feature_counts = {c: dict(fc) for c, fc in feature_counts.items()}
-        self.vocabulary = set(vocabulary)
-        self.total_examples = sum(class_counts.values())
-        self.feature_totals = {c: sum(fc.values())
-                               for c, fc in self.feature_counts.items()}
+    classes: tuple[str, ...]
+    log_priors: dict[str, float]
+    log_likelihoods: dict[str, dict[str, float]]
 
     def log_score(self, cls: str, features: list[str]) -> float:
-        prior = self.class_counts[cls] / self.total_examples
-        score = math.log(prior)
-        denom = self.feature_totals[cls] + len(self.vocabulary)
-        counts = self.feature_counts[cls]
+        """The log prior of ``cls`` plus the table value of each feature in
+        the training vocabulary, in sentence order."""
+        table = self.log_likelihoods[cls]
+        score = self.log_priors[cls]
         for f in features:
-            if f not in self.vocabulary:
-                continue
-            score += math.log((counts.get(f, 0) + 1) / denom)
+            if f in table:
+                score += table[f]
         return score
 
 
@@ -124,33 +115,32 @@ def sentence_features(sentence: Sentence) -> list[str]:
 
 def train_classifier(labeled: list[tuple[Sentence, str | None]],
                      type_order: list[str]) -> ClassifierModel:
-    """Train the count model; None labels stand for the ``none`` class.
-
-    Deterministic and order-independent: only feature/class counts matter.
-    ``type_order`` (normally spec-file order) fixes the tie-break order; a
-    label outside it raises ValueError.
-    """
+    """Count each class's examples and features once and take their
+    smoothed logarithms; None labels stand for the ``none`` class. The order
+    of ``labeled`` does not matter. ``type_order`` (normally spec-file order)
+    fixes the tie-break order; a label outside it raises ValueError."""
     if not labeled:
         raise EmptyTrainingSet("no labeled sentences")
-    class_counts: dict[str, int] = {}
-    feature_counts: dict[str, dict[str, int]] = {}
-    vocabulary: set[str] = set()
+    examples: Counter[str] = Counter()
+    counts: dict[str, Counter[str]] = {}
     for sentence, label in labeled:
         cls = NONE_LABEL if label is None else label
-        if cls not in class_counts:
+        if cls not in counts:
             if label is not None and label not in type_order:
                 raise ValueError(f"label {label!r} is not in the type order")
-            class_counts[cls] = 0
-            feature_counts[cls] = {}
-        class_counts[cls] += 1
-        for f in sentence_features(sentence):
-            vocabulary.add(f)
-            feature_counts[cls][f] = feature_counts[cls].get(f, 0) + 1
-
-    order = [c for c in type_order if c in class_counts]
-    if NONE_LABEL in class_counts:
+            counts[cls] = Counter()
+        examples[cls] += 1
+        counts[cls].update(sentence_features(sentence))
+    order = [c for c in type_order if c in counts]
+    if NONE_LABEL in counts:
         order.append(NONE_LABEL)
-    return ClassifierModel(order, class_counts, feature_counts, vocabulary)
+    vocabulary = set().union(*counts.values())
+    log_priors, tables = {}, {}
+    for cls in order:
+        log_priors[cls] = math.log(examples[cls] / len(labeled))
+        denom = counts[cls].total() + len(vocabulary)
+        tables[cls] = {f: math.log((counts[cls][f] + 1) / denom) for f in vocabulary}
+    return ClassifierModel(tuple(order), log_priors, tables)
 
 
 def classify_sentence(sentence: Sentence, rules: list[TriggerRule],

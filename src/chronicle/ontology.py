@@ -35,6 +35,7 @@ from .errors import (CycleInTaxonomy, DslSyntaxError, DuplicateInstance,
                      UnknownInstance, UnknownMessageType, UnknownSlot)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INTEGER_RE = re.compile(r"\d+")
 _INSTANCE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 # Whole instance and concept lines, matching only lines that the cursor
 # reads to the same statement: the keyword needs a blank after it, or the
@@ -244,12 +245,18 @@ class _Cursor:
         return value
 
     def integer(self) -> int:
+        """The digit run at the cursor; a run longer than ``int`` reads is
+        an error at its first digit."""
         self.skip_ws()
-        m = re.compile(r"\d+").match(self.text, self.pos)
+        m = _INTEGER_RE.match(self.text, self.pos)
         if not m:
             self.error("expected integer")
+        try:
+            value = int(m.group(0))
+        except ValueError:
+            self.error(f"integer of {len(m.group(0))} digits is too long")
         self.pos = m.end()
-        return int(m.group(0))
+        return value
 
 
 def _parse_slot_ref(cur: _Cursor) -> tuple[str | None, str]:
@@ -306,20 +313,20 @@ def _parse_line(line: str, ln: int, path: str | Path) -> Statement | None:
     cur.skip_ws()
     keyword = cur.name("statement keyword")
 
+    # ``_CONCEPT_LINE`` and ``_INSTANCE_LINE`` take every concept and
+    # instance line that the cursor reads whole: these branches only locate
+    # the error
     if keyword == "concept":
-        name = cur.name("concept name")
-        parent = None
+        cur.name("concept name")
         if cur.try_literal("<"):
-            parent = cur.name("parent concept")
+            cur.name("parent concept")
         cur.expect_end()
-        return Statement("concept", ln, {"name": name, "parent": parent})
 
     if keyword == "instance":
-        name = cur.instance_name()
+        cur.instance_name()
         cur.expect_literal(":")
-        concept = cur.name("concept name")
+        cur.name("concept name")
         cur.expect_end()
-        return Statement("instance", ln, {"name": name, "concept": concept})
 
     if keyword == "scale":
         concept = cur.name("concept name")

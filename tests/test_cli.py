@@ -257,6 +257,31 @@ def test_validate_runs_as_a_module():
     assert doc["message_types"] == ["demand", "end", "negotiate", "start"]
 
 
+@pytest.mark.parametrize("op", [">=", "=="])
+def test_overlong_distance_is_a_located_syntax_error(tmp_path, capsys, op):
+    """A ``distance`` whose digit run ``int`` will not read is a syntax
+    error at the run's first digit, in each stage that loads the spec."""
+    root = FIXTURES / "hostage"
+    lines = (root / "domain.spec").read_text().splitlines()
+    ln = next(i for i, line in enumerate(lines, start=1) if "distance>=1" in line)
+    digits = "9" * 5000
+    lines[ln - 1] = lines[ln - 1].replace("distance>=1", f"distance{op}{digits}")
+    column = lines[ln - 1].index(digits) + 1
+    spec = tmp_path / "domain.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run(["ingest", "--corpus", root / "corpus.jsonl", "--out-dir", out]) == 0
+    assert run(["extract", "--ontology", root / "domain.spec", "--mode", "gold",
+                "--gold", root / "gold_messages.jsonl", "--out-dir", out]) == 0
+    capsys.readouterr()
+    for argv in (["validate", "--ontology", spec],
+                 ["relate", "--ontology", spec, "--window", "0", "--out-dir", out]):
+        assert run(argv) == 2, argv
+        err = one_json_error(capsys, argv[0])
+        assert err["error"] == "DslSyntaxError"
+        assert err["detail"] == f"{spec}:{ln}:{column}: integer of 5000 digits is too long"
+
+
 def test_error_is_machine_readable_json(tmp_path, capsys):
     code = run(["ingest", "--corpus", tmp_path / "nope.jsonl",
                 "--out-dir", tmp_path])
@@ -779,6 +804,51 @@ def test_corpus_sentence_index_off_its_place_exits_2(tmp_path, capsys, indices):
         assert err["error"] == "MalformedRecord"
         assert f"corpus.jsonl:{ln}: sentence 0 has index {indices[0]}" in err["detail"]
     assert not (tmp_path / "messages.jsonl").exists()
+
+
+def repeat_document(records, at):
+    records.insert(at["aegean-01"] + 1, dict(records[at["aegean-01"]]))
+
+
+def swap_report_indices(records, at):
+    first, last = records[at["aegean-01"]], records[at["aegean-12"]]
+    first["report_index"], last["report_index"] = last["report_index"], first["report_index"]
+
+
+def negative_report_index(records, at):
+    records[at["aegean-01"]]["report_index"] = -1
+
+
+@pytest.mark.parametrize("change,error,detail", [
+    (repeat_document, "DuplicateDocId", "corpus.jsonl:3: duplicate doc_id 'aegean-01'"),
+    (swap_report_indices, "MalformedRecord",
+     "corpus.jsonl:2: document 'aegean-01' has report_index 11, "
+     "but is report 0 of source 'aegean_news'"),
+    (negative_report_index, "MalformedRecord",
+     "corpus.jsonl:2: document 'aegean-01' has report_index -1, "
+     "but is report 0 of source 'aegean_news'"),
+], ids=["repeated-line", "swapped-indices", "negative-index"])
+def test_corpus_document_identity_and_report_order_exit_2(tmp_path, capsys, change,
+                                                         error, detail):
+    """Each ``doc_id`` names one document, and each ``report_index`` is the
+    document's rank in its source by (publish_time, doc_id), as ingest
+    numbers them: every stage that reads the artifact refuses another, at
+    its line, rather than count a report twice or measure wrong distances."""
+    root = FIXTURES / "hostage"
+    stages = ["extract", "relate", "analyze", "summarize"]
+    assert run(["ingest", "--corpus", root / "corpus.jsonl", "--out-dir", tmp_path]) == 0
+    for stage in stages:
+        assert run(hostage_stage(stage, tmp_path)) == 0, stage
+    artifact = tmp_path / "corpus.jsonl"
+    records = [json.loads(line) for line in artifact.read_text().splitlines()]
+    change(records, {rec.get("doc_id"): i for i, rec in enumerate(records)})
+    artifact.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    capsys.readouterr()
+    for stage in stages:
+        assert run(hostage_stage(stage, tmp_path)) == 2, stage
+        err = one_json_error(capsys, stage)
+        assert err["error"] == error
+        assert detail in err["detail"]
 
 
 def test_raw_doc_id_with_hash_exits_2(tmp_path, capsys):

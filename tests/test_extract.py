@@ -175,6 +175,7 @@ def test_classifier_agrees_with_its_oracle(type_order, strays, data):
         assert classify_sentence(sentence, [], got) == \
             classify_sentence(sentence, [], want)
 
+
 # ---------------------------------------------------------------------------
 # stage two: argument filling
 
